@@ -14,6 +14,14 @@ from .tree import TreeConfig, TreeModel, TreeNode
 
 FORMAT_VERSION = 1
 
+# Top-level keys model_from_dict reads, per model kind.
+_REQUIRED_KEYS = {
+    "ann": ("hyperparameters", "normalization", "weights", "final_error"),
+    "dtree": ("hyperparameters", "nodes", "n_features"),
+    "svm": ("hyperparameters", "normalization", "support_vectors",
+            "coefficients", "bias", "gamma", "alphas", "train_labels_pm"),
+}
+
 
 def _node_to_dict(node: TreeNode) -> dict:
     d = {"counts": list(node.counts)}
@@ -65,10 +73,17 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model format version: {version!r}")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
+        raise DataError(f"unknown model kind: {kind!r}")
+    missing = [key for key in _REQUIRED_KEYS[kind] if key not in doc]
+    if missing:
+        raise DataError(f"{kind} model is missing keys: {missing}")
     if kind == "ann":
         cfg = AnnConfig(**doc["hyperparameters"])
         w = doc["weights"]
@@ -83,20 +98,18 @@ def model_from_dict(doc: dict):
         return TreeModel(root=_node_from_dict(doc["nodes"]),
                          config=TreeConfig(**doc["hyperparameters"]),
                          n_features=doc["n_features"])
-    if kind == "svm":
-        cfg = SvmConfig(**doc["hyperparameters"])
-        sv = np.asarray(doc["support_vectors"], dtype=float)
-        if sv.size == 0:
-            sv = sv.reshape(0, len(doc["normalization"]["minimum"]))
-        return SvmModel(
-            support_vectors=sv,
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            bias=float(doc["bias"]), gamma=float(doc["gamma"]), c=cfg.c,
-            normalization=NormalizationParams.from_dict(doc["normalization"]),
-            config=cfg,
-            alphas=np.asarray(doc["alphas"], dtype=float),
-            train_labels_pm=np.asarray(doc["train_labels_pm"], dtype=float))
-    raise DataError(f"unknown model kind: {kind!r}")
+    cfg = SvmConfig(**doc["hyperparameters"])
+    sv = np.asarray(doc["support_vectors"], dtype=float)
+    if sv.size == 0:
+        sv = sv.reshape(0, len(doc["normalization"]["minimum"]))
+    return SvmModel(
+        support_vectors=sv,
+        coefficients=np.asarray(doc["coefficients"], dtype=float),
+        bias=float(doc["bias"]), gamma=float(doc["gamma"]), c=cfg.c,
+        normalization=NormalizationParams.from_dict(doc["normalization"]),
+        config=cfg,
+        alphas=np.asarray(doc["alphas"], dtype=float),
+        train_labels_pm=np.asarray(doc["train_labels_pm"], dtype=float))
 
 
 def save_model(model, path) -> None:

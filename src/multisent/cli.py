@@ -15,12 +15,11 @@ from .corpus_quality import quality_report, rank_frequencies
 from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
 from .features import read_features_csv, write_features_csv
-from .lexicon import (PriorFormula, PriorScore, aggregate_prior,
-                      load_lexicon, prior_table)
-from .pipeline import (PipelineConfig, build_dataset, prepare_corpus,
+from .lexicon import PriorFormula, PriorScore, aggregate_prior, load_lexicon
+from .pipeline import (PipelineConfig, featurize, load_inputs,
                        read_config_file, run_pipeline, sweep)
-from .scoring import (RuleConfig, SentenceFormula, apply_rules,
-                      load_word_list, score_tokens, sentence_scores)
+from .scoring import (SentenceFormula, apply_rules, score_tokens,
+                      sentence_scores)
 from .synth import SynthConfig, generate
 from .util import atomic_write_text
 
@@ -84,15 +83,13 @@ def _classifier_options(args, kind=None) -> dict:
     return {k: v for k, v in by_kind.items() if v is not None}
 
 
-def _rule_config(args) -> RuleConfig | None:
-    if not args.rules:
-        return None
-    if not (args.negations and args.intensifiers):
-        raise ConfigurationError(
-            "--rules requires --negations and --intensifiers")
-    return RuleConfig(negation_words=load_word_list(args.negations),
-                      intensifier_words=load_word_list(args.intensifiers),
-                      window=args.window)
+def _corpus_config(args, **fields) -> PipelineConfig:
+    """Settings for the subcommands that write one file, not a run."""
+    return PipelineConfig(
+        corpus_dir=args.corpus, lexicon_path=args.lexicon,
+        lemma_dict_path=args.lemma_dict, out_dir=".",
+        negations_path=args.negations, intensifiers_path=args.intensifiers,
+        rules=args.rules, window=args.window, **fields)
 
 
 def cmd_synth(args) -> int:
@@ -138,10 +135,10 @@ def cmd_lexicon_aggregate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    formula = PriorFormula.from_name(args.formula)
-    docs = prepare_corpus(args.corpus, args.lemma_dict)
-    priors = prior_table(load_lexicon(args.lexicon), formula)
-    rule_cfg = _rule_config(args)
+    cfg = _corpus_config(args, prior_formula=args.formula)
+    _, formula, _ = cfg.resolve()
+    docs, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
+    priors = priors[formula]
     rule_words = rule_cfg.all_words if rule_cfg else frozenset()
 
     lines = []
@@ -168,18 +165,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    probe = PipelineConfig(
-        corpus_dir=args.corpus, lexicon_path=args.lexicon,
-        lemma_dict_path=args.lemma_dict, out_dir=".",
-        negations_path=args.negations, intensifiers_path=args.intensifiers,
-        level=args.level, prior_formula=args.formula,
-        sentence_formula=args.sentence_formula, variant=args.variant,
-        rules=args.rules, window=args.window)
-    variant, formula, sentence_formula = probe.resolve()
-    docs = prepare_corpus(args.corpus, args.lemma_dict)
-    priors = prior_table(load_lexicon(args.lexicon), formula)
-    dataset = build_dataset(docs, priors, variant, _rule_config(args),
-                            sentence_formula)
+    cfg = _corpus_config(args, level=args.level, prior_formula=args.formula,
+                         sentence_formula=args.sentence_formula,
+                         variant=args.variant)
+    variant, formula, sentence_formula = cfg.resolve()
+    inputs = load_inputs(cfg, [formula], cfg.rules)
+    dataset = featurize(inputs, variant, formula, sentence_formula,
+                        cfg.rules).project(variant)
     write_features_csv(dataset, args.out)
     print(f"wrote {len(dataset)} {variant.name} rows to {args.out}")
     return 0

@@ -7,6 +7,7 @@ variants are exact prefixes/projections of the full ones.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ class Variant(enum.Enum):
     @property
     def width(self) -> int:
         return len(self.names)
+
+    @property
+    def full(self) -> "Variant":
+        """The widest variant of this level; every variant projects from it."""
+        return Variant.TERM8 if self.level == "term" else Variant.DOC7
 
     @classmethod
     def from_level_and_width(cls, level: str, width: int) -> "Variant":
@@ -132,6 +138,12 @@ class Dataset:
         return Dataset(rows=self.rows[indices], labels=self.labels[indices],
                        variant=self.variant)
 
+    def project(self, variant: Variant) -> "Dataset":
+        """Select ``variant``'s named columns from these rows."""
+        columns = [self.variant.names.index(name) for name in variant.names]
+        return Dataset(rows=self.rows[:, columns], labels=self.labels,
+                       variant=variant)
+
 
 def dataset_from_rows(rows, labels, variant: Variant) -> Dataset:
     rows = np.asarray(rows, dtype=float)
@@ -179,4 +191,6 @@ def read_features_csv(path) -> Dataset:
             rows.append([float(x) for x in parts[1:]])
         except ValueError:
             raise DataError(f"{path}:{n}: non-numeric field")
+        if not all(map(math.isfinite, rows[-1])):
+            raise DataError(f"{path}:{n}: non-finite field")
     return dataset_from_rows(rows, labels, variant)

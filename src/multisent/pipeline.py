@@ -127,31 +127,34 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def run_pipeline(cfg: PipelineConfig) -> EvalReport:
-    """Execute the full pipeline and write its artifacts.
-
-    Writes ``features.csv``, one ``model_fold<j>.json`` per fold, and
-    ``report.json`` under ``cfg.out_dir``.
-    """
-    variant, prior_formula, sentence_formula = cfg.resolve()
-
+def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
+    """Prepare the corpus, one prior table per formula and the rule lists."""
     with _stage("corpus loading"):
         docs = prepare_corpus(cfg.corpus_dir, cfg.lemma_dict_path)
     with _stage("prior aggregation"):
-        priors = prior_table(load_lexicon(cfg.lexicon_path), prior_formula)
-
+        lexicon = load_lexicon(cfg.lexicon_path)
+        priors = {f: prior_table(lexicon, f) for f in prior_formulas}
     rule_cfg = None
-    if cfg.rules:
+    if rules:
         with _stage("rule word lists"):
             rule_cfg = RuleConfig(
                 negation_words=load_word_list(cfg.negations_path),
                 intensifier_words=load_word_list(cfg.intensifiers_path),
                 window=cfg.window)
+    return docs, priors, rule_cfg
 
+
+def featurize(inputs, variant: Variant, prior_formula: PriorFormula,
+              sentence_formula: SentenceFormula | None, rules: bool):
+    """Build the full-width dataset that ``variant`` projects from."""
+    docs, priors, rule_cfg = inputs
     with _stage("feature extraction"):
-        dataset = build_dataset(docs, priors, variant, rule_cfg,
-                                sentence_formula)
+        return build_dataset(docs, priors[prior_formula], variant.full,
+                             rule_cfg if rules else None, sentence_formula)
 
+
+def evaluate(cfg, dataset, prior_formula, sentence_formula) -> EvalReport:
+    """Cross-validate ``dataset`` and write the run's artifacts."""
     out = Path(cfg.out_dir)
     write_features_csv(dataset, out / "features.csv")
 
@@ -165,7 +168,7 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         "formula": prior_formula.value,
         "sentence_formula": sentence_formula.value if sentence_formula else None,
         "level": cfg.level,
-        "variant": variant.name,
+        "variant": dataset.variant.name,
         "rules": cfg.rules,
         "k": cfg.k,
         "seed": cfg.seed,
@@ -179,6 +182,20 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
                       json.dumps(report.to_dict(), sort_keys=True, indent=2)
                       + "\n")
     return report
+
+
+def run_pipeline(cfg: PipelineConfig) -> EvalReport:
+    """Execute the full pipeline and write its artifacts.
+
+    Writes ``features.csv``, one ``model_fold<j>.json`` per fold, and
+    ``report.json`` under ``cfg.out_dir``.
+    """
+    variant, prior_formula, sentence_formula = cfg.resolve()
+    inputs = load_inputs(cfg, [prior_formula], cfg.rules)
+    dataset = featurize(inputs, variant, prior_formula, sentence_formula,
+                        cfg.rules)
+    return evaluate(cfg, dataset.project(variant), prior_formula,
+                    sentence_formula)
 
 
 @dataclass
@@ -216,9 +233,11 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
           options_by_kind=None) -> list:
     """Run the pipeline over a configuration grid.
 
-    Writes each cell's artifacts under ``<out_dir>/cells/<name>/`` and a
-    ``sweep.csv`` comparison table marking the best cell (highest mean
-    test F across classes). Returns the cells in grid order.
+    Cells share one prepared corpus and one full-width dataset per (prior
+    formula, sentence formula, rules). Writes each cell's artifacts under
+    ``<out_dir>/cells/<name>/`` and a ``sweep.csv`` comparison table
+    marking the best cell (highest mean test F across classes). Returns
+    the cells in grid order.
     """
     levels = {_level_of(v) for v in variants}
     if len(levels) > 1:
@@ -256,13 +275,18 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
                                          rules=bool(rules), report=None)
                         cell_cfg.out_dir = str(Path(base.out_dir) / "cells"
                                                / cell.name())
-                        cell_cfg.resolve()   # fail fast before any cell runs
-                        cells.append((cell, cell_cfg))
+                        cells.append((cell, cell_cfg, cell_cfg.resolve()))
 
-    finished = []
-    for cell, cell_cfg in cells:
-        cell.report = run_pipeline(cell_cfg)
-        finished.append(cell)
+    inputs = load_inputs(base, dict.fromkeys(r[1] for _, _, r in cells),
+                         any(c.rules for c, _, _ in cells))
+    datasets = {}
+    for cell, cell_cfg, (variant, prior, sentence) in cells:
+        key = (prior, sentence, cell.rules)
+        if key not in datasets:
+            datasets[key] = featurize(inputs, variant, *key)
+        cell.report = evaluate(cell_cfg, datasets[key].project(variant),
+                               prior, sentence)
+    finished = [cell for cell, _, _ in cells]
 
     best = max(range(len(finished)), key=lambda i: finished[i].mean_test_f)
     lines = [SWEEP_HEADER]

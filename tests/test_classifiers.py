@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from multisent.classifiers import (AnnConfig, SvmConfig, TreeConfig,
                                    save_model, train_ann, train_dtree,
                                    train_svm)
 from multisent.classifiers.ann import loss_gradients, mse_loss
+from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
 from multisent.classifiers.tree import (TreeModel, TreeNode, added_errors,
                                         normal_upper_quantile)
@@ -271,6 +274,35 @@ class TestSharedSurface:
                               predict_labels(model, rows))
         assert np.allclose(classifiers.decision_values(back, rows),
                            classifiers.decision_values(model, rows))
+
+    @pytest.mark.parametrize("kind,config,keys", [
+        ("ann", AnnConfig(max_epochs=5, seed=6),
+         ("hyperparameters", "normalization", "weights", "final_error")),
+        ("dtree", TreeConfig(), ("hyperparameters", "nodes", "n_features")),
+        ("svm", SvmConfig(seed=6),
+         ("hyperparameters", "normalization", "support_vectors",
+          "coefficients", "bias", "gamma", "alphas", "train_labels_pm")),
+    ])
+    def test_missing_model_keys_are_data_errors(self, tmp_path, kind, config,
+                                                keys):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": kind}),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"{kind} model is missing keys"):
+            load_model(path)
+        rows, labels = separable_blobs(6, gap=3.0)
+        doc = model_to_dict(classifiers.train(kind, rows, labels, config))
+        for key in keys:
+            partial = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(DataError, match=repr(key)):
+                model_from_dict(partial)
+
+    def test_malformed_model_documents_are_data_errors(self):
+        with pytest.raises(DataError, match="JSON object"):
+            model_from_dict([1, 2])
+        for kind in (None, "forest", ["svm"]):
+            with pytest.raises(DataError, match="unknown model kind"):
+                model_from_dict({"format_version": 1, "kind": kind})
 
     def test_train_dispatch_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown classifier"):

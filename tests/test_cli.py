@@ -153,6 +153,24 @@ class TestFeaturizeTrainEvaluate:
         assert len(body["folds"]) == 5
         assert body["average"]["test"]["pos"]["f"] == 1.0
 
+    def test_train_rejects_non_finite_features(self, tmp_path, capsys):
+        features = tmp_path / "nan.csv"
+        features.write_text(
+            "label,count_pos,count_neg,sum_pos,sum_neg,avg_pos,avg_neg\n"
+            "1,nan,nan,nan,nan,nan,nan\n"
+            "0,nan,nan,nan,nan,nan,nan\n", encoding="utf-8")
+        assert main(["train", "--features", str(features), "--classifier",
+                     "dtree", "--out", str(tmp_path / "model.json")]) == 2
+        assert "nan.csv:2: non-finite field" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_featurize_errors_name_their_stage(self, data, tmp_path, capsys):
+        assert main(["featurize", "--corpus", str(tmp_path / "none"),
+                     "--lexicon", data["lexicon"],
+                     "--lemma-dict", data["lemma_dict"],
+                     "--out", str(tmp_path / "f.csv")]) == 1
+        assert "corpus loading" in capsys.readouterr().err
+
     def test_document_level_featurize(self, data, tmp_path):
         features = tmp_path / "doc_features.csv"
         assert main(["featurize", *_corpus_flags(data), "--level", "document",

@@ -125,6 +125,40 @@ class TestDataset:
         assert np.array_equal(back.rows, ds.rows)
         assert np.array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_read_rejects_non_finite_fields(self, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text("label," + ",".join(Variant.TERM6.names) + "\n"
+                        "1,1,0,0.5,0,0.5,0\n"
+                        f"0,1,0,{field},0,0.5,0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv:3: non-finite field"):
+            read_features_csv(path)
+
+    def test_narrower_variants_are_projections_of_the_full_one(self):
+        rng = random.Random(43)
+        for full, narrow in ((Variant.TERM8, Variant.TERM6),
+                             (Variant.DOC7, Variant.DOC5),
+                             (Variant.DOC7, Variant.DOC4),
+                             (Variant.DOC7, Variant.DOC7)):
+            assert narrow.full is full
+            scores = [[rng.uniform(-1, 1) for _ in range(rng.randint(0, 9))]
+                      for _ in range(6)]
+            build = term_features if full.level == "term" else doc_features
+            labels = [0, 1, 0, 1, 0, 1]
+            wide = dataset_from_rows([build(s, 1, full) for s in scores],
+                                     labels, full)
+            direct = dataset_from_rows([build(s, 1, narrow) for s in scores],
+                                       labels, narrow)
+            projected = wide.project(narrow)
+            assert projected.variant is narrow
+            assert np.array_equal(projected.rows, direct.rows)
+            assert np.array_equal(projected.labels, direct.labels)
+
+    def test_project_rejects_other_level(self):
+        ds = dataset_from_rows([[0.0] * 8], [1], Variant.TERM8)
+        with pytest.raises(ValueError):
+            ds.project(Variant.DOC4)
+
     def test_read_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,what,ever\n1,2,3\n", encoding="utf-8")
