@@ -5,8 +5,11 @@ internally and classify by the sign of their decision value. Tree leaves
 score as (positive proportion - 0.5).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from ..errors import ConfigurationError
 from .ann import AnnConfig, AnnModel, train_ann
 from .io import load_model, model_from_dict, model_to_dict, save_model
 from .normalize import NormalizationParams
@@ -29,9 +32,25 @@ def train(kind: str, rows, labels, config=None):
 
 
 def make_config(kind: str, **overrides):
+    """The config of ``kind`` with ``overrides`` replacing its defaults.
+
+    Raises ConfigurationError for an unknown kind, an unknown option name
+    or an option value out of range.
+    """
     if kind not in _TRAINERS:
-        raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
-    return _TRAINERS[kind][1](**overrides)
+        raise ConfigurationError(
+            f"unknown classifier {kind!r} (one of: {KINDS})")
+    try:
+        return _TRAINERS[kind][1](**overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {kind} options: {exc}")
+
+
+def with_seed(config, seed: int):
+    """``config`` with its seed set; a config with no seed passes unchanged."""
+    if not hasattr(config, "seed"):
+        return config
+    return replace(config, seed=seed)
 
 
 def decision_values(model, rows) -> np.ndarray:
@@ -62,6 +81,7 @@ __all__ = [
     "TreeConfig", "TreeModel", "train_dtree",
     "SvmConfig", "SvmModel", "train_svm",
     "NormalizationParams", "KINDS",
-    "train", "make_config", "predict", "predict_labels", "decision_values",
+    "train", "make_config", "with_seed", "predict", "predict_labels",
+    "decision_values",
     "save_model", "load_model", "model_to_dict", "model_from_dict",
 ]

@@ -10,7 +10,7 @@ to [-1, 1]; hidden and output units are tanh and class targets are +/-1,
 so the sign of the output is the predicted class.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,9 +34,16 @@ class AnnConfig:
     goal: float = 1e-10   # stop a run once training MSE falls this low
     seed: int = 0
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
 
 @dataclass
 class AnnModel:
+    kind = "ann"
     w1: np.ndarray        # (hidden, features)
     b1: np.ndarray        # (hidden,)
     w2: np.ndarray        # (hidden,)
@@ -46,16 +53,31 @@ class AnnModel:
     final_error: float
 
     @property
-    def kind(self) -> str:
-        return "ann"
-
-    @property
     def input_width(self) -> int:
         return self.w1.shape[1]
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         x = self.normalization.apply(rows)
         return forward(self.w1, self.b1, self.w2, self.b2, x)
+
+    def to_dict(self) -> dict:
+        return {"hyperparameters": asdict(self.config),
+                "normalization": self.normalization.to_dict(),
+                "weights": {"w1": self.w1.tolist(), "b1": self.b1.tolist(),
+                            "w2": self.w2.tolist(), "b2": float(self.b2)},
+                "final_error": self.final_error, "seed": self.config.seed}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "AnnModel":
+        w = doc["weights"]
+        return cls(w1=np.asarray(w["w1"], dtype=float),
+                   b1=np.asarray(w["b1"], dtype=float),
+                   w2=np.asarray(w["w2"], dtype=float),
+                   b2=float(w["b2"]),
+                   normalization=NormalizationParams.from_dict(
+                       doc["normalization"]),
+                   config=AnnConfig(**doc["hyperparameters"]),
+                   final_error=doc["final_error"])
 
 
 def forward(w1, b1, w2, b2, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ where no violating pair could move, or at the sweep budget. Inputs are
 min-max normalized to [-1, 1], matching the network classifier.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,9 +30,19 @@ class SvmConfig:
     max_passes: int = 200        # sweep budget over the training set
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.max_passes < 1:
+            raise ValueError(
+                f"max_passes must be >= 1, got {self.max_passes}")
+
 
 @dataclass
 class SvmModel:
+    kind = "svm"
     support_vectors: np.ndarray   # (m, features), normalized space
     coefficients: np.ndarray      # (m,), alpha_i * y_i
     bias: float
@@ -45,10 +55,6 @@ class SvmModel:
     train_labels_pm: np.ndarray
 
     @property
-    def kind(self) -> str:
-        return "svm"
-
-    @property
     def input_width(self) -> int:
         return self.support_vectors.shape[1] if self.support_vectors.size \
             else len(self.normalization.minimum)
@@ -59,6 +65,32 @@ class SvmModel:
             return np.full(len(x), self.bias)
         k = rbf_kernel(x, self.support_vectors, self.gamma)
         return k @ self.coefficients + self.bias
+
+    def to_dict(self) -> dict:
+        return {"hyperparameters": asdict(self.config),
+                "normalization": self.normalization.to_dict(),
+                "support_vectors": self.support_vectors.tolist(),
+                "coefficients": self.coefficients.tolist(),
+                "bias": float(self.bias),
+                "gamma": float(self.gamma),
+                "alphas": self.alphas.tolist(),
+                "train_labels_pm": self.train_labels_pm.tolist(),
+                "seed": self.config.seed}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SvmModel":
+        cfg = SvmConfig(**doc["hyperparameters"])
+        norm = NormalizationParams.from_dict(doc["normalization"])
+        sv = np.asarray(doc["support_vectors"], dtype=float)
+        if sv.size == 0:
+            sv = sv.reshape(0, len(norm.minimum))
+        return cls(support_vectors=sv,
+                   coefficients=np.asarray(doc["coefficients"], dtype=float),
+                   bias=float(doc["bias"]), gamma=float(doc["gamma"]),
+                   c=cfg.c, normalization=norm, config=cfg,
+                   alphas=np.asarray(doc["alphas"], dtype=float),
+                   train_labels_pm=np.asarray(doc["train_labels_pm"],
+                                              dtype=float))
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:

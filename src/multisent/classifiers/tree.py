@@ -10,7 +10,7 @@ factor) does not exceed the subtree's; subtree raising is not performed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +24,11 @@ class TreeConfig:
     confidence: float = 0.25
     min_leaf: int = 2
     prune: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.confidence < 1:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {self.confidence}")
 
 
 @dataclass
@@ -52,13 +57,10 @@ class TreeNode:
 
 @dataclass
 class TreeModel:
+    kind = "dtree"
     root: TreeNode
     config: TreeConfig
     n_features: int
-
-    @property
-    def kind(self) -> str:
-        return "dtree"
 
     @property
     def input_width(self) -> int:
@@ -67,6 +69,36 @@ class TreeModel:
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         return np.array([_walk(self.root, row).leaf_score() for row in rows])
+
+    def to_dict(self) -> dict:
+        return {"hyperparameters": asdict(self.config),
+                "normalization": None,
+                "nodes": _node_to_dict(self.root),
+                "n_features": self.n_features}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TreeModel":
+        return cls(root=_node_from_dict(doc["nodes"]),
+                   config=TreeConfig(**doc["hyperparameters"]),
+                   n_features=doc["n_features"])
+
+
+def _node_to_dict(node: TreeNode) -> dict:
+    d = {"counts": list(node.counts)}
+    if not node.is_leaf:
+        d.update(feature=node.feature, threshold=node.threshold,
+                 left=_node_to_dict(node.left), right=_node_to_dict(node.right))
+    return d
+
+
+def _node_from_dict(d: dict) -> TreeNode:
+    node = TreeNode(counts=tuple(d["counts"]))
+    if "feature" in d:
+        node.feature = d["feature"]
+        node.threshold = d["threshold"]
+        node.left = _node_from_dict(d["left"])
+        node.right = _node_from_dict(d["right"])
+    return node
 
 
 def _walk(node: TreeNode, row) -> TreeNode:

@@ -79,7 +79,7 @@ def _classifier_options(args, kind=None) -> dict:
                   "prune": False if args.no_prune else None},
         "svm": {"c": args.svm_c, "gamma": args.gamma, "tol": args.tol,
                 "max_passes": args.max_passes},
-    }[kind or args.classifier]
+    }.get(kind or args.classifier, {})
     return {k: v for k, v in by_kind.items() if v is not None}
 
 
@@ -136,7 +136,7 @@ def cmd_lexicon_aggregate(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _corpus_config(args, prior_formula=args.formula)
-    _, formula, _ = cfg.resolve()
+    _, formula, _, _ = cfg.resolve()
     docs, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
     priors = priors[formula]
     rule_words = rule_cfg.all_words if rule_cfg else frozenset()
@@ -168,7 +168,7 @@ def cmd_featurize(args) -> int:
     cfg = _corpus_config(args, level=args.level, prior_formula=args.formula,
                          sentence_formula=args.sentence_formula,
                          variant=args.variant)
-    variant, formula, sentence_formula = cfg.resolve()
+    variant, formula, sentence_formula, _ = cfg.resolve()
     inputs = load_inputs(cfg, [formula], cfg.rules)
     dataset = featurize(inputs, variant, formula, sentence_formula,
                         cfg.rules).project(variant)
@@ -178,14 +178,10 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = classifiers.with_seed(
+        classifiers.make_config(args.classifier, **_classifier_options(args)),
+        args.seed)
     dataset = read_features_csv(args.features)
-    options = _classifier_options(args)
-    if args.classifier in ("ann", "svm"):
-        options["seed"] = args.seed
-    try:
-        config = classifiers.make_config(args.classifier, **options)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {args.classifier} options: {exc}")
     model = classifiers.train(args.classifier, dataset.rows, dataset.labels,
                               config)
     classifiers.save_model(model, args.out)
@@ -197,12 +193,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    config = classifiers.make_config(args.classifier,
+                                     **_classifier_options(args))
     dataset = read_features_csv(args.features)
-    options = _classifier_options(args)
-    try:
-        config = classifiers.make_config(args.classifier, **options)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {args.classifier} options: {exc}")
     report = run_cv(dataset, args.classifier, config, k=args.folds,
                     seed=args.seed,
                     meta={"variant": dataset.variant.name})
@@ -240,8 +233,6 @@ def _pipeline_config(args) -> PipelineConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     cfg = PipelineConfig(**merged)
-    if cfg.classifier not in classifiers.KINDS:
-        raise ConfigurationError(f"unknown classifier {cfg.classifier!r}")
     cfg.classifier_options = _classifier_options(args, cfg.classifier)
     return cfg
 
@@ -260,9 +251,6 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     base = _pipeline_config(args)
     kinds = _split(args.classifiers)
-    for kind in kinds:
-        if kind not in classifiers.KINDS:
-            raise ConfigurationError(f"unknown classifier {kind!r}")
     cells = sweep(base,
                   prior_formulas=_split(args.formulas),
                   variants=[int(v) for v in _split(args.variants)],

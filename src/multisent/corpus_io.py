@@ -10,6 +10,7 @@ terminate the current token and are not kept as part of any token.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError, ParseError
@@ -62,6 +63,11 @@ class TokenizedDocument:
     tokens: list[Token] = field(default_factory=list)
     sentences: list[tuple[int, int]] = field(default_factory=list)
     lemmas: list[str] = field(default_factory=list)
+
+    @cached_property
+    def forms(self) -> list[str]:
+        """Diacritic-free surface of each token, as rule words are matched."""
+        return [remove_diacritics(t.surface) for t in self.tokens]
 
 
 class LemmaDictionary:

@@ -162,9 +162,8 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     training and the held-out partition. Per-fold trainer seeds derive
     from ``seed``, so the whole report is a pure function of its inputs.
     """
-    if classifier not in classifiers.KINDS:
-        raise ConfigurationError(
-            f"unknown classifier {classifier!r} (one of: {classifiers.KINDS})")
+    if config is None:
+        config = classifiers.make_config(classifier)
     folds = stratified_kfold(dataset.labels, k, seed)
     results = []
     models = []
@@ -174,8 +173,7 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
         train_set = dataset.subset(train_idx)
         test_set = dataset.subset(test_idx)
 
-        fold_seed = derive_seed(seed, "fold", f)
-        cfg = _reseeded(classifier, config, fold_seed)
+        cfg = classifiers.with_seed(config, derive_seed(seed, "fold", f))
         model = classifiers.train(classifier, train_set.rows,
                                   train_set.labels, cfg)
         models.append(model)
@@ -193,12 +191,3 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     meta.setdefault("seed", seed)
     return EvalReport(meta=meta, folds=results, models=models)
 
-
-def _reseeded(classifier: str, config, fold_seed: int):
-    """Copy the config with the per-fold derived seed (trees take none)."""
-    if classifier == "dtree":
-        return config
-    base = config or classifiers.make_config(classifier)
-    kwargs = {name: getattr(base, name) for name in base.__dataclass_fields__}
-    kwargs["seed"] = fold_seed
-    return type(base)(**kwargs)

@@ -8,7 +8,7 @@ configuration reproduces its outputs byte for byte.
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import classifiers
@@ -46,10 +46,10 @@ class PipelineConfig:
     seed: int = 7
 
     def resolve(self):
-        """Validate and resolve the string fields into enums.
+        """Validate the fields; resolve them into enums and a config.
 
-        Returns (Variant, PriorFormula, SentenceFormula | None); raises
-        ConfigurationError before any data is touched.
+        Returns (Variant, PriorFormula, SentenceFormula | None, classifier
+        config); raises ConfigurationError before any data is touched.
         """
         if self.level not in ("term", "document"):
             raise ConfigurationError(
@@ -74,10 +74,8 @@ class PipelineConfig:
         elif self.sentence_formula:
             raise ConfigurationError(
                 "sentence formula only applies at document level")
-        if self.classifier not in classifiers.KINDS:
-            raise ConfigurationError(
-                f"unknown classifier {self.classifier!r} "
-                f"(one of: {classifiers.KINDS})")
+        clf_config = classifiers.make_config(self.classifier,
+                                             **self.classifier_options)
         if self.rules and not (self.negations_path and self.intensifiers_path):
             raise ConfigurationError(
                 "rules are enabled but negation/intensifier word lists "
@@ -86,7 +84,7 @@ class PipelineConfig:
             raise ConfigurationError(f"k must be >= 2, got {self.k}")
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        return variant, prior, sentence
+        return variant, prior, sentence, clf_config
 
 
 def prepare_corpus(corpus_dir, lemma_dict_path):
@@ -153,16 +151,11 @@ def featurize(inputs, variant: Variant, prior_formula: PriorFormula,
                              rule_cfg if rules else None, sentence_formula)
 
 
-def evaluate(cfg, dataset, prior_formula, sentence_formula) -> EvalReport:
+def evaluate(cfg, dataset, prior_formula, sentence_formula,
+             clf_config) -> EvalReport:
     """Cross-validate ``dataset`` and write the run's artifacts."""
     out = Path(cfg.out_dir)
     write_features_csv(dataset, out / "features.csv")
-
-    try:
-        clf_config = classifiers.make_config(cfg.classifier,
-                                             **cfg.classifier_options)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {cfg.classifier} options: {exc}")
     meta = {
         "classifier": cfg.classifier,
         "formula": prior_formula.value,
@@ -190,12 +183,12 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     Writes ``features.csv``, one ``model_fold<j>.json`` per fold, and
     ``report.json`` under ``cfg.out_dir``.
     """
-    variant, prior_formula, sentence_formula = cfg.resolve()
+    variant, prior_formula, sentence_formula, clf_config = cfg.resolve()
     inputs = load_inputs(cfg, [prior_formula], cfg.rules)
     dataset = featurize(inputs, variant, prior_formula, sentence_formula,
                         cfg.rules)
     return evaluate(cfg, dataset.project(variant), prior_formula,
-                    sentence_formula)
+                    sentence_formula, clf_config)
 
 
 @dataclass
@@ -251,41 +244,28 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
             for sf in sentence_formulas:
                 for variant in variants:
                     for rules in rules_options:
-                        cell_cfg = PipelineConfig(
-                            corpus_dir=base.corpus_dir,
-                            lexicon_path=base.lexicon_path,
-                            lemma_dict_path=base.lemma_dict_path,
-                            out_dir="",  # set below from the cell name
-                            negations_path=base.negations_path,
-                            intensifiers_path=base.intensifiers_path,
-                            level=_level_of(variant),
-                            prior_formula=formula,
-                            sentence_formula=sf,
-                            variant=int(variant),
-                            rules=bool(rules),
-                            window=base.window,
-                            classifier=kind,
-                            classifier_options=dict(
-                                options_by_kind.get(kind, {})),
-                            k=base.k,
-                            seed=base.seed)
                         cell = SweepCell(classifier=kind, prior_formula=formula,
                                          sentence_formula=sf,
                                          variant=int(variant),
                                          rules=bool(rules), report=None)
-                        cell_cfg.out_dir = str(Path(base.out_dir) / "cells"
-                                               / cell.name())
+                        cell_cfg = replace(
+                            base, out_dir=str(Path(base.out_dir) / "cells"
+                                              / cell.name()),
+                            level=_level_of(variant), prior_formula=formula,
+                            sentence_formula=sf, variant=int(variant),
+                            rules=bool(rules), classifier=kind,
+                            classifier_options=options_by_kind.get(kind, {}))
                         cells.append((cell, cell_cfg, cell_cfg.resolve()))
 
     inputs = load_inputs(base, dict.fromkeys(r[1] for _, _, r in cells),
                          any(c.rules for c, _, _ in cells))
     datasets = {}
-    for cell, cell_cfg, (variant, prior, sentence) in cells:
+    for cell, cell_cfg, (variant, prior, sentence, clf_config) in cells:
         key = (prior, sentence, cell.rules)
         if key not in datasets:
             datasets[key] = featurize(inputs, variant, *key)
         cell.report = evaluate(cell_cfg, datasets[key].project(variant),
-                               prior, sentence)
+                               prior, sentence, clf_config)
     finished = [cell for cell, _, _ in cells]
 
     best = max(range(len(finished)), key=lambda i: finished[i].mean_test_f)

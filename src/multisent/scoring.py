@@ -88,8 +88,8 @@ def score_tokens(doc: TokenizedDocument, priors: dict[str, float],
     terms.
     """
     scored = []
-    for i, (token, lemma) in enumerate(zip(doc.tokens, doc.lemmas)):
-        if rule_words and remove_diacritics(token.surface) in rule_words:
+    for i, lemma in enumerate(doc.lemmas):
+        if rule_words and doc.forms[i] in rule_words:
             prior = 0.0
         else:
             prior = priors.get(lemma, 0.0)
@@ -121,7 +121,7 @@ def apply_rules(scored: list[ScoredToken], doc: TokenizedDocument,
     +/-1. Zero-score tokens pass through unchanged, and no rule looks
     across a sentence boundary.
     """
-    surfaces = [remove_diacritics(t.surface) for t in doc.tokens]
+    forms = doc.forms
     adjusted = [t.adjusted for t in scored]
 
     for start, end in doc.sentences:
@@ -131,9 +131,9 @@ def apply_rules(scored: list[ScoredToken], doc: TokenizedDocument,
             value = scored[i].prior
             before = range(max(start, i - cfg.window), i)
             after = range(i + 1, min(end, i + 1 + cfg.window))
-            if any(surfaces[j] in cfg.negation_words for j in before):
+            if any(forms[j] in cfg.negation_words for j in before):
                 value = negate(value)
-            if any(surfaces[j] in cfg.intensifier_words
+            if any(forms[j] in cfg.intensifier_words
                    for j in (*before, *after)):
                 value = intensify(value)
             adjusted[i] = value

@@ -303,6 +303,22 @@ class TestSharedSurface:
         for kind in (None, "forest", ["svm"]):
             with pytest.raises(DataError, match="unknown model kind"):
                 model_from_dict({"format_version": 1, "kind": kind})
+        rows, labels = separable_blobs(6, gap=3.0)
+        docs = {kind: model_to_dict(classifiers.train(kind, rows, labels,
+                                                      config))
+                for kind, config in (("ann", AnnConfig(max_epochs=5)),
+                                     ("dtree", None), ("svm", None))}
+        svm_params = {**docs["svm"]["hyperparameters"], "kernel": "rbf"}
+        for kind, change, message in [
+                ("ann", {"weights": {}}, r"missing keys: \['w1'\]"),
+                ("dtree", {"nodes": {}}, r"missing keys: \['counts'\]"),
+                ("svm", {"hyperparameters": svm_params}, "kernel"),
+                ("ann", {"normalization": None}, "malformed ann model"),
+                ("svm", {"support_vectors": "x"}, "malformed svm model"),
+                ("dtree", {"hyperparameters": {"confidence": 1.5}},
+                 r"confidence must be in \(0, 1\)")]:
+            with pytest.raises(DataError, match=message):
+                model_from_dict({**docs[kind], **change})
 
     def test_train_dispatch_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown classifier"):

@@ -75,6 +75,28 @@ class TestExitCodes:
                      "--classifier", "dtree"])
         assert code == 1
 
+    @pytest.mark.parametrize("kind,option", [
+        ("dtree", "--confidence 1.5"), ("dtree", "--confidence 0"),
+        ("ann", "--restarts 0"), ("ann", "--hidden 0"),
+        ("svm", "--svm-c 0"), ("svm", "--svm-c -1"), ("svm", "--gamma -1"),
+        ("svm", "--max-passes 0"),
+    ])
+    def test_out_of_range_classifier_options_are_config_errors(
+            self, tmp_path, data, capsys, kind, option):
+        features = tmp_path / "features.csv"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        assert main(["evaluate", "--features", str(features),
+                     "--classifier", kind, *option.split(),
+                     "--out", str(tmp_path / "report.json")]) == 1
+        assert main(["sweep", *_corpus_flags(data), "--classifiers", kind,
+                     *option.split(), "--out", str(tmp_path / "sweep")]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"configuration error: bad {kind} options") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestQuality:
     def test_emits_csv_and_summary(self, data, tmp_path, capsys):
