@@ -16,11 +16,10 @@ from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              rank_frequencies)
 from .errors import ConfigurationError, DataError, ParseError
 from .features import Dataset, Variant, doc_features, term_features
-from .lexicon import (LexiconEntry, PolarityPair, PriorFormula, PriorScore,
-                      SenseScore, aggregate_prior, f_avg, f_max,
-                      load_lexicon, prior_table)
+from .lexicon import (LexiconEntry, PolarityPair, PriorFormula, SenseScore,
+                      aggregate_prior, f_avg, f_max, load_lexicon,
+                      prior_table)
 from .pipeline import PipelineConfig, build_dataset, run_pipeline, sweep
-from .scoring import (RuleConfig, ScoredToken, SentenceFormula,
-                      SentenceScore, apply_rules, s_max, score_tokens,
-                      sentence_score, sentence_scores)
+from .scoring import (RuleConfig, SentenceFormula, apply_rules, s_max,
+                      score_tokens, sentence_score, sentence_scores)
 from .synth import SynthConfig, generate

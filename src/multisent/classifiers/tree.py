@@ -227,27 +227,21 @@ def added_errors(n: int, e: int, confidence: float) -> float:
     return upper * n - e
 
 
-def _estimated_errors(node: TreeNode, confidence: float) -> float:
-    if node.is_leaf:
-        return node.leaf_errors + added_errors(node.size, node.leaf_errors,
-                                               confidence)
-    return _estimated_errors(node.left, confidence) \
-        + _estimated_errors(node.right, confidence)
-
-
-def _prune(node: TreeNode, confidence: float) -> None:
-    if node.is_leaf:
-        return
-    _prune(node.left, confidence)
-    _prune(node.right, confidence)
+def _prune(node: TreeNode, confidence: float) -> float:
+    """Prune bottom-up; return the estimated errors of what is left."""
     as_leaf = node.leaf_errors + added_errors(node.size, node.leaf_errors,
                                               confidence)
-    as_subtree = _estimated_errors(node, confidence)
+    if node.is_leaf:
+        return as_leaf
+    as_subtree = _prune(node.left, confidence) \
+        + _prune(node.right, confidence)
     if as_leaf <= as_subtree + 1e-10:
         node.feature = None
         node.threshold = None
         node.left = None
         node.right = None
+        return as_leaf
+    return as_subtree
 
 
 def train_dtree(rows: np.ndarray, labels: np.ndarray,

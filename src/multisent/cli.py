@@ -10,12 +10,13 @@ import sys
 from pathlib import Path
 
 from . import classifiers
-from .corpus_io import LemmaDictionary, load_corpus, prepare_document
+from .corpus_io import (TokenizedDocument, load_corpus, strip_noise,
+                        tokenize_and_segment)
 from .corpus_quality import quality_report, rank_frequencies
 from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
 from .features import read_features_csv, write_features_csv
-from .lexicon import PriorFormula, PriorScore, aggregate_prior, load_lexicon
+from .lexicon import PriorFormula, load_lexicon, prior_table
 from .pipeline import (PipelineConfig, featurize, load_inputs,
                        read_config_file, run_pipeline, sweep)
 from .scoring import (SentenceFormula, apply_rules, score_tokens,
@@ -107,8 +108,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    raws = load_corpus(args.corpus)
-    docs = [prepare_document(r, LemmaDictionary()) for r in raws]
+    docs = [TokenizedDocument(
+                id=r.id, label=r.label,
+                tokens=strip_noise(tokenize_and_segment(r.text)[0]))
+            for r in load_corpus(args.corpus)]
     table = rank_frequencies(docs)
     base = 2.0 if args.log_base == "2" else None
     report = quality_report(table, a=args.exponent, csv_path=args.out,
@@ -123,12 +126,8 @@ def cmd_quality(args) -> int:
 
 def cmd_lexicon_aggregate(args) -> int:
     formula = PriorFormula.from_name(args.formula)
-    lexicon = load_lexicon(args.lexicon)
-    priors = [PriorScore(lemma=entry.lemma,
-                         value=aggregate_prior(entry.senses, formula),
-                         formula=formula)
-              for entry in lexicon.values()]
-    lines = [f"{p.lemma}\t{p.value!r}" for p in priors]
+    priors = prior_table(load_lexicon(args.lexicon), formula)
+    lines = [f"{lemma}\t{value!r}" for lemma, value in priors.items()]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(priors)} priors ({formula.value}) to {args.out}")
     return 0
@@ -149,16 +148,17 @@ def cmd_score(args) -> int:
         sf = None
         lines.append("doc_id\tindex\tsurface\tlemma\tprior\tadjusted")
     for doc in docs:
-        scored = score_tokens(doc, priors, rule_words)
+        token_priors = score_tokens(doc, priors, rule_words)
+        adjusted = token_priors
         if rule_cfg is not None:
-            scored = apply_rules(scored, doc, rule_cfg)
+            adjusted = apply_rules(token_priors, doc, rule_cfg)
         if sf is None:
-            for tok, lemma, s in zip(doc.tokens, doc.lemmas, scored):
-                lines.append(f"{doc.id}\t{s.index}\t{tok.surface}\t{lemma}"
-                             f"\t{s.prior!r}\t{s.adjusted!r}")
+            for i, (tok, lemma) in enumerate(zip(doc.tokens, doc.lemmas)):
+                lines.append(f"{doc.id}\t{i}\t{tok.surface}\t{lemma}"
+                             f"\t{token_priors[i]!r}\t{adjusted[i]!r}")
         else:
-            for s in sentence_scores(doc, scored, sf):
-                lines.append(f"{doc.id}\t{s.index}\t{s.value!r}")
+            for k, value in enumerate(sentence_scores(doc, adjusted, sf)):
+                lines.append(f"{doc.id}\t{k}\t{value!r}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -205,11 +205,6 @@ def strip_noise(tokens: list[Token]) -> list[Token]:
     return [t for t in tokens if any(ch.isalpha() for ch in t.surface)]
 
 
-def lemmatize(token: Token, lemma_dict: LemmaDictionary) -> str:
-    """Map a token to its lemma; total and deterministic."""
-    return lemma_dict.lemma(token.surface)
-
-
 def prepare_document(raw: RawDocument, lemma_dict: LemmaDictionary,
                      boundary_chars=DEFAULT_BOUNDARY_CHARS) -> TokenizedDocument:
     """Tokenize, segment, noise-strip, and lemmatize one raw document.
@@ -232,6 +227,6 @@ def prepare_document(raw: RawDocument, lemma_dict: LemmaDictionary,
             sentences.append((lo, hi))
         lo = hi
 
-    lemmas = [lemmatize(t, lemma_dict) for t in kept]
+    lemmas = [lemma_dict.lemma(t.surface) for t in kept]
     return TokenizedDocument(id=raw.id, label=raw.label, tokens=kept,
                              sentences=sentences, lemmas=lemmas)

@@ -2,8 +2,9 @@
 
 Term-level rows summarize a document's adjusted token scores (counts,
 sums, and averages of each sign plus the first and last subjective
-scores); document-level rows summarize its sentence scores. Smaller
-variants are exact prefixes/projections of the full ones.
+scores); document-level rows summarize its sentence scores. Rows are
+built at full width (TERM8 or DOC7); ``Dataset.project`` selects the
+columns of a narrower variant.
 """
 
 import enum
@@ -63,18 +64,16 @@ class Variant(enum.Enum):
         raise ValueError(f"feature names match no known variant: {names}")
 
 
-def term_features(scores, label: int, variant: Variant = Variant.TERM8):
-    """Build one term-level row from a document's adjusted token scores.
+def term_features(scores) -> list:
+    """Build one TERM8 row from a document's adjusted token scores.
 
     first_subj/last_subj are the first and last nonzero scores (0 when
     the document has no subjective token).
     """
-    if variant.level != "term":
-        raise ValueError(f"{variant.name} is not a term-level variant")
     pos = [s for s in scores if s > 0]
     neg = [s for s in scores if s < 0]
     subjective = [s for s in scores if s != 0]
-    row = [
+    return [
         float(len(pos)),
         float(len(neg)),
         sum(pos),
@@ -84,31 +83,26 @@ def term_features(scores, label: int, variant: Variant = Variant.TERM8):
         subjective[0] if subjective else 0.0,
         subjective[-1] if subjective else 0.0,
     ]
-    return row[:variant.width]
 
 
-def doc_features(sent_scores, label: int, variant: Variant = Variant.DOC7):
-    """Build one document-level row from a document's sentence scores.
+def doc_features(values) -> list:
+    """Build one DOC7 row from a document's sentence scores.
 
     first/middle/last are the scores at sentence index 0, (n-1)//2, and
     n-1. A document with zero sentences yields an all-zero row.
     """
-    if variant.level != "document":
-        raise ValueError(f"{variant.name} is not a document-level variant")
-    values = list(sent_scores)
     pos = [v for v in values if v > 0]
     neg = [v for v in values if v < 0]
     n = len(values)
-    full = {
-        "count_pos_sent": float(len(pos)),
-        "count_neg_sent": float(len(neg)),
-        "max_pos": max(pos) if pos else 0.0,
-        "max_neg": min(neg) if neg else 0.0,
-        "first_score": values[0] if n else 0.0,
-        "middle_score": values[(n - 1) // 2] if n else 0.0,
-        "last_score": values[-1] if n else 0.0,
-    }
-    return [full[name] for name in variant.names]
+    return [
+        float(len(pos)),
+        float(len(neg)),
+        max(pos) if pos else 0.0,
+        min(neg) if neg else 0.0,
+        values[0] if n else 0.0,
+        values[(n - 1) // 2] if n else 0.0,
+        values[-1] if n else 0.0,
+    ]
 
 
 @dataclass
@@ -120,6 +114,8 @@ class Dataset:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.size == 0:
+            self.rows = self.rows.reshape(0, self.variant.width)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.rows.ndim != 2 or self.rows.shape[1] != self.variant.width:
             raise ValueError(
@@ -143,14 +139,6 @@ class Dataset:
         columns = [self.variant.names.index(name) for name in variant.names]
         return Dataset(rows=self.rows[:, columns], labels=self.labels,
                        variant=variant)
-
-
-def dataset_from_rows(rows, labels, variant: Variant) -> Dataset:
-    rows = np.asarray(rows, dtype=float)
-    if rows.size == 0:
-        rows = rows.reshape(0, variant.width)
-    return Dataset(rows=rows, labels=np.asarray(labels, dtype=int),
-                   variant=variant)
 
 
 def write_features_csv(dataset: Dataset, path) -> None:
@@ -193,4 +181,4 @@ def read_features_csv(path) -> Dataset:
             raise DataError(f"{path}:{n}: non-numeric field")
         if not all(map(math.isfinite, rows[-1])):
             raise DataError(f"{path}:{n}: non-finite field")
-    return dataset_from_rows(rows, labels, variant)
+    return Dataset(rows=rows, labels=labels, variant=variant)

@@ -57,13 +57,6 @@ class PolarityPair:
     neg: float
 
 
-@dataclass(frozen=True)
-class PriorScore:
-    lemma: str
-    value: float
-    formula: PriorFormula
-
-
 def load_lexicon(path) -> dict[str, LexiconEntry]:
     """Read a lemma<TAB>positive<TAB>negative TSV, one sense per line.
 

@@ -15,8 +15,8 @@ from . import classifiers
 from .corpus_io import load_corpus, load_lemma_dictionary, prepare_document
 from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
-from .features import (Dataset, Variant, dataset_from_rows, doc_features,
-                       term_features, write_features_csv)
+from .features import (Dataset, Variant, doc_features, term_features,
+                       write_features_csv)
 from .lexicon import PriorFormula, load_lexicon, prior_table
 from .scoring import (RuleConfig, SentenceFormula, apply_rules,
                       load_word_list, score_tokens, sentence_scores)
@@ -96,24 +96,21 @@ def prepare_corpus(corpus_dir, lemma_dict_path):
 def build_dataset(docs, priors, variant: Variant,
                   rule_cfg: RuleConfig | None = None,
                   sentence_formula: SentenceFormula | None = None) -> Dataset:
-    """Score documents and assemble feature rows in corpus order."""
+    """Score documents into full-width rows, in corpus order, and project
+    them onto ``variant``."""
     rule_words = rule_cfg.all_words if rule_cfg else frozenset()
     rows = []
-    labels = []
     for doc in docs:
-        scored = score_tokens(doc, priors, rule_words)
+        scores = score_tokens(doc, priors, rule_words)
         if rule_cfg is not None:
-            scored = apply_rules(scored, doc, rule_cfg)
+            scores = apply_rules(scores, doc, rule_cfg)
         if variant.level == "term":
-            row = term_features([t.adjusted for t in scored], doc.label,
-                                variant)
+            rows.append(term_features(scores))
         else:
-            values = [s.value for s in
-                      sentence_scores(doc, scored, sentence_formula)]
-            row = doc_features(values, doc.label, variant)
-        rows.append(row)
-        labels.append(doc.label)
-    return dataset_from_rows(rows, labels, variant)
+            rows.append(doc_features(
+                sentence_scores(doc, scores, sentence_formula)))
+    return Dataset(rows=rows, labels=[doc.label for doc in docs],
+                   variant=variant.full).project(variant)
 
 
 @contextmanager
@@ -232,6 +229,12 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     marking the best cell (highest mean test F across classes). Returns
     the cells in grid order.
     """
+    for axis, values in (("classifiers", classifier_kinds),
+                         ("prior formulas", prior_formulas),
+                         ("variants", variants),
+                         ("rules options", rules_options)):
+        if not values:
+            raise ConfigurationError(f"the sweep grid has no {axis}")
     levels = {_level_of(v) for v in variants}
     if len(levels) > 1:
         raise ConfigurationError("sweep variants must all share one level")

@@ -53,20 +53,6 @@ class RuleConfig:
         return self.negation_words | self.intensifier_words
 
 
-@dataclass(frozen=True)
-class ScoredToken:
-    index: int
-    prior: float
-    adjusted: float
-
-
-@dataclass(frozen=True)
-class SentenceScore:
-    index: int
-    value: float
-    formula: SentenceFormula
-
-
 def load_word_list(path) -> frozenset:
     """One word per line, UTF-8; diacritics removed for matching."""
     path = Path(path)
@@ -80,21 +66,17 @@ def load_word_list(path) -> frozenset:
 
 
 def score_tokens(doc: TokenizedDocument, priors: dict[str, float],
-                 rule_words: frozenset = frozenset()) -> list[ScoredToken]:
-    """Assign each token its lemma's prior polarity.
+                 rule_words: frozenset = frozenset()) -> list[float]:
+    """Each token's lemma prior polarity, in token order.
 
     Unknown lemmas score 0. Tokens whose surface (diacritic-free) is a
     rule word also score 0 so negation particles never act as sentiment
     terms.
     """
-    scored = []
-    for i, lemma in enumerate(doc.lemmas):
-        if rule_words and doc.forms[i] in rule_words:
-            prior = 0.0
-        else:
-            prior = priors.get(lemma, 0.0)
-        scored.append(ScoredToken(index=i, prior=prior, adjusted=prior))
-    return scored
+    if not rule_words:
+        return [priors.get(lemma, 0.0) for lemma in doc.lemmas]
+    return [0.0 if form in rule_words else priors.get(lemma, 0.0)
+            for form, lemma in zip(doc.forms, doc.lemmas)]
 
 
 def negate(score: float) -> float:
@@ -111,9 +93,9 @@ def intensify(score: float) -> float:
     return 0.0
 
 
-def apply_rules(scored: list[ScoredToken], doc: TokenizedDocument,
-                cfg: RuleConfig) -> list[ScoredToken]:
-    """Adjust nonzero token scores for negation and intensification.
+def apply_rules(priors: list[float], doc: TokenizedDocument,
+                cfg: RuleConfig) -> list[float]:
+    """Token priors adjusted for negation and intensification.
 
     Negation applies first (a negation word within ``cfg.window`` tokens
     before the term, same sentence), then intensification (an intensifier
@@ -122,13 +104,13 @@ def apply_rules(scored: list[ScoredToken], doc: TokenizedDocument,
     across a sentence boundary.
     """
     forms = doc.forms
-    adjusted = [t.adjusted for t in scored]
+    adjusted = list(priors)
 
     for start, end in doc.sentences:
         for i in range(start, end):
-            if scored[i].prior == 0.0:
+            value = priors[i]
+            if value == 0.0:
                 continue
-            value = scored[i].prior
             before = range(max(start, i - cfg.window), i)
             after = range(i + 1, min(end, i + 1 + cfg.window))
             if any(forms[j] in cfg.negation_words for j in before):
@@ -137,9 +119,7 @@ def apply_rules(scored: list[ScoredToken], doc: TokenizedDocument,
                    for j in (*before, *after)):
                 value = intensify(value)
             adjusted[i] = value
-
-    return [ScoredToken(index=t.index, prior=t.prior, adjusted=a)
-            for t, a in zip(scored, adjusted)]
+    return adjusted
 
 
 def s_max(term_scores) -> PolarityPair:
@@ -167,12 +147,8 @@ def sentence_score(pair: PolarityPair, formula: SentenceFormula) -> float:
     return -pair.neg if pair.neg > pair.pos else pair.pos
 
 
-def sentence_scores(doc: TokenizedDocument, scored: list[ScoredToken],
-                    formula: SentenceFormula) -> list[SentenceScore]:
+def sentence_scores(doc: TokenizedDocument, scores: list[float],
+                    formula: SentenceFormula) -> list[float]:
     """One score per sentence from the tokens' adjusted scores."""
-    out = []
-    for k, (start, end) in enumerate(doc.sentences):
-        pair = s_max([scored[i].adjusted for i in range(start, end)])
-        out.append(SentenceScore(index=k, value=sentence_score(pair, formula),
-                                 formula=formula))
-    return out
+    return [sentence_score(s_max(scores[start:end]), formula)
+            for start, end in doc.sentences]

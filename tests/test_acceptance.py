@@ -114,17 +114,17 @@ def test_criterion_04_rule_properties():
     # zero priors are never modified
     doc = make_doc([neg_word, "plain", int_word], [(0, 3)])
     out = apply_rules(score_tokens(doc, {}, cfg.all_words), doc, cfg)
-    assert [t.adjusted for t in out] == [0.0, 0.0, 0.0]
+    assert out == [0.0, 0.0, 0.0]
 
     # rules do not reach across the sentence boundary in either direction
     straddle = make_doc([neg_word, "good", int_word], [(0, 1), (1, 2), (2, 3)])
     out = apply_rules(score_tokens(straddle, {"good": 0.4}, cfg.all_words),
                       straddle, cfg)
-    assert out[1].adjusted == 0.4
+    assert out[1] == 0.4
     same = make_doc([neg_word, "good", int_word], [(0, 3)])
     out = apply_rules(score_tokens(same, {"good": 0.4}, cfg.all_words),
                       same, cfg)
-    assert out[1].adjusted == -1.0   # negated, then pushed to the extreme
+    assert out[1] == -1.0   # negated, then pushed to the extreme
 
 
 @acceptance

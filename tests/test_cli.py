@@ -1,8 +1,12 @@
 import json
+from itertools import groupby
 
 import pytest
 
 from multisent.cli import main
+from multisent.features import doc_features, term_features
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +129,24 @@ class TestLexiconAggregate:
         assert all(v < 0 for lemma, v in values.items()
                    if lemma.startswith("neg"))
 
+    @pytest.mark.parametrize("formula", ["avg_max", "max_max", "avg_sub",
+                                         "max_sub", "avg_avg"])
+    def test_priors_match_the_oracle(self, data, tmp_path, formula):
+        senses = {}
+        with open(data["lexicon"], encoding="utf-8") as fh:
+            for line in fh:
+                lemma, pos, neg = line.rstrip("\n").split("\t")
+                senses.setdefault(lemma, []).append((float(pos), float(neg)))
+        out = tmp_path / "priors.tsv"
+        assert main(["lexicon-aggregate", "--lexicon", data["lexicon"],
+                     "--formula", formula, "--out", str(out)]) == 0
+        rows = [line.split("\t")
+                for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [lemma for lemma, _ in rows] == list(senses)
+        for lemma, value in rows:
+            assert float(value) == pytest.approx(
+                oracles.prior(senses[lemma], formula), abs=1e-12)
+
 
 class TestScore:
     def test_token_scores(self, data, tmp_path):
@@ -148,6 +170,44 @@ class TestScore:
     def test_rules_without_word_lists(self, data, tmp_path):
         assert main(["score", *_corpus_flags(data), "--rules",
                      "--out", str(tmp_path / "x.tsv")]) == 1
+
+    def test_scores_rebuild_the_featurized_rows(self, tmp_path):
+        assert main(["synth", "--docs", "10", "--seed", "5",
+                     "--rule-fraction", "0.4", "--out", str(tmp_path)]) == 0
+        flags = ["--corpus", str(tmp_path / "corpus"),
+                 "--lexicon", str(tmp_path / "lexicon.tsv"),
+                 "--lemma-dict", str(tmp_path / "lemma_dict.tsv"),
+                 "--rules", "--negations", str(tmp_path / "negations.txt"),
+                 "--intensifiers", str(tmp_path / "intensifiers.txt")]
+
+        def score(*extra):
+            """Per-document lists of the score file's rows."""
+            out = tmp_path / "scores.tsv"
+            assert main(["score", *flags, *extra, "--out", str(out)]) == 0
+            lines = out.read_text(encoding="utf-8").splitlines()[1:]
+            docs = [[line.split("\t") for line in group] for _, group in
+                    groupby(lines, key=lambda line: line.split("\t")[0])]
+            for rows in docs:
+                assert [int(r[1]) for r in rows] == list(range(len(rows)))
+            return docs
+
+        def featurize(*extra):
+            out = tmp_path / "features.csv"
+            assert main(["featurize", *flags, *extra, "--out", str(out)]) == 0
+            lines = out.read_text(encoding="utf-8").splitlines()[1:]
+            return [[float(x) for x in line.split(",")[1:]] for line in lines]
+
+        tokens = score()
+        # the rules fired, so prior and adjusted differ somewhere
+        assert any(r[4] != r[5] for rows in tokens for r in rows)
+        assert [term_features([float(r[5]) for r in rows])
+                for rows in tokens] == featurize("--variant", "8")
+
+        sentences = score("--sentence-formula", "max_max")
+        assert [doc_features([float(r[2]) for r in rows])
+                for rows in sentences] == featurize(
+                    "--level", "document", "--variant", "7",
+                    "--sentence-formula", "max_max")
 
 
 class TestFeaturizeTrainEvaluate:
@@ -305,6 +365,18 @@ class TestSweep:
         direct_report = json.loads(
             (pipe_out / "report.json").read_text("utf-8"))
         assert cell_report == direct_report
+
+    @pytest.mark.parametrize("flag", ["--classifiers", "--formulas",
+                                      "--variants", "--rules-options"])
+    def test_empty_grid_axis_is_config_error(self, data, tmp_path, capsys,
+                                             flag):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *_corpus_flags(data), "--out", str(out),
+                     "--classifiers", "dtree", flag, ","]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: the sweep grid has no" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_mixed_level_variants_rejected(self, data, tmp_path):
         assert main(["sweep", *_corpus_flags(data),

@@ -4,7 +4,7 @@ import pytest
 
 from multisent.corpus_io import (LemmaDictionary, RawDocument, Token,
                                  load_corpus, load_lemma_dictionary,
-                                 lemmatize, prepare_document,
+                                 prepare_document,
                                  remove_diacritics, strip_noise,
                                  tokenize_and_segment)
 from multisent.errors import ConfigurationError, DataError, ParseError
@@ -161,37 +161,34 @@ class TestStripNoise:
 class TestLemmatize:
     def test_dictionary_hit(self):
         d = LemmaDictionary({"ساخن": "saxin"})
-        assert lemmatize(Token("ساخن", 0), d) == "saxin"
+        assert d.lemma("ساخن") == "saxin"
 
     def test_miss_with_no_affixes_returns_identity(self):
         d = LemmaDictionary({})
-        assert lemmatize(Token("qqq", 0), d) == "qqq"
+        assert d.lemma("qqq") == "qqq"
 
     def test_longest_prefix_stripped(self):
         # "wa+al+film" loses its longest matching prefix, not just "wa"
         d = LemmaDictionary({})
-        token = Token("والفيلم", 0)
-        assert lemmatize(token, d) == "فيلم"
+        assert d.lemma("والفيلم") == "فيلم"
 
     def test_prefix_then_suffix(self):
         d = LemmaDictionary({})
-        token = Token("الفنانة", 0)
-        assert lemmatize(token, d) == "فنان"
+        assert d.lemma("الفنانة") == "فنان"
 
     def test_stripping_rechecks_dictionary(self):
         d = LemmaDictionary({"فيلم": "film_lemma"})
-        token = Token("والفيلم", 0)
-        assert lemmatize(token, d) == "film_lemma"
+        assert d.lemma("والفيلم") == "film_lemma"
 
     def test_never_strips_to_below_two_chars(self):
         d = LemmaDictionary({})
-        assert lemmatize(Token("وه", 0), d) == "وه"
+        assert d.lemma("وه") == "وه"
 
     def test_diacritics_removed_before_lookup(self):
         d = LemmaDictionary({"ساخن": "saxin"})
         marked = "سَاخِن"
         assert remove_diacritics(marked) == "ساخن"
-        assert lemmatize(Token(marked, 0), d) == "saxin"
+        assert d.lemma(marked) == "saxin"
 
     def test_deterministic_and_total(self):
         d = LemmaDictionary({"aa": "bb"})
@@ -200,9 +197,8 @@ class TestLemmatize:
         for _ in range(300):
             surface = "".join(rng.choice(pool)
                               for _ in range(rng.randint(1, 8)))
-            token = Token(surface, 0)
-            assert lemmatize(token, d) == lemmatize(token, d)
-            assert isinstance(lemmatize(token, d), str)
+            assert d.lemma(surface) == d.lemma(surface)
+            assert isinstance(d.lemma(surface), str)
 
     def test_load_lemma_dictionary(self, tmp_path):
         path = tmp_path / "dict.tsv"

@@ -9,7 +9,7 @@ from multisent.errors import ConfigurationError, DataError
 from multisent.evaluation import (ClassMetrics, ConfusionCounts,
                                   class_metrics, confusion, run_cv,
                                   stratified_kfold)
-from multisent.features import Variant, dataset_from_rows
+from multisent.features import Dataset, Variant
 from multisent.util import make_rng
 
 import oracles
@@ -167,7 +167,7 @@ def _separable_dataset(n=60, seed=5):
             rows[i, 1] = count
             rows[i, 3] = -count * 0.4
             rows[i, 5] = -0.4
-    return dataset_from_rows(rows, labels, Variant.TERM8)
+    return Dataset(rows=rows, labels=labels, variant=Variant.TERM8)
 
 
 class TestRunCv:

@@ -4,33 +4,28 @@ import numpy as np
 import pytest
 
 from multisent.errors import DataError
-from multisent.features import (Dataset, Variant, dataset_from_rows,
-                                doc_features, read_features_csv,
-                                term_features, write_features_csv)
+from multisent.features import (Dataset, Variant, doc_features,
+                                read_features_csv, term_features,
+                                write_features_csv)
 
 
 class TestTermFeatures:
     def test_hand_computed_row(self):
         # counts/sums/averages/first/last worked out by hand
-        row = term_features([0.5, -0.25, 0.25], label=1)
+        row = term_features([0.5, -0.25, 0.25])
         assert row == [2, 1, 0.75, -0.25, 0.375, -0.25, 0.5, 0.25]
 
     def test_no_sentiment_tokens(self):
-        assert term_features([0.0, 0.0], label=0) == [0.0] * 8
-        assert term_features([], label=0) == [0.0] * 8
-
-    def test_six_variant_is_a_prefix(self):
-        scores = [0.5, -0.25, 0.25, 0.0, -0.9]
-        assert term_features(scores, 1, Variant.TERM6) \
-            == term_features(scores, 1, Variant.TERM8)[:6]
+        assert term_features([0.0, 0.0]) == [0.0] * 8
+        assert term_features([]) == [0.0] * 8
 
     def test_neutral_tokens_contribute_nothing(self):
-        with_zeros = term_features([0.0, 0.4, 0.0, -0.2, 0.0], 1)
-        without = term_features([0.4, -0.2], 1)
+        with_zeros = term_features([0.0, 0.4, 0.0, -0.2, 0.0])
+        without = term_features([0.4, -0.2])
         assert with_zeros == without
 
     def test_single_subjective_token_first_equals_last(self):
-        row = term_features([0.0, -0.3, 0.0], 0)
+        row = term_features([0.0, -0.3, 0.0])
         assert row[6] == row[7] == -0.3
 
     def test_average_times_count_equals_sum(self):
@@ -38,7 +33,7 @@ class TestTermFeatures:
         for _ in range(300):
             scores = [rng.uniform(-1, 1) if rng.random() < 0.6 else 0.0
                       for _ in range(rng.randint(0, 40))]
-            cp, cn, sp, sn, ap, an, _, _ = term_features(scores, 1)
+            cp, cn, sp, sn, ap, an, _, _ = term_features(scores)
             assert ap * cp == pytest.approx(sp, abs=1e-9)
             assert an * cn == pytest.approx(sn, abs=1e-9)
             assert sp >= 0 and sn <= 0 and ap >= 0 and an <= 0
@@ -47,40 +42,26 @@ class TestTermFeatures:
         # a mean of 20.2 over 166 positives prints as 0.12 at two decimals
         assert f"{20.2 / 166:.2f}" == "0.12"
 
-    def test_wrong_level_rejected(self):
-        with pytest.raises(ValueError):
-            term_features([0.1], 1, Variant.DOC7)
-
 
 class TestDocFeatures:
     def test_single_sentence_document(self):
-        row = doc_features([0.75], label=1)
+        row = doc_features([0.75])
         assert row == [1, 0, 0.75, 0, 0.75, 0.75, 0.75]
 
     def test_mixed_sentences(self):
         scores = [-0.25, 0.75, -0.75, 0.13]
-        row = doc_features(scores, label=0)
+        row = doc_features(scores)
         assert row == [2, 2, 0.75, -0.75, -0.25, 0.75, 0.13]
 
     def test_zero_sentences(self):
-        assert doc_features([], label=0) == [0.0] * 7
+        assert doc_features([]) == [0.0] * 7
 
     def test_middle_is_lower_median(self):
-        assert doc_features([0.1, 0.2, 0.3, 0.4], 1)[5] == 0.2
-        assert doc_features([0.1, 0.2, 0.3], 1)[5] == 0.2
-
-    def test_doc5_and_doc4_are_projections(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            scores = [rng.uniform(-1, 1) for _ in range(rng.randint(0, 9))]
-            full = doc_features(scores, 1, Variant.DOC7)
-            five = doc_features(scores, 1, Variant.DOC5)
-            four = doc_features(scores, 1, Variant.DOC4)
-            assert five == [full[0], full[1], full[4], full[5], full[6]]
-            assert four == full[:4]
+        assert doc_features([0.1, 0.2, 0.3, 0.4])[5] == 0.2
+        assert doc_features([0.1, 0.2, 0.3])[5] == 0.2
 
     def test_max_neg_carries_sign(self):
-        row = doc_features([-0.2, -0.9], 0)
+        row = doc_features([-0.2, -0.9])
         assert row[3] == -0.9
         assert row[2] == 0.0
 
@@ -89,7 +70,7 @@ class TestDocFeatures:
         for _ in range(200):
             scores = [rng.choice([1, -1]) * rng.uniform(0.1, 1)
                       for _ in range(rng.randint(0, 6))]
-            row = doc_features(scores, 1)
+            row = doc_features(scores)
             if row[0] == 0:
                 assert row[2] == 0.0
             if row[1] == 0:
@@ -99,14 +80,15 @@ class TestDocFeatures:
 class TestDataset:
     def test_variant_width_checked(self):
         with pytest.raises(ValueError):
-            dataset_from_rows([[1.0, 2.0]], [1], Variant.TERM8)
+            Dataset(rows=[[1.0, 2.0]], labels=[1], variant=Variant.TERM8)
 
     def test_labels_checked(self):
         with pytest.raises(ValueError):
-            dataset_from_rows([[0.0] * 8], [2], Variant.TERM8)
+            Dataset(rows=[[0.0] * 8], labels=[2], variant=Variant.TERM8)
 
     def test_subset_preserves_variant(self):
-        ds = dataset_from_rows([[0.0] * 8, [1.0] * 8], [0, 1], Variant.TERM8)
+        ds = Dataset(rows=[[0.0] * 8, [1.0] * 8], labels=[0, 1],
+                     variant=Variant.TERM8)
         sub = ds.subset([1])
         assert sub.variant is Variant.TERM8
         assert sub.labels.tolist() == [1]
@@ -115,7 +97,7 @@ class TestDataset:
         rng = random.Random(41)
         rows = [[rng.uniform(-3, 3) for _ in range(7)] for _ in range(10)]
         labels = [rng.randint(0, 1) for _ in range(10)]
-        ds = dataset_from_rows(rows, labels, Variant.DOC7)
+        ds = Dataset(rows=rows, labels=labels, variant=Variant.DOC7)
         path = tmp_path / "features.csv"
         write_features_csv(ds, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
@@ -136,26 +118,26 @@ class TestDataset:
 
     def test_narrower_variants_are_projections_of_the_full_one(self):
         rng = random.Random(43)
-        for full, narrow in ((Variant.TERM8, Variant.TERM6),
-                             (Variant.DOC7, Variant.DOC5),
-                             (Variant.DOC7, Variant.DOC4),
-                             (Variant.DOC7, Variant.DOC7)):
+        for full, narrow, columns in (
+                (Variant.TERM8, Variant.TERM6, [0, 1, 2, 3, 4, 5]),
+                (Variant.DOC7, Variant.DOC5, [0, 1, 4, 5, 6]),
+                (Variant.DOC7, Variant.DOC4, [0, 1, 2, 3]),
+                (Variant.DOC7, Variant.DOC7, [0, 1, 2, 3, 4, 5, 6])):
             assert narrow.full is full
             scores = [[rng.uniform(-1, 1) for _ in range(rng.randint(0, 9))]
                       for _ in range(6)]
             build = term_features if full.level == "term" else doc_features
+            rows = [build(s) for s in scores]
             labels = [0, 1, 0, 1, 0, 1]
-            wide = dataset_from_rows([build(s, 1, full) for s in scores],
-                                     labels, full)
-            direct = dataset_from_rows([build(s, 1, narrow) for s in scores],
-                                       labels, narrow)
-            projected = wide.project(narrow)
+            projected = Dataset(rows=rows, labels=labels,
+                                variant=full).project(narrow)
             assert projected.variant is narrow
-            assert np.array_equal(projected.rows, direct.rows)
-            assert np.array_equal(projected.labels, direct.labels)
+            assert projected.rows.tolist() == [[row[c] for c in columns]
+                                               for row in rows]
+            assert projected.labels.tolist() == labels
 
     def test_project_rejects_other_level(self):
-        ds = dataset_from_rows([[0.0] * 8], [1], Variant.TERM8)
+        ds = Dataset(rows=[[0.0] * 8], labels=[1], variant=Variant.TERM8)
         with pytest.raises(ValueError):
             ds.project(Variant.DOC4)
 

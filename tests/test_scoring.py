@@ -30,12 +30,11 @@ class TestScoreTokens:
     def test_known_lemma_gets_its_prior(self):
         doc = doc_from_words(["hot", "thing"])
         scored = score_tokens(doc, {"hot": 0.375})
-        assert [t.prior for t in scored] == [0.375, 0.0]
-        assert [t.adjusted for t in scored] == [0.375, 0.0]
+        assert scored == [0.375, 0.0]
 
     def test_unknown_lemma_scores_zero(self):
         doc = doc_from_words(["mystery"])
-        assert score_tokens(doc, {})[0].prior == 0.0
+        assert score_tokens(doc, {})[0] == 0.0
 
     def test_empty_document(self):
         assert score_tokens(doc_from_words([]), {"a": 1.0}) == []
@@ -44,7 +43,7 @@ class TestScoreTokens:
         doc = doc_from_words([NEG, "good"])
         scored = score_tokens(doc, {NEG: 0.9, "good": 0.5},
                               rule_words=RULES.all_words)
-        assert [t.prior for t in scored] == [0.0, 0.5]
+        assert scored == [0.0, 0.5]
 
 
 class TestApplyRules:
@@ -52,51 +51,51 @@ class TestApplyRules:
         doc = doc_from_words([NEG, "good"])
         scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
         out = apply_rules(scored, doc, RULES)
-        assert out[1].adjusted == -0.4
-        assert out[1].prior == 0.4
+        assert out[1] == -0.4
+        assert scored[1] == 0.4
 
     def test_intensifier_after_pushes_to_one(self):
         doc = doc_from_words(["good", INT])
         scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
-        assert apply_rules(scored, doc, RULES)[0].adjusted == 1.0
+        assert apply_rules(scored, doc, RULES)[0] == 1.0
 
     def test_intensifier_before_negative_term(self):
         doc = doc_from_words([INT, "bad"])
         scored = score_tokens(doc, {"bad": -0.2}, RULES.all_words)
-        assert apply_rules(scored, doc, RULES)[1].adjusted == -1.0
+        assert apply_rules(scored, doc, RULES)[1] == -1.0
 
     def test_negation_then_intensification_order(self):
         # negation first makes the term negative, then the intensifier
         # drives it to the negative extreme
         doc = doc_from_words([NEG, "good", INT])
         scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
-        assert apply_rules(scored, doc, RULES)[1].adjusted == -1.0
+        assert apply_rules(scored, doc, RULES)[1] == -1.0
 
     def test_zero_priors_never_modified(self):
         doc = doc_from_words([NEG, "plain", INT])
         scored = score_tokens(doc, {}, RULES.all_words)
         out = apply_rules(scored, doc, RULES)
-        assert all(t.adjusted == 0.0 for t in out)
+        assert all(t == 0.0 for t in out)
 
     def test_rules_do_not_cross_sentence_boundary(self):
         # negation ends sentence 1; sentiment term opens sentence 2
         doc = doc_from_words([NEG, "good"], sentences=[(0, 1), (1, 2)])
         scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
-        assert apply_rules(scored, doc, RULES)[1].adjusted == 0.4
+        assert apply_rules(scored, doc, RULES)[1] == 0.4
 
     def test_intensifier_across_boundary_ignored(self):
         doc = doc_from_words(["good", INT], sentences=[(0, 1), (1, 2)])
         scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
-        assert apply_rules(scored, doc, RULES)[0].adjusted == 0.4
+        assert apply_rules(scored, doc, RULES)[0] == 0.4
 
     def test_window_two_reaches_farther(self):
         cfg = RuleConfig(negation_words=RULES.negation_words,
                          intensifier_words=RULES.intensifier_words, window=2)
         doc = doc_from_words([NEG, "filler", "good"])
         scored = score_tokens(doc, {"good": 0.4}, cfg.all_words)
-        assert apply_rules(scored, doc, cfg)[2].adjusted == -0.4
+        assert apply_rules(scored, doc, cfg)[2] == -0.4
         # window 1 does not reach
-        assert apply_rules(scored, doc, RULES)[2].adjusted == 0.4
+        assert apply_rules(scored, doc, RULES)[2] == 0.4
 
     def test_double_negation_restores_exactly(self):
         rng = random.Random(5)
@@ -119,10 +118,10 @@ class TestApplyRules:
             doc = doc_from_words(seq, sentences=[(0, 20), (20, 40)])
             scored = score_tokens(doc, priors, RULES.all_words)
             out = apply_rules(scored, doc, RULES)
-            assert all(abs(t.adjusted) <= 1.0 for t in out)
+            assert all(abs(t) <= 1.0 for t in out)
             for before, after in zip(scored, out):
-                if before.prior == 0.0:
-                    assert after.adjusted == 0.0
+                if before == 0.0:
+                    assert after == 0.0
 
     def test_no_rules_is_pure_and_repeatable(self):
         doc = doc_from_words(["a", "b", "c"])
@@ -201,5 +200,4 @@ class TestSentenceScores:
                              sentences=[(0, 2), (2, 4)])
         scored = score_tokens(doc, {"good": 0.6, "bad": -0.9})
         out = sentence_scores(doc, scored, SentenceFormula.MAX_MAX)
-        assert [s.value for s in out] == [-0.9, 0.6]
-        assert [s.index for s in out] == [0, 1]
+        assert out == [-0.9, 0.6]
