@@ -1,13 +1,13 @@
 """Soft-margin SVM with an RBF kernel trained by sequential minimal
 optimization.
 
-Each sweep visits every sample; a sample violating the KKT conditions by
-more than ``tol`` is paired with partner samples (in seeded random order)
-until a pair step makes progress. Pair updates conserve the equality
-constraint sum(alpha_i * y_i) = 0 exactly, and every alpha stays in
-[0, C]. Training stops after a sweep with no violations, after a sweep
-where no violating pair could move, or at the sweep budget. Inputs are
-min-max normalized to [-1, 1], matching the network classifier.
+Each sweep visits every sample and takes its error, once, from the
+maintained vector alphas * y. A sample violating the KKT conditions by more
+than ``tol`` is paired with partners in seeded random order until a pair
+step moves; partners with j == i, an empty box or eta >= 0 are skipped
+without computing their errors. Pair updates keep every alpha in [0, C] and
+sum(alpha_i * y_i) = 0. Training stops after a sweep with no violations or
+no moves, or at the sweep budget. Inputs are min-max scaled to [-1, 1].
 """
 
 from dataclasses import asdict, dataclass
@@ -100,23 +100,13 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def _pair_step(i, j, alphas, y, kernel, errors_fn, b, c, tol):
-    """Try one SMO pair update; returns (new_b, True) on progress."""
-    if i == j:
-        return b, False
-    e_i, e_j = errors_fn(i), errors_fn(j)
+def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
+    """One SMO update of partner ``i`` and violator ``j`` (error ``e_j``),
+    for a pair the caller screened: ``i != j``, box [``lo``, ``hi``] at
+    least ``_STEP_EPS`` wide, ``eta < 0``. The partner's error comes from
+    ``ay = alphas * y``; a move updates both arrays. Returns (b, moved)."""
+    e_i = float(kernel[i] @ ay + b - y[i])
     a_i_old, a_j_old = alphas[i], alphas[j]
-    if y[i] != y[j]:
-        lo = max(0.0, a_j_old - a_i_old)
-        hi = min(c, c + a_j_old - a_i_old)
-    else:
-        lo = max(0.0, a_i_old + a_j_old - c)
-        hi = min(c, a_i_old + a_j_old)
-    if hi - lo < _STEP_EPS:
-        return b, False
-    eta = 2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j]
-    if eta >= 0:
-        return b, False
     a_j = a_j_old - y[j] * (e_i - e_j) / eta
     a_j = min(hi, max(lo, a_j))
     if abs(a_j - a_j_old) < _STEP_EPS:
@@ -126,6 +116,7 @@ def _pair_step(i, j, alphas, y, kernel, errors_fn, b, c, tol):
     # push it out by an ulp, so snap it back.
     a_i = min(c, max(0.0, a_i))
     alphas[i], alphas[j] = a_i, a_j
+    ay[i], ay[j] = a_i * y[i], a_j * y[j]
 
     b1 = b - e_i - y[i] * (a_i - a_i_old) * kernel[i, i] \
         - y[j] * (a_j - a_j_old) * kernel[i, j]
@@ -156,23 +147,33 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
 
     kernel = rbf_kernel(x, x, gamma)
     alphas = np.zeros(n)
+    ay = alphas * y
     b = 0.0
     rng = make_rng(derive_seed(cfg.seed, "svm"))
-
-    def error(i):
-        return float(kernel[i] @ (alphas * y) + b - y[i])
 
     for _ in range(cfg.max_passes):
         violations = 0
         progressed = 0
         for i in range(n):
-            r_i = y[i] * error(i)
+            e_i = float(kernel[i] @ ay + b - y[i])
+            r_i = y[i] * e_i
             if (r_i < -cfg.tol and alphas[i] < cfg.c) or \
                     (r_i > cfg.tol and alphas[i] > 0):
                 violations += 1
-                for j in rng.permutation(n):
-                    b, moved = _pair_step(int(j), i, alphas, y, kernel,
-                                          error, b, cfg.c, cfg.tol)
+                order = rng.permutation(n)
+                # Box and eta of every (partner, i) pair by the scalar step's
+                # operations in its order; eta is exactly 0 at partner i.
+                a_i = alphas[i]
+                same = y == y[i]
+                lo = np.where(same, np.maximum(0.0, alphas + a_i - cfg.c),
+                              np.maximum(0.0, a_i - alphas))
+                hi = np.where(same, np.minimum(cfg.c, alphas + a_i),
+                              np.minimum(cfg.c, cfg.c + a_i - alphas))
+                eta = 2.0 * kernel[:, i] - kernel.diagonal() - kernel[i, i]
+                can_move = (hi - lo >= _STEP_EPS) & (eta < 0)
+                for j in order[can_move[order]].tolist():
+                    b, moved = _pair_step(j, i, e_i, lo[j], hi[j], eta[j],
+                                          alphas, ay, y, kernel, b, cfg.c)
                     if moved:
                         progressed += 1
                         break
@@ -180,7 +181,6 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
             break
 
     support = alphas > 0.0
-    return SvmModel(support_vectors=x[support],
-                    coefficients=(alphas * y)[support],
+    return SvmModel(support_vectors=x[support], coefficients=ay[support],
                     bias=b, gamma=gamma, c=cfg.c, normalization=norm,
                     config=cfg, alphas=alphas, train_labels_pm=y)

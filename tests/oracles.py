@@ -7,6 +7,8 @@ against these functions is a genuine dual-route check.
 
 import unicodedata
 
+import numpy as np
+
 
 def pair_avg(senses):
     pos = [abs(p) for p, _ in senses]
@@ -91,6 +93,80 @@ def kl_terms(p, q):
         if pi > 0:
             total += pi * math.log(pi / qi)
     return total
+
+
+SMO_STEP_EPS = 1e-7
+
+
+def smo_pair_step(i, j, alphas, y, kernel, errors_fn, b, c, tol):
+    """Scalar SMO pair update: both errors and the box on every attempt."""
+    if i == j:
+        return b, False
+    e_i, e_j = errors_fn(i), errors_fn(j)
+    a_i_old, a_j_old = alphas[i], alphas[j]
+    if y[i] != y[j]:
+        lo = max(0.0, a_j_old - a_i_old)
+        hi = min(c, c + a_j_old - a_i_old)
+    else:
+        lo = max(0.0, a_i_old + a_j_old - c)
+        hi = min(c, a_i_old + a_j_old)
+    if hi - lo < SMO_STEP_EPS:
+        return b, False
+    eta = 2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j]
+    if eta >= 0:
+        return b, False
+    a_j = a_j_old - y[j] * (e_i - e_j) / eta
+    a_j = min(hi, max(lo, a_j))
+    if abs(a_j - a_j_old) < SMO_STEP_EPS:
+        return b, False
+    a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+    a_i = min(c, max(0.0, a_i))
+    alphas[i], alphas[j] = a_i, a_j
+
+    b1 = b - e_i - y[i] * (a_i - a_i_old) * kernel[i, i] \
+        - y[j] * (a_j - a_j_old) * kernel[i, j]
+    b2 = b - e_j - y[i] * (a_i - a_i_old) * kernel[i, j] \
+        - y[j] * (a_j - a_j_old) * kernel[j, j]
+    if 0.0 < a_i < c:
+        return b1, True
+    if 0.0 < a_j < c:
+        return b2, True
+    return (b1 + b2) / 2.0, True
+
+
+def smo(kernel, y, c, tol, max_passes, rng):
+    """Scalar SMO over a precomputed kernel: (alphas, bias, moves).
+
+    Each error is a fresh O(n) dot product, recomputed on every pair
+    attempt; the partner order is one ``rng.permutation(n)`` per KKT
+    violator. A vectorised trainer drawing from the same ``rng`` must
+    reach the same alphas and bias bit for bit.
+    """
+    n = len(y)
+    alphas = np.zeros(n)
+    b = 0.0
+    moves = 0
+
+    def error(i):
+        return float(kernel[i] @ (alphas * y) + b - y[i])
+
+    for _ in range(max_passes):
+        violations = 0
+        progressed = 0
+        for i in range(n):
+            r_i = y[i] * error(i)
+            if (r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0):
+                violations += 1
+                for j in rng.permutation(n):
+                    b, moved = smo_pair_step(int(j), i, alphas, y, kernel,
+                                             error, b, c, tol)
+                    if moved:
+                        progressed += 1
+                        break
+        moves += progressed
+        if violations == 0 or progressed == 0:
+            break
+    return alphas, b, moves
 
 
 # The five-sense example entry used throughout the formula tests:

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from multisent import classifiers
-from multisent.classifiers import (AnnConfig, SvmConfig, TreeConfig,
-                                   load_model, predict, predict_labels,
-                                   save_model, train_ann, train_dtree,
-                                   train_svm)
+from multisent.classifiers import (AnnConfig, SvmConfig, SvmModel,
+                                   TreeConfig, load_model, predict,
+                                   predict_labels, save_model, train_ann,
+                                   train_dtree, train_svm)
+from multisent.classifiers import svm
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
 from multisent.classifiers.tree import (TreeModel, TreeNode, added_errors,
                                         normal_upper_quantile)
 from multisent.errors import DataError
-from multisent.util import make_rng
+from multisent.util import derive_seed, make_rng
+
+import oracles
 
 
 def separable_blobs(n_per_class=20, gap=4.0, n_features=2, seed=123):
@@ -28,6 +31,39 @@ def separable_blobs(n_per_class=20, gap=4.0, n_features=2, seed=123):
 
 def accuracy(model, rows, labels):
     return float((predict_labels(model, rows) == labels).mean())
+
+
+def overlapping_blobs():
+    return separable_blobs(20, gap=1.0, n_features=3, seed=31)
+
+
+def duplicated_rows():
+    """Blobs with exact duplicate rows, some of them with the other label."""
+    rows, labels = separable_blobs(15, gap=1.5, seed=32)
+    return (np.vstack([rows, rows[:6], rows[20:24]]),
+            np.concatenate([labels, labels[:6], 1 - labels[20:24]]))
+
+
+def one_feature_rows():
+    rows, labels = separable_blobs(18, gap=1.0, n_features=1, seed=33)
+    return np.vstack([rows, rows[:3]]), np.concatenate([labels, labels[:3]])
+
+
+def oracle_svm(rows, labels, cfg):
+    """(model, moves) that the scalar SMO of ``oracles.smo`` reaches."""
+    norm = NormalizationParams.fit(rows)
+    x = norm.apply(rows)
+    y = 2.0 * labels - 1.0
+    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
+    alphas, b, moves = oracles.smo(svm.rbf_kernel(x, x, gamma), y, cfg.c,
+                                   cfg.tol, cfg.max_passes,
+                                   make_rng(derive_seed(cfg.seed, "svm")))
+    support = alphas > 0.0
+    model = SvmModel(support_vectors=x[support],
+                     coefficients=(alphas * y)[support], bias=b, gamma=gamma,
+                     c=cfg.c, normalization=norm, config=cfg, alphas=alphas,
+                     train_labels_pm=y)
+    return model, moves
 
 
 class TestAnn:
@@ -235,6 +271,55 @@ class TestSvm:
         label, score = predict(model, rows[0])
         assert label == (1 if score >= 0 else 0)
 
+    @pytest.mark.parametrize("problem", [overlapping_blobs, duplicated_rows,
+                                         one_feature_rows])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0])
+    def test_matches_scalar_oracle_bit_for_bit(self, problem, c):
+        rows, labels = problem()
+        # Seeds 0-5 meet every (max_passes, gamma) pair once.
+        for seed in range(6):
+            cfg = SvmConfig(c=c, gamma=(None, 2.5)[seed % 2],
+                            max_passes=(1, 3, 200)[seed % 3], seed=seed)
+            got = train_svm(rows, labels, cfg)
+            want, _ = oracle_svm(rows, labels, cfg)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert np.array_equal(np.signbit(got.alphas),
+                                  np.signbit(want.alphas))
+            assert got.bias == want.bias
+
+    @pytest.mark.parametrize("c", [1.0, 100.0])
+    def test_pair_steps_get_only_movable_pairs(self, monkeypatch, c):
+        rows, labels = duplicated_rows()
+        cfg = SvmConfig(c=c, seed=3)
+        real_step = svm._pair_step
+        calls, moves = [], 0
+
+        def recording(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
+            nonlocal moves
+            a_i, a_j = alphas[i], alphas[j]
+            if y[i] != y[j]:
+                box = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
+            else:
+                box = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
+            calls.append((i, j, lo, hi, eta, box,
+                          2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j],
+                          e_j, float(kernel[j] @ (alphas * y) + b - y[j]),
+                          np.array_equal(ay, alphas * y)))
+            b, moved = real_step(i, j, e_j, lo, hi, eta, alphas, ay, y,
+                                 kernel, b, c)
+            moves += moved
+            return b, moved
+
+        monkeypatch.setattr(svm, "_pair_step", recording)
+        train_svm(rows, labels, cfg)
+        assert calls
+        for i, j, lo, hi, eta, box, eta_want, e_j, e_want, ay_ok in calls:
+            assert i != j
+            assert (lo, hi) == box and hi - lo >= svm._STEP_EPS
+            assert eta == eta_want and eta < 0
+            assert e_j == e_want and ay_ok
+        assert moves == oracle_svm(rows, labels, cfg)[1]
+
 
 class TestSharedSurface:
     def test_width_mismatch_rejected(self):
@@ -258,6 +343,14 @@ class TestSharedSurface:
         out = params.apply(np.array([[1.0, 4.0], [7.0, 5.0]]))
         assert out[0, 0] == 0.0 and out[1, 0] == 0.0
         assert out[0, 1] == 0.0 and out[1, 1] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_non_finite_training_rows_are_data_errors(self, kind, bad):
+        rows, labels = separable_blobs(20, n_features=3)
+        rows[7, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            classifiers.train(kind, rows, labels)
 
     @pytest.mark.parametrize("kind,config", [
         ("ann", AnnConfig(max_epochs=40, seed=6)),
