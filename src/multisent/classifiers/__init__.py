@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import ConfigurationError, DataError
+from ..errors import ConfigurationError
 from .ann import AnnConfig, AnnModel, train_ann
 from .io import load_model, model_from_dict, model_to_dict, save_model
 from .normalize import NormalizationParams
@@ -27,8 +27,6 @@ def train(kind: str, rows, labels, config=None):
     """Train a classifier of the given kind ('ann', 'dtree', or 'svm')."""
     if kind not in _TRAINERS:
         raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
-    if not np.isfinite(np.asarray(rows, dtype=float)).all():
-        raise DataError("training rows contain non-finite values")
     trainer, _ = _TRAINERS[kind]
     return trainer(rows, labels, config)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..util import derive_seed, make_rng
-from .normalize import NormalizationParams
+from .normalize import NormalizationParams, training_arrays
 
 # An epoch whose error exceeds old_error * this ratio is rejected.
 ERROR_RATIO_TOLERANCE = 1.04
@@ -148,12 +148,7 @@ def train_ann(rows: np.ndarray, labels: np.ndarray,
               config: AnnConfig | None = None) -> AnnModel:
     """Train on 0/1-labeled rows; the best of ``config.restarts`` runs wins."""
     cfg = config or AnnConfig()
-    rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(rows) == 0:
-        raise DataError("cannot train on an empty dataset")
-    if len(set(labels.tolist())) < 2:
-        raise DataError("training data contains a single class")
+    rows, labels = training_arrays(rows, labels, two_classes=True)
 
     norm = NormalizationParams.fit(rows)
     x = norm.apply(rows)

@@ -10,7 +10,7 @@ from .ann import AnnModel
 from .svm import SvmModel
 from .tree import TreeModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MODELS = {cls.kind: cls for cls in (AnnModel, TreeModel, SvmModel)}
 

@@ -1,8 +1,23 @@
-"""Per-feature min-max normalization fitted on training rows only."""
+"""Training-row checks and per-feature min-max normalization."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..errors import DataError
+
+
+def training_arrays(rows, labels, two_classes: bool = False):
+    """Float rows and int labels; DataError if empty, not all finite or,
+    when ``two_classes`` is asked for, of one class."""
+    rows, labels = np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
+    if len(rows) == 0:
+        raise DataError("cannot train on an empty dataset")
+    if not np.isfinite(rows).all():
+        raise DataError("training rows contain non-finite values")
+    if two_classes and len(set(labels.tolist())) < 2:
+        raise DataError("training data contains a single class")
+    return rows, labels
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import DataError
 from ..util import derive_seed, make_rng
-from .normalize import NormalizationParams
+from .normalize import NormalizationParams, training_arrays
 
 # Minimum change in an alpha for a pair step to count as progress.
 _STEP_EPS = 1e-7
@@ -132,12 +131,7 @@ def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
 def train_svm(rows: np.ndarray, labels: np.ndarray,
               config: SvmConfig | None = None) -> SvmModel:
     cfg = config or SvmConfig()
-    rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(rows) == 0:
-        raise DataError("cannot train on an empty dataset")
-    if len(set(labels.tolist())) < 2:
-        raise DataError("training data contains a single class")
+    rows, labels = training_arrays(rows, labels, two_classes=True)
 
     norm = NormalizationParams.fit(rows)
     x = norm.apply(rows)

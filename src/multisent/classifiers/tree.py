@@ -7,6 +7,24 @@ has positive gain, or when every split would leave a child smaller than
 ``min_leaf``. Pruning replaces a subtree with a leaf when the upper
 confidence bound of the leaf's error (at the configured confidence
 factor) does not exceed the subtree's; subtree raising is not performed.
+Nothing here recurses, so no tree is too deep. Model documents list the
+nodes flat, in pre-order, with child indices: ``json`` recurses per level.
+
+Split search: one stable argsort per node orders every feature, and
+array ops approximate the gain and gain ratio of every cut of every
+feature. With unit roundoff u = 2**-53 and log2 within 4 ulps, a gain on
+either route is within 40u of its real value, and a ratio (at most 1,
+over a split information of at least 1/n) within 58u*n; so the routes
+differ by at most 80u in gain and delta = 116u*n in ratio. The screen
+keeps cuts between distinct values inside ``min_leaf`` whose approximate
+gain is above _GAIN_EPS - margin and whose approximate ratio is at least
+M - margin, where margin = 512u*n > 2*delta and M is the best approximate
+ratio among cuts of approximate gain above _GAIN_EPS + margin. A dropped
+cut has an exact gain not above _GAIN_EPS or an exact ratio below
+M - delta, while the cut reaching M is valid with an exact ratio of at
+least M - delta; so a dropped cut can neither win nor tie. The scalar
+arithmetic rescores the kept cuts and picks by the key (ratio, gain,
+-feature, -threshold): the split is the scalar search's, bit for bit.
 """
 
 import math
@@ -15,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import DataError
+from .normalize import training_arrays
 
 _GAIN_EPS = 1e-12
 
@@ -71,34 +90,46 @@ class TreeModel:
         return np.array([_walk(self.root, row).leaf_score() for row in rows])
 
     def to_dict(self) -> dict:
+        nodes = _preorder(self.root)
+        index = {id(node): i for i, node in enumerate(nodes)}
         return {"hyperparameters": asdict(self.config),
                 "normalization": None,
-                "nodes": _node_to_dict(self.root),
+                "nodes": [{"counts": list(n.counts)} if n.is_leaf else
+                          {"counts": list(n.counts), "feature": n.feature,
+                           "threshold": n.threshold, "left": index[id(n.left)],
+                           "right": index[id(n.right)]} for n in nodes],
                 "n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeModel":
-        return cls(root=_node_from_dict(doc["nodes"]),
-                   config=TreeConfig(**doc["hyperparameters"]),
+        """Nodes linked by child indices that point forward, each once."""
+        docs = doc["nodes"]
+        nodes = [TreeNode(counts=tuple(d["counts"])) for d in docs]
+        if not nodes:
+            raise DataError("dtree model has no nodes")
+        reached = set()
+        for i, d in enumerate(docs):
+            if "feature" not in d:
+                continue
+            nodes[i].feature, nodes[i].threshold = d["feature"], d["threshold"]
+            for side in ("left", "right"):
+                j = d[side]
+                if not i < j < len(nodes) or j in reached:
+                    raise DataError(f"dtree node {i}: {side} child index "
+                                    f"{j!r} is not a later, unused node")
+                reached.add(j)
+                setattr(nodes[i], side, nodes[j])
+        return cls(root=nodes[0], config=TreeConfig(**doc["hyperparameters"]),
                    n_features=doc["n_features"])
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    d = {"counts": list(node.counts)}
-    if not node.is_leaf:
-        d.update(feature=node.feature, threshold=node.threshold,
-                 left=_node_to_dict(node.left), right=_node_to_dict(node.right))
-    return d
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    node = TreeNode(counts=tuple(d["counts"]))
-    if "feature" in d:
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.left = _node_from_dict(d["left"])
-        node.right = _node_from_dict(d["right"])
-    return node
+def _preorder(root: TreeNode) -> list:
+    nodes, todo = [], [root]
+    while todo:
+        nodes.append(todo.pop())
+        if not nodes[-1].is_leaf:
+            todo += [nodes[-1].right, nodes[-1].left]
+    return nodes
 
 
 def _walk(node: TreeNode, row) -> TreeNode:
@@ -123,59 +154,77 @@ def _class_counts(labels: np.ndarray) -> tuple:
     return (int(np.sum(labels == 0)), int(np.sum(labels == 1)))
 
 
+def _entropies(pos, total):
+    """Array twin of ``_entropy`` for counts (total - pos, pos), total > 0."""
+    ent = 0.0
+    for c in (total - pos, pos):
+        p = c / total
+        ent = ent - p * np.log2(p, out=np.zeros(p.shape), where=c > 0)
+    return ent
+
+
 def _best_split(rows: np.ndarray, labels: np.ndarray, min_leaf: int):
-    """Highest-gain-ratio (feature, threshold) with positive gain, or None."""
+    """Highest-gain-ratio (feature, threshold) with positive gain, or None;
+    array ops screen the cuts, within a margin (see the module docstring)."""
     n = len(labels)
-    parent_entropy = _entropy(_class_counts(labels))
-    best = None  # (gain_ratio, gain, feature, threshold)
-    for f in range(rows.shape[1]):
-        order = np.argsort(rows[:, f], kind="stable")
-        values = rows[order, f]
-        ordered_labels = labels[order]
-        # Prefix counts of positives ahead of each possible cut position.
-        pos_prefix = np.cumsum(ordered_labels)
-        for cut in range(min_leaf, n - min_leaf + 1):
-            if cut < 1 or cut > n - 1 or values[cut - 1] == values[cut]:
-                continue
-            left_pos = int(pos_prefix[cut - 1])
-            left = (cut - left_pos, left_pos)
-            right = (n - cut - (int(pos_prefix[-1]) - left_pos),
-                     int(pos_prefix[-1]) - left_pos)
-            child_entropy = (cut / n) * _entropy(left) \
-                + ((n - cut) / n) * _entropy(right)
-            gain = parent_entropy - child_entropy
-            if gain <= _GAIN_EPS:
-                continue
-            split_info = _entropy((cut, n - cut))
-            ratio = gain / split_info
-            threshold = (values[cut - 1] + values[cut]) / 2.0
-            # Adjacent floats can round the midpoint up onto values[cut],
-            # which would move rows across the split; pin it below.
-            if threshold >= values[cut]:
-                threshold = values[cut - 1]
-            key = (ratio, gain, -f, -threshold)
-            if best is None or key > best[0]:
-                best = (key, f, threshold)
-    if best is None:
+    lo, hi = max(min_leaf, 1), min(n - min_leaf, n - 1)
+    if lo > hi:
         return None
-    return best[1], best[2]
+    order = np.argsort(rows, axis=0, kind="stable")
+    values = np.take_along_axis(rows, order, axis=0)
+    pos_prefix = np.cumsum(labels[order], axis=0)
+    parent_entropy = _entropy(_class_counts(labels))
+    cuts = np.arange(lo, hi + 1)[:, None]
+    left_pos = pos_prefix[lo - 1:hi]
+    gains = parent_entropy - (
+        cuts / n * _entropies(left_pos, cuts)
+        + (n - cuts) / n * _entropies(pos_prefix[-1] - left_pos, n - cuts))
+    ratios = gains / _entropies(cuts, n)
+    margin = n * 2.0 ** -44   # 512 unit roundoffs per row
+    keep = (values[lo - 1:hi] != values[lo:hi + 1]) \
+        & (gains > _GAIN_EPS - margin)
+    sure = keep & (gains > _GAIN_EPS + margin)
+    if sure.any():
+        keep &= ratios >= ratios[sure].max() - margin
+    best = None  # (key, feature, threshold)
+    for i, f in zip(*np.nonzero(keep)):
+        cut, f = lo + int(i), int(f)
+        left_pos = int(pos_prefix[cut - 1, f])
+        right_pos = int(pos_prefix[-1, f]) - left_pos
+        child_entropy = (cut / n) * _entropy((cut - left_pos, left_pos)) \
+            + ((n - cut) / n) * _entropy((n - cut - right_pos, right_pos))
+        gain = parent_entropy - child_entropy
+        if gain <= _GAIN_EPS:
+            continue
+        ratio = gain / _entropy((cut, n - cut))
+        threshold = (values[cut - 1, f] + values[cut, f]) / 2.0
+        # Adjacent floats can round the midpoint up onto values[cut],
+        # which would move rows across the split; pin it below.
+        if threshold >= values[cut, f]:
+            threshold = values[cut - 1, f]
+        key = (ratio, gain, -f, -threshold)
+        if best is None or key > best[0]:
+            best = (key, f, threshold)
+    return None if best is None else best[1:]
 
 
 def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> TreeNode:
-    counts = _class_counts(labels)
-    node = TreeNode(counts=counts)
-    if counts[0] == 0 or counts[1] == 0 or len(labels) < 2 * cfg.min_leaf:
-        return node
-    split = _best_split(rows, labels, cfg.min_leaf)
-    if split is None:
-        return node
-    f, threshold = split
-    mask = rows[:, f] <= threshold
-    node.feature = f
-    node.threshold = float(threshold)
-    node.left = _grow(rows[mask], labels[mask], cfg)
-    node.right = _grow(rows[~mask], labels[~mask], cfg)
-    return node
+    root = TreeNode(counts=_class_counts(labels))
+    todo = [(root, rows, labels)]
+    while todo:
+        node, rows, labels = todo.pop()
+        split = None if 0 in node.counts or len(labels) < 2 * cfg.min_leaf \
+            else _best_split(rows, labels, cfg.min_leaf)
+        if split is None:
+            continue
+        f, threshold = split
+        node.feature, node.threshold = f, float(threshold)
+        mask = rows[:, f] <= threshold
+        node.left = TreeNode(counts=_class_counts(labels[mask]))
+        node.right = TreeNode(counts=_class_counts(labels[~mask]))
+        todo += [(node.right, rows[~mask], labels[~mask]),
+                 (node.left, rows[mask], labels[mask])]
+    return root
 
 
 def normal_upper_quantile(p: float) -> float:
@@ -194,14 +243,11 @@ def normal_upper_quantile(p: float) -> float:
     d = (7.784695709041462e-03, 3.224671290700398e-01,
          2.445134137142996e+00, 3.754408661907416e+00)
     p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+    if not p_low <= p <= p_high:
+        q = math.sqrt(-2 * math.log(min(p, 1 - p)))
+        tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > p_high:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+        return tail if p < p_low else -tail
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
@@ -227,31 +273,28 @@ def added_errors(n: int, e: int, confidence: float) -> float:
     return upper * n - e
 
 
-def _prune(node: TreeNode, confidence: float) -> float:
+def _prune(root: TreeNode, confidence: float) -> float:
     """Prune bottom-up; return the estimated errors of what is left."""
-    as_leaf = node.leaf_errors + added_errors(node.size, node.leaf_errors,
-                                              confidence)
-    if node.is_leaf:
-        return as_leaf
-    as_subtree = _prune(node.left, confidence) \
-        + _prune(node.right, confidence)
-    if as_leaf <= as_subtree + 1e-10:
-        node.feature = None
-        node.threshold = None
-        node.left = None
-        node.right = None
-        return as_leaf
-    return as_subtree
+    estimates = {}   # id(node) -> estimated errors of its pruned subtree
+    for node in reversed(_preorder(root)):   # children before parents
+        as_leaf = node.leaf_errors + added_errors(node.size, node.leaf_errors,
+                                                  confidence)
+        if not node.is_leaf:
+            as_subtree = estimates.pop(id(node.left)) \
+                + estimates.pop(id(node.right))
+            if as_leaf > as_subtree + 1e-10:
+                estimates[id(node)] = as_subtree
+                continue
+            node.feature = node.threshold = node.left = node.right = None
+        estimates[id(node)] = as_leaf
+    return estimates[id(root)]
 
 
 def train_dtree(rows: np.ndarray, labels: np.ndarray,
                 config: TreeConfig | None = None) -> TreeModel:
     """Grow (and optionally prune) a tree; single-class data gives one leaf."""
     cfg = config or TreeConfig()
-    rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(rows) == 0:
-        raise DataError("cannot train on an empty dataset")
+    rows, labels = training_arrays(rows, labels)
     root = _grow(rows, labels, cfg)
     if cfg.prune:
         _prune(root, cfg.confidence)

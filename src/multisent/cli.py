@@ -140,13 +140,10 @@ def cmd_score(args) -> int:
     priors = priors[formula]
     rule_words = rule_cfg.all_words if rule_cfg else frozenset()
 
-    lines = []
-    if args.sentence_formula:
-        sf = SentenceFormula.from_name(args.sentence_formula)
-        lines.append("doc_id\tsentence\tscore")
-    else:
-        sf = None
-        lines.append("doc_id\tindex\tsurface\tlemma\tprior\tadjusted")
+    sf = (SentenceFormula.from_name(args.sentence_formula)
+          if args.sentence_formula else None)
+    lines = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted" if sf is None
+             else "doc_id\tsentence\tscore"]
     for doc in docs:
         token_priors = score_tokens(doc, priors, rule_words)
         adjusted = token_priors

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .util import atomic_write_text
+from .util import atomic_write_text, sum_left
 
 CSV_HEADER = "rank,word,actual_count,ideal_frequency,log_rank,log_actual,log_ideal"
 
@@ -80,8 +80,8 @@ def kl_divergence(p, q, base: float | None = None) -> float:
     for name, vec in (("p", p), ("q", q)):
         if any(x < 0 for x in vec):
             raise ValueError(f"{name} has negative entries")
-        if abs(sum(vec) - 1.0) > 1e-9:
-            raise ValueError(f"{name} does not sum to 1 (got {sum(vec)!r})")
+        if abs(sum_left(vec) - 1.0) > 1e-9:
+            raise ValueError(f"{name} does not sum to 1 (got {sum_left(vec)!r})")
     total = 0.0
     for pi, qi in zip(p, q):
         if pi == 0.0:
@@ -99,12 +99,12 @@ def smooth_distribution(q, eps: float = 1e-12):
     q = [float(x) for x in q]
     if any(x == 0.0 for x in q):
         q = [x + eps for x in q]
-    s = sum(q)
+    s = sum_left(q)
     return [x / s for x in q]
 
 
 def _normalize(values):
-    s = float(sum(values))
+    s = sum_left(values)
     return [v / s for v in values]
 
 

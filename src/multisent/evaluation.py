@@ -135,16 +135,13 @@ class EvalReport:
         for part in ("train", "test"):
             metrics = [getattr(f, part) for f in self.folds]
             out[part] = {
-                "pos": {key: float(np.mean([getattr(m, f"{key_name}_pos")
-                                            for m in metrics]))
-                        for key, key_name in (("p", "precision"),
-                                              ("r", "recall"), ("f", "f"))},
-                "neg": {key: float(np.mean([getattr(m, f"{key_name}_neg")
-                                            for m in metrics]))
-                        for key, key_name in (("p", "precision"),
-                                              ("r", "recall"), ("f", "f"))},
-                "flags": sorted({name for m in metrics for name in m.degenerate}),
-            }
+                side: {key: float(np.mean([getattr(m, f"{name}_{side}")
+                                           for m in metrics]))
+                       for key, name in (("p", "precision"), ("r", "recall"),
+                                         ("f", "f"))}
+                for side in ("pos", "neg")}
+            out[part]["flags"] = sorted({name for m in metrics
+                                         for name in m.degenerate})
         return out
 
     def to_dict(self) -> dict:
@@ -168,10 +165,8 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     results = []
     models = []
     for f in range(k):
-        test_idx = np.flatnonzero(folds == f)
-        train_idx = np.flatnonzero(folds != f)
-        train_set = dataset.subset(train_idx)
-        test_set = dataset.subset(test_idx)
+        train_set = dataset.subset(np.flatnonzero(folds != f))
+        test_set = dataset.subset(np.flatnonzero(folds == f))
 
         cfg = classifiers.with_seed(config, derive_seed(seed, "fold", f))
         model = classifiers.train(classifier, train_set.rows,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .util import atomic_write_text
+from .util import atomic_write_text, sum_left
 
 TERM8_NAMES = ("count_pos", "count_neg", "sum_pos", "sum_neg",
                "avg_pos", "avg_neg", "first_subj", "last_subj")
@@ -73,13 +73,14 @@ def term_features(scores) -> list:
     pos = [s for s in scores if s > 0]
     neg = [s for s in scores if s < 0]
     subjective = [s for s in scores if s != 0]
+    sum_pos, sum_neg = sum_left(pos), sum_left(neg)
     return [
         float(len(pos)),
         float(len(neg)),
-        sum(pos),
-        sum(neg),
-        sum(pos) / len(pos) if pos else 0.0,
-        sum(neg) / len(neg) if neg else 0.0,
+        sum_pos,
+        sum_neg,
+        sum_pos / len(pos) if pos else 0.0,
+        sum_neg / len(neg) if neg else 0.0,
         subjective[0] if subjective else 0.0,
         subjective[-1] if subjective else 0.0,
     ]

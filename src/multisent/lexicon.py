@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, ParseError
+from .util import sum_left
 
 
 class PriorFormula(enum.Enum):
@@ -105,8 +106,8 @@ def f_avg(senses) -> PolarityPair:
     """Mean of |positive| and mean of |negative| over the senses."""
     senses = _require_senses(senses)
     return PolarityPair(
-        pos=sum(abs(s.positive) for s in senses) / len(senses),
-        neg=sum(abs(s.negative) for s in senses) / len(senses))
+        pos=sum_left(abs(s.positive) for s in senses) / len(senses),
+        neg=sum_left(abs(s.negative) for s in senses) / len(senses))
 
 
 def f_max(senses) -> PolarityPair:

@@ -56,9 +56,6 @@ class PipelineConfig:
                 f"level must be 'term' or 'document', got {self.level!r}")
         try:
             variant = Variant.from_level_and_width(self.level, int(self.variant))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc))
-        try:
             prior = PriorFormula.from_name(self.prior_formula)
         except ValueError as exc:
             raise ConfigurationError(str(exc))

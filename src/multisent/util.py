@@ -1,4 +1,5 @@
-"""Small shared helpers: seeding, deterministic RNG, atomic file writes."""
+"""Small shared helpers: seeding, deterministic RNG, float sums, atomic
+file writes."""
 
 import hashlib
 import os
@@ -22,6 +23,15 @@ def derive_seed(seed: int, *labels) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator; identical streams on every platform."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def sum_left(values) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` did before Python
+    3.12 compensated it; artifacts get the same bits on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -5,6 +5,7 @@ loops and no imports from the package, so a test comparing the library
 against these functions is a genuine dual-route check.
 """
 
+import math
 import unicodedata
 
 import numpy as np
@@ -87,7 +88,6 @@ def metrics(tp, fp, tn, fn):
 
 def kl_terms(p, q):
     """Termwise p_i * ln(p_i / q_i), summed with plain math."""
-    import math
     total = 0.0
     for pi, qi in zip(p, q):
         if pi > 0:
@@ -167,6 +167,64 @@ def smo(kernel, y, c, tol, max_passes, rng):
         if violations == 0 or progressed == 0:
             break
     return alphas, b, moves
+
+
+TREE_GAIN_EPS = 1e-12
+
+
+def tree_entropy(counts):
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    ent = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            ent -= p * math.log2(p)
+    return ent
+
+
+def best_split(rows, labels, min_leaf):
+    """Scalar gain-ratio split search: every cut of every feature in turn.
+
+    Highest-gain-ratio (feature, threshold) with positive gain, or None;
+    ties go to the lower feature, then the lower threshold.
+    """
+    n = len(labels)
+    parent_entropy = tree_entropy((int(np.sum(labels == 0)),
+                                   int(np.sum(labels == 1))))
+    best = None  # (gain_ratio, gain, feature, threshold)
+    for f in range(rows.shape[1]):
+        order = np.argsort(rows[:, f], kind="stable")
+        values = rows[order, f]
+        ordered_labels = labels[order]
+        # Prefix counts of positives ahead of each possible cut position.
+        pos_prefix = np.cumsum(ordered_labels)
+        for cut in range(min_leaf, n - min_leaf + 1):
+            if cut < 1 or cut > n - 1 or values[cut - 1] == values[cut]:
+                continue
+            left_pos = int(pos_prefix[cut - 1])
+            left = (cut - left_pos, left_pos)
+            right = (n - cut - (int(pos_prefix[-1]) - left_pos),
+                     int(pos_prefix[-1]) - left_pos)
+            child_entropy = (cut / n) * tree_entropy(left) \
+                + ((n - cut) / n) * tree_entropy(right)
+            gain = parent_entropy - child_entropy
+            if gain <= TREE_GAIN_EPS:
+                continue
+            split_info = tree_entropy((cut, n - cut))
+            ratio = gain / split_info
+            threshold = (values[cut - 1] + values[cut]) / 2.0
+            # Adjacent floats can round the midpoint up onto values[cut],
+            # which would move rows across the split; pin it below.
+            if threshold >= values[cut]:
+                threshold = values[cut - 1]
+            key = (ratio, gain, -f, -threshold)
+            if best is None or key > best[0]:
+                best = (key, f, threshold)
+    if best is None:
+        return None
+    return best[1], best[2]
 
 
 # The five-sense example entry used throughout the formula tests:

@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ from multisent.classifiers import (AnnConfig, SvmConfig, SvmModel,
                                    TreeConfig, load_model, predict,
                                    predict_labels, save_model, train_ann,
                                    train_dtree, train_svm)
-from multisent.classifiers import svm
+from multisent.classifiers import svm, tree
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
 from multisent.classifiers.tree import (TreeModel, TreeNode, added_errors,
                                         normal_upper_quantile)
 from multisent.errors import DataError
+from multisent.features import Variant
+from multisent.lexicon import PriorFormula
+from multisent.pipeline import PipelineConfig, featurize, load_inputs
+from multisent.synth import SynthConfig, generate
 from multisent.util import derive_seed, make_rng
 
 import oracles
@@ -153,6 +158,66 @@ class TestAnn:
             assert label == (1 if score >= 0 else 0)
 
 
+def tied_rows():
+    """Symmetric labels over a feature, its copy and its mirror, so cuts
+    and features tie exactly in ratio and gain."""
+    x = np.arange(12.0)
+    labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0])
+    return np.column_stack([x, x, -x, np.full(12, 5.0)]), labels
+
+
+def coarse_rows():
+    """Few distinct values per feature, so rows and cuts repeat."""
+    rng = make_rng(41)
+    rows = rng.integers(0, 4, size=(70, 3)).astype(float)
+    labels = (rows[:, 0] + rng.integers(0, 3, size=70) > 2).astype(int)
+    return rows, labels
+
+
+def near_gain_eps_rows(n, k, a, b):
+    """One cut of ``n`` rows whose gain lies one rounding step from
+    ``_GAIN_EPS``: ``a`` of the ``k`` rows at 0 and ``b`` of the rest
+    at 1 are positive, beside a constant feature."""
+    labels = np.zeros(n, dtype=int)
+    labels[:a] = 1
+    labels[k:k + b] = 1
+    x = np.repeat([0.0, 1.0], [k, n - k])
+    return np.column_stack([np.full(n, -2.0), x]), labels
+
+
+def synth_rows():
+    """TERM8 rows with rules of a noisy synthetic corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = generate(SynthConfig(docs_per_class=40, purity=0.8,
+                                     rule_fraction=0.3, seed=7), tmp)
+        cfg = PipelineConfig(corpus_dir=str(paths.corpus_dir),
+                             lexicon_path=str(paths.lexicon),
+                             lemma_dict_path=str(paths.lemma_dict),
+                             out_dir=tmp, negations_path=str(paths.negations),
+                             intensifiers_path=str(paths.intensifiers))
+        inputs = load_inputs(cfg, [PriorFormula.MAX_SUB], True)
+        dataset = featurize(inputs, Variant.TERM8, PriorFormula.MAX_SUB,
+                            None, True)
+    return dataset.rows, dataset.labels
+
+
+SPLIT_PROBLEMS = {
+    "blobs": overlapping_blobs, "duplicates": duplicated_rows,
+    "one_feature": one_feature_rows, "ties": tied_rows,
+    "coarse": coarse_rows, "synth": synth_rows,
+    "gain_below_eps": lambda: near_gain_eps_rows(1909, 900, 289, 324),
+    "gain_above_eps": lambda: near_gain_eps_rows(2614, 1173, 569, 699),
+}
+
+
+def same_split(got, want) -> bool:
+    """Same feature and a bit-equal threshold, or both None."""
+    if got is None or want is None:
+        return got is want
+    return got[0] == want[0] and \
+        np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
 class TestTree:
     def test_pure_data_is_a_single_leaf(self):
         rows = np.array([[1.0], [2.0], [3.0]])
@@ -216,6 +281,100 @@ class TestTree:
         labels = np.array([0, 0, 1, 1])
         model = train_dtree(rows, labels, TreeConfig(min_leaf=1, prune=False))
         assert accuracy(model, rows, labels) == 1.0
+
+    @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5])
+    @pytest.mark.parametrize("problem", sorted(SPLIT_PROBLEMS))
+    def test_best_split_matches_scalar_oracle(self, monkeypatch, problem,
+                                              min_leaf):
+        rows, labels = SPLIT_PROBLEMS[problem]()
+        screened = tree._best_split
+        searched = []
+
+        def checked(rows, labels, min_leaf):
+            got = screened(rows, labels, min_leaf)
+            want = oracles.best_split(rows, labels, min_leaf)
+            searched.append(len(labels))
+            assert same_split(got, want), (len(labels), got, want)
+            return got
+
+        monkeypatch.setattr(tree, "_best_split", checked)
+        train_dtree(rows, labels, TreeConfig(min_leaf=min_leaf, prune=False))
+        assert searched
+        # Nodes too small for two children of min_leaf rows are never
+        # searched while growing; ask for them directly.
+        for n in range(1, min(2 * min_leaf + 2, len(labels)) + 1):
+            checked(rows[:n], labels[:n], min_leaf)
+
+    def test_split_grid_meets_ties_and_the_gain_floor(self):
+        rows, labels = tied_rows()
+        assert tree._best_split(rows, labels, 2) == (0, 2.5)
+        rows, labels = near_gain_eps_rows(1909, 900, 289, 324)
+        assert tree._best_split(rows, labels, 2) is None
+        rows, labels = near_gain_eps_rows(2614, 1173, 569, 699)
+        assert tree._best_split(rows, labels, 2) == (1, 0.5)
+
+    def test_deep_tree_trains_and_round_trips(self):
+        rows = np.arange(3000.0)[:, None]
+        labels = np.arange(3000) % 2
+        model = train_dtree(rows, labels, TreeConfig(prune=False))
+        depth, todo = 0, [(model.root, 0)]
+        while todo:
+            node, d = todo.pop()
+            depth = max(depth, d)
+            if not node.is_leaf:
+                todo += [(node.left, d + 1), (node.right, d + 1)]
+        assert depth > 990
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model),
+                                                     indent=2)))
+        assert model_to_dict(back) == model_to_dict(model)
+        assert np.array_equal(predict_labels(back, rows),
+                              predict_labels(model, rows))
+        assert train_dtree(rows, labels).root.is_leaf
+
+    def test_nodes_serialize_flat_in_pre_order(self):
+        rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])
+        doc = model_to_dict(train_dtree(rows, np.array([0, 0, 0, 1, 1, 1])))
+        assert doc["format_version"] == 2
+        assert doc["nodes"] == [
+            {"counts": [3, 3], "feature": 0, "threshold": 6.5,
+             "left": 1, "right": 2},
+            {"counts": [3, 0]}, {"counts": [0, 3]}]
+
+    @pytest.mark.parametrize("nodes,message", [
+        ([], "no nodes"),
+        ([{"counts": [1, 1], "feature": 0, "threshold": 0.5,
+           "left": 0, "right": 1}, {"counts": [1, 0]}], "node 0: left child index 0 is not"),
+        ([{"counts": [1, 1], "feature": 0, "threshold": 0.5,
+           "left": 1, "right": 3}, {"counts": [1, 0]}, {"counts": [0, 1]}],
+         "node 0: right child index 3 is not"),
+        ([{"counts": [2, 1], "feature": 0, "threshold": 0.5,
+           "left": 1, "right": 2},
+          {"counts": [1, 1], "feature": 0, "threshold": 0.2,
+           "left": 2, "right": 3},
+          {"counts": [1, 0]}, {"counts": [0, 1]}], "node 1: left child index 2 is not"),
+        ([{"counts": [1, 1], "feature": 0, "threshold": 0.5,
+           "left": "1", "right": 2}, {"counts": [1, 0]}, {"counts": [0, 1]}],
+         "malformed dtree model"),
+    ])
+    def test_bad_node_lists_are_data_errors(self, nodes, message):
+        rows, labels = separable_blobs(6, gap=3.0)
+        doc = model_to_dict(train_dtree(rows, labels))
+        with pytest.raises(DataError, match=message):
+            model_from_dict({**doc, "nodes": nodes})
+
+    def test_version_one_models_are_refused(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "dtree", "n_features": 1,
+            "hyperparameters": {"confidence": 0.25, "min_leaf": 2,
+                                "prune": True},
+            "normalization": None,
+            "nodes": {"counts": [1, 1], "feature": 0, "threshold": 0.5,
+                      "left": {"counts": [1, 0]},
+                      "right": {"counts": [0, 1]}}}), encoding="utf-8")
+        with pytest.raises(DataError,
+                           match="unsupported model format version: 1"):
+            load_model(path)
 
     def test_quantile_reference_value(self):
         assert normal_upper_quantile(0.75) \
@@ -351,6 +510,10 @@ class TestSharedSurface:
         rows[7, 1] = bad
         with pytest.raises(DataError, match="non-finite"):
             classifiers.train(kind, rows, labels)
+        trainer = {"ann": train_ann, "dtree": train_dtree,
+                   "svm": train_svm}[kind]
+        with pytest.raises(DataError, match="non-finite"):
+            trainer(rows, labels)
 
     @pytest.mark.parametrize("kind,config", [
         ("ann", AnnConfig(max_epochs=40, seed=6)),
@@ -379,7 +542,7 @@ class TestSharedSurface:
     def test_missing_model_keys_are_data_errors(self, tmp_path, kind, config,
                                                 keys):
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps({"format_version": 1, "kind": kind}),
+        path.write_text(json.dumps({"format_version": 2, "kind": kind}),
                         encoding="utf-8")
         with pytest.raises(DataError, match=f"{kind} model is missing keys"):
             load_model(path)
@@ -395,7 +558,7 @@ class TestSharedSurface:
             model_from_dict([1, 2])
         for kind in (None, "forest", ["svm"]):
             with pytest.raises(DataError, match="unknown model kind"):
-                model_from_dict({"format_version": 1, "kind": kind})
+                model_from_dict({"format_version": 2, "kind": kind})
         rows, labels = separable_blobs(6, gap=3.0)
         docs = {kind: model_to_dict(classifiers.train(kind, rows, labels,
                                                       config))
@@ -404,7 +567,7 @@ class TestSharedSurface:
         svm_params = {**docs["svm"]["hyperparameters"], "kernel": "rbf"}
         for kind, change, message in [
                 ("ann", {"weights": {}}, r"missing keys: \['w1'\]"),
-                ("dtree", {"nodes": {}}, r"missing keys: \['counts'\]"),
+                ("dtree", {"nodes": [{}]}, r"missing keys: \['counts'\]"),
                 ("svm", {"hyperparameters": svm_params}, "kernel"),
                 ("ann", {"normalization": None}, "malformed ann model"),
                 ("svm", {"support_vectors": "x"}, "malformed svm model"),

@@ -225,7 +225,7 @@ class TestFeaturizeTrainEvaluate:
                      "dtree", "--out", str(model)]) == 0
         doc = json.loads(model.read_text(encoding="utf-8"))
         assert doc["kind"] == "dtree"
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
 
         report = tmp_path / "report.json"
         assert main(["evaluate", "--features", str(features), "--classifier",
@@ -245,6 +245,24 @@ class TestFeaturizeTrainEvaluate:
                      "dtree", "--out", str(tmp_path / "model.json")]) == 2
         assert "nan.csv:2: non-finite field" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_deep_tree_trains_and_evaluates(self, tmp_path, capsys):
+        # 3000 rows with alternating labels on one varying feature grow
+        # an unpruned tree about 1,000 levels deep.
+        features = tmp_path / "deep.csv"
+        features.write_text(
+            "label,count_pos_sent,count_neg_sent,max_pos,max_neg\n"
+            + "".join(f"{i % 2},{float(i)!r},0.0,0.0,0.0\n"
+                      for i in range(3000)), encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert main(["train", "--features", str(features), "--classifier",
+                     "dtree", "--no-prune", "--out", str(model)]) == 0
+        assert main(["evaluate", "--features", str(features),
+                     "--classifier", "dtree", "--no-prune", "--folds", "3",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert len(doc["nodes"]) > 1000
 
     def test_featurize_errors_name_their_stage(self, data, tmp_path, capsys):
         assert main(["featurize", "--corpus", str(tmp_path / "none"),

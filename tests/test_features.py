@@ -7,6 +7,8 @@ from multisent.errors import DataError
 from multisent.features import (Dataset, Variant, doc_features,
                                 read_features_csv, term_features,
                                 write_features_csv)
+from multisent.lexicon import SenseScore, f_avg
+from multisent.util import sum_left
 
 
 class TestTermFeatures:
@@ -37,6 +39,15 @@ class TestTermFeatures:
             assert ap * cp == pytest.approx(sp, abs=1e-9)
             assert an * cn == pytest.approx(sn, abs=1e-9)
             assert sp >= 0 and sn <= 0 and ap >= 0 and an <= 0
+
+    def test_sums_add_left_to_right_on_every_python(self):
+        # A compensated sum (Python >= 3.12) gives 1.0 here.
+        assert sum_left([0.1] * 10) == 0.9999999999999999
+        assert sum_left([]) == 0.0 and isinstance(sum_left([]), float)
+        row = term_features([0.1] * 10 + [-0.1] * 10)
+        assert row[2:6] == [0.9999999999999999, -0.9999999999999999,
+                            0.09999999999999999, -0.09999999999999999]
+        assert f_avg([SenseScore(0.1, 0.1)] * 10).pos == 0.09999999999999999
 
     def test_two_decimal_display_rounding(self):
         # a mean of 20.2 over 166 positives prints as 0.12 at two decimals
