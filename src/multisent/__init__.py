@@ -8,9 +8,8 @@ Zipf/KL corpus quality statistics.
 
 __version__ = "0.1.0"
 
-from .corpus_io import (LemmaDictionary, RawDocument, Token,
-                        TokenizedDocument, load_corpus,
-                        load_lemma_dictionary, prepare_document)
+from .corpus_io import (LemmaDictionary, RawDocument, TokenizedDocument,
+                        load_corpus, load_lemma_dictionary, prepare_document)
 from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)
@@ -21,5 +20,6 @@ from .lexicon import (LexiconEntry, PolarityPair, PriorFormula, SenseScore,
                       prior_table)
 from .pipeline import PipelineConfig, build_dataset, run_pipeline, sweep
 from .scoring import (RuleConfig, SentenceFormula, apply_rules, s_max,
-                      score_tokens, sentence_score, sentence_scores)
+                      score_document, score_tokens, sentence_score,
+                      sentence_scores)
 from .synth import SynthConfig, generate

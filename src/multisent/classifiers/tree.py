@@ -28,7 +28,7 @@ arithmetic rescores the kept cuts and picks by the key (ratio, gain,
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,16 @@ class TreeConfig:
                 f"confidence must be in (0, 1), got {self.confidence}")
 
 
-@dataclass
+# Children stay out of repr and nodes compare by identity, so neither
+# method walks a subtree: trees may be deeper than the recursion limit.
+@dataclass(eq=False)
 class TreeNode:
     counts: tuple            # (negatives, positives) of training rows here
     feature: int | None = None
     threshold: float | None = None
-    left: "TreeNode | None" = None    # rows with value <= threshold
-    right: "TreeNode | None" = None
+    # rows with value <= threshold
+    left: "TreeNode | None" = field(default=None, repr=False)
+    right: "TreeNode | None" = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:

@@ -10,8 +10,7 @@ import sys
 from pathlib import Path
 
 from . import classifiers
-from .corpus_io import (TokenizedDocument, load_corpus, strip_noise,
-                        tokenize_and_segment)
+from .corpus_io import TokenizedDocument, load_corpus, tokenize_and_segment
 from .corpus_quality import quality_report, rank_frequencies
 from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
@@ -19,8 +18,7 @@ from .features import read_features_csv, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
 from .pipeline import (PipelineConfig, featurize, load_inputs,
                        read_config_file, run_pipeline, sweep)
-from .scoring import (SentenceFormula, apply_rules, score_tokens,
-                      sentence_scores)
+from .scoring import SentenceFormula, score_document, sentence_scores
 from .synth import SynthConfig, generate
 from .util import atomic_write_text
 
@@ -108,9 +106,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    docs = [TokenizedDocument(
-                id=r.id, label=r.label,
-                tokens=strip_noise(tokenize_and_segment(r.text)[0]))
+    docs = [TokenizedDocument(r.id, r.label, tokenize_and_segment(r.text)[0])
             for r in load_corpus(args.corpus)]
     table = rank_frequencies(docs)
     base = 2.0 if args.log_base == "2" else None
@@ -138,20 +134,16 @@ def cmd_score(args) -> int:
     _, formula, _, _ = cfg.resolve()
     docs, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
     priors = priors[formula]
-    rule_words = rule_cfg.all_words if rule_cfg else frozenset()
 
     sf = (SentenceFormula.from_name(args.sentence_formula)
           if args.sentence_formula else None)
     lines = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted" if sf is None
              else "doc_id\tsentence\tscore"]
     for doc in docs:
-        token_priors = score_tokens(doc, priors, rule_words)
-        adjusted = token_priors
-        if rule_cfg is not None:
-            adjusted = apply_rules(token_priors, doc, rule_cfg)
+        token_priors, adjusted = score_document(doc, priors, rule_cfg)
         if sf is None:
             for i, (tok, lemma) in enumerate(zip(doc.tokens, doc.lemmas)):
-                lines.append(f"{doc.id}\t{i}\t{tok.surface}\t{lemma}"
+                lines.append(f"{doc.id}\t{i}\t{tok}\t{lemma}"
                              f"\t{token_priors[i]!r}\t{adjusted[i]!r}")
         else:
             for k, value in enumerate(sentence_scores(doc, adjusted, sf)):
@@ -225,10 +217,6 @@ def _pipeline_config(args) -> PipelineConfig:
     for required in ("corpus_dir", "lexicon_path", "lemma_dict_path", "out_dir"):
         if not merged.get(required):
             raise ConfigurationError(f"missing required setting: {required}")
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(merged) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     cfg = PipelineConfig(**merged)
     cfg.classifier_options = _classifier_options(args, cfg.classifier)
     return cfg

@@ -4,8 +4,10 @@ Corpus layout on disk: ``<root>/pos/*.txt`` and ``<root>/neg/*.txt``, one
 UTF-8 document per file. Lemma dictionaries are UTF-8 TSV files with one
 ``surface<TAB>lemma`` pair per line; ``#``-prefixed lines are comments.
 
-Tokens are maximal non-whitespace runs. Sentence boundary characters
-terminate the current token and are not kept as part of any token.
+Tokens are maximal runs of characters that are neither whitespace nor
+sentence boundary characters. Tokens with no letter (digits,
+punctuation, symbols) are noise: they are dropped while the text is
+split, and a sentence left with no token is dropped with them.
 """
 
 import re
@@ -16,20 +18,17 @@ from pathlib import Path
 from .errors import ConfigurationError, DataError, ParseError
 
 # Sentence boundary characters: ASCII terminators plus the Arabic question
-# mark and semicolon. Newlines always terminate a sentence.
-DEFAULT_BOUNDARY_CHARS = frozenset(".!?؟؛")
+# mark and semicolon. Line breaks always terminate a sentence.
+_BOUNDARY_RE = re.compile(r"[.!?؟؛]")
 
 # Arabic diacritics (tashkeel), Quranic annotation marks, dagger alif, and
 # tatweel; stripped before any dictionary or rule-word lookup.
 _DIACRITICS_RE = re.compile(r"[ؐ-ًؚ-ٰٟـ]")
 
-# Default affix lists for the light-stemming fallback.
-DEFAULT_PREFIXES = ("و", "ف", "ال", "وال",
-                    "بال", "كال",
-                    "فال", "لل")
-DEFAULT_SUFFIXES = ("ها", "ان", "ات",
-                    "ون", "ين", "ه", "ة",
-                    "ي")
+# Affixes of the light-stemming fallback, longest first so the longest
+# matching affix wins.
+_PREFIXES = ("وال", "بال", "كال", "فال", "ال", "لل", "و", "ف")
+_SUFFIXES = ("ها", "ان", "ات", "ون", "ين", "ه", "ة", "ي")
 
 
 def remove_diacritics(text: str) -> str:
@@ -44,30 +43,25 @@ class RawDocument:
     text: str
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int       # index in the pre-noise-stripping token sequence
-
-
 @dataclass
 class TokenizedDocument:
-    """A document after tokenization, noise stripping, and lemmatization.
+    """A document after tokenization and lemmatization.
 
-    ``sentences`` holds half-open ``(start, end)`` ranges over indices of
-    ``tokens``; the ranges are sorted, disjoint, and cover every index.
+    ``tokens`` holds the surface of each kept token. ``sentences`` holds
+    half-open ``(start, end)`` ranges over indices of ``tokens``; the
+    ranges are sorted, disjoint, non-empty, and cover every index.
     ``lemmas`` is parallel to ``tokens``.
     """
     id: str
     label: int
-    tokens: list[Token] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list)
     sentences: list[tuple[int, int]] = field(default_factory=list)
     lemmas: list[str] = field(default_factory=list)
 
     @cached_property
     def forms(self) -> list[str]:
         """Diacritic-free surface of each token, as rule words are matched."""
-        return [remove_diacritics(t.surface) for t in self.tokens]
+        return list(map(remove_diacritics, self.tokens))
 
 
 class LemmaDictionary:
@@ -79,12 +73,8 @@ class LemmaDictionary:
     the stripped form itself is the lemma. Lookup never fails.
     """
 
-    def __init__(self, mapping=None, prefixes=DEFAULT_PREFIXES,
-                 suffixes=DEFAULT_SUFFIXES):
+    def __init__(self, mapping=None):
         self.mapping = dict(mapping or {})
-        # Longest-first so the longest affix wins.
-        self.prefixes = sorted(prefixes, key=len, reverse=True)
-        self.suffixes = sorted(suffixes, key=len, reverse=True)
 
     def lemma(self, surface: str) -> str:
         form = remove_diacritics(surface)
@@ -96,19 +86,18 @@ class LemmaDictionary:
 
     def _strip_affixes(self, form: str) -> str:
         # A strip must leave at least two characters behind.
-        for pre in self.prefixes:
+        for pre in _PREFIXES:
             if form.startswith(pre) and len(form) - len(pre) >= 2:
                 form = form[len(pre):]
                 break
-        for suf in self.suffixes:
+        for suf in _SUFFIXES:
             if form.endswith(suf) and len(form) - len(suf) >= 2:
                 form = form[:-len(suf)]
                 break
         return form
 
 
-def load_lemma_dictionary(path, prefixes=DEFAULT_PREFIXES,
-                          suffixes=DEFAULT_SUFFIXES) -> LemmaDictionary:
+def load_lemma_dictionary(path) -> LemmaDictionary:
     """Read a surface<TAB>lemma TSV into a LemmaDictionary."""
     path = Path(path)
     mapping = {}
@@ -125,7 +114,7 @@ def load_lemma_dictionary(path, prefixes=DEFAULT_PREFIXES,
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(f"{path}:{n}: expected 'surface<TAB>lemma'")
         mapping[remove_diacritics(parts[0])] = parts[1]
-    return LemmaDictionary(mapping, prefixes=prefixes, suffixes=suffixes)
+    return LemmaDictionary(mapping)
 
 
 def load_corpus(root_path) -> list[RawDocument]:
@@ -159,74 +148,38 @@ def load_corpus(root_path) -> list[RawDocument]:
     return docs
 
 
-def tokenize_and_segment(text: str, boundary_chars=DEFAULT_BOUNDARY_CHARS):
-    """Split text into whitespace tokens and sentence ranges.
+def tokenize_and_segment(text: str):
+    """Split text into token surfaces and sentence ranges, dropping noise.
 
-    Every boundary character (and every newline) closes the current
-    sentence; consecutive boundaries do not create empty sentences. A text
-    with no boundary marker is a single sentence.
+    Every boundary character and every line break closes the current
+    sentence. Words with no letter are dropped as they are split off, and
+    a sentence with no kept word is dropped, so consecutive boundaries
+    make no empty sentence. A text with no boundary marker is a single
+    sentence.
 
     Returns ``(tokens, sentences)`` where sentences are half-open ranges
     over token indices.
     """
-    tokens: list[Token] = []
+    tokens: list[str] = []
     sentences: list[tuple[int, int]] = []
-    sent_start = 0
-
-    def close_sentence():
-        nonlocal sent_start
-        if len(tokens) > sent_start:
-            sentences.append((sent_start, len(tokens)))
-            sent_start = len(tokens)
-
     for line in text.splitlines():
-        for chunk in line.split():
-            current: list[str] = []
-            for ch in chunk:
-                if ch in boundary_chars:
-                    if current:
-                        tokens.append(Token("".join(current), len(tokens)))
-                        current = []
-                    close_sentence()
-                else:
-                    current.append(ch)
-            if current:
-                tokens.append(Token("".join(current), len(tokens)))
-        close_sentence()
-    close_sentence()
+        for segment in _BOUNDARY_RE.split(line):
+            words = [w for w in segment.split()
+                     if any(ch.isalpha() for ch in w)]
+            if words:
+                sentences.append((len(tokens), len(tokens) + len(words)))
+                tokens += words
     return tokens, sentences
 
 
-def strip_noise(tokens: list[Token]) -> list[Token]:
-    """Drop tokens with no letters (digits, punctuation, symbols only).
+def prepare_document(raw: RawDocument,
+                     lemma_dict: LemmaDictionary) -> TokenizedDocument:
+    """Tokenize, segment, and lemmatize one raw document.
 
-    Kept tokens retain their original ``position`` values.
+    A document whose tokens are all noise yields zero tokens and zero
+    sentences.
     """
-    return [t for t in tokens if any(ch.isalpha() for ch in t.surface)]
-
-
-def prepare_document(raw: RawDocument, lemma_dict: LemmaDictionary,
-                     boundary_chars=DEFAULT_BOUNDARY_CHARS) -> TokenizedDocument:
-    """Tokenize, segment, noise-strip, and lemmatize one raw document.
-
-    Sentence ranges are remapped onto the surviving token indices;
-    sentences left empty by noise stripping are dropped. A document whose
-    tokens are all noise yields zero tokens and zero sentences.
-    """
-    all_tokens, raw_sentences = tokenize_and_segment(raw.text, boundary_chars)
-    kept = strip_noise(all_tokens)
-    kept_positions = [t.position for t in kept]
-
-    sentences = []
-    lo = 0
-    for start, end in raw_sentences:
-        hi = lo
-        while hi < len(kept_positions) and kept_positions[hi] < end:
-            hi += 1
-        if hi > lo:
-            sentences.append((lo, hi))
-        lo = hi
-
-    lemmas = [lemma_dict.lemma(t.surface) for t in kept]
-    return TokenizedDocument(id=raw.id, label=raw.label, tokens=kept,
-                             sentences=sentences, lemmas=lemmas)
+    tokens, sentences = tokenize_and_segment(raw.text)
+    return TokenizedDocument(id=raw.id, label=raw.label, tokens=tokens,
+                             sentences=sentences,
+                             lemmas=[lemma_dict.lemma(t) for t in tokens])

@@ -43,10 +43,10 @@ class QualityReport:
 
 
 def rank_frequencies(docs) -> FrequencyTable:
-    """Count noise-stripped surface tokens across documents and rank them."""
+    """Count surface tokens across documents and rank them."""
     counts = Counter()
     for doc in docs:
-        counts.update(t.surface for t in doc.tokens)
+        counts.update(doc.tokens)
     if not counts:
         raise DataError("cannot rank frequencies of an empty corpus")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -82,6 +82,12 @@ def kl_divergence(p, q, base: float | None = None) -> float:
             raise ValueError(f"{name} has negative entries")
         if abs(sum_left(vec) - 1.0) > 1e-9:
             raise ValueError(f"{name} does not sum to 1 (got {sum_left(vec)!r})")
+    return _kl_sum(p, q, base)
+
+
+def _kl_sum(p, q, base: float | None) -> float:
+    # Sum of p(i) * log(p(i) / q(i)) over p(i) != 0. Over raw frequencies
+    # it is not a true divergence and not guaranteed nonnegative.
     total = 0.0
     for pi, qi in zip(p, q):
         if pi == 0.0:
@@ -108,19 +114,6 @@ def _normalize(values):
     return [v / s for v in values]
 
 
-def _raw_kl(p_raw, q_raw, base: float | None = None) -> float:
-    # Same summation as kl_divergence but over unnormalized frequencies;
-    # not a true divergence and not guaranteed nonnegative.
-    total = 0.0
-    for pi, qi in zip(p_raw, q_raw):
-        if pi == 0.0:
-            continue
-        total += pi * math.log(pi / qi)
-    if base is not None:
-        total /= math.log(base)
-    return total
-
-
 def quality_report(table: FrequencyTable, a: float = 1.0,
                    csv_path=None, base: float | None = None) -> QualityReport:
     """Compare observed counts against the ideal curve over ranks 1..N.
@@ -137,7 +130,7 @@ def quality_report(table: FrequencyTable, a: float = 1.0,
 
     kl_prob = kl_divergence(_normalize(ideal),
                             smooth_distribution(observed), base=base)
-    kl_raw = _raw_kl(ideal, observed, base=base)
+    kl_raw = _kl_sum(ideal, observed, base)
 
     path_str = None
     if csv_path is not None:

@@ -8,7 +8,7 @@ configuration reproduces its outputs byte for byte.
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import classifiers
@@ -18,8 +18,8 @@ from .evaluation import EvalReport, run_cv
 from .features import (Dataset, Variant, doc_features, term_features,
                        write_features_csv)
 from .lexicon import PriorFormula, load_lexicon, prior_table
-from .scoring import (RuleConfig, SentenceFormula, apply_rules,
-                      load_word_list, score_tokens, sentence_scores)
+from .scoring import (RuleConfig, SentenceFormula, load_word_list,
+                      score_document, sentence_scores)
 from .util import atomic_write_text
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
@@ -95,12 +95,9 @@ def build_dataset(docs, priors, variant: Variant,
                   sentence_formula: SentenceFormula | None = None) -> Dataset:
     """Score documents into full-width rows, in corpus order, and project
     them onto ``variant``."""
-    rule_words = rule_cfg.all_words if rule_cfg else frozenset()
     rows = []
     for doc in docs:
-        scores = score_tokens(doc, priors, rule_words)
-        if rule_cfg is not None:
-            scores = apply_rules(scores, doc, rule_cfg)
+        _, scores = score_document(doc, priors, rule_cfg)
         if variant.level == "term":
             rows.append(term_features(scores))
         else:
@@ -289,12 +286,20 @@ def _level_of(variant_width) -> str:
     raise ConfigurationError(f"no variant has {variant_width} features")
 
 
+# The type each config-file value must parse to: int, bool, or str for
+# names and paths. Classifier options come from flags only.
+_FILE_TYPES = {f.name: f.type if f.type in (int, bool) else str
+               for f in fields(PipelineConfig)
+               if f.name != "classifier_options"}
+
+
 def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` configuration file.
 
     Values may be quoted strings, booleans (true/false), integers,
     floats, or bare strings; ``#`` starts a comment line. Keys mirror
-    PipelineConfig field names.
+    PipelineConfig field names, and each value must parse to its field's
+    type; an unknown key or a mistyped value is a ConfigurationError.
     """
     values = {}
     try:
@@ -310,24 +315,25 @@ def read_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{n}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = _parse_value(raw.strip())
+        key, raw = key.strip(), raw.strip()
+        if key not in _FILE_TYPES:
+            raise ConfigurationError(f"{path}:{n}: unknown config key {key!r}")
+        value = _parse_value(raw)
+        if type(value) is not _FILE_TYPES[key]:
+            raise ConfigurationError(f"{path}:{n}: {key} must be of type "
+                                     f"{_FILE_TYPES[key].__name__}, got {raw!r}")
+        values[key] = value
     return values
 
 
 def _parse_value(raw: str):
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         return raw[1:-1]
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
     return raw

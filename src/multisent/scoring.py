@@ -11,6 +11,7 @@ the (max positive, max |negative|) pair.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus_io import TokenizedDocument, remove_diacritics
@@ -48,7 +49,7 @@ class RuleConfig:
             raise ValueError(
                 f"words listed as both negation and intensifier: {sorted(overlap)}")
 
-    @property
+    @cached_property
     def all_words(self) -> frozenset:
         return self.negation_words | self.intensifier_words
 
@@ -120,6 +121,17 @@ def apply_rules(priors: list[float], doc: TokenizedDocument,
                 value = intensify(value)
             adjusted[i] = value
     return adjusted
+
+
+def score_document(doc: TokenizedDocument, priors: dict[str, float],
+                   rule_cfg: RuleConfig | None = None):
+    """Each token's prior and its score after the rules, as two lists;
+    without ``rule_cfg`` both lists are the priors."""
+    if rule_cfg is None:
+        token_priors = score_tokens(doc, priors)
+        return token_priors, token_priors
+    token_priors = score_tokens(doc, priors, rule_cfg.all_words)
+    return token_priors, apply_rules(token_priors, doc, rule_cfg)
 
 
 def s_max(term_scores) -> PolarityPair:

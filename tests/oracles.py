@@ -69,6 +69,69 @@ def is_noise_token(surface):
                for ch in surface)
 
 
+BOUNDARY_CHARS = frozenset(".!?؟؛")
+
+
+def tokenize_and_segment(text):
+    """Character-loop tokenizer: ``(surface, position)`` tokens, noise
+    included, and sentence ranges over them.
+
+    Every boundary character (and every newline) closes the current
+    sentence; consecutive boundaries do not create empty sentences.
+    """
+    tokens = []
+    sentences = []
+    sent_start = 0
+
+    def close_sentence():
+        nonlocal sent_start
+        if len(tokens) > sent_start:
+            sentences.append((sent_start, len(tokens)))
+            sent_start = len(tokens)
+
+    for line in text.splitlines():
+        for chunk in line.split():
+            current = []
+            for ch in chunk:
+                if ch in BOUNDARY_CHARS:
+                    if current:
+                        tokens.append(("".join(current), len(tokens)))
+                        current = []
+                    close_sentence()
+                else:
+                    current.append(ch)
+            if current:
+                tokens.append(("".join(current), len(tokens)))
+        close_sentence()
+    close_sentence()
+    return tokens, sentences
+
+
+def strip_noise(tokens):
+    """Drop tokens with no letters; kept tokens retain their position."""
+    return [t for t in tokens if any(ch.isalpha() for ch in t[0])]
+
+
+def noise_free_tokens(text):
+    """Tokenize, strip noise, then remap each sentence range onto the
+    surviving tokens through their positions; sentences left empty are
+    dropped. Returns ``(surfaces, sentences)``."""
+    all_tokens, raw_sentences = tokenize_and_segment(text)
+    kept = strip_noise(all_tokens)
+    kept_positions = [position for _, position in kept]
+
+    sentences = []
+    lo = 0
+    for start, end in raw_sentences:
+        hi = lo
+        while hi < len(kept_positions) and kept_positions[hi] < end:
+            hi += 1
+        if hi > lo:
+            sentences.append((lo, hi))
+        lo = hi
+    return [surface for surface, _ in kept], sentences
+
+
 def metrics(tp, fp, tn, fn):
     """Direct evaluation of the per-class precision/recall/F formulas."""
     def safe(num, den):

@@ -16,7 +16,7 @@ from multisent import classifiers
 from multisent.classifiers import SvmConfig, TreeConfig
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.cli import main
-from multisent.corpus_io import Token, TokenizedDocument, load_corpus
+from multisent.corpus_io import TokenizedDocument, load_corpus
 from multisent.corpus_quality import (kl_divergence, quality_report,
                                       rank_frequencies)
 from multisent.evaluation import (ConfusionCounts, class_metrics,
@@ -108,7 +108,7 @@ def test_criterion_04_rule_properties():
 
     def make_doc(words, sentences):
         return TokenizedDocument(
-            id="d", label=1, tokens=[Token(w, i) for i, w in enumerate(words)],
+            id="d", label=1, tokens=list(words),
             sentences=sentences, lemmas=list(words))
 
     # zero priors are never modified
@@ -284,7 +284,7 @@ def test_criterion_10_corpus_quality():
     for r in range(1, 11):
         words.extend([f"w{r:02d}"] * (2520 // r))
     doc = TokenizedDocument(
-        id="z", label=1, tokens=[Token(w, i) for i, w in enumerate(words)],
+        id="z", label=1, tokens=list(words),
         sentences=[(0, len(words))], lemmas=list(words))
     table = rank_frequencies([doc])
     report = quality_report(table, a=1.0)

@@ -330,6 +330,10 @@ class TestTree:
         assert np.array_equal(predict_labels(back, rows),
                               predict_labels(model, rows))
         assert train_dtree(rows, labels).root.is_leaf
+        # Neither repr nor == walks the children.
+        assert repr(model).startswith("TreeModel(root=TreeNode(")
+        assert model == model and back != model
+        assert model.root == model.root and back.root != model.root
 
     def test_nodes_serialize_flat_in_pre_order(self):
         rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])

@@ -345,6 +345,28 @@ class TestPipeline:
         cfg.write_text("nonsense_key = 1\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("line,key", [
+        ("k = five", "k"), ("window = wide", "window"), ("seed = abc", "seed"),
+        ("rules = maybe", "rules"), ("classifier_options = foo",
+                                     "classifier_options"),
+    ])
+    def test_mistyped_config_value_is_config_error(self, data, tmp_path,
+                                                   capsys, line, key):
+        out = tmp_path / "run"
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("\n".join([
+            f'corpus_dir = "{data["corpus"]}"',
+            f'lexicon_path = "{data["lexicon"]}"',
+            f'lemma_dict_path = "{data["lemma_dict"]}"',
+            f'out_dir = "{out}"',
+            "classifier = dtree",
+            line]) + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad.conf:6: " in err and key in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
 
 class TestSweep:
     def test_grid_shape_and_argmax(self, data, tmp_path, capsys):

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from multisent.corpus_io import (LemmaDictionary, RawDocument, Token,
+from multisent.corpus_io import (LemmaDictionary, RawDocument,
                                  load_corpus, load_lemma_dictionary,
-                                 prepare_document,
-                                 remove_diacritics, strip_noise,
+                                 prepare_document, remove_diacritics,
                                  tokenize_and_segment)
 from multisent.errors import ConfigurationError, DataError, ParseError
 
@@ -68,8 +67,8 @@ class TestTokenizeAndSegment:
     def test_period_splits_sentences(self):
         tokens, sentences = tokenize_and_segment(
             "جيد. سيء")
-        assert [t.surface for t in tokens] == ["جيد",
-                                               "سيء"]
+        assert tokens == ["جيد",
+                          "سيء"]
         assert sentences == [(0, 1), (1, 2)]
 
     def test_no_boundary_is_one_sentence(self):
@@ -97,56 +96,67 @@ class TestTokenizeAndSegment:
 
     def test_consecutive_boundaries_make_no_empty_sentence(self):
         tokens, sentences = tokenize_and_segment("wow!!! then... done")
-        assert [t.surface for t in tokens] == ["wow", "then", "done"]
+        assert tokens == ["wow", "then", "done"]
         assert sentences == [(0, 1), (1, 2), (2, 3)]
 
     def test_boundary_inside_chunk_splits_token(self):
         tokens, sentences = tokenize_and_segment("good.bad")
-        assert [t.surface for t in tokens] == ["good", "bad"]
+        assert tokens == ["good", "bad"]
         assert sentences == [(0, 1), (1, 2)]
-
-    def test_positions_strictly_increase(self):
-        tokens, _ = tokenize_and_segment("a b. c d! e")
-        assert [t.position for t in tokens] == list(range(5))
 
     def test_empty_text(self):
         assert tokenize_and_segment("") == ([], [])
 
+    def test_matches_character_loop_oracle(self):
+        # Random texts over letters, diacritics, tatweel, both boundary
+        # sets, line breaks, Unicode spaces, digits and punctuation; the
+        # oracle tokenizes with a character loop, strips noise, then
+        # remaps sentence ranges through token positions.
+        pool = ("abXفيلمرائعجيد" "\u064e\u0650\u0651\u0640"
+                ".!?\u061f\u061b" "\n\r\x0b\x1c" "  \t\xa0\u3000"
+                "0123٣" ",:/%-_()\"'")
+        rng = random.Random(2026)
+        for _ in range(10_000):
+            text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+            assert tokenize_and_segment(text) == oracles.noise_free_tokens(text)
+
 
 class TestStripNoise:
+    """Tokens with no letter are dropped while the text is split."""
+
     def test_digits_and_punct_removed(self):
-        tokens = [Token("فيلم", 0), Token("123", 1),
-                  Token("!", 2)]
-        kept = strip_noise(tokens)
-        assert [t.surface for t in kept] == ["فيلم"]
+        tokens, sentences = tokenize_and_segment("فيلم 123 !")
+        assert tokens == ["فيلم"]
+        assert sentences == [(0, 1)]
 
     def test_empty_list(self):
-        assert strip_noise([]) == []
+        assert tokenize_and_segment(" \t\n ") == ([], [])
 
     def test_mixed_ratio_token_removed_letter_token_kept(self):
         # classified with the independent character-class oracle
-        tokens = [Token("رائع", 0), Token("10/1", 1)]
-        for t in tokens:
-            assert oracles.is_noise_token(t.surface) == (t.surface == "10/1")
-        kept = strip_noise(tokens)
-        assert [t.surface for t in kept] == ["رائع"]
+        for surface in ("رائع", "10/1"):
+            assert oracles.is_noise_token(surface) == (surface == "10/1")
+        tokens, _ = tokenize_and_segment("رائع 10/1")
+        assert tokens == ["رائع"]
 
     def test_positions_preserved(self):
-        tokens = [Token("x1", 0), Token("99", 1), Token("y", 2)]
-        kept = strip_noise(tokens)
-        assert [(t.surface, t.position) for t in kept] == [("x1", 0), ("y", 2)]
+        # Kept tokens keep their order, and sentence ranges index the
+        # kept tokens only.
+        assert tokenize_and_segment("x1 99 y") == (["x1", "y"], [(0, 2)])
+        assert tokenize_and_segment("x1 99. y") == (["x1", "y"],
+                                                    [(0, 1), (1, 2)])
 
     def test_idempotent_on_random_token_lists(self):
         rng = random.Random(3)
         alphabet = "abفي19.,!/ "
         for _ in range(300):
-            tokens = [Token("".join(rng.choice(alphabet.strip())
-                                    for _ in range(rng.randint(1, 6))), i)
-                      for i in range(rng.randint(0, 10))]
-            once = strip_noise(tokens)
-            assert strip_noise(once) == once
+            words = ["".join(rng.choice(alphabet.strip())
+                             for _ in range(rng.randint(1, 6)))
+                     for _ in range(rng.randint(0, 10))]
+            once, _ = tokenize_and_segment(" ".join(words))
+            assert tokenize_and_segment(" ".join(once))[0] == once
             for t in once:
-                assert not oracles.is_noise_token(t.surface)
+                assert not oracles.is_noise_token(t)
 
     def test_agrees_with_character_class_oracle(self):
         rng = random.Random(8)
@@ -154,7 +164,7 @@ class TestStripNoise:
         for _ in range(500):
             surface = "".join(rng.choice(pool.replace(" ", ""))
                               for _ in range(rng.randint(1, 5)))
-            kept = strip_noise([Token(surface, 0)])
+            kept, _ = tokenize_and_segment(surface)
             assert bool(kept) == (not oracles.is_noise_token(surface))
 
 
@@ -218,8 +228,7 @@ class TestPrepareDocument:
         raw = RawDocument(id="pos/a.txt", label=1,
                           text="good 123 . !! bad stuff\nmore")
         doc = prepare_document(raw, LemmaDictionary({}))
-        surfaces = [t.surface for t in doc.tokens]
-        assert surfaces == ["good", "bad", "stuff", "more"]
+        assert doc.tokens == ["good", "bad", "stuff", "more"]
         assert doc.sentences == [(0, 1), (1, 3), (3, 4)]
         covered = [i for s, e in doc.sentences for i in range(s, e)]
         assert covered == list(range(len(doc.tokens)))

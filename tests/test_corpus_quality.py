@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from multisent.corpus_io import Token, TokenizedDocument
+from multisent.corpus_io import TokenizedDocument
 from multisent.corpus_quality import (CSV_HEADER, FrequencyTable,
                                       ideal_zipf_frequency, kl_divergence,
                                       quality_report, rank_frequencies,
@@ -14,7 +14,7 @@ import oracles
 
 
 def doc_of(words, label=1):
-    tokens = [Token(w, i) for i, w in enumerate(words)]
+    tokens = list(words)
     return TokenizedDocument(id="d", label=label, tokens=tokens,
                              sentences=[(0, len(words))] if words else [],
                              lemmas=list(words))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multisent.corpus_io import Token, TokenizedDocument
+from multisent.corpus_io import TokenizedDocument
 from multisent.lexicon import PolarityPair
 from multisent.scoring import (RuleConfig, SentenceFormula, apply_rules,
                                intensify, negate, s_max, score_tokens,
@@ -19,7 +19,7 @@ RULES = RuleConfig(negation_words=frozenset({NEG, "negword"}),
 
 
 def doc_from_words(words, sentences=None, label=1):
-    tokens = [Token(w, i) for i, w in enumerate(words)]
+    tokens = list(words)
     if sentences is None:
         sentences = [(0, len(words))] if words else []
     return TokenizedDocument(id="t", label=label, tokens=tokens,
