@@ -8,8 +8,17 @@ Training restarts from several independent random initializations and
 keeps the run with the lowest final error. Inputs are min-max normalized
 to [-1, 1]; hidden and output units are tanh and class targets are +/-1,
 so the sign of the output is the predicted class.
+
+Each epoch runs one forward pass, on the candidate weights. The
+activations of the accepted weights are kept from the pass that accepted
+them, and their gradients are kept until the next candidate is accepted,
+so a rejected epoch runs no backward pass. Both passes write into work
+arrays allocated once per run, with the same element-wise operations in
+the same order as ``forward`` and ``loss_gradients`` on fresh arrays: a
+run's weights and error are the same bits either way.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,6 +48,21 @@ class AnnConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_epochs < 1:
+            raise ValueError(
+                f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(
+                f"momentum must be in [0, 1), got {self.momentum}")
+        if not 1 <= self.lr_up < math.inf:
+            raise ValueError(
+                f"lr_up must be finite and >= 1, got {self.lr_up}")
+        if not 0 < self.lr_down < 1:
+            raise ValueError(f"lr_down must be in (0, 1), got {self.lr_down}")
+        if not 0 <= self.goal < math.inf:
+            raise ValueError(f"goal must be finite and >= 0, got {self.goal}")
 
 
 @dataclass
@@ -58,7 +82,7 @@ class AnnModel:
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         x = self.normalization.apply(rows)
-        return forward(self.w1, self.b1, self.w2, self.b2, x)
+        return forward(self.w1, self.b1, self.w2, self.b2, x)[1]
 
     def to_dict(self) -> dict:
         return {"hyperparameters": asdict(self.config),
@@ -80,14 +104,53 @@ class AnnModel:
                    final_error=doc["final_error"])
 
 
-def forward(w1, b1, w2, b2, x: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(x @ w1.T + b1)
-    return np.tanh(hidden @ w2 + b2)
+def forward(w1, b1, w2, b2, x: np.ndarray, hidden=None, out=None):
+    """Activations ``(hidden, out)``: tanh(x @ w1.T + b1) and
+    tanh(hidden @ w2 + b2), written into the given ``hidden`` (n, H) and
+    ``out`` (n,) arrays, or into new ones."""
+    hidden = np.matmul(x, w1.T, out=hidden)
+    np.add(hidden, b1, out=hidden)
+    np.tanh(hidden, out=hidden)
+    out = np.matmul(hidden, w2, out=out)
+    np.add(out, b2, out=out)
+    return hidden, np.tanh(out, out=out)
+
+
+def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
+    """Mean of (out - targets)**2, squared in ``work`` (n,) if given."""
+    err = np.subtract(out, targets, out=work)
+    return float(np.mean(np.square(err, out=err)))
 
 
 def mse_loss(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray) -> float:
-    out = forward(w1, b1, w2, b2, x)
-    return float(np.mean((out - targets) ** 2))
+    return _mse(forward(w1, b1, w2, b2, x)[1], targets)
+
+
+def _work_arrays(n: int, hidden: int):
+    """Scratch for ``_backward``: two (n,) and two (n, hidden) arrays."""
+    return np.empty(n), np.empty(n), np.empty((n, hidden)), \
+        np.empty((n, hidden))
+
+
+def _backward(x, targets, hidden, out, w2, work):
+    """Gradients ``(g_w1, g_b1, g_w2, g_b2)`` of the mean squared error at
+    the weights whose activations are ``hidden`` and ``out``; the (n,)
+    and (n, H) temporaries go into ``work`` (see ``_work_arrays``)."""
+    d_out, slope, d_hidden, hidden_slope = work
+    np.subtract(out, targets, out=d_out)
+    np.multiply(2.0 / len(x), d_out, out=d_out)
+    np.square(out, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    np.multiply(d_out, slope, out=d_out)
+    g_w2 = hidden.T @ d_out
+    g_b2 = float(np.sum(d_out))
+    np.multiply(d_out[:, None], w2, out=d_hidden)
+    np.square(hidden, out=hidden_slope)
+    np.subtract(1.0, hidden_slope, out=hidden_slope)
+    np.multiply(d_hidden, hidden_slope, out=d_hidden)
+    g_w1 = d_hidden.T @ x
+    g_b1 = d_hidden.sum(axis=0)
+    return g_w1, g_b1, g_w2, g_b2
 
 
 def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
@@ -95,18 +158,9 @@ def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
 
     Returns ``(loss, (g_w1, g_b1, g_w2, g_b2))``.
     """
-    hidden = np.tanh(x @ w1.T + b1)
-    out = np.tanh(hidden @ w2 + b2)
-    err = out - targets
-    loss = float(np.mean(err ** 2))
-
-    d_out = (2.0 / len(x)) * err * (1.0 - out ** 2)
-    g_w2 = hidden.T @ d_out
-    g_b2 = float(np.sum(d_out))
-    d_hidden = np.outer(d_out, w2) * (1.0 - hidden ** 2)
-    g_w1 = d_hidden.T @ x
-    g_b1 = d_hidden.sum(axis=0)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    hidden, out = forward(w1, b1, w2, b2, x)
+    return _mse(out, targets), _backward(
+        x, targets, hidden, out, w2, _work_arrays(len(x), len(w2)))
 
 
 def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
@@ -119,15 +173,24 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     b2 = 0.0
     velocity = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
 
+    # Activations of the current weights and of the candidate: an accepted
+    # candidate's become current. Gradients stay until the weights move.
+    acts = forward(w1, b1, w2, b2, x)
+    cand_acts = np.empty_like(acts[0]), np.empty_like(acts[1])
+    work = _work_arrays(*acts[0].shape)
+    grads = None
+
     lr = cfg.lr
-    error = mse_loss(w1, b1, w2, b2, x, targets)
+    error = _mse(acts[1], targets, work[0])
     for _ in range(cfg.max_epochs):
         if error <= cfg.goal:
             break
-        _, grads = loss_gradients(w1, b1, w2, b2, x, targets)
+        if grads is None:
+            grads = _backward(x, targets, *acts, w2, work)
         velocity = [cfg.momentum * v - lr * g for v, g in zip(velocity, grads)]
         cand = [p + v for p, v in zip((w1, b1, w2, b2), velocity)]
-        new_error = mse_loss(*cand, x, targets)
+        forward(*cand, x, *cand_acts)
+        new_error = _mse(cand_acts[1], targets, work[0])
         if not np.isfinite(new_error):
             return None
         if new_error > error * ERROR_RATIO_TOLERANCE:
@@ -141,6 +204,8 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
             lr *= cfg.lr_up
         w1, b1, w2, b2 = cand
         error = new_error
+        acts, cand_acts = cand_acts, acts
+        grads = None
     return (w1, b1, w2, b2), error
 
 

@@ -10,6 +10,7 @@ sum(alpha_i * y_i) = 0. Training stops after a sweep with no violations or
 no moves, or at the sweep budget. Inputs are min-max scaled to [-1, 1].
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,8 +33,11 @@ class SvmConfig:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"c must be > 0, got {self.c}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_passes < 1:
             raise ValueError(
                 f"max_passes must be >= 1, got {self.max_passes}")

@@ -89,8 +89,19 @@ class TreeModel:
         return self.n_features
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
+        """Leaf scores; rows go left where ``value <= threshold`` and right
+        otherwise (``nan`` too), routed as index arrays through the tree."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return np.array([_walk(self.root, row).leaf_score() for row in rows])
+        values = np.empty(len(rows))
+        todo = [(self.root, np.arange(len(rows)))]
+        while todo:
+            node, idx = todo.pop()
+            if node.is_leaf:
+                values[idx] = node.leaf_score()
+            elif idx.size:
+                left = rows[idx, node.feature] <= node.threshold
+                todo += [(node.left, idx[left]), (node.right, idx[~left])]
+        return values
 
     def to_dict(self) -> dict:
         nodes = _preorder(self.root)
@@ -133,12 +144,6 @@ def _preorder(root: TreeNode) -> list:
         if not nodes[-1].is_leaf:
             todo += [nodes[-1].right, nodes[-1].left]
     return nodes
-
-
-def _walk(node: TreeNode, row) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
 
 
 def _entropy(counts) -> float:

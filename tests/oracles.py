@@ -290,6 +290,81 @@ def best_split(rows, labels, min_leaf):
     return best[1], best[2]
 
 
+ANN_ERROR_RATIO_TOLERANCE = 1.04
+
+
+def ann_forward(w1, b1, w2, b2, x):
+    hidden = np.tanh(x @ w1.T + b1)
+    return np.tanh(hidden @ w2 + b2)
+
+
+def ann_mse_loss(w1, b1, w2, b2, x, targets):
+    out = ann_forward(w1, b1, w2, b2, x)
+    return float(np.mean((out - targets) ** 2))
+
+
+def ann_loss_gradients(w1, b1, w2, b2, x, targets):
+    """Backpropagated MSE gradients from a fresh forward pass:
+    ``(loss, (g_w1, g_b1, g_w2, g_b2))``."""
+    hidden = np.tanh(x @ w1.T + b1)
+    out = np.tanh(hidden @ w2 + b2)
+    err = out - targets
+    loss = float(np.mean(err ** 2))
+
+    d_out = (2.0 / len(x)) * err * (1.0 - out ** 2)
+    g_w2 = hidden.T @ d_out
+    g_b2 = float(np.sum(d_out))
+    d_hidden = np.outer(d_out, w2) * (1.0 - hidden ** 2)
+    g_w1 = d_hidden.T @ x
+    g_b1 = d_hidden.sum(axis=0)
+    return loss, (g_w1, g_b1, g_w2, g_b2)
+
+
+def ann_run_once(x, targets, cfg, run_seed):
+    """One ``traingdx`` run with three fresh passes per epoch: forward and
+    backward at the current weights, then forward at the candidate.
+    Returns (params, final_error) or None on divergence."""
+    rng = np.random.Generator(np.random.Philox(run_seed))
+    n_features = x.shape[1]
+    w1 = rng.normal(size=(cfg.hidden, n_features)) / np.sqrt(n_features)
+    b1 = np.zeros(cfg.hidden)
+    w2 = rng.normal(size=cfg.hidden) / np.sqrt(cfg.hidden)
+    b2 = 0.0
+    velocity = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
+
+    lr = cfg.lr
+    error = ann_mse_loss(w1, b1, w2, b2, x, targets)
+    for _ in range(cfg.max_epochs):
+        if error <= cfg.goal:
+            break
+        _, grads = ann_loss_gradients(w1, b1, w2, b2, x, targets)
+        velocity = [cfg.momentum * v - lr * g for v, g in zip(velocity, grads)]
+        cand = [p + v for p, v in zip((w1, b1, w2, b2), velocity)]
+        new_error = ann_mse_loss(*cand, x, targets)
+        if not np.isfinite(new_error):
+            return None
+        if new_error > error * ANN_ERROR_RATIO_TOLERANCE:
+            # Reject the step: keep the old weights, damp the rate,
+            # and restart the momentum from zero.
+            lr *= cfg.lr_down
+            velocity = [np.zeros_like(w1), np.zeros_like(b1),
+                        np.zeros_like(w2), 0.0]
+            continue
+        if new_error < error:
+            lr *= cfg.lr_up
+        w1, b1, w2, b2 = cand
+        error = new_error
+    return (w1, b1, w2, b2), error
+
+
+def tree_walk(node, row):
+    """The leaf one row reaches, one node at a time: left where
+    ``row[feature] <= threshold``, right otherwise (``nan`` included)."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
 # The five-sense example entry used throughout the formula tests:
 # positive column (0.375, 0.75, 0.5, 0.25, 0.125), negative column
 # (0.25, 0.125, 0.375, 0.25, 0.0).

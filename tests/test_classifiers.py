@@ -9,13 +9,13 @@ from multisent.classifiers import (AnnConfig, SvmConfig, SvmModel,
                                    TreeConfig, load_model, predict,
                                    predict_labels, save_model, train_ann,
                                    train_dtree, train_svm)
-from multisent.classifiers import svm, tree
+from multisent.classifiers import ann, svm, tree
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
 from multisent.classifiers.tree import (TreeModel, TreeNode, added_errors,
                                         normal_upper_quantile)
-from multisent.errors import DataError
+from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
 from multisent.lexicon import PriorFormula
 from multisent.pipeline import PipelineConfig, featurize, load_inputs
@@ -69,6 +69,53 @@ def oracle_svm(rows, labels, cfg):
                      c=cfg.c, normalization=norm, config=cfg, alphas=alphas,
                      train_labels_pm=y)
     return model, moves
+
+
+def walked(model, rows):
+    """Leaf scores of ``rows`` walked one at a time through the tree."""
+    return np.array([oracles.tree_walk(model.root, row).leaf_score()
+                     for row in rows])
+
+
+def ann_problem(n, n_features, seed):
+    """Normalized-range rows with noisy +/-1 targets."""
+    rng = make_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, n_features))
+    targets = np.where(x.sum(axis=1) + rng.normal(size=n) > 0, 1.0, -1.0)
+    return x, targets
+
+
+def assert_same_run(got, want):
+    """Bit-equal weights and final error, or both runs diverged."""
+    if got is None or want is None:
+        assert got is want
+        return
+    (w1, b1, w2, b2), error = got
+    (o_w1, o_b1, o_w2, o_b2), o_error = want
+    assert np.array_equal(w1, o_w1) and np.array_equal(b1, o_b1)
+    assert np.array_equal(w2, o_w2)
+    assert b2 == o_b2 and error == o_error
+
+
+def counted_runs(monkeypatch, x, targets, cfg, run_seed):
+    """Both trainers' runs, the oracle's epochs, the distinct weights it
+    took gradients at, and the trainer's backward passes."""
+    weights, passes = [], []
+    oracle_gradients, backward = oracles.ann_loss_gradients, ann._backward
+
+    def gradients(w1, *args):
+        weights.append(w1.tobytes())
+        return oracle_gradients(w1, *args)
+
+    def counted_backward(*args):
+        passes.append(1)
+        return backward(*args)
+
+    monkeypatch.setattr(oracles, "ann_loss_gradients", gradients)
+    monkeypatch.setattr(ann, "_backward", counted_backward)
+    want = oracles.ann_run_once(x, targets, cfg, run_seed)
+    got = ann._run_once(x, targets, cfg, run_seed)
+    return got, want, len(weights), len(set(weights)), len(passes)
 
 
 class TestAnn:
@@ -149,6 +196,56 @@ class TestAnn:
         down = mse_loss(w1, b1, w2, b2 - h, x, targets)
         numeric = (up - down) / (2 * h)
         assert abs(numeric - g_b2) / max(abs(numeric), abs(g_b2), 1e-8) <= 1e-4
+
+    @pytest.mark.parametrize("n", [2, 37, 400])
+    @pytest.mark.parametrize("n_features", [1, 7])
+    @pytest.mark.parametrize("hidden", [1, 15])
+    def test_run_matches_three_pass_oracle(self, hidden, n_features, n):
+        for seed in range(3):
+            x, targets = ann_problem(n, n_features, seed)
+            cfg = AnnConfig(hidden=hidden, max_epochs=200)
+            run_seed = derive_seed(seed, "ann", 0)
+            assert_same_run(ann._run_once(x, targets, cfg, run_seed),
+                            oracles.ann_run_once(x, targets, cfg, run_seed))
+
+    def test_run_stopping_at_goal_matches_oracle(self, monkeypatch):
+        x, targets = ann_problem(37, 7, 4)
+        cfg = AnnConfig(max_epochs=500, goal=0.2)
+        got, want, epochs, _, _ = counted_runs(monkeypatch, x, targets,
+                                               cfg, 9)
+        assert 0 < epochs < cfg.max_epochs
+        assert want[1] <= cfg.goal
+        assert_same_run(got, want)
+
+    def test_rejected_epochs_reuse_gradients(self, monkeypatch):
+        x, targets = ann_problem(400, 7, 5)
+        cfg = AnnConfig(max_epochs=300, lr=5.0)
+        got, want, epochs, distinct, passes = counted_runs(
+            monkeypatch, x, targets, cfg, 3)
+        # The oracle took gradients at unchanged weights after each
+        # rejection; the trainer backpropagates once per weight setting.
+        assert epochs == cfg.max_epochs and distinct < epochs
+        assert passes == distinct
+        assert_same_run(got, want)
+
+    def test_non_finite_error_returns_none_from_both(self):
+        x, targets = ann_problem(37, 7, 6)
+        targets = targets * 1e200   # the squared error overflows
+        cfg = AnnConfig(max_epochs=20)
+        with np.errstate(over="ignore"):
+            assert ann._run_once(x, targets, cfg, 1) is None
+            assert oracles.ann_run_once(x, targets, cfg, 1) is None
+
+    @pytest.mark.parametrize("option", [
+        {"max_epochs": 0}, {"max_epochs": -3}, {"lr": 0.0}, {"lr": -1.0},
+        {"lr": float("nan")}, {"lr": float("inf")}, {"momentum": -0.1},
+        {"momentum": 1.0}, {"momentum": float("nan")}, {"lr_up": 0.9},
+        {"lr_up": float("inf")}, {"lr_down": 0.0}, {"lr_down": 1.0},
+        {"goal": -1e-3}, {"goal": float("nan")}, {"goal": float("inf")},
+    ])
+    def test_out_of_range_options_are_config_errors(self, option):
+        with pytest.raises(ConfigurationError, match=next(iter(option))):
+            classifiers.make_config("ann", **option)
 
     def test_sign_rule(self):
         rows, labels = separable_blobs(10)
@@ -313,6 +410,22 @@ class TestTree:
         rows, labels = near_gain_eps_rows(2614, 1173, 569, 699)
         assert tree._best_split(rows, labels, 2) == (1, 0.5)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prediction_routes_rows_like_the_node_walk(self, seed):
+        rng = make_rng(seed)
+        rows = rng.integers(0, 5, size=(150, 3)).astype(float)
+        labels = (rows[:, 0] + rows[:, 1] + rng.integers(0, 4, size=150)
+                  > 5).astype(int)
+        # Half-integers hit the thresholds exactly; nan goes right.
+        queries = np.vstack([rows, rng.integers(-2, 12, size=(60, 3)) / 2])
+        queries[rng.random(queries.shape) < 0.15] = np.nan
+        for cfg in (TreeConfig(min_leaf=1, prune=False), TreeConfig()):
+            model = train_dtree(rows, labels, cfg)
+            assert not model.root.is_leaf
+            assert np.array_equal(model.decision_values(queries),
+                                  walked(model, queries))
+        assert model.decision_values(queries[:0]).shape == (0,)
+
     def test_deep_tree_trains_and_round_trips(self):
         rows = np.arange(3000.0)[:, None]
         labels = np.arange(3000) % 2
@@ -329,6 +442,10 @@ class TestTree:
         assert model_to_dict(back) == model_to_dict(model)
         assert np.array_equal(predict_labels(back, rows),
                               predict_labels(model, rows))
+        queries = rows[::5].copy()
+        queries[::7] = np.nan
+        assert np.array_equal(model.decision_values(queries),
+                              walked(model, queries))
         assert train_dtree(rows, labels).root.is_leaf
         # Neither repr nor == walks the children.
         assert repr(model).startswith("TreeModel(root=TreeNode(")

@@ -83,7 +83,11 @@ class TestExitCodes:
         ("dtree", "--confidence 1.5"), ("dtree", "--confidence 0"),
         ("ann", "--restarts 0"), ("ann", "--hidden 0"),
         ("svm", "--svm-c 0"), ("svm", "--svm-c -1"), ("svm", "--gamma -1"),
-        ("svm", "--max-passes 0"),
+        ("svm", "--max-passes 0"), ("ann", "--max-epochs 0"),
+        ("ann", "--max-epochs -3"), ("ann", "--lr -1"), ("ann", "--lr 0"),
+        ("ann", "--lr nan"), ("ann", "--lr inf"), ("ann", "--momentum 1"),
+        ("ann", "--momentum -0.5"), ("svm", "--tol -1"), ("svm", "--tol nan"),
+        ("svm", "--tol inf"), ("svm", "--gamma inf"),
     ])
     def test_out_of_range_classifier_options_are_config_errors(
             self, tmp_path, data, capsys, kind, option):
