@@ -4,10 +4,42 @@ optimization.
 Each sweep visits every sample and takes its error, once, from the
 maintained vector alphas * y. A sample violating the KKT conditions by more
 than ``tol`` is paired with partners in seeded random order until a pair
-step moves; partners with j == i, an empty box or eta >= 0 are skipped
-without computing their errors. Pair updates keep every alpha in [0, C] and
-sum(alpha_i * y_i) = 0. Training stops after a sweep with no violations or
-no moves, or at the sweep budget. Inputs are min-max scaled to [-1, 1].
+step moves. Partners with j == i, an empty box or eta >= 0 are skipped
+without computing their errors, and so are partners whose step the screen
+below shows to stay under ``_STEP_EPS``. Pair updates keep every alpha in
+[0, C] and sum(alpha_i * y_i) = 0. Training stops after a sweep with no
+violations or no moves, or at the sweep budget. Inputs are min-max scaled
+to [-1, 1].
+
+Partner screen. ``ay`` and ``b`` change only when a pair step moves, so
+one product ``kernel @ ay + b - y``, taken again only after a move, gives
+the error E_j of every partner of every violator until the next move. It
+rounds differently from the per-row dot of ``_pair_step``, so it only
+screens: in the same permutation order, partner j of violator i is passed
+to ``_pair_step`` unless its predicted step plus a slack,
+
+    |clip(a_i - y_i (E_j - e_i) / eta_j, lo_j, hi_j) - a_i| + slack_j,
+
+is below ``_STEP_EPS``. ``_pair_step`` recomputes the partner's error with
+its exact per-row dot and decides every move, so the models are those of
+the unscreened loop, bit for bit.
+
+The slack. Let u = 2**-53 and S = sum(alpha) + |b| + 1. Every kernel
+entry lies in [0, 1] and |ay_l| = alpha_l, so both dots, in any summation
+order, lie within gamma_n * sum(alpha) of the exact sum, gamma_n =
+n u / (1 - n u) (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, section 3.1). Adding b and subtracting y_j round by at most u S
+each, so the two errors E_j differ by at most (2n + 4) u S, to first order
+in u. The step rounds three more times, on values bounded by S or by
+2 S / |eta_j|: the subtraction of e_i widens the gap by at most 4 u S,
+the division by eta_j adds 4 u S / |eta_j| and the subtraction from
+a_i <= S adds 8 u S / |eta_j| (as |eta_j| <= 2); clipping only narrows
+it. So the two predicted new alphas differ by at most (2n + 20) u S /
+|eta_j|, and rounding |step| and its comparison with ``_STEP_EPS`` cost
+less than another u S / |eta_j|. The screen uses slack_j = 64 n u S /
+|eta_j|, at least five times that bound for n >= 2, a margin in the
+spirit of the 512-roundoff one of the split screen in ``tree.py``. A step
+that is not finite keeps its partner.
 """
 
 import math
@@ -31,8 +63,8 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError(
                 f"gamma must be finite and > 0, got {self.gamma}")
@@ -103,11 +135,22 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
+def _screen_slack(alphas, b):
+    """64 n u (sum(alphas) + |b| + 1): bounds the gap between a partner's
+    error from the product ``kernel @ ay + b - y`` and from its per-row
+    dot, and, divided by |eta|, the gap between the two predicted steps
+    with a safety factor of at least five (module docstring)."""
+    u = np.finfo(float).eps / 2
+    return 64.0 * len(alphas) * u * (float(alphas.sum()) + abs(b) + 1.0)
+
+
 def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
     """One SMO update of partner ``i`` and violator ``j`` (error ``e_j``),
     for a pair the caller screened: ``i != j``, box [``lo``, ``hi``] at
-    least ``_STEP_EPS`` wide, ``eta < 0``. The partner's error comes from
-    ``ay = alphas * y``; a move updates both arrays. Returns (b, moved)."""
+    least ``_STEP_EPS`` wide, ``eta < 0``, and a step the product's errors
+    do not show to stay under ``_STEP_EPS``. The partner's error comes
+    from the exact per-row dot with ``ay = alphas * y`` and decides the
+    move; a move updates both arrays. Returns (b, moved)."""
     e_i = float(kernel[i] @ ay + b - y[i])
     a_i_old, a_j_old = alphas[i], alphas[j]
     a_j = a_j_old - y[j] * (e_i - e_j) / eta
@@ -148,6 +191,7 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
     ay = alphas * y
     b = 0.0
     rng = make_rng(derive_seed(cfg.seed, "svm"))
+    errors = slack = None   # kernel @ ay + b - y and its slack, until a move
 
     for _ in range(cfg.max_passes):
         violations = 0
@@ -169,11 +213,24 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
                               np.minimum(cfg.c, cfg.c + a_i - alphas))
                 eta = 2.0 * kernel[:, i] - kernel.diagonal() - kernel[i, i]
                 can_move = (hi - lo >= _STEP_EPS) & (eta < 0)
-                for j in order[can_move[order]].tolist():
+                partners = order[can_move[order]]
+                # Skip the partners whose step the product's errors show to
+                # stay under _STEP_EPS (module docstring).
+                if errors is None:
+                    errors = kernel @ ay + b - y
+                    slack = _screen_slack(alphas, b)
+                eta_p = eta[partners]
+                step = np.minimum(hi[partners], np.maximum(
+                    lo[partners],
+                    a_i - y[i] * (errors[partners] - e_i) / eta_p)) - a_i
+                # A nan step is not small, so _pair_step decides it.
+                small = np.abs(step) + slack / -eta_p < _STEP_EPS
+                for j in partners[~small].tolist():
                     b, moved = _pair_step(j, i, e_i, lo[j], hi[j], eta[j],
                                           alphas, ay, y, kernel, b, cfg.c)
                     if moved:
                         progressed += 1
+                        errors = None
                         break
         if violations == 0 or progressed == 0:
             break

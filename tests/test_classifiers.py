@@ -54,6 +54,19 @@ def one_feature_rows():
     return np.vstack([rows, rows[:3]]), np.concatenate([labels, labels[:3]])
 
 
+def near_duplicate_rows():
+    """Blobs plus ten rows moved by 1e-4 down to 1e-8 from a row of the
+    other label, so that eta is close to 0 and the screen's slack huge."""
+    rows, labels = separable_blobs(15, gap=1.5, seed=34)
+    shifts = np.array([1e-4, 1e-5, 1e-6, 1e-7, 1e-8])[:, None]
+    return (np.vstack([rows, rows[:5] + shifts, rows[20:25] - shifts]),
+            np.concatenate([labels, 1 - labels[:5], 1 - labels[20:25]]))
+
+
+def wide_rows():
+    return separable_blobs(100, gap=1.5, n_features=8, seed=35)
+
+
 def oracle_svm(rows, labels, cfg):
     """(model, moves) that the scalar SMO of ``oracles.smo`` reaches."""
     norm = NormalizationParams.fit(rows)
@@ -552,14 +565,17 @@ class TestSvm:
         assert label == (1 if score >= 0 else 0)
 
     @pytest.mark.parametrize("problem", [overlapping_blobs, duplicated_rows,
-                                         one_feature_rows])
-    @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0])
+                                         one_feature_rows,
+                                         near_duplicate_rows, wide_rows])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0, 1e4])
     def test_matches_scalar_oracle_bit_for_bit(self, problem, c):
         rows, labels = problem()
-        # Seeds 0-5 meet every (max_passes, gamma) pair once.
+        # Seeds 0-5 meet every (max_passes, gamma) and (max_passes, tol)
+        # pair once.
         for seed in range(6):
             cfg = SvmConfig(c=c, gamma=(None, 2.5)[seed % 2],
-                            max_passes=(1, 3, 200)[seed % 3], seed=seed)
+                            max_passes=(1, 3, 200)[seed % 3],
+                            tol=(1e-3, 0.0)[seed // 3], seed=seed)
             got = train_svm(rows, labels, cfg)
             want, _ = oracle_svm(rows, labels, cfg)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
@@ -599,6 +615,26 @@ class TestSvm:
             assert eta == eta_want and eta < 0
             assert e_j == e_want and ay_ok
         assert moves == oracle_svm(rows, labels, cfg)[1]
+        # The product's errors screen out nearly every partner that fails.
+        assert len(calls) <= 1.25 * moves
+
+    @pytest.mark.parametrize("n", [2, 37, 400, 2000])
+    def test_screen_slack_covers_product_error_gap(self, n):
+        for seed in range(3):
+            rng = make_rng(seed)
+            x = rng.uniform(-1.0, 1.0, size=(n, 4))
+            kernel = svm.rbf_kernel(x, x, rng.uniform(0.05, 5.0))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            for c in (1.0, 1e3, 1e6):
+                alphas = rng.uniform(0.0, c, n) * (rng.random(n) < 0.7)
+                alphas[rng.random(n) < 0.2] = c
+                ay = alphas * y
+                for b in (0.0, rng.uniform(-c, c)):
+                    product = kernel @ ay + b - y
+                    rows = [float(kernel[j] @ ay + b - y[j])
+                            for j in range(n)]
+                    gap = np.abs(product - rows)
+                    assert np.all(gap <= svm._screen_slack(alphas, b))
 
 
 class TestSharedSurface:

@@ -88,6 +88,7 @@ class TestExitCodes:
         ("ann", "--lr nan"), ("ann", "--lr inf"), ("ann", "--momentum 1"),
         ("ann", "--momentum -0.5"), ("svm", "--tol -1"), ("svm", "--tol nan"),
         ("svm", "--tol inf"), ("svm", "--gamma inf"),
+        ("svm", "--svm-c inf"),
     ])
     def test_out_of_range_classifier_options_are_config_errors(
             self, tmp_path, data, capsys, kind, option):
