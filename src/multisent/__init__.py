@@ -14,12 +14,11 @@ from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)
 from .errors import ConfigurationError, DataError, ParseError
-from .features import Dataset, Variant, doc_features, term_features
+from .features import Dataset, Variant, doc_rows, term_rows
 from .lexicon import (LexiconEntry, PolarityPair, PriorFormula, SenseScore,
                       aggregate_prior, f_avg, f_max, load_lexicon,
                       prior_table)
-from .pipeline import PipelineConfig, build_dataset, run_pipeline, sweep
-from .scoring import (RuleConfig, SentenceFormula, apply_rules, s_max,
-                      score_document, score_tokens, sentence_score,
-                      sentence_scores)
+from .pipeline import (PipelineConfig, build_dataset, prepare_corpus,
+                       run_pipeline, sweep)
+from .scoring import Corpus, RuleConfig, SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate

@@ -18,7 +18,7 @@ from .features import read_features_csv, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
 from .pipeline import (PipelineConfig, featurize, load_inputs,
                        read_config_file, run_pipeline, sweep)
-from .scoring import SentenceFormula, score_document, sentence_scores
+from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
 from .util import atomic_write_text
 
@@ -132,22 +132,30 @@ def cmd_lexicon_aggregate(args) -> int:
 def cmd_score(args) -> int:
     cfg = _corpus_config(args, prior_formula=args.formula)
     _, formula, _, _ = cfg.resolve()
-    docs, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
+    corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
     priors = priors[formula]
 
     sf = (SentenceFormula.from_name(args.sentence_formula)
           if args.sentence_formula else None)
-    lines = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted" if sf is None
-             else "doc_id\tsentence\tscore"]
-    for doc in docs:
-        token_priors, adjusted = score_document(doc, priors, rule_cfg)
-        if sf is None:
-            for i, (tok, lemma) in enumerate(zip(doc.tokens, doc.lemmas)):
-                lines.append(f"{doc.id}\t{i}\t{tok}\t{lemma}"
-                             f"\t{token_priors[i]!r}\t{adjusted[i]!r}")
-        else:
-            for k, value in enumerate(sentence_scores(doc, adjusted, sf)):
-                lines.append(f"{doc.id}\t{k}\t{value!r}")
+    if sf is None:
+        lines = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted"]
+        offsets = corpus.doc_tokens.tolist()
+        words = corpus.word_ids.tolist()
+        token_priors, adjusted = (
+            a.tolist() for a in corpus.token_scores(priors, rule_cfg))
+        for doc_id, start, end in zip(corpus.ids, offsets, offsets[1:]):
+            for t in range(start, end):
+                surface, lemma = corpus.words[words[t]]
+                lines.append(f"{doc_id}\t{t - start}\t{surface}\t{lemma}"
+                             f"\t{token_priors[t]!r}\t{adjusted[t]!r}")
+    else:
+        lines = ["doc_id\tsentence\tscore"]
+        offsets = corpus.doc_sentences.tolist()
+        values = sentence_scores(*corpus.subjective(priors, rule_cfg),
+                                 corpus.sentence_tokens, sf).tolist()
+        for doc_id, start, end in zip(corpus.ids, offsets, offsets[1:]):
+            for k in range(start, end):
+                lines.append(f"{doc_id}\t{k - start}\t{values[k]!r}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0

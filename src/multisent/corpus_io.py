@@ -8,11 +8,14 @@ Tokens are maximal runs of characters that are neither whitespace nor
 sentence boundary characters. Tokens with no letter (digits,
 punctuation, symbols) are noise: they are dropped while the text is
 split, and a sentence left with no token is dropped with them.
+
+``prepare_document`` turns one raw document into a ``TokenizedDocument``;
+``scoring.Corpus`` then packs a corpus of them into columns, and the
+documents themselves are not kept.
 """
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError, ParseError
@@ -58,11 +61,6 @@ class TokenizedDocument:
     sentences: list[tuple[int, int]] = field(default_factory=list)
     lemmas: list[str] = field(default_factory=list)
 
-    @cached_property
-    def forms(self) -> list[str]:
-        """Diacritic-free surface of each token, as rule words are matched."""
-        return list(map(remove_diacritics, self.tokens))
-
 
 class LemmaDictionary:
     """Surface-to-lemma mapping with a light affix-stripping fallback.
@@ -71,12 +69,23 @@ class LemmaDictionary:
     miss, strip one longest matching prefix and then one longest matching
     suffix and retry; if the stripped form is not in the dictionary either,
     the stripped form itself is the lemma. Lookup never fails.
+
+    Each distinct surface is looked up once and its lemma remembered, so
+    a corpus prepared with one dictionary lemmatizes every surface once
+    and all tokens of one surface share one lemma string.
     """
 
     def __init__(self, mapping=None):
         self.mapping = dict(mapping or {})
+        self._lemmas = {}
 
     def lemma(self, surface: str) -> str:
+        lemma = self._lemmas.get(surface)
+        if lemma is None:
+            lemma = self._lemmas[surface] = self._lookup(surface)
+        return lemma
+
+    def _lookup(self, surface: str) -> str:
         form = remove_diacritics(surface)
         hit = self.mapping.get(form)
         if hit is not None:

@@ -2,9 +2,11 @@
 
 Term-level rows summarize a document's adjusted token scores (counts,
 sums, and averages of each sign plus the first and last subjective
-scores); document-level rows summarize its sentence scores. Rows are
-built at full width (TERM8 or DOC7); ``Dataset.project`` selects the
-columns of a narrower variant.
+scores); document-level rows summarize its sentence scores. Rows for a
+whole corpus are built at once from its score arrays and segment
+offsets, at full width (TERM8 or DOC7); ``Dataset.project`` selects the
+columns of a narrower variant. The per-document scalar definitions they
+reproduce bit for bit live in ``tests/oracles.py``.
 """
 
 import enum
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .util import atomic_write_text, sum_left
+from .util import atomic_write_text
 
 TERM8_NAMES = ("count_pos", "count_neg", "sum_pos", "sum_neg",
                "avg_pos", "avg_neg", "first_subj", "last_subj")
@@ -64,46 +66,69 @@ class Variant(enum.Enum):
         raise ValueError(f"feature names match no known variant: {names}")
 
 
-def term_features(scores) -> list:
-    """Build one TERM8 row from a document's adjusted token scores.
+def term_rows(positions, scores, doc_tokens) -> np.ndarray:
+    """One TERM8 row per document from a corpus's nonzero token scores.
 
-    first_subj/last_subj are the first and last nonzero scores (0 when
-    the document has no subjective token).
+    ``positions`` are the ascending corpus positions of the tokens whose
+    adjusted score is nonzero, ``scores`` those scores, and
+    ``doc_tokens`` the documents' token offsets. first_subj/last_subj are
+    a document's first and last nonzero scores (0 when it has none).
+    Sums add left to right from 0.0, as ``util.sum_left`` does.
     """
-    pos = [s for s in scores if s > 0]
-    neg = [s for s in scores if s < 0]
-    subjective = [s for s in scores if s != 0]
-    sum_pos, sum_neg = sum_left(pos), sum_left(neg)
-    return [
-        float(len(pos)),
-        float(len(neg)),
-        sum_pos,
-        sum_neg,
-        sum_pos / len(pos) if pos else 0.0,
-        sum_neg / len(neg) if neg else 0.0,
-        subjective[0] if subjective else 0.0,
-        subjective[-1] if subjective else 0.0,
-    ]
+    bounds = np.searchsorted(positions, doc_tokens)
+    is_pos = scores > 0
+    pos_bounds = np.concatenate(([0], np.cumsum(is_pos)))[bounds]
+    neg_bounds = bounds - pos_bounds
+    count_pos, count_neg = np.diff(pos_bounds), np.diff(neg_bounds)
+    sum_pos = _sums_left(scores[is_pos], pos_bounds)
+    sum_neg = _sums_left(scores[~is_pos], neg_bounds)
+    rows = np.zeros((len(doc_tokens) - 1, len(TERM8_NAMES)))
+    rows[:, 0], rows[:, 1] = count_pos, count_neg
+    rows[:, 2], rows[:, 3] = sum_pos, sum_neg
+    np.divide(sum_pos, count_pos, out=rows[:, 4], where=count_pos > 0)
+    np.divide(sum_neg, count_neg, out=rows[:, 5], where=count_neg > 0)
+    subjective = bounds[1:] > bounds[:-1]
+    rows[subjective, 6] = scores[bounds[:-1][subjective]]
+    rows[subjective, 7] = scores[bounds[1:][subjective] - 1]
+    return rows
 
 
-def doc_features(values) -> list:
-    """Build one DOC7 row from a document's sentence scores.
+def _sums_left(values, bounds) -> np.ndarray:
+    """Each segment ``values[bounds[i]:bounds[i + 1]]`` added left to right
+    from 0.0, with one vector add per rank over the segments that reach
+    it; pairwise ``np.add.reduceat`` would round differently."""
+    starts, counts = bounds[:-1], np.diff(bounds)
+    totals = np.zeros(len(counts))
+    live = np.flatnonzero(counts)
+    rank = 0
+    while live.size:
+        totals[live] += values[starts[live] + rank]
+        rank += 1
+        live = live[counts[live] > rank]
+    return totals
 
+
+def doc_rows(values, doc_sentences) -> np.ndarray:
+    """One DOC7 row per document from the corpus's sentence scores.
+
+    ``doc_sentences`` holds the documents' sentence offsets.
     first/middle/last are the scores at sentence index 0, (n-1)//2, and
-    n-1. A document with zero sentences yields an all-zero row.
+    n-1; a document with zero sentences yields an all-zero row.
     """
-    pos = [v for v in values if v > 0]
-    neg = [v for v in values if v < 0]
-    n = len(values)
-    return [
-        float(len(pos)),
-        float(len(neg)),
-        max(pos) if pos else 0.0,
-        min(neg) if neg else 0.0,
-        values[0] if n else 0.0,
-        values[(n - 1) // 2] if n else 0.0,
-        values[-1] if n else 0.0,
-    ]
+    counts = np.diff(doc_sentences)
+    some = counts > 0
+    first, n = doc_sentences[:-1][some], counts[some]
+    rows = np.zeros((len(counts), len(DOC7_NAMES)))
+    rows[some, 0] = np.add.reduceat(values > 0, first, dtype=float)
+    rows[some, 1] = np.add.reduceat(values < 0, first, dtype=float)
+    rows[some, 2] = np.maximum.reduceat(np.where(values > 0, values, 0.0),
+                                        first)
+    rows[some, 3] = np.minimum.reduceat(np.where(values < 0, values, 0.0),
+                                        first)
+    rows[some, 4] = values[first]
+    rows[some, 5] = values[first + (n - 1) // 2]
+    rows[some, 6] = values[first + n - 1]
+    return rows
 
 
 @dataclass

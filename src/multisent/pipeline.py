@@ -15,11 +15,10 @@ from . import classifiers
 from .corpus_io import load_corpus, load_lemma_dictionary, prepare_document
 from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
-from .features import (Dataset, Variant, doc_features, term_features,
-                       write_features_csv)
+from .features import Dataset, Variant, doc_rows, term_rows, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
-from .scoring import (RuleConfig, SentenceFormula, load_word_list,
-                      score_document, sentence_scores)
+from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
+                      sentence_scores)
 from .util import atomic_write_text
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
@@ -84,26 +83,27 @@ class PipelineConfig:
         return variant, prior, sentence, clf_config
 
 
-def prepare_corpus(corpus_dir, lemma_dict_path):
+def prepare_corpus(corpus_dir, lemma_dict_path) -> Corpus:
+    """Load, tokenize and lemmatize a corpus directory into columns."""
     lemma_dict = load_lemma_dictionary(lemma_dict_path)
-    return [prepare_document(raw, lemma_dict)
-            for raw in load_corpus(corpus_dir)]
+    return Corpus(prepare_document(raw, lemma_dict)
+                  for raw in load_corpus(corpus_dir))
 
 
-def build_dataset(docs, priors, variant: Variant,
+def build_dataset(corpus: Corpus, priors, variant: Variant,
                   rule_cfg: RuleConfig | None = None,
                   sentence_formula: SentenceFormula | None = None) -> Dataset:
-    """Score documents into full-width rows, in corpus order, and project
+    """Score a corpus into full-width rows, in corpus order, and project
     them onto ``variant``."""
-    rows = []
-    for doc in docs:
-        _, scores = score_document(doc, priors, rule_cfg)
-        if variant.level == "term":
-            rows.append(term_features(scores))
-        else:
-            rows.append(doc_features(
-                sentence_scores(doc, scores, sentence_formula)))
-    return Dataset(rows=rows, labels=[doc.label for doc in docs],
+    positions, scores = corpus.subjective(priors, rule_cfg)
+    if variant.level == "term":
+        rows = term_rows(positions, scores, corpus.doc_tokens)
+    else:
+        rows = doc_rows(sentence_scores(positions, scores,
+                                        corpus.sentence_tokens,
+                                        sentence_formula),
+                        corpus.doc_sentences)
+    return Dataset(rows=rows, labels=corpus.labels,
                    variant=variant.full).project(variant)
 
 
@@ -119,7 +119,7 @@ def _stage(name: str):
 def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
     """Prepare the corpus, one prior table per formula and the rule lists."""
     with _stage("corpus loading"):
-        docs = prepare_corpus(cfg.corpus_dir, cfg.lemma_dict_path)
+        corpus = prepare_corpus(cfg.corpus_dir, cfg.lemma_dict_path)
     with _stage("prior aggregation"):
         lexicon = load_lexicon(cfg.lexicon_path)
         priors = {f: prior_table(lexicon, f) for f in prior_formulas}
@@ -130,15 +130,15 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
                 negation_words=load_word_list(cfg.negations_path),
                 intensifier_words=load_word_list(cfg.intensifiers_path),
                 window=cfg.window)
-    return docs, priors, rule_cfg
+    return corpus, priors, rule_cfg
 
 
 def featurize(inputs, variant: Variant, prior_formula: PriorFormula,
               sentence_formula: SentenceFormula | None, rules: bool):
     """Build the full-width dataset that ``variant`` projects from."""
-    docs, priors, rule_cfg = inputs
+    corpus, priors, rule_cfg = inputs
     with _stage("feature extraction"):
-        return build_dataset(docs, priors[prior_formula], variant.full,
+        return build_dataset(corpus, priors[prior_formula], variant.full,
                              rule_cfg if rules else None, sentence_formula)
 
 

@@ -1,22 +1,33 @@
-"""Token scoring, negation/intensification rules, and sentence scores.
+"""The corpus as columns, token scoring, negation/intensification rules,
+and sentence scores.
 
-Each token receives the prior polarity of its lemma (0 when the lemma is
-unknown or is itself a rule word). The rule stage then adjusts scores
-inside sentence boundaries: a negation word within the window before a
-sentiment term flips its sign, after which an intensifier within the
-window on either side pushes the score to +1 or -1 according to its
-current sign. Sentence scores collapse a sentence's term scores through
-the (max positive, max |negative|) pair.
+``Corpus`` holds every token of a prepared corpus in one array of word
+ids, plus document and sentence offsets; a word is a distinct surface
+with its lemma. Each token receives the prior polarity of its lemma (0
+when the lemma is unknown or its surface is a rule word). The rule stage
+then adjusts scores inside sentence boundaries: a negation word within
+the window before a sentiment term flips its sign, after which an
+intensifier within the window on either side pushes the score to +1 or
+-1 according to its current sign. Sentence scores collapse a sentence's
+term scores through the (max positive, max |negative|) pair.
+
+Scores are computed with array operations over the whole corpus and kept
+only where they are nonzero: zero scores pass the rules unchanged and add
+nothing to any feature. The rule masks depend on the tokens alone, so
+each corpus computes them once per ``RuleConfig``. The scalar definitions
+these arrays reproduce bit for bit live in ``tests/oracles.py``.
 """
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus_io import TokenizedDocument, remove_diacritics
+import numpy as np
+
+from .corpus_io import remove_diacritics
 from .errors import DataError
-from .lexicon import PolarityPair
 
 
 class SentenceFormula(enum.Enum):
@@ -66,101 +77,154 @@ def load_word_list(path) -> frozenset:
     return frozenset(remove_diacritics(w.strip()) for w in lines if w.strip())
 
 
-def score_tokens(doc: TokenizedDocument, priors: dict[str, float],
-                 rule_words: frozenset = frozenset()) -> list[float]:
-    """Each token's lemma prior polarity, in token order.
+class Corpus:
+    """Prepared documents as columns over all of their tokens.
 
-    Unknown lemmas score 0. Tokens whose surface (diacritic-free) is a
-    rule word also score 0 so negation particles never act as sentiment
-    terms.
+    - ``ids`` and ``labels``: one entry per document, in corpus order.
+    - ``words``: a (surface, lemma) pair per distinct surface, in order
+      of first use; ``word_ids[t]`` is the word of corpus token ``t``.
+    - ``doc_tokens`` (documents + 1) and ``sentence_tokens`` (sentences
+      + 1): token offsets; document ``d`` holds tokens
+      ``doc_tokens[d]:doc_tokens[d + 1]``.
+    - ``doc_sentences`` (documents + 1): sentence offsets of each
+      document.
+
+    Each document's sentences must tile its tokens, and a surface must
+    have one lemma throughout, as ``prepare_document`` makes them. The
+    documents themselves are not kept.
     """
-    if not rule_words:
-        return [priors.get(lemma, 0.0) for lemma in doc.lemmas]
-    return [0.0 if form in rule_words else priors.get(lemma, 0.0)
-            for form, lemma in zip(doc.forms, doc.lemmas)]
+
+    def __init__(self, docs):
+        self.ids, labels = [], []
+        lemmas, word_index = {}, {}     # by surface, in order of first use
+        word_ids = []
+        doc_tokens, doc_sentences, sentence_tokens = [0], [0], []
+        for doc in docs:
+            start = doc_tokens[-1]
+            ends = [b for _, b in doc.sentences]
+            edges = [0, *ends]
+            if ([a for a, _ in doc.sentences] != edges[:-1]
+                    or edges[-1] != len(doc.tokens)
+                    or not all(map(operator.lt, edges, ends))):
+                raise ValueError(
+                    f"sentences of {doc.id} do not tile its tokens")
+            if list(map(lemmas.setdefault, doc.tokens,
+                        doc.lemmas)) != doc.lemmas:
+                raise ValueError(f"{doc.id} gives a surface a second lemma")
+            if len(lemmas) > len(word_index):
+                word_index.update(zip(list(lemmas)[len(word_index):],
+                                      range(len(word_index), len(lemmas))))
+            word_ids += map(word_index.__getitem__, doc.tokens)
+            sentence_tokens += [start + a for a, _ in doc.sentences]
+            self.ids.append(doc.id)
+            labels.append(doc.label)
+            doc_tokens.append(start + len(doc.tokens))
+            doc_sentences.append(len(sentence_tokens))
+        self.words = list(lemmas.items())
+        sentence_tokens.append(doc_tokens[-1])
+        self.labels = np.array(labels, dtype=int)
+        self.word_ids = np.array(word_ids, dtype=np.intp)
+        self.doc_tokens = np.array(doc_tokens, dtype=np.intp)
+        self.doc_sentences = np.array(doc_sentences, dtype=np.intp)
+        self.sentence_tokens = np.array(sentence_tokens, dtype=np.intp)
+        self._masks = {}
+
+    @cached_property
+    def longest_sentence(self) -> int:
+        return int(np.diff(self.sentence_tokens).max(initial=0))
+
+    def rule_masks(self, cfg: RuleConfig):
+        """``(rule_words, negated, intensified)``: per word, whether its
+        surface is a rule word; per token, whether a negation word lies
+        within ``cfg.window`` tokens before it in its sentence, and
+        whether an intensifier lies within the window on either side."""
+        if cfg not in self._masks:
+            forms = [remove_diacritics(surface) for surface, _ in self.words]
+            word_neg = np.array([f in cfg.negation_words for f in forms],
+                                dtype=bool)
+            word_int = np.array([f in cfg.intensifier_words for f in forms],
+                                dtype=bool)
+            # continues[t]: tokens t - 1 and t share a sentence.
+            continues = np.ones(len(self.word_ids), dtype=bool)
+            continues[self.sentence_tokens[:-1]] = False
+            # After d shifts a carry marks the tokens with a rule word d
+            # tokens back (or ahead) in their sentence; past the longest
+            # sentence every carry is empty.
+            neg_back = word_neg[self.word_ids]
+            int_back = word_int[self.word_ids]
+            int_ahead = int_back.copy()
+            negated = np.zeros_like(neg_back)
+            intensified = np.zeros_like(int_back)
+            for _ in range(min(cfg.window, self.longest_sentence - 1)):
+                for back in (neg_back, int_back):
+                    back[1:] = back[:-1] & continues[1:]
+                    back[0] = False
+                int_ahead[:-1] = int_ahead[1:] & continues[1:]
+                int_ahead[-1] = False
+                negated |= neg_back
+                intensified |= int_back
+                intensified |= int_ahead
+            self._masks[cfg] = (word_neg | word_int, negated, intensified)
+        return self._masks[cfg]
+
+    def word_priors(self, priors: dict, rule_cfg: RuleConfig | None = None):
+        """The prior of each word's lemma (0 when unknown); with rules,
+        rule words score 0 so they never act as sentiment terms."""
+        values = np.array([priors.get(lemma, 0.0) for _, lemma in self.words],
+                          dtype=float)
+        if rule_cfg is not None:
+            values[self.rule_masks(rule_cfg)[0]] = 0.0
+        return values
+
+    def subjective(self, priors: dict, rule_cfg: RuleConfig | None = None):
+        """``(positions, scores)``: the corpus positions of the tokens with
+        a nonzero prior, ascending, and their scores after the rules.
+
+        Negation flips the sign first, then intensification pushes the
+        result to +/-1. Every other token scores 0 (or a -0.0 prior) both
+        before and after the rules.
+        """
+        values = self.word_priors(priors, rule_cfg)
+        positions = np.flatnonzero((values != 0.0)[self.word_ids])
+        scores = values[self.word_ids[positions]]
+        if rule_cfg is not None:
+            _, negated, intensified = self.rule_masks(rule_cfg)
+            flip = negated[positions]
+            scores[flip] = -scores[flip]
+            push = intensified[positions]
+            scores[push] = np.sign(scores[push])
+        return positions, scores
+
+    def token_scores(self, priors: dict, rule_cfg: RuleConfig | None = None):
+        """Every token's prior and its score after the rules, as two
+        arrays over the corpus; without ``rule_cfg`` both are the priors."""
+        token_priors = self.word_priors(priors, rule_cfg)[self.word_ids]
+        if rule_cfg is None:
+            return token_priors, token_priors
+        adjusted = token_priors.copy()
+        positions, scores = self.subjective(priors, rule_cfg)
+        adjusted[positions] = scores
+        return token_priors, adjusted
 
 
-def negate(score: float) -> float:
-    """Sign flip applied by a preceding negation word; self-inverse."""
-    return -score
+def sentence_scores(positions, scores, sentence_tokens,
+                    formula: SentenceFormula) -> np.ndarray:
+    """Collapse each sentence's (max positive, max |negative|) score pair.
 
-
-def intensify(score: float) -> float:
-    """Push a nonzero score to the nearest signed extreme."""
-    if score > 0:
-        return 1.0
-    if score < 0:
-        return -1.0
-    return 0.0
-
-
-def apply_rules(priors: list[float], doc: TokenizedDocument,
-                cfg: RuleConfig) -> list[float]:
-    """Token priors adjusted for negation and intensification.
-
-    Negation applies first (a negation word within ``cfg.window`` tokens
-    before the term, same sentence), then intensification (an intensifier
-    within the window on either side) pushes the post-negation sign to
-    +/-1. Zero-score tokens pass through unchanged, and no rule looks
-    across a sentence boundary.
+    ``positions`` and ``scores`` are a corpus's nonzero token scores;
+    ``sentence_tokens`` holds the sentences' token offsets. Either side of
+    a pair is 0 when the sentence has no term of that sign. MAX_SUB
+    subtracts the pair; MAX_MAX keeps the larger side, signed, and an
+    exact tie returns the positive value.
     """
-    forms = doc.forms
-    adjusted = list(priors)
-
-    for start, end in doc.sentences:
-        for i in range(start, end):
-            value = priors[i]
-            if value == 0.0:
-                continue
-            before = range(max(start, i - cfg.window), i)
-            after = range(i + 1, min(end, i + 1 + cfg.window))
-            if any(forms[j] in cfg.negation_words for j in before):
-                value = negate(value)
-            if any(forms[j] in cfg.intensifier_words
-                   for j in (*before, *after)):
-                value = intensify(value)
-            adjusted[i] = value
-    return adjusted
-
-
-def score_document(doc: TokenizedDocument, priors: dict[str, float],
-                   rule_cfg: RuleConfig | None = None):
-    """Each token's prior and its score after the rules, as two lists;
-    without ``rule_cfg`` both lists are the priors."""
-    if rule_cfg is None:
-        token_priors = score_tokens(doc, priors)
-        return token_priors, token_priors
-    token_priors = score_tokens(doc, priors, rule_cfg.all_words)
-    return token_priors, apply_rules(token_priors, doc, rule_cfg)
-
-
-def s_max(term_scores) -> PolarityPair:
-    """Per-sentence maxima: (max positive score, max |negative score|).
-
-    Either side is 0 when the sentence has no term of that sign.
-    """
-    pos = 0.0
-    neg = 0.0
-    for s in term_scores:
-        if s > 0:
-            pos = max(pos, s)
-        elif s < 0:
-            neg = max(neg, abs(s))
-    return PolarityPair(pos=pos, neg=neg)
-
-
-def sentence_score(pair: PolarityPair, formula: SentenceFormula) -> float:
-    """Collapse a sentence's (pos, neg) maxima into one signed score.
-
-    An exact tie under MAX_MAX returns the positive value.
-    """
+    bounds = np.searchsorted(positions, sentence_tokens)
+    occupied = np.flatnonzero(bounds[1:] > bounds[:-1])
+    pos = np.zeros(len(sentence_tokens) - 1)
+    neg = np.zeros(len(sentence_tokens) - 1)
+    pos[occupied] = np.maximum.reduceat(np.where(scores > 0, scores, 0.0),
+                                        bounds[occupied])
+    neg[occupied] = np.maximum.reduceat(np.where(scores < 0, -scores, 0.0),
+                                        bounds[occupied])
     if formula is SentenceFormula.MAX_SUB:
-        return pair.pos - pair.neg
-    return -pair.neg if pair.neg > pair.pos else pair.pos
-
-
-def sentence_scores(doc: TokenizedDocument, scores: list[float],
-                    formula: SentenceFormula) -> list[float]:
-    """One score per sentence from the tokens' adjusted scores."""
-    return [sentence_score(s_max(scores[start:end]), formula)
-            for start, end in doc.sentences]
+        return pos - neg
+    return np.where(neg > pos, -neg, pos)

@@ -2,11 +2,15 @@
 
 Everything here is written from the operation definitions with plain
 loops and no imports from the package, so a test comparing the library
-against these functions is a genuine dual-route check.
+against these functions is a genuine dual-route check. The token
+scoring, rule, sentence-score and feature-row oracles are the package's
+former per-document scalar code; they take the package's documents and
+rule configurations by their attributes.
 """
 
 import math
 import unicodedata
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,6 +134,183 @@ def noise_free_tokens(text):
             sentences.append((lo, hi))
         lo = hi
     return [surface for surface, _ in kept], sentences
+
+
+# Arabic diacritics, Quranic annotation marks, dagger alif and tatweel,
+# which are stripped before any rule-word match.
+DIACRITICS = frozenset(map(chr, [*range(0x0610, 0x061B),
+                                 *range(0x064B, 0x0660), 0x0670, 0x0640]))
+
+
+def forms(doc):
+    """Each token's surface without diacritics, as rule words are matched."""
+    return ["".join(ch for ch in t if ch not in DIACRITICS)
+            for t in doc.tokens]
+
+
+def sum_left(values):
+    """``values`` added left to right from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@dataclass(frozen=True)
+class PolarityPair:
+    pos: float
+    neg: float
+
+
+def score_tokens(doc, priors, rule_words=frozenset()):
+    """Each token's lemma prior polarity, in token order.
+
+    Unknown lemmas score 0. Tokens whose surface (diacritic-free) is a
+    rule word also score 0 so negation particles never act as sentiment
+    terms.
+    """
+    if not rule_words:
+        return [priors.get(lemma, 0.0) for lemma in doc.lemmas]
+    return [0.0 if form in rule_words else priors.get(lemma, 0.0)
+            for form, lemma in zip(forms(doc), doc.lemmas)]
+
+
+def negate(score):
+    """Sign flip applied by a preceding negation word; self-inverse."""
+    return -score
+
+
+def intensify(score):
+    """Push a nonzero score to the nearest signed extreme."""
+    if score > 0:
+        return 1.0
+    if score < 0:
+        return -1.0
+    return 0.0
+
+
+def apply_rules(priors, doc, cfg):
+    """Token priors adjusted for negation and intensification.
+
+    Negation applies first (a negation word within ``cfg.window`` tokens
+    before the term, same sentence), then intensification (an intensifier
+    within the window on either side) pushes the post-negation sign to
+    +/-1. Zero-score tokens pass through unchanged, and no rule looks
+    across a sentence boundary.
+    """
+    doc_forms = forms(doc)
+    adjusted = list(priors)
+
+    for start, end in doc.sentences:
+        for i in range(start, end):
+            value = priors[i]
+            if value == 0.0:
+                continue
+            before = range(max(start, i - cfg.window), i)
+            after = range(i + 1, min(end, i + 1 + cfg.window))
+            if any(doc_forms[j] in cfg.negation_words for j in before):
+                value = negate(value)
+            if any(doc_forms[j] in cfg.intensifier_words
+                   for j in (*before, *after)):
+                value = intensify(value)
+            adjusted[i] = value
+    return adjusted
+
+
+def score_document(doc, priors, rule_cfg=None):
+    """Each token's prior and its score after the rules, as two lists;
+    without ``rule_cfg`` both lists are the priors."""
+    if rule_cfg is None:
+        token_priors = score_tokens(doc, priors)
+        return token_priors, token_priors
+    token_priors = score_tokens(doc, priors, rule_cfg.all_words)
+    return token_priors, apply_rules(token_priors, doc, rule_cfg)
+
+
+def s_max(term_scores):
+    """Per-sentence maxima: (max positive score, max |negative score|).
+
+    Either side is 0 when the sentence has no term of that sign.
+    """
+    pos = 0.0
+    neg = 0.0
+    for s in term_scores:
+        if s > 0:
+            pos = max(pos, s)
+        elif s < 0:
+            neg = max(neg, abs(s))
+    return PolarityPair(pos=pos, neg=neg)
+
+
+def sentence_score(pair, formula):
+    """Collapse a sentence's (pos, neg) maxima into one signed score.
+
+    An exact tie under MAX_MAX returns the positive value.
+    """
+    if formula.value == "max_sub":
+        return pair.pos - pair.neg
+    return -pair.neg if pair.neg > pair.pos else pair.pos
+
+
+def sentence_scores(doc, scores, formula):
+    """One score per sentence from the tokens' adjusted scores."""
+    return [sentence_score(s_max(scores[start:end]), formula)
+            for start, end in doc.sentences]
+
+
+def term_features(scores):
+    """Build one TERM8 row from a document's adjusted token scores.
+
+    first_subj/last_subj are the first and last nonzero scores (0 when
+    the document has no subjective token).
+    """
+    pos = [s for s in scores if s > 0]
+    neg = [s for s in scores if s < 0]
+    subjective = [s for s in scores if s != 0]
+    sum_pos, sum_neg = sum_left(pos), sum_left(neg)
+    return [
+        float(len(pos)),
+        float(len(neg)),
+        sum_pos,
+        sum_neg,
+        sum_pos / len(pos) if pos else 0.0,
+        sum_neg / len(neg) if neg else 0.0,
+        subjective[0] if subjective else 0.0,
+        subjective[-1] if subjective else 0.0,
+    ]
+
+
+def doc_features(values):
+    """Build one DOC7 row from a document's sentence scores.
+
+    first/middle/last are the scores at sentence index 0, (n-1)//2, and
+    n-1. A document with zero sentences yields an all-zero row.
+    """
+    pos = [v for v in values if v > 0]
+    neg = [v for v in values if v < 0]
+    n = len(values)
+    return [
+        float(len(pos)),
+        float(len(neg)),
+        max(pos) if pos else 0.0,
+        min(neg) if neg else 0.0,
+        values[0] if n else 0.0,
+        values[(n - 1) // 2] if n else 0.0,
+        values[-1] if n else 0.0,
+    ]
+
+
+def feature_rows(docs, priors, level, rule_cfg=None, sentence_formula=None):
+    """Full-width rows of ``docs``, one document at a time."""
+    rows = []
+    for doc in docs:
+        _, scores = score_document(doc, priors, rule_cfg)
+        if level == "term":
+            rows.append(term_features(scores))
+        else:
+            rows.append(doc_features(
+                sentence_scores(doc, scores, sentence_formula)))
+    return rows
 
 
 def metrics(tp, fp, tn, fn):

@@ -25,12 +25,12 @@ from multisent.features import Variant
 from multisent.lexicon import (PriorFormula, SenseScore, aggregate_prior,
                                f_avg, f_max, load_lexicon, prior_table)
 from multisent.pipeline import build_dataset, prepare_corpus
-from multisent.scoring import (RuleConfig, SentenceFormula, apply_rules,
-                               intensify, negate, s_max, score_tokens,
-                               sentence_score)
+from multisent.scoring import (Corpus, RuleConfig, SentenceFormula,
+                               sentence_scores)
 from multisent.util import make_rng
 
 import oracles
+from oracles import intensify, negate, s_max, sentence_score
 
 acceptance = pytest.mark.acceptance
 
@@ -88,6 +88,15 @@ def test_criterion_03_sentence_score_oracle():
         assert (sub < 0) == (mx < 0)
         if sub > 0:
             assert mx > 0
+        # the library's columnar sentence scores give the same bits
+        values = np.array(scores)
+        positions = np.flatnonzero(values)
+        bounds = np.array([0, len(scores)])
+        for formula, want in ((SentenceFormula.MAX_SUB, sub),
+                              (SentenceFormula.MAX_MAX, mx)):
+            got = sentence_scores(positions, values[positions], bounds,
+                                  formula)
+            assert got.tobytes() == np.array([want]).tobytes()
     assert time.perf_counter() - start < 5.0
 
 
@@ -106,24 +115,20 @@ def test_criterion_04_rule_properties():
     cfg = RuleConfig(negation_words=frozenset({neg_word}),
                      intensifier_words=frozenset({int_word}), window=1)
 
-    def make_doc(words, sentences):
-        return TokenizedDocument(
-            id="d", label=1, tokens=list(words),
-            sentences=sentences, lemmas=list(words))
+    def adjusted(words, sentences, priors):
+        doc = TokenizedDocument(id="d", label=1, tokens=list(words),
+                                sentences=sentences, lemmas=list(words))
+        return Corpus([doc]).token_scores(priors, cfg)[1].tolist()
 
     # zero priors are never modified
-    doc = make_doc([neg_word, "plain", int_word], [(0, 3)])
-    out = apply_rules(score_tokens(doc, {}, cfg.all_words), doc, cfg)
+    out = adjusted([neg_word, "plain", int_word], [(0, 3)], {})
     assert out == [0.0, 0.0, 0.0]
 
     # rules do not reach across the sentence boundary in either direction
-    straddle = make_doc([neg_word, "good", int_word], [(0, 1), (1, 2), (2, 3)])
-    out = apply_rules(score_tokens(straddle, {"good": 0.4}, cfg.all_words),
-                      straddle, cfg)
+    out = adjusted([neg_word, "good", int_word], [(0, 1), (1, 2), (2, 3)],
+                   {"good": 0.4})
     assert out[1] == 0.4
-    same = make_doc([neg_word, "good", int_word], [(0, 3)])
-    out = apply_rules(score_tokens(same, {"good": 0.4}, cfg.all_words),
-                      same, cfg)
+    out = adjusted([neg_word, "good", int_word], [(0, 3)], {"good": 0.4})
     assert out[1] == -1.0   # negated, then pushed to the extreme
 
 

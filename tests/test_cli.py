@@ -1,12 +1,18 @@
 import json
+import time
 from itertools import groupby
 
 import pytest
 
 from multisent.cli import main
-from multisent.features import doc_features, term_features
+from multisent.corpus_io import (load_corpus, load_lemma_dictionary,
+                                 prepare_document)
+from multisent.lexicon import PriorFormula, load_lexicon, prior_table
+from multisent.pipeline import prepare_corpus
+from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
 
 import oracles
+from oracles import doc_features, term_features
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +30,30 @@ def data(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def rule_data(tmp_path_factory):
+    """A corpus whose sentiment terms often sit next to Arabic rule words."""
+    out = tmp_path_factory.mktemp("cli_rule_data")
+    assert main(["synth", "--docs", "10", "--seed", "78", "--density", "0.4",
+                 "--rule-fraction", "0.5", "--arabic-tool-words",
+                 "--out", str(out)]) == 0
+    return {
+        "corpus": str(out / "corpus"),
+        "lexicon": str(out / "lexicon.tsv"),
+        "lemma_dict": str(out / "lemma_dict.tsv"),
+        "negations": str(out / "negations.txt"),
+        "intensifiers": str(out / "intensifiers.txt"),
+    }
+
+
 def _corpus_flags(data):
     return ["--corpus", data["corpus"], "--lexicon", data["lexicon"],
             "--lemma-dict", data["lemma_dict"]]
+
+
+def _rules_flags(data, window):
+    return ["--rules", "--negations", data["negations"],
+            "--intensifiers", data["intensifiers"], "--window", str(window)]
 
 
 class TestExitCodes:
@@ -213,6 +240,64 @@ class TestScore:
                 for rows in sentences] == featurize(
                     "--level", "document", "--variant", "7",
                     "--sentence-formula", "max_max")
+
+
+    @pytest.mark.parametrize("rules", [False, True], ids=["norules", "rules"])
+    def test_score_files_match_the_scalar_oracle(self, rule_data, tmp_path,
+                                                 rules):
+        lemma_dict = load_lemma_dictionary(rule_data["lemma_dict"])
+        docs = [prepare_document(raw, lemma_dict)
+                for raw in load_corpus(rule_data["corpus"])]
+        priors = prior_table(load_lexicon(rule_data["lexicon"]),
+                             PriorFormula.AVG_AVG)
+        rule_cfg = RuleConfig(
+            negation_words=load_word_list(rule_data["negations"]),
+            intensifier_words=load_word_list(rule_data["intensifiers"]),
+            window=2) if rules else None
+        tokens = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted"]
+        sentences = ["doc_id\tsentence\tscore"]
+        for doc in docs:
+            token_priors, adjusted = oracles.score_document(doc, priors,
+                                                            rule_cfg)
+            for i, (surface, lemma) in enumerate(zip(doc.tokens, doc.lemmas)):
+                tokens.append(f"{doc.id}\t{i}\t{surface}\t{lemma}"
+                              f"\t{token_priors[i]!r}\t{adjusted[i]!r}")
+            for k, value in enumerate(oracles.sentence_scores(
+                    doc, adjusted, SentenceFormula.MAX_SUB)):
+                sentences.append(f"{doc.id}\t{k}\t{value!r}")
+        assert rules == any(a != b for a, b in (
+            line.split("\t")[4:] for line in tokens[1:]))
+
+        flags = [*_corpus_flags(rule_data), "--formula", "avg_avg"]
+        if rules:
+            flags += _rules_flags(rule_data, 2)
+        for extra, want in (([], tokens),
+                            (["--sentence-formula", "max_sub"], sentences)):
+            out = tmp_path / "scores.tsv"
+            assert main(["score", *flags, *extra, "--out", str(out)]) == 0
+            assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_windows_past_the_longest_sentence_are_cheap(self, rule_data,
+                                                         tmp_path):
+        longest = prepare_corpus(rule_data["corpus"],
+                                 rule_data["lemma_dict"]).longest_sentence
+        outputs = {}
+        for window in (10 ** 9, longest):
+            out = tmp_path / str(window)
+            start = time.perf_counter()
+            assert main(["score", *_corpus_flags(rule_data),
+                         *_rules_flags(rule_data, window),
+                         "--out", str(out / "scores.tsv")]) == 0
+            assert main(["pipeline", *_corpus_flags(rule_data),
+                         *_rules_flags(rule_data, window),
+                         "--classifier", "dtree", "--folds", "2",
+                         "--out", str(out / "run")]) == 0
+            if window > longest:
+                assert time.perf_counter() - start < 1.0
+            outputs[window] = {p.relative_to(out): p.read_bytes()
+                               for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs[longest]) == 5
+        assert outputs[10 ** 9] == outputs[longest]
 
 
 class TestFeaturizeTrainEvaluate:

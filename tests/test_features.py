@@ -4,11 +4,34 @@ import numpy as np
 import pytest
 
 from multisent.errors import DataError
-from multisent.features import (Dataset, Variant, doc_features,
-                                read_features_csv, term_features,
-                                write_features_csv)
+from multisent.features import (Dataset, Variant, doc_rows, read_features_csv,
+                                term_rows, write_features_csv)
 from multisent.lexicon import SenseScore, f_avg
 from multisent.util import sum_left
+
+import oracles
+
+
+def term_features(scores) -> list:
+    """One document's TERM8 row through ``term_rows``, checked bit for bit
+    against the scalar oracle."""
+    scores = np.array(scores, dtype=float)
+    positions = np.flatnonzero(scores)
+    row = term_rows(positions, scores[positions],
+                    np.array([0, len(scores)]))[0]
+    assert row.tobytes() == np.array(
+        oracles.term_features(scores.tolist())).tobytes()
+    return row.tolist()
+
+
+def doc_features(values) -> list:
+    """One document's DOC7 row through ``doc_rows``, checked bit for bit
+    against the scalar oracle."""
+    values = np.array(values, dtype=float)
+    row = doc_rows(values, np.array([0, len(values)]))[0]
+    assert row.tobytes() == np.array(
+        oracles.doc_features(values.tolist())).tobytes()
+    return row.tolist()
 
 
 class TestTermFeatures:

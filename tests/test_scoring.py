@@ -1,14 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
-from multisent.corpus_io import TokenizedDocument
-from multisent.lexicon import PolarityPair
-from multisent.scoring import (RuleConfig, SentenceFormula, apply_rules,
-                               intensify, negate, s_max, score_tokens,
-                               sentence_score, sentence_scores)
+from multisent import scoring
+from multisent.corpus_io import (TokenizedDocument, load_corpus,
+                                 load_lemma_dictionary, prepare_document)
+from multisent.features import Variant
+from multisent.lexicon import (LexiconEntry, PriorFormula, SenseScore,
+                               load_lexicon, prior_table)
+from multisent.pipeline import build_dataset
+from multisent.scoring import (Corpus, RuleConfig, SentenceFormula,
+                               load_word_list)
+from multisent.synth import SynthConfig, generate
 
 import oracles
+from oracles import (PolarityPair, apply_rules, intensify, negate, s_max,
+                     score_tokens, sentence_score, sentence_scores)
 
 NEG = "لم"        # a negation particle
 INT = "جدا"  # an intensifier
@@ -201,3 +209,153 @@ class TestSentenceScores:
         scored = score_tokens(doc, {"good": 0.6, "bad": -0.9})
         out = sentence_scores(doc, scored, SentenceFormula.MAX_MAX)
         assert out == [-0.9, 0.6]
+
+
+# The columnar scorer and feature rows against the scalar oracles: every
+# row, token score and sentence score must carry the same bits.
+
+GRID_NEG = frozenset({"لم", "negx"})
+GRID_INT = frozenset({"جدا", "intx"})
+# Rule words as they may appear in text: one carries a fatha (U+064E),
+# and "negx" and "intx" are also lexicon lemmas.
+GRID_RULE_SURFACES = ("لَم", "negx", "جدا", "intx")
+
+
+def _grid_lexicon():
+    rng = random.Random(606)
+    lexicon = {}
+    for name in [f"p{i}" for i in range(6)] + [f"n{i}" for i in range(6)] \
+            + ["negx", "intx"]:
+        senses = [(round(rng.random(), 3), round(rng.random(), 3))
+                  for _ in range(rng.randint(1, 4))]
+        lexicon[name] = LexiconEntry(
+            name, tuple(SenseScore(p, n) for p, n in senses))
+    # equal columns: the _sub formulas and avg_avg give +0.0
+    lexicon["tie"] = LexiconEntry("tie", (SenseScore(0.5, 0.5),))
+    return lexicon
+
+
+def _grid_docs():
+    """Hand-built documents over every case the vectorised path must
+    match, plus random ones."""
+    rng = random.Random(2718)
+    vocab = [f"p{i}" for i in range(6)] + [f"n{i}" for i in range(6)] + [
+        "tie", "mz", "pz", "z0", "z1", "z2", *GRID_RULE_SURFACES]
+
+    def doc(words, sentences):
+        return TokenizedDocument(id=f"d{len(docs)}", label=len(docs) % 2,
+                                 tokens=list(words), sentences=sentences,
+                                 lemmas=list(words))
+
+    docs = []
+    docs.append(doc([], []))
+    docs.append(doc(["p0"], [(0, 1)]))
+    docs.append(doc(["negx", "p1", "intx", "z0", "intx"], [(0, 5)]))
+    # rule words on both sides of every sentence boundary
+    docs.append(doc(["p0", "negx", "p1", "intx", "لَم", "n2", "جدا"],
+                    [(0, 2), (2, 4), (4, 5), (5, 7)]))
+    # -0.0 and 0.0 priors next to rule words
+    docs.append(doc(["negx", "mz", "intx", "pz", "negx", "tie"], [(0, 6)]))
+    docs.append(doc([], []))
+    # twelve equal positive scores and twelve negative ones: a pairwise
+    # sum rounds differently from a left-to-right one
+    docs.append(doc(["tenth"] * 12 + ["minus"] * 12, [(0, 12), (12, 24)]))
+    for _ in range(40):
+        words, sentences = [], []
+        for _ in range(rng.randint(0, 6)):
+            length = rng.choice([1, 1, 2, 3, 5, 8])
+            sentences.append((len(words), len(words) + length))
+            words += [rng.choice(vocab) for _ in range(length)]
+        docs.append(doc(words, sentences))
+    return docs
+
+
+def _grid_priors(lexicon, formula):
+    return {**prior_table(lexicon, formula),
+            "mz": -0.0, "pz": 0.0, "tenth": 0.1, "minus": -0.3}
+
+
+def _assert_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_columnar_matches_oracles(docs, priors, rule_cfg):
+    corpus = Corpus(docs)
+    token_priors, adjusted = corpus.token_scores(priors, rule_cfg)
+    want = [oracles.score_document(d, priors, rule_cfg) for d in docs]
+    _assert_bits(token_priors, [s for p, _ in want for s in p])
+    _assert_bits(adjusted, [s for _, a in want for s in a])
+    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rule_cfg).rows,
+                 oracles.feature_rows(docs, priors, "term", rule_cfg))
+    for sf in SentenceFormula:
+        _assert_bits(
+            scoring.sentence_scores(*corpus.subjective(priors, rule_cfg),
+                                    corpus.sentence_tokens, sf),
+            [v for d, (_, a) in zip(docs, want)
+             for v in oracles.sentence_scores(d, a, sf)])
+        _assert_bits(
+            build_dataset(corpus, priors, Variant.DOC7, rule_cfg, sf).rows,
+            oracles.feature_rows(docs, priors, "document", rule_cfg, sf))
+
+
+GRID_RULES = [None] + [RuleConfig(negation_words=GRID_NEG,
+                                  intensifier_words=GRID_INT, window=w)
+                       for w in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("formula", list(PriorFormula), ids=lambda f: f.value)
+@pytest.mark.parametrize("rule_cfg", GRID_RULES,
+                         ids=["norules", "w1", "w2", "w3", "w4"])
+def test_columnar_scores_and_rows_match_scalar_oracles(formula, rule_cfg):
+    _assert_columnar_matches_oracles(
+        _grid_docs(), _grid_priors(_grid_lexicon(), formula), rule_cfg)
+
+
+@pytest.mark.parametrize("arabic", [False, True], ids=["ascii", "arabic"])
+def test_columnar_matches_oracles_on_a_prepared_corpus(tmp_path, arabic):
+    paths = generate(SynthConfig(docs_per_class=15, purity=0.8,
+                                 rule_fraction=0.4, arabic_tool_words=arabic,
+                                 seed=41), tmp_path)
+    lemma_dict = load_lemma_dictionary(paths.lemma_dict)
+    docs = [prepare_document(raw, lemma_dict)
+            for raw in load_corpus(paths.corpus_dir)]
+    lexicon = load_lexicon(paths.lexicon)
+    for formula in PriorFormula:
+        for window in (1, 3):
+            _assert_columnar_matches_oracles(
+                docs, prior_table(lexicon, formula),
+                RuleConfig(negation_words=load_word_list(paths.negations),
+                           intensifier_words=load_word_list(
+                               paths.intensifiers),
+                           window=window))
+
+
+def test_rule_windows_stop_at_the_longest_sentence():
+    docs = _grid_docs()
+    corpus = Corpus(docs)
+    longest = max(end - start for d in docs for start, end in d.sentences)
+    assert corpus.longest_sentence == longest
+    masks = {w: corpus.rule_masks(RuleConfig(GRID_NEG, GRID_INT, window=w))
+             for w in (longest - 1, longest, 10 ** 9)}
+    for mask in masks.values():
+        for got, want in zip(mask, masks[longest - 1]):
+            assert np.array_equal(got, want)
+
+
+def test_corpus_rejects_documents_it_cannot_pack():
+    for sentences in ([(0, 2)], [(0, 1), (2, 3)], [(0, 2), (2, 2), (2, 3)],
+                      [], [(1, 3)]):
+        doc = TokenizedDocument("bad", 1, ["a", "b", "c"], sentences,
+                                ["a", "b", "c"])
+        with pytest.raises(ValueError, match="do not tile"):
+            Corpus([doc])
+    first = TokenizedDocument("one", 1, ["a", "b"], [(0, 2)], ["a", "x"])
+    for second in (["a", "y"], ["c", "x"]):
+        doc = TokenizedDocument("two", 0, ["a", "b"], [(0, 2)], second)
+        with pytest.raises(ValueError, match="second lemma"):
+            Corpus([first, doc])
+    twice = TokenizedDocument("three", 0, ["a", "a"], [(0, 2)], ["a", "b"])
+    with pytest.raises(ValueError, match="second lemma"):
+        Corpus([twice])

@@ -76,7 +76,7 @@ class TestGenerate:
         rule_cfg = RuleConfig(
             negation_words=load_word_list(paths.negations),
             intensifier_words=load_word_list(paths.intensifiers))
-        surfaces = [t for d in docs for t in d.tokens]
+        surfaces = [surface for surface, _ in docs.words]
         assert any(s in rule_cfg.negation_words for s in surfaces)
         assert any(s in rule_cfg.intensifier_words for s in surfaces)
         priors = prior_table(load_lexicon(paths.lexicon),
