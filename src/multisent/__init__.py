@@ -8,8 +8,8 @@ Zipf/KL corpus quality statistics.
 
 __version__ = "0.1.0"
 
-from .corpus_io import (LemmaDictionary, RawDocument, TokenizedDocument,
-                        load_corpus, load_lemma_dictionary, prepare_document)
+from .corpus_io import (LemmaDictionary, RawDocument, encode_texts,
+                        load_corpus, load_lemma_dictionary)
 from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import classifiers
-from .corpus_io import TokenizedDocument, load_corpus, tokenize_and_segment
+from .corpus_io import encode_texts, load_corpus
 from .corpus_quality import quality_report, rank_frequencies
 from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
@@ -92,10 +92,13 @@ def _corpus_config(args, **fields) -> PipelineConfig:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(docs_per_class=args.docs, seed=args.seed,
-                      sentiment_density=args.density, purity=args.purity,
-                      rule_fraction=args.rule_fraction,
-                      arabic_tool_words=args.arabic_tool_words)
+    try:
+        cfg = SynthConfig(docs_per_class=args.docs, seed=args.seed,
+                          sentiment_density=args.density, purity=args.purity,
+                          rule_fraction=args.rule_fraction,
+                          arabic_tool_words=args.arabic_tool_words)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad synth options: {exc}")
     paths = generate(cfg, args.out)
     print(json.dumps({"corpus": str(paths.corpus_dir),
                       "lexicon": str(paths.lexicon),
@@ -106,9 +109,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    docs = [TokenizedDocument(r.id, r.label, tokenize_and_segment(r.text)[0])
-            for r in load_corpus(args.corpus)]
-    table = rank_frequencies(docs)
+    texts = (raw.text for raw in load_corpus(args.corpus))
+    words, word_ids, *_ = encode_texts(texts)
+    table = rank_frequencies(words, word_ids)
     base = 2.0 if args.log_base == "2" else None
     report = quality_report(table, a=args.exponent, csv_path=args.out,
                             base=base)

@@ -6,23 +6,27 @@ UTF-8 document per file. Lemma dictionaries are UTF-8 TSV files with one
 
 Tokens are maximal runs of characters that are neither whitespace nor
 sentence boundary characters. Tokens with no letter (digits,
-punctuation, symbols) are noise: they are dropped while the text is
-split, and a sentence left with no token is dropped with them.
+punctuation, symbols) are noise: they are dropped, and a sentence left
+with no token is dropped with them.
 
-``prepare_document`` turns one raw document into a ``TokenizedDocument``;
-``scoring.Corpus`` then packs a corpus of them into columns, and the
-documents themselves are not kept.
+``encode_texts`` turns a corpus's raw texts into word ids and document
+and sentence offsets in one pass, one document at a time; the
+per-document scalar tokenizer it reproduces lives in ``tests/oracles.py``.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError
 
-# Sentence boundary characters: ASCII terminators plus the Arabic question
-# mark and semicolon. Line breaks always terminate a sentence.
-_BOUNDARY_RE = re.compile(r"[.!?؟؛]")
+# Sentence breaks: the ASCII terminators, the Arabic question mark and
+# semicolon, and every line break ``str.splitlines`` knows. Each becomes
+# the token ".", which cannot be a word: a "." in the text is a break too.
+_BREAK_RE = re.compile("[.!?؟؛\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_BREAK, _NOISE = -1, -2
 
 # Arabic diacritics (tashkeel), Quranic annotation marks, dagger alif, and
 # tatweel; stripped before any dictionary or rule-word lookup.
@@ -46,22 +50,6 @@ class RawDocument:
     text: str
 
 
-@dataclass
-class TokenizedDocument:
-    """A document after tokenization and lemmatization.
-
-    ``tokens`` holds the surface of each kept token. ``sentences`` holds
-    half-open ``(start, end)`` ranges over indices of ``tokens``; the
-    ranges are sorted, disjoint, non-empty, and cover every index.
-    ``lemmas`` is parallel to ``tokens``.
-    """
-    id: str
-    label: int
-    tokens: list[str] = field(default_factory=list)
-    sentences: list[tuple[int, int]] = field(default_factory=list)
-    lemmas: list[str] = field(default_factory=list)
-
-
 class LemmaDictionary:
     """Surface-to-lemma mapping with a light affix-stripping fallback.
 
@@ -69,23 +57,12 @@ class LemmaDictionary:
     miss, strip one longest matching prefix and then one longest matching
     suffix and retry; if the stripped form is not in the dictionary either,
     the stripped form itself is the lemma. Lookup never fails.
-
-    Each distinct surface is looked up once and its lemma remembered, so
-    a corpus prepared with one dictionary lemmatizes every surface once
-    and all tokens of one surface share one lemma string.
     """
 
     def __init__(self, mapping=None):
         self.mapping = dict(mapping or {})
-        self._lemmas = {}
 
     def lemma(self, surface: str) -> str:
-        lemma = self._lemmas.get(surface)
-        if lemma is None:
-            lemma = self._lemmas[surface] = self._lookup(surface)
-        return lemma
-
-    def _lookup(self, surface: str) -> str:
         form = remove_diacritics(surface)
         hit = self.mapping.get(form)
         if hit is not None:
@@ -157,38 +134,49 @@ def load_corpus(root_path) -> list[RawDocument]:
     return docs
 
 
-def tokenize_and_segment(text: str):
-    """Split text into token surfaces and sentence ranges, dropping noise.
+class _Vocabulary(dict):
+    """Surface -> code: a word id in order of first use for a surface with
+    a letter, ``_NOISE`` for one without, ``_BREAK`` for "."."""
 
-    Every boundary character and every line break closes the current
-    sentence. Words with no letter are dropped as they are split off, and
-    a sentence with no kept word is dropped, so consecutive boundaries
-    make no empty sentence. A text with no boundary marker is a single
-    sentence.
+    def __init__(self):
+        super().__init__({".": _BREAK})
+        self.words = []
 
-    Returns ``(tokens, sentences)`` where sentences are half-open ranges
-    over token indices.
+    def __missing__(self, surface):
+        code = _NOISE
+        if any(map(str.isalpha, surface)):
+            code = len(self.words)
+            self.words.append(surface)
+        self[surface] = code
+        return code
+
+
+def encode_texts(texts):
+    """Tokenize, segment and encode a corpus's texts in one pass.
+
+    Every break closes the current sentence. Noise tokens are dropped,
+    and so is a sentence left with no token, so a text with no kept token
+    has no sentence. Returns ``(words, word_ids, doc_tokens,
+    sentence_tokens, doc_sentences)``: the distinct kept surfaces in
+    order of first use, then the columns ``scoring.Corpus`` holds.
     """
-    tokens: list[str] = []
-    sentences: list[tuple[int, int]] = []
-    for line in text.splitlines():
-        for segment in _BOUNDARY_RE.split(line):
-            words = [w for w in segment.split()
-                     if any(ch.isalpha() for ch in w)]
-            if words:
-                sentences.append((len(tokens), len(tokens) + len(words)))
-                tokens += words
-    return tokens, sentences
-
-
-def prepare_document(raw: RawDocument,
-                     lemma_dict: LemmaDictionary) -> TokenizedDocument:
-    """Tokenize, segment, and lemmatize one raw document.
-
-    A document whose tokens are all noise yields zero tokens and zero
-    sentences.
-    """
-    tokens, sentences = tokenize_and_segment(raw.text)
-    return TokenizedDocument(id=raw.id, label=raw.label, tokens=tokens,
-                             sentences=sentences,
-                             lemmas=[lemma_dict.lemma(t) for t in tokens])
+    vocabulary = _Vocabulary()
+    codes, starts = [], []
+    for text in texts:
+        # Each document opens with a break, so no sentence spans two.
+        starts.append(len(codes))
+        codes.append(_BREAK)
+        codes += map(vocabulary.__getitem__,
+                     _BREAK_RE.sub(" . ", text).split())
+    starts.append(len(codes))
+    codes = np.array(codes, dtype=np.intp)
+    kept = codes >= 0
+    doc_tokens = np.searchsorted(np.flatnonzero(kept), starts)
+    word_ids = codes[kept]
+    # With noise left out, a kept token opens a sentence where a break
+    # comes right before it.
+    codes = codes[codes != _NOISE]
+    opens = np.flatnonzero((codes[:-1] == _BREAK)[codes[1:] >= 0])
+    return (vocabulary.words, word_ids, doc_tokens,
+            np.append(opens, len(word_ids)),
+            np.searchsorted(opens, doc_tokens))

@@ -10,11 +10,12 @@ emitted too, but it can be orders of magnitude larger (or negative).
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+import numpy as np
+
+from .errors import ConfigurationError, DataError
 from .util import atomic_write_text, sum_left
 
 CSV_HEADER = "rank,word,actual_count,ideal_frequency,log_rank,log_actual,log_ideal"
@@ -42,14 +43,13 @@ class QualityReport:
     table_path: str | None
 
 
-def rank_frequencies(docs) -> FrequencyTable:
-    """Count surface tokens across documents and rank them."""
-    counts = Counter()
-    for doc in docs:
-        counts.update(doc.tokens)
-    if not counts:
+def rank_frequencies(words, word_ids) -> FrequencyTable:
+    """Count the tokens of each word and rank the words; ``word_ids[t]``
+    indexes the surface of token ``t`` in ``words``."""
+    if not len(word_ids):
         raise DataError("cannot rank frequencies of an empty corpus")
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = np.bincount(word_ids, minlength=len(words)).tolist()
+    ordered = sorted(zip(words, counts), key=lambda kv: (-kv[1], kv[0]))
     entries = tuple((word, count, rank)
                     for rank, (word, count) in enumerate(ordered, start=1))
     return FrequencyTable(entries=entries)
@@ -118,19 +118,30 @@ def quality_report(table: FrequencyTable, a: float = 1.0,
                    csv_path=None, base: float | None = None) -> QualityReport:
     """Compare observed counts against the ideal curve over ranks 1..N.
 
-    The ideal curve anchors at the highest observed frequency. When
-    ``csv_path`` is given, a rank/actual/ideal table (with log-log
-    columns for plotting) is written there.
+    The ideal curve anchors at the highest observed frequency. An
+    exponent ``a`` that makes the curve, or the raw KL sum, zero or
+    non-finite at some rank is a ConfigurationError. When ``csv_path``
+    is given, a rank/actual/ideal table (with log-log columns for
+    plotting) is written there.
     """
     if not table.entries:
         raise DataError("empty frequency table")
     c = float(table.entries[0][1])
     observed = [float(count) for _, count, _ in table.entries]
-    ideal = [ideal_zipf_frequency(c, a, rank) for _, _, rank in table.entries]
+    try:
+        ideal = [ideal_zipf_frequency(c, a, rank)
+                 for _, _, rank in table.entries]
+    except (OverflowError, ZeroDivisionError):    # rank ** a out of range
+        ideal = [math.nan]
+    kl_raw = _kl_sum(ideal, observed, base)
+    if not (all(0.0 < f < math.inf for f in ideal)
+            and math.isfinite(kl_raw + sum_left(ideal))):
+        raise ConfigurationError(
+            f"exponent {a!r} puts the ideal frequency or its KL sum out of "
+            f"range at ranks 1..{len(observed)}")
 
     kl_prob = kl_divergence(_normalize(ideal),
                             smooth_distribution(observed), base=base)
-    kl_raw = _kl_sum(ideal, observed, base)
 
     path_str = None
     if csv_path is not None:

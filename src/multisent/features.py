@@ -170,8 +170,8 @@ class Dataset:
 def write_features_csv(dataset: Dataset, path) -> None:
     """Emit ``label,<feature names>`` rows at full float precision."""
     lines = ["label," + ",".join(dataset.variant.names)]
-    for label, row in zip(dataset.labels, dataset.rows):
-        lines.append(str(int(label)) + "," + ",".join(repr(float(x)) for x in row))
+    for label, row in zip(dataset.labels.tolist(), dataset.rows.tolist()):
+        lines.append(f"{label}," + ",".join(map(repr, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -182,6 +182,10 @@ def read_features_csv(path) -> Dataset:
             lines = [ln.rstrip("\n") for ln in fh]
     except FileNotFoundError:
         raise DataError(f"features file not found: {path}")
+    except UnicodeDecodeError:
+        raise DataError(f"features file is not valid UTF-8: {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read features file {path}: {exc.strerror}")
     if not lines:
         raise DataError(f"features file is empty: {path}")
     header = lines[0].split(",")
@@ -205,6 +209,9 @@ def read_features_csv(path) -> Dataset:
             rows.append([float(x) for x in parts[1:]])
         except ValueError:
             raise DataError(f"{path}:{n}: non-numeric field")
+        if labels[-1] not in (0, 1):
+            raise DataError(
+                f"{path}:{n}: label must be 0 or 1, got {parts[0]}")
         if not all(map(math.isfinite, rows[-1])):
             raise DataError(f"{path}:{n}: non-finite field")
     return Dataset(rows=rows, labels=labels, variant=variant)

@@ -11,8 +11,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import classifiers
-from .corpus_io import load_corpus, load_lemma_dictionary, prepare_document
+from .corpus_io import encode_texts, load_corpus, load_lemma_dictionary
 from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
 from .features import Dataset, Variant, doc_rows, term_rows, write_features_csv
@@ -86,8 +88,11 @@ class PipelineConfig:
 def prepare_corpus(corpus_dir, lemma_dict_path) -> Corpus:
     """Load, tokenize and lemmatize a corpus directory into columns."""
     lemma_dict = load_lemma_dictionary(lemma_dict_path)
-    return Corpus(prepare_document(raw, lemma_dict)
-                  for raw in load_corpus(corpus_dir))
+    raws = load_corpus(corpus_dir)
+    surfaces, *columns = encode_texts(raw.text for raw in raws)
+    return Corpus([raw.id for raw in raws],
+                  np.array([raw.label for raw in raws], dtype=int),
+                  [(s, lemma_dict.lemma(s)) for s in surfaces], *columns)
 
 
 def build_dataset(corpus: Corpus, priors, variant: Variant,

@@ -3,13 +3,14 @@ and sentence scores.
 
 ``Corpus`` holds every token of a prepared corpus in one array of word
 ids, plus document and sentence offsets; a word is a distinct surface
-with its lemma. Each token receives the prior polarity of its lemma (0
-when the lemma is unknown or its surface is a rule word). The rule stage
-then adjusts scores inside sentence boundaries: a negation word within
-the window before a sentiment term flips its sign, after which an
-intensifier within the window on either side pushes the score to +1 or
--1 according to its current sign. Sentence scores collapse a sentence's
-term scores through the (max positive, max |negative|) pair.
+with its lemma. ``corpus_io.encode_texts`` makes these columns straight
+from the raw texts. Each token receives the prior polarity of its lemma
+(0 when the lemma is unknown or its surface is a rule word). The rule
+stage then adjusts scores inside sentence boundaries: a negation word
+within the window before a sentiment term flips its sign, after which
+an intensifier within the window on either side pushes the score to +1
+or -1 according to its current sign. Sentence scores collapse a
+sentence's term scores through the (max positive, max |negative|) pair.
 
 Scores are computed with array operations over the whole corpus and kept
 only where they are nonzero: zero scores pass the rules unchanged and add
@@ -19,8 +20,7 @@ these arrays reproduce bit for bit live in ``tests/oracles.py``.
 """
 
 import enum
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -77,8 +77,9 @@ def load_word_list(path) -> frozenset:
     return frozenset(remove_diacritics(w.strip()) for w in lines if w.strip())
 
 
+@dataclass(eq=False)
 class Corpus:
-    """Prepared documents as columns over all of their tokens.
+    """A prepared corpus as columns over all of its tokens.
 
     - ``ids`` and ``labels``: one entry per document, in corpus order.
     - ``words``: a (surface, lemma) pair per distinct surface, in order
@@ -89,45 +90,16 @@ class Corpus:
     - ``doc_sentences`` (documents + 1): sentence offsets of each
       document.
 
-    Each document's sentences must tile its tokens, and a surface must
-    have one lemma throughout, as ``prepare_document`` makes them. The
-    documents themselves are not kept.
+    ``pipeline.prepare_corpus`` builds it from ``corpus_io.encode_texts``.
     """
-
-    def __init__(self, docs):
-        self.ids, labels = [], []
-        lemmas, word_index = {}, {}     # by surface, in order of first use
-        word_ids = []
-        doc_tokens, doc_sentences, sentence_tokens = [0], [0], []
-        for doc in docs:
-            start = doc_tokens[-1]
-            ends = [b for _, b in doc.sentences]
-            edges = [0, *ends]
-            if ([a for a, _ in doc.sentences] != edges[:-1]
-                    or edges[-1] != len(doc.tokens)
-                    or not all(map(operator.lt, edges, ends))):
-                raise ValueError(
-                    f"sentences of {doc.id} do not tile its tokens")
-            if list(map(lemmas.setdefault, doc.tokens,
-                        doc.lemmas)) != doc.lemmas:
-                raise ValueError(f"{doc.id} gives a surface a second lemma")
-            if len(lemmas) > len(word_index):
-                word_index.update(zip(list(lemmas)[len(word_index):],
-                                      range(len(word_index), len(lemmas))))
-            word_ids += map(word_index.__getitem__, doc.tokens)
-            sentence_tokens += [start + a for a, _ in doc.sentences]
-            self.ids.append(doc.id)
-            labels.append(doc.label)
-            doc_tokens.append(start + len(doc.tokens))
-            doc_sentences.append(len(sentence_tokens))
-        self.words = list(lemmas.items())
-        sentence_tokens.append(doc_tokens[-1])
-        self.labels = np.array(labels, dtype=int)
-        self.word_ids = np.array(word_ids, dtype=np.intp)
-        self.doc_tokens = np.array(doc_tokens, dtype=np.intp)
-        self.doc_sentences = np.array(doc_sentences, dtype=np.intp)
-        self.sentence_tokens = np.array(sentence_tokens, dtype=np.intp)
-        self._masks = {}
+    ids: list
+    labels: np.ndarray
+    words: list
+    word_ids: np.ndarray
+    doc_tokens: np.ndarray
+    sentence_tokens: np.ndarray
+    doc_sentences: np.ndarray
+    _masks: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def longest_sentence(self) -> int:

@@ -42,6 +42,9 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        if self.docs_per_class < 1:
+            raise ValueError("docs_per_class must be at least 1, got "
+                             f"{self.docs_per_class}")
         if not 0.0 <= self.sentiment_density <= 1.0:
             raise ValueError("sentiment_density must be in [0, 1]")
         if not 0.5 < self.purity <= 1.0:

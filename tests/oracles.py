@@ -2,15 +2,17 @@
 
 Everything here is written from the operation definitions with plain
 loops and no imports from the package, so a test comparing the library
-against these functions is a genuine dual-route check. The token
-scoring, rule, sentence-score and feature-row oracles are the package's
-former per-document scalar code; they take the package's documents and
-rule configurations by their attributes.
+against these functions is a genuine dual-route check. The tokenizer,
+corpus packing, token scoring, rule, sentence-score and feature-row
+oracles are the package's former per-document scalar code; they take
+``Doc`` documents and the package's raw documents, lemma dictionaries
+and rule configurations by their attributes.
 """
 
 import math
+import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +78,7 @@ def is_noise_token(surface):
 BOUNDARY_CHARS = frozenset(".!?؟؛")
 
 
-def tokenize_and_segment(text):
+def char_loop_tokens(text):
     """Character-loop tokenizer: ``(surface, position)`` tokens, noise
     included, and sentence ranges over them.
 
@@ -120,7 +122,7 @@ def noise_free_tokens(text):
     """Tokenize, strip noise, then remap each sentence range onto the
     surviving tokens through their positions; sentences left empty are
     dropped. Returns ``(surfaces, sentences)``."""
-    all_tokens, raw_sentences = tokenize_and_segment(text)
+    all_tokens, raw_sentences = char_loop_tokens(text)
     kept = strip_noise(all_tokens)
     kept_positions = [position for _, position in kept]
 
@@ -134,6 +136,77 @@ def noise_free_tokens(text):
             sentences.append((lo, hi))
         lo = hi
     return [surface for surface, _ in kept], sentences
+
+
+BOUNDARY_RE = re.compile(r"[.!?؟؛]")
+
+
+def tokenize_and_segment(text):
+    """Split text into token surfaces and sentence ranges, dropping noise.
+
+    Every boundary character and every ``str.splitlines`` break closes
+    the current sentence. Words with no letter are dropped, and a
+    sentence with no kept word is dropped. Returns ``(tokens,
+    sentences)`` with sentences as half-open ranges over token indices.
+    """
+    tokens = []
+    sentences = []
+    for line in text.splitlines():
+        for segment in BOUNDARY_RE.split(line):
+            words = [w for w in segment.split()
+                     if any(ch.isalpha() for ch in w)]
+            if words:
+                sentences.append((len(tokens), len(tokens) + len(words)))
+                tokens += words
+    return tokens, sentences
+
+
+@dataclass
+class Doc:
+    """One tokenized document: surfaces, sentence ranges over them, and a
+    lemma per surface."""
+    id: str
+    label: int
+    tokens: list = field(default_factory=list)
+    sentences: list = field(default_factory=list)
+    lemmas: list = field(default_factory=list)
+
+
+def prepare_document(raw, lemma_dict):
+    """Tokenize, segment and lemmatize one raw document."""
+    tokens, sentences = tokenize_and_segment(raw.text)
+    return Doc(raw.id, raw.label, tokens, sentences,
+               [lemma_dict.lemma(t) for t in tokens])
+
+
+def corpus_columns(docs):
+    """Pack documents into the columns of ``scoring.Corpus``, one token at
+    a time; each document's sentences must tile its tokens."""
+    ids, labels, lemmas, word_index, word_ids = [], [], {}, {}, []
+    doc_tokens, doc_sentences, sentence_tokens = [0], [0], []
+    for doc in docs:
+        start = doc_tokens[-1]
+        edge = 0
+        for a, b in doc.sentences:
+            assert a == edge < b, f"sentences of {doc.id} do not tile"
+            sentence_tokens.append(start + a)
+            edge = b
+        assert edge == len(doc.tokens), f"sentences of {doc.id} do not tile"
+        for surface, lemma in zip(doc.tokens, doc.lemmas):
+            assert lemmas.setdefault(surface, lemma) == lemma
+            word_ids.append(word_index.setdefault(surface, len(word_index)))
+        ids.append(doc.id)
+        labels.append(doc.label)
+        doc_tokens.append(start + len(doc.tokens))
+        doc_sentences.append(len(sentence_tokens))
+    sentence_tokens.append(doc_tokens[-1])
+    return {"ids": ids,
+            "labels": np.array(labels, dtype=int),
+            "words": list(lemmas.items()),
+            "word_ids": np.array(word_ids, dtype=np.intp),
+            "doc_tokens": np.array(doc_tokens, dtype=np.intp),
+            "sentence_tokens": np.array(sentence_tokens, dtype=np.intp),
+            "doc_sentences": np.array(doc_sentences, dtype=np.intp)}
 
 
 # Arabic diacritics, Quranic annotation marks, dagger alif and tatweel,

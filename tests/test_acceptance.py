@@ -16,7 +16,7 @@ from multisent import classifiers
 from multisent.classifiers import SvmConfig, TreeConfig
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.cli import main
-from multisent.corpus_io import TokenizedDocument, load_corpus
+from multisent.corpus_io import load_corpus
 from multisent.corpus_quality import (kl_divergence, quality_report,
                                       rank_frequencies)
 from multisent.evaluation import (ConfusionCounts, class_metrics,
@@ -116,9 +116,10 @@ def test_criterion_04_rule_properties():
                      intensifier_words=frozenset({int_word}), window=1)
 
     def adjusted(words, sentences, priors):
-        doc = TokenizedDocument(id="d", label=1, tokens=list(words),
-                                sentences=sentences, lemmas=list(words))
-        return Corpus([doc]).token_scores(priors, cfg)[1].tolist()
+        doc = oracles.Doc(id="d", label=1, tokens=list(words),
+                          sentences=sentences, lemmas=list(words))
+        corpus = Corpus(**oracles.corpus_columns([doc]))
+        return corpus.token_scores(priors, cfg)[1].tolist()
 
     # zero priors are never modified
     out = adjusted([neg_word, "plain", int_word], [(0, 3)], {})
@@ -285,13 +286,9 @@ def test_criterion_10_corpus_quality():
         == pytest.approx(0.14384, abs=1e-4)
 
     # a corpus whose counts are exactly 2520/rank for ranks 1..10
-    words = []
-    for r in range(1, 11):
-        words.extend([f"w{r:02d}"] * (2520 // r))
-    doc = TokenizedDocument(
-        id="z", label=1, tokens=list(words),
-        sentences=[(0, len(words))], lemmas=list(words))
-    table = rank_frequencies([doc])
+    words = [f"w{r:02d}" for r in range(1, 11)]
+    word_ids = [r - 1 for r in range(1, 11) for _ in range(2520 // r)]
+    table = rank_frequencies(words, word_ids)
     report = quality_report(table, a=1.0)
     assert report.kl_prob <= 1e-9
 

@@ -1,12 +1,12 @@
 import json
+import math
 import time
 from itertools import groupby
 
 import pytest
 
 from multisent.cli import main
-from multisent.corpus_io import (load_corpus, load_lemma_dictionary,
-                                 prepare_document)
+from multisent.corpus_io import load_corpus, load_lemma_dictionary
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
 from multisent.pipeline import prepare_corpus
 from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
@@ -57,6 +57,20 @@ def _rules_flags(data, window):
 
 
 class TestExitCodes:
+    def test_bad_synth_options_are_configuration_errors(self, tmp_path,
+                                                        capsys):
+        for flag, value in (("--docs", "0"), ("--docs", "-1"),
+                            ("--density", "2"), ("--density", "-0.1"),
+                            ("--purity", "0.3"), ("--purity", "1.5"),
+                            ("--rule-fraction", "1.5"),
+                            ("--rule-fraction", "-0.5")):
+            out = tmp_path / "synth"
+            assert main(["synth", f"{flag}={value}", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "configuration error: bad synth options" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == "" and not out.exists()
+
     def test_unknown_flag_is_configuration_error(self, capsys):
         assert main(["quality", "--bogus"]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -135,6 +149,25 @@ class TestExitCodes:
 
 
 class TestQuality:
+    def test_exponent_out_of_range_is_configuration_error(self, data,
+                                                          tmp_path, capsys):
+        # nan, infinities, and exponents whose ideal curve over- or
+        # underflows at some rank exit 1 and write nothing.
+        out = tmp_path / "quality.csv"
+        for exponent in ("nan", "inf", "-inf", "1e308", "200", "-200",
+                         "-1e308"):
+            assert main(["quality", "--corpus", data["corpus"],
+                         f"--exponent={exponent}", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "configuration error: exponent" in captured.err, exponent
+            assert "Traceback" not in captured.err
+            assert captured.out == "" and not out.exists()
+        for exponent in ("0", "-1", "3.5"):
+            assert main(["quality", "--corpus", data["corpus"],
+                         f"--exponent={exponent}", "--out", str(out)]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert math.isfinite(summary["kl_prob"] + summary["kl_raw"])
+
     def test_emits_csv_and_summary(self, data, tmp_path, capsys):
         out = tmp_path / "quality.csv"
         assert main(["quality", "--corpus", data["corpus"],
@@ -246,7 +279,7 @@ class TestScore:
     def test_score_files_match_the_scalar_oracle(self, rule_data, tmp_path,
                                                  rules):
         lemma_dict = load_lemma_dictionary(rule_data["lemma_dict"])
-        docs = [prepare_document(raw, lemma_dict)
+        docs = [oracles.prepare_document(raw, lemma_dict)
                 for raw in load_corpus(rule_data["corpus"])]
         priors = prior_table(load_lexicon(rule_data["lexicon"]),
                              PriorFormula.AVG_AVG)
@@ -326,15 +359,32 @@ class TestFeaturizeTrainEvaluate:
         assert body["average"]["test"]["pos"]["f"] == 1.0
 
     def test_train_rejects_non_finite_features(self, tmp_path, capsys):
-        features = tmp_path / "nan.csv"
-        features.write_text(
-            "label,count_pos,count_neg,sum_pos,sum_neg,avg_pos,avg_neg\n"
-            "1,nan,nan,nan,nan,nan,nan\n"
-            "0,nan,nan,nan,nan,nan,nan\n", encoding="utf-8")
-        assert main(["train", "--features", str(features), "--classifier",
-                     "dtree", "--out", str(tmp_path / "model.json")]) == 2
-        assert "nan.csv:2: non-finite field" in capsys.readouterr().err
-        assert not (tmp_path / "model.json").exists()
+        # Each bad features file is a data error naming the file, and its
+        # line where one is at fault, for both commands that read one.
+        header = b"label,count_pos,count_neg,sum_pos,sum_neg,avg_pos,avg_neg\n"
+        (tmp_path / "nan.csv").write_bytes(
+            header + b"1,nan,nan,nan,nan,nan,nan\n0,nan,nan,nan,nan,nan,nan\n")
+        (tmp_path / "latin1.csv").write_bytes(header + b"1,0.5\xe9\n")
+        (tmp_path / "label.csv").write_bytes(
+            header + b"1,1.0,0.0,0.5,0.0,0.5,0.0\n"
+            b"2,0.0,1.0,0.0,-0.5,0.0,-0.5\n")
+        (tmp_path / "folder.csv").mkdir()
+        for name, message in (("nan.csv", "nan.csv:2: non-finite field"),
+                              ("latin1.csv", "not valid UTF-8: "),
+                              ("label.csv", "label.csv:3: label must be 0"),
+                              ("folder.csv", "Is a directory")):
+            features = str(tmp_path / name)
+            model = tmp_path / "model.json"
+            assert main(["train", "--features", features, "--classifier",
+                         "dtree", "--out", str(model)]) == 2
+            assert main(["evaluate", "--features", features, "--classifier",
+                         "dtree", "--out", str(tmp_path / "report.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("data error: ") == 2, name
+            assert name in err and message in err
+            assert "Traceback" not in err
+            assert not model.exists()
+            assert not (tmp_path / "report.json").exists()
 
     def test_deep_tree_trains_and_evaluates(self, tmp_path, capsys):
         # 3000 rows with alternating labels on one varying feature grow

@@ -1,14 +1,41 @@
 import random
 
+import numpy as np
 import pytest
 
-from multisent.corpus_io import (LemmaDictionary, RawDocument,
+from multisent import pipeline
+from multisent.corpus_io import (LemmaDictionary, RawDocument, encode_texts,
                                  load_corpus, load_lemma_dictionary,
-                                 prepare_document, remove_diacritics,
-                                 tokenize_and_segment)
+                                 remove_diacritics)
 from multisent.errors import ConfigurationError, DataError, ParseError
 
 import oracles
+
+
+def tokenize_and_segment(text):
+    """One text through ``encode_texts``: its kept surfaces and its
+    sentences as half-open ranges over them."""
+    words, word_ids, _, sentence_tokens, _ = encode_texts([text])
+    bounds = sentence_tokens.tolist()
+    return [words[i] for i in word_ids.tolist()], list(zip(bounds, bounds[1:]))
+
+
+def prepare(monkeypatch, raws, lemma_dict):
+    """``pipeline.prepare_corpus`` over in-memory documents."""
+    monkeypatch.setattr(pipeline, "load_corpus", lambda root: raws)
+    monkeypatch.setattr(pipeline, "load_lemma_dictionary",
+                        lambda path: lemma_dict)
+    return pipeline.prepare_corpus("corpus", "lemmas.tsv")
+
+
+def assert_columns_equal(corpus, want):
+    for name, value in want.items():
+        got = getattr(corpus, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert np.array_equal(got, value), name
+        else:
+            assert got == value, name
 
 
 def write_corpus(root, pos_texts, neg_texts):
@@ -107,18 +134,35 @@ class TestTokenizeAndSegment:
     def test_empty_text(self):
         assert tokenize_and_segment("") == ([], [])
 
-    def test_matches_character_loop_oracle(self):
-        # Random texts over letters, diacritics, tatweel, both boundary
-        # sets, line breaks, Unicode spaces, digits and punctuation; the
-        # oracle tokenizes with a character loop, strips noise, then
-        # remaps sentence ranges through token positions.
-        pool = ("abXفيلمرائعجيد" "\u064e\u0650\u0651\u0640"
-                ".!?\u061f\u061b" "\n\r\x0b\x1c" "  \t\xa0\u3000"
-                "0123٣" ",:/%-_()\"'")
+    def test_matches_character_loop_oracle(self, monkeypatch):
+        # Random corpora over letters, diacritics, tatweel, both boundary
+        # sets, every line break (and "\r\n"), Unicode spaces ("\x1f"
+        # splits words but breaks no line), digits and punctuation. The
+        # one-pass columns must equal the per-text tokenizer's documents
+        # packed one token at a time, and that tokenizer must agree with
+        # a character loop that strips noise and then remaps sentences.
+        pool = [*"abXفيلمرائعجيد", *"\u064e\u0650\u0651\u0640",
+                *".!?\u061f\u061b", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85",
+                "\u2028", "\u2029", "\r\n", "...", " . ",
+                *"  \t\x1f\xa0\u3000", *"0123٣", *",:/%-_()\"'"]
+        edge_texts = ["", "123 456. 789", ". ! ?\n\n", "a\x85b", "a\x1fb",
+                      "a\r\nb", "x . y", "word"]
+        lemma_dict = LemmaDictionary({"ab": "lemma_ab", "فيلم": "film"})
         rng = random.Random(2026)
-        for _ in range(10_000):
-            text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
-            assert tokenize_and_segment(text) == oracles.noise_free_tokens(text)
+        for corpus in range(20):
+            texts = ["".join(rng.choice(pool)
+                             for _ in range(rng.randint(0, 40)))
+                     for _ in range(500)]
+            texts[rng.randrange(500):0] = edge_texts
+            for text in texts:
+                assert oracles.tokenize_and_segment(text) \
+                    == oracles.noise_free_tokens(text)
+            raws = [RawDocument(f"d{i:04d}", i % 2, text)
+                    for i, text in enumerate(texts)]
+            docs = [oracles.prepare_document(raw, lemma_dict)
+                    for raw in raws]
+            assert_columns_equal(prepare(monkeypatch, raws, lemma_dict),
+                                 oracles.corpus_columns(docs))
 
 
 class TestStripNoise:
@@ -225,20 +269,22 @@ class TestLemmatize:
 
 class TestPrepareDocument:
     def test_sentences_partition_token_indices(self):
-        raw = RawDocument(id="pos/a.txt", label=1,
-                          text="good 123 . !! bad stuff\nmore")
-        doc = prepare_document(raw, LemmaDictionary({}))
-        assert doc.tokens == ["good", "bad", "stuff", "more"]
-        assert doc.sentences == [(0, 1), (1, 3), (3, 4)]
-        covered = [i for s, e in doc.sentences for i in range(s, e)]
-        assert covered == list(range(len(doc.tokens)))
-        assert len(doc.lemmas) == len(doc.tokens)
+        tokens, sentences = tokenize_and_segment(
+            "good 123 . !! bad stuff\nmore")
+        assert tokens == ["good", "bad", "stuff", "more"]
+        assert sentences == [(0, 1), (1, 3), (3, 4)]
+        covered = [i for s, e in sentences for i in range(s, e)]
+        assert covered == list(range(len(tokens)))
 
-    def test_all_noise_document_keeps_zero_tokens(self):
-        raw = RawDocument(id="neg/a.txt", label=0, text="123 456. 789")
-        doc = prepare_document(raw, LemmaDictionary({}))
-        assert doc.tokens == []
-        assert doc.sentences == []
+    def test_all_noise_document_keeps_zero_tokens(self, monkeypatch):
+        raws = [RawDocument(f"pos/{i}.txt", 1, text) for i, text in
+                enumerate(["123 456. 789", "good. bad", "", "!! 7", "x"])]
+        corpus = prepare(monkeypatch, raws, LemmaDictionary({}))
+        assert corpus.words == [("good", "good"), ("bad", "bad"), ("x", "x")]
+        assert corpus.word_ids.tolist() == [0, 1, 2]
+        assert corpus.doc_tokens.tolist() == [0, 0, 2, 2, 2, 3]
+        assert corpus.sentence_tokens.tolist() == [0, 1, 2, 3]
+        assert corpus.doc_sentences.tolist() == [0, 0, 2, 2, 2, 3]
 
     def test_partition_property_random_texts(self):
         rng = random.Random(12)
@@ -247,9 +293,8 @@ class TestPrepareDocument:
             text = " ".join(
                 rng.choice(words) + (rng.choice([".", "", "", "?"]))
                 for _ in range(rng.randint(0, 25))) or "x"
-            doc = prepare_document(RawDocument("pos/x.txt", 1, text),
-                                   LemmaDictionary({}))
-            covered = [i for s, e in doc.sentences for i in range(s, e)]
-            assert covered == list(range(len(doc.tokens)))
-            for (s1, e1), (s2, e2) in zip(doc.sentences, doc.sentences[1:]):
+            tokens, sentences = tokenize_and_segment(text)
+            covered = [i for s, e in sentences for i in range(s, e)]
+            assert covered == list(range(len(tokens)))
+            for (s1, e1), (s2, e2) in zip(sentences, sentences[1:]):
                 assert e1 == s2 and s1 < e1

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from multisent.corpus_io import TokenizedDocument
 from multisent.corpus_quality import (CSV_HEADER, FrequencyTable,
                                       ideal_zipf_frequency, kl_divergence,
                                       quality_report, rank_frequencies,
@@ -13,30 +12,30 @@ from multisent.errors import DataError
 import oracles
 
 
-def doc_of(words, label=1):
-    tokens = list(words)
-    return TokenizedDocument(id="d", label=label, tokens=tokens,
-                             sentences=[(0, len(words))] if words else [],
-                             lemmas=list(words))
+def table_of(*docs):
+    """Rank the tokens of documents given as lists of surfaces."""
+    words = list(dict.fromkeys(t for doc in docs for t in doc))
+    index = {w: i for i, w in enumerate(words)}
+    return rank_frequencies(words, [index[t] for doc in docs for t in doc])
 
 
 class TestRankFrequencies:
     def test_basic_counting(self):
-        table = rank_frequencies([doc_of(["a", "a", "b"])])
+        table = table_of(["a", "a", "b"])
         assert table.entries == (("a", 2, 1), ("b", 1, 2))
 
     def test_tie_broken_lexicographically(self):
-        table = rank_frequencies([doc_of(["b", "a"])])
+        table = table_of(["b", "a"])
         assert table.entries == (("a", 1, 1), ("b", 1, 2))
 
     def test_counts_span_documents(self):
-        table = rank_frequencies([doc_of(["x"]), doc_of(["x", "y"])])
+        table = table_of(["x"], ["x", "y"])
         assert table.entries[0] == ("x", 2, 1)
 
     def test_top_rank_is_highest_observed_frequency(self):
         rng = random.Random(31)
         words = [rng.choice("abcdefg") for _ in range(500)]
-        table = rank_frequencies([doc_of(words)])
+        table = table_of(words)
         top = max(words.count(w) for w in set(words))
         assert table.entries[0][1] == top
         assert [e[2] for e in table.entries] == list(
@@ -47,7 +46,7 @@ class TestRankFrequencies:
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(DataError):
-            rank_frequencies([doc_of([])])
+            table_of([])
 
 
 class TestIdealZipf:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from multisent import scoring
-from multisent.corpus_io import (TokenizedDocument, load_corpus,
-                                 load_lemma_dictionary, prepare_document)
+from multisent.corpus_io import load_corpus, load_lemma_dictionary
 from multisent.features import Variant
 from multisent.lexicon import (LexiconEntry, PriorFormula, SenseScore,
                                load_lexicon, prior_table)
-from multisent.pipeline import build_dataset
+from multisent.pipeline import build_dataset, prepare_corpus
 from multisent.scoring import (Corpus, RuleConfig, SentenceFormula,
                                load_word_list)
 from multisent.synth import SynthConfig, generate
@@ -30,8 +29,12 @@ def doc_from_words(words, sentences=None, label=1):
     tokens = list(words)
     if sentences is None:
         sentences = [(0, len(words))] if words else []
-    return TokenizedDocument(id="t", label=label, tokens=tokens,
-                             sentences=sentences, lemmas=list(words))
+    return oracles.Doc(id="t", label=label, tokens=tokens,
+                       sentences=sentences, lemmas=list(words))
+
+
+def corpus_of(docs):
+    return Corpus(**oracles.corpus_columns(docs))
 
 
 class TestScoreTokens:
@@ -243,9 +246,9 @@ def _grid_docs():
         "tie", "mz", "pz", "z0", "z1", "z2", *GRID_RULE_SURFACES]
 
     def doc(words, sentences):
-        return TokenizedDocument(id=f"d{len(docs)}", label=len(docs) % 2,
-                                 tokens=list(words), sentences=sentences,
-                                 lemmas=list(words))
+        return oracles.Doc(id=f"d{len(docs)}", label=len(docs) % 2,
+                           tokens=list(words), sentences=sentences,
+                           lemmas=list(words))
 
     docs = []
     docs.append(doc([], []))
@@ -281,8 +284,7 @@ def _assert_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_columnar_matches_oracles(docs, priors, rule_cfg):
-    corpus = Corpus(docs)
+def _assert_columnar_matches_oracles(corpus, docs, priors, rule_cfg):
     token_priors, adjusted = corpus.token_scores(priors, rule_cfg)
     want = [oracles.score_document(d, priors, rule_cfg) for d in docs]
     _assert_bits(token_priors, [s for p, _ in want for s in p])
@@ -309,8 +311,10 @@ GRID_RULES = [None] + [RuleConfig(negation_words=GRID_NEG,
 @pytest.mark.parametrize("rule_cfg", GRID_RULES,
                          ids=["norules", "w1", "w2", "w3", "w4"])
 def test_columnar_scores_and_rows_match_scalar_oracles(formula, rule_cfg):
+    docs = _grid_docs()
     _assert_columnar_matches_oracles(
-        _grid_docs(), _grid_priors(_grid_lexicon(), formula), rule_cfg)
+        corpus_of(docs), docs, _grid_priors(_grid_lexicon(), formula),
+        rule_cfg)
 
 
 @pytest.mark.parametrize("arabic", [False, True], ids=["ascii", "arabic"])
@@ -319,13 +323,14 @@ def test_columnar_matches_oracles_on_a_prepared_corpus(tmp_path, arabic):
                                  rule_fraction=0.4, arabic_tool_words=arabic,
                                  seed=41), tmp_path)
     lemma_dict = load_lemma_dictionary(paths.lemma_dict)
-    docs = [prepare_document(raw, lemma_dict)
+    docs = [oracles.prepare_document(raw, lemma_dict)
             for raw in load_corpus(paths.corpus_dir)]
+    corpus = prepare_corpus(paths.corpus_dir, paths.lemma_dict)
     lexicon = load_lexicon(paths.lexicon)
     for formula in PriorFormula:
         for window in (1, 3):
             _assert_columnar_matches_oracles(
-                docs, prior_table(lexicon, formula),
+                corpus, docs, prior_table(lexicon, formula),
                 RuleConfig(negation_words=load_word_list(paths.negations),
                            intensifier_words=load_word_list(
                                paths.intensifiers),
@@ -334,7 +339,7 @@ def test_columnar_matches_oracles_on_a_prepared_corpus(tmp_path, arabic):
 
 def test_rule_windows_stop_at_the_longest_sentence():
     docs = _grid_docs()
-    corpus = Corpus(docs)
+    corpus = corpus_of(docs)
     longest = max(end - start for d in docs for start, end in d.sentences)
     assert corpus.longest_sentence == longest
     masks = {w: corpus.rule_masks(RuleConfig(GRID_NEG, GRID_INT, window=w))
@@ -342,20 +347,3 @@ def test_rule_windows_stop_at_the_longest_sentence():
     for mask in masks.values():
         for got, want in zip(mask, masks[longest - 1]):
             assert np.array_equal(got, want)
-
-
-def test_corpus_rejects_documents_it_cannot_pack():
-    for sentences in ([(0, 2)], [(0, 1), (2, 3)], [(0, 2), (2, 2), (2, 3)],
-                      [], [(1, 3)]):
-        doc = TokenizedDocument("bad", 1, ["a", "b", "c"], sentences,
-                                ["a", "b", "c"])
-        with pytest.raises(ValueError, match="do not tile"):
-            Corpus([doc])
-    first = TokenizedDocument("one", 1, ["a", "b"], [(0, 2)], ["a", "x"])
-    for second in (["a", "y"], ["c", "x"]):
-        doc = TokenizedDocument("two", 0, ["a", "b"], [(0, 2)], second)
-        with pytest.raises(ValueError, match="second lemma"):
-            Corpus([first, doc])
-    twice = TokenizedDocument("three", 0, ["a", "a"], [(0, 2)], ["a", "b"])
-    with pytest.raises(ValueError, match="second lemma"):
-        Corpus([twice])
