@@ -1,45 +1,66 @@
 """Soft-margin SVM with an RBF kernel trained by sequential minimal
 optimization.
 
-Each sweep visits every sample and takes its error, once, from the
-maintained vector alphas * y. A sample violating the KKT conditions by more
-than ``tol`` is paired with partners in seeded random order until a pair
-step moves. Partners with j == i, an empty box or eta >= 0 are skipped
-without computing their errors, and so are partners whose step the screen
-below shows to stay under ``_STEP_EPS``. Pair updates keep every alpha in
-[0, C] and sum(alpha_i * y_i) = 0. Training stops after a sweep with no
-violations or no moves, or at the sweep budget. Inputs are min-max scaled
-to [-1, 1].
+Each sweep visits the samples in order. A sample violating the KKT
+conditions by more than ``tol`` is paired with partners in seeded random
+order until a pair step moves. Partners with j == i, an empty box or
+eta >= 0 are skipped without computing their errors, and so are partners
+whose step the screen below shows to stay under ``_STEP_EPS``. Pair
+updates keep every alpha in [0, C] and sum(alpha_i * y_i) = 0. Training
+stops after a sweep with no violations or no moves, or at the sweep
+budget. Inputs are min-max scaled to [-1, 1].
 
-Partner screen. ``ay`` and ``b`` change only when a pair step moves, so
-one product ``kernel @ ay + b - y``, taken again only after a move, gives
-the error E_j of every partner of every violator until the next move. It
-rounds differently from the per-row dot of ``_pair_step``, so it only
-screens: in the same permutation order, partner j of violator i is passed
-to ``_pair_step`` unless its predicted step plus a slack,
+Cached errors. Each sweep starts from one product E = kernel @ ay + b - y,
+with ay = alphas * y, and each move of i and j updates it in O(n):
+E += (ay_i' - ay_i) K[:, i] + (ay_j' - ay_j) K[:, j] + (b' - b). E rounds
+differently from the per-row dot e_k = kernel[k] @ ay + b - y_k, so it
+only screens, within the bound ``gap`` on |E_k - e_k| derived below:
+- KKT visits. ``ay`` and ``b`` change only when a pair step moves, so
+  one vector test lists the samples from the current one to the end of
+  the sweep whose cached error could break KKT: tol + y_k E_k <= gap with
+  alpha_k < C, or tol - y_k E_k <= gap with alpha_k > 0. Only these get
+  the per-row dot and the exact KKT test, and after a move the list is
+  rebuilt from the next sample.
+- Partners. In the same permutation order, partner j of violator i is
+  passed to ``_pair_step`` unless its predicted step plus a slack,
 
-    |clip(a_i - y_i (E_j - e_i) / eta_j, lo_j, hi_j) - a_i| + slack_j,
+      |clip(a_i - y_i (E_j - e_i) / eta_j, lo_j, hi_j) - a_i| + gap / |eta_j|,
 
-is below ``_STEP_EPS``. ``_pair_step`` recomputes the partner's error with
-its exact per-row dot and decides every move, so the models are those of
-the unscreened loop, bit for bit.
+  is below ``_STEP_EPS``.
+The exact KKT test, one ``rng.permutation`` per violator and
+``_pair_step``, which takes the partner's error from its per-row dot,
+decide everything, so the models are those of the unscreened loop, bit
+for bit.
 
-The slack. Let u = 2**-53 and S = sum(alpha) + |b| + 1. Every kernel
-entry lies in [0, 1] and |ay_l| = alpha_l, so both dots, in any summation
-order, lie within gamma_n * sum(alpha) of the exact sum, gamma_n =
+The bound. Let u = 2**-53, S = sum(alpha) + |b| + 1 and T_k the exact
+error of the current alphas and b. Every kernel entry lies in [0, 1] and
+|ay_l| = alpha_l, so a dot over the n samples, in any summation order,
+lies within gamma_n * sum(alpha) of the exact sum, gamma_n =
 n u / (1 - n u) (Higham, Accuracy and Stability of Numerical Algorithms,
-2002, section 3.1). Adding b and subtracting y_j round by at most u S
-each, so the two errors E_j differ by at most (2n + 4) u S, to first order
-in u. The step rounds three more times, on values bounded by S or by
-2 S / |eta_j|: the subtraction of e_i widens the gap by at most 4 u S,
-the division by eta_j adds 4 u S / |eta_j| and the subtraction from
-a_i <= S adds 8 u S / |eta_j| (as |eta_j| <= 2); clipping only narrows
-it. So the two predicted new alphas differ by at most (2n + 20) u S /
-|eta_j|, and rounding |step| and its comparison with ``_STEP_EPS`` cost
-less than another u S / |eta_j|. The screen uses slack_j = 64 n u S /
-|eta_j|, at least five times that bound for n >= 2, a margin in the
-spirit of the 512-roundoff one of the split screen in ``tree.py``. A step
-that is not finite keeps its partner.
+2002, section 3.1). Adding b and subtracting y_k round by at most u S
+each, so the product and the per-row dot both lie within (n + 2) u S of
+T, to first order in u. ``_screen_slack`` is 64 n u S.
+- Drift. ``drift`` bounds |E_k - T_k|. It starts at the sweep's first
+  slack, above (n + 2) u S. With S' the size after a move, the update's
+  three differences round by at most u (S + S') together, and so do its
+  two products; each of its three additions rounds by at most u times a
+  partial sum below 2 (S + S'). That is 8 u (S + S') in all. ``drift`` grows
+  by twice that, 16 u (S + S') = (slack + slack') / 4n, which also covers
+  the terms of second order in u.
+- Gap. So |E_k - e_k| <= drift + (n + 2) u S, and ``gap`` = drift +
+  slack exceeds it by far more than a factor 1 + u. Rounding is monotone,
+  so a sample with y_k e_k < -tol has fl(tol + y_k E_k) <= gap, and one
+  with y_k e_k > tol has fl(tol - y_k E_k) <= gap: no violator is left
+  off the list. A nan error keeps its sample.
+- Steps. The predicted step rounds three more times, on values bounded by
+  S or by 2 S / |eta_j|: the subtraction of e_i adds at most 4 u S, the
+  division by eta_j 4 u S / |eta_j| and the subtraction from a_i <= S
+  8 u S / |eta_j| (as |eta_j| <= 2); clipping only narrows the gap.
+  Rounding |step| and its comparison with ``_STEP_EPS`` cost less than
+  another u S / |eta_j|. So the two predicted steps differ by at most
+  (drift + (n + 19) u S) / |eta_j|, and gap / |eta_j| exceeds that by
+  more than 100 u S / |eta_j| for n >= 2. A step that is not finite keeps
+  its partner.
 """
 
 import math
@@ -52,6 +73,8 @@ from .normalize import NormalizationParams, training_arrays
 
 # Minimum change in an alpha for a pair step to count as progress.
 _STEP_EPS = 1e-7
+# Unit roundoff of float64, 2**-53.
+_U = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -136,18 +159,32 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _screen_slack(alphas, b):
-    """64 n u (sum(alphas) + |b| + 1): bounds the gap between a partner's
-    error from the product ``kernel @ ay + b - y`` and from its per-row
-    dot, and, divided by |eta|, the gap between the two predicted steps
-    with a safety factor of at least five (module docstring)."""
-    u = np.finfo(float).eps / 2
-    return 64.0 * len(alphas) * u * (float(alphas.sum()) + abs(b) + 1.0)
+    """64 n u (sum(alphas) + |b| + 1): bounds the gap between any sample's
+    exact error and its per-row dot or a product's, and, divided by |eta|,
+    the rounding of a predicted step, each with a safety factor of at
+    least five (module docstring)."""
+    return 64.0 * len(alphas) * _U * (float(alphas.sum()) + abs(b) + 1.0)
+
+
+def _move_errors(errors, drift, slack, kernel, alphas, ay, b, i, j, old):
+    """Add the change of a move of ``i`` and ``j`` to the cached errors in
+    place; ``old`` holds ay_i, ay_j and the bias before it. ``drift``
+    bounds the cached errors' gap from the exact ones and ``slack`` is
+    ``_screen_slack`` before the move; returns both after it. The update
+    rounds by at most 8 u (S + S'), and ``drift`` grows by twice that,
+    (slack + slack') / 4n (module docstring)."""
+    ay_i, ay_j, b_old = old
+    errors += (ay[i] - ay_i) * kernel[:, i]
+    errors += (ay[j] - ay_j) * kernel[:, j]
+    errors += b - b_old
+    new_slack = _screen_slack(alphas, b)
+    return drift + (slack + new_slack) / (4 * len(alphas)), new_slack
 
 
 def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
     """One SMO update of partner ``i`` and violator ``j`` (error ``e_j``),
     for a pair the caller screened: ``i != j``, box [``lo``, ``hi``] at
-    least ``_STEP_EPS`` wide, ``eta < 0``, and a step the product's errors
+    least ``_STEP_EPS`` wide, ``eta < 0``, and a step the cached errors
     do not show to stay under ``_STEP_EPS``. The partner's error comes
     from the exact per-row dot with ``ay = alphas * y`` and decides the
     move; a move updates both arrays. Returns (b, moved)."""
@@ -191,16 +228,29 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
     ay = alphas * y
     b = 0.0
     rng = make_rng(derive_seed(cfg.seed, "svm"))
-    errors = slack = None   # kernel @ ay + b - y and its slack, until a move
 
     for _ in range(cfg.max_passes):
         violations = 0
         progressed = 0
-        for i in range(n):
-            e_i = float(kernel[i] @ ay + b - y[i])
-            r_i = y[i] * e_i
-            if (r_i < -cfg.tol and alphas[i] < cfg.c) or \
-                    (r_i > cfg.tol and alphas[i] > 0):
+        # Errors cached from one product, and the bound ``drift`` on their
+        # gap from the exact errors (module docstring).
+        errors = kernel @ ay + b - y
+        slack = drift = _screen_slack(alphas, b)
+        start = 0
+        while start < n:
+            # Samples whose cached error might break KKT by more than tol.
+            gap = drift + slack
+            r = y[start:] * errors[start:]
+            clear = ((cfg.tol + r > gap) | (alphas[start:] >= cfg.c)) \
+                & ((cfg.tol - r > gap) | (alphas[start:] <= 0.0))
+            candidates = start + np.flatnonzero(~clear)
+            start = n
+            for i in candidates.tolist():
+                e_i = float(kernel[i] @ ay + b - y[i])
+                r_i = y[i] * e_i
+                if not ((r_i < -cfg.tol and alphas[i] < cfg.c) or
+                        (r_i > cfg.tol and alphas[i] > 0)):
+                    continue
                 violations += 1
                 order = rng.permutation(n)
                 # Box and eta of every (partner, i) pair by the scalar step's
@@ -214,24 +264,27 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
                 eta = 2.0 * kernel[:, i] - kernel.diagonal() - kernel[i, i]
                 can_move = (hi - lo >= _STEP_EPS) & (eta < 0)
                 partners = order[can_move[order]]
-                # Skip the partners whose step the product's errors show to
+                # Skip the partners whose step the cached errors show to
                 # stay under _STEP_EPS (module docstring).
-                if errors is None:
-                    errors = kernel @ ay + b - y
-                    slack = _screen_slack(alphas, b)
                 eta_p = eta[partners]
                 step = np.minimum(hi[partners], np.maximum(
                     lo[partners],
                     a_i - y[i] * (errors[partners] - e_i) / eta_p)) - a_i
                 # A nan step is not small, so _pair_step decides it.
-                small = np.abs(step) + slack / -eta_p < _STEP_EPS
+                small = np.abs(step) + gap / -eta_p < _STEP_EPS
+                moved = False
                 for j in partners[~small].tolist():
+                    old = ay[i], ay[j], b
                     b, moved = _pair_step(j, i, e_i, lo[j], hi[j], eta[j],
                                           alphas, ay, y, kernel, b, cfg.c)
                     if moved:
-                        progressed += 1
-                        errors = None
                         break
+                if moved:
+                    progressed += 1
+                    drift, slack = _move_errors(errors, drift, slack, kernel,
+                                                alphas, ay, b, i, j, old)
+                    start = i + 1
+                    break
         if violations == 0 or progressed == 0:
             break
 

@@ -8,13 +8,16 @@ sentiment tokens from the positive vocabulary with probability
 ``purity`` (and symmetrically), so with purity 1.0 the class vocabularies
 are disjoint and the corpus is separable by construction. All randomness
 comes from counter-based generators keyed off the single seed, so output
-is byte-identical across platforms.
+is byte-identical across platforms. ``generate`` refuses a corpus
+directory that holds files it would not write, so a corpus is never
+mixed from two runs.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
-from .util import atomic_write_text, derive_seed, make_rng
+from .errors import ConfigurationError
+from .util import atomic_write_text, derive_seed, make_dirs, make_rng
 
 ASCII_NEGATIONS = ("negtool0", "negtool1")
 ASCII_INTENSIFIERS = ("inttool0", "inttool1")
@@ -143,6 +146,20 @@ def generate(cfg: SynthConfig, out_dir) -> SynthPaths:
     for lemma in pos_names + neg_names + neutral_names:
         for surface in _surfaces(lemma):
             dict_lines.append(f"{surface}\t{lemma}")
+
+    # Refuse to mix into an earlier corpus before anything is written.
+    names = {f"doc_{i:04d}.txt" for i in range(cfg.docs_per_class)}
+    for sub in ("neg", "pos"):
+        if (corpus_dir / sub).is_dir():
+            stale = sorted(p.name for p in (corpus_dir / sub).iterdir()
+                           if p.name not in names)
+            if stale:
+                raise ConfigurationError(
+                    f"{corpus_dir / sub} holds {len(stale)} file(s) this "
+                    f"corpus would not write, such as {stale[0]}; write it "
+                    "to a new directory")
+    for sub in ("neg", "pos"):
+        make_dirs(corpus_dir / sub)
 
     vocab = (pos_names, neg_names, neutral_names, negations, intensifiers)
     for label, sub in ((0, "neg"), (1, "pos")):

@@ -1,5 +1,5 @@
-"""Small shared helpers: seeding, deterministic RNG, float sums, atomic
-file writes."""
+"""Small shared helpers: seeding, deterministic RNG, float sums, output
+directories and atomic file writes."""
 
 import hashlib
 import os
@@ -7,6 +7,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -34,16 +36,33 @@ def sum_left(values) -> float:
     return total
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to `path` via a temp file + rename in the same directory."""
+def make_dirs(path) -> None:
+    """Create directory `path` and its parents. A file where a directory
+    must be is a ConfigurationError naming that file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        blocker = next(p for p in (path, *path.parents) if p.exists())
+        raise ConfigurationError(f"cannot create directory {path}: "
+                                 f"{blocker} is not a directory") from None
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to `path` via a temp file + rename in the same directory,
+    creating the directory first (``make_dirs``). A directory at `path` is
+    a ConfigurationError."""
+    path = Path(path)
+    make_dirs(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, IsADirectoryError):
+            raise ConfigurationError(
+                f"cannot write {path}: it is a directory") from None
         raise

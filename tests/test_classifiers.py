@@ -1,5 +1,7 @@
+import functools
 import json
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +67,18 @@ def near_duplicate_rows():
 
 def wide_rows():
     return separable_blobs(100, gap=1.5, n_features=8, seed=35)
+
+
+@functools.cache
+def term8_rows():
+    """300 TERM8 rows with rules of a corpus shaped like the SVM
+    benchmark's: the classes overlap, so one training makes hundreds of
+    moves between the sweeps' fresh error products."""
+    return synth_rows(docs_per_class=150, rule_fraction=0.2, seed=12)
+
+
+SVM_PROBLEMS = [overlapping_blobs, duplicated_rows, one_feature_rows,
+                near_duplicate_rows, wide_rows, term8_rows]
 
 
 def oracle_svm(rows, labels, cfg):
@@ -295,11 +309,12 @@ def near_gain_eps_rows(n, k, a, b):
     return np.column_stack([np.full(n, -2.0), x]), labels
 
 
-def synth_rows():
+def synth_rows(docs_per_class=40, rule_fraction=0.3, seed=7):
     """TERM8 rows with rules of a noisy synthetic corpus."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = generate(SynthConfig(docs_per_class=40, purity=0.8,
-                                     rule_fraction=0.3, seed=7), tmp)
+        paths = generate(SynthConfig(docs_per_class=docs_per_class,
+                                     purity=0.8, rule_fraction=rule_fraction,
+                                     seed=seed), tmp)
         cfg = PipelineConfig(corpus_dir=str(paths.corpus_dir),
                              lexicon_path=str(paths.lexicon),
                              lemma_dict_path=str(paths.lemma_dict),
@@ -564,9 +579,7 @@ class TestSvm:
         label, score = predict(model, rows[0])
         assert label == (1 if score >= 0 else 0)
 
-    @pytest.mark.parametrize("problem", [overlapping_blobs, duplicated_rows,
-                                         one_feature_rows,
-                                         near_duplicate_rows, wide_rows])
+    @pytest.mark.parametrize("problem", SVM_PROBLEMS)
     @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0, 1e4])
     def test_matches_scalar_oracle_bit_for_bit(self, problem, c):
         rows, labels = problem()
@@ -615,8 +628,53 @@ class TestSvm:
             assert eta == eta_want and eta < 0
             assert e_j == e_want and ay_ok
         assert moves == oracle_svm(rows, labels, cfg)[1]
-        # The product's errors screen out nearly every partner that fails.
+        # The cached errors screen out nearly every partner that fails.
         assert len(calls) <= 1.25 * moves
+
+    @pytest.mark.parametrize("problem", SVM_PROBLEMS)
+    @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0, 1e4])
+    def test_cached_errors_stay_within_their_bound(self, monkeypatch,
+                                                   problem, c):
+        rows, labels = problem()
+        y = 2.0 * labels - 1.0
+        real_move = svm._move_errors
+        last = None   # (ay, b, per-row dots) after the last move
+        moves = 0
+
+        def per_row_dots(kernel, ay, b):
+            return np.array([float(kernel[k] @ ay + b - y[k])
+                             for k in range(len(y))])
+
+        def checked(errors, drift, slack, kernel, alphas, ay, b, i, j, old):
+            nonlocal last, moves
+            ay_i, ay_j, b_old = old
+            ay_old = ay.copy()
+            ay_old[i], ay_old[j] = ay_i, ay_j
+            if last is None or not (np.array_equal(last[0], ay_old)
+                                    and last[1] == b_old):
+                last = ay_old, b_old, per_row_dots(kernel, ay_old, b_old)
+            assert np.all(np.abs(errors - last[2]) <= drift + slack)
+            cached = errors.copy()
+            new_drift, new_slack = real_move(errors, drift, slack, kernel,
+                                             alphas, ay, b, i, j, old)
+            last = ay.copy(), b, per_row_dots(kernel, ay, b)
+            assert np.all(np.abs(errors - last[2]) <= new_drift + new_slack)
+            # The update's own rounding, exactly, where it is largest.
+            grown = Fraction(new_drift) - Fraction(drift)
+            for k in {i, j, *np.argsort(-np.abs(errors))[:2].tolist()}:
+                exact = (Fraction(cached[k])
+                         + (Fraction(ay[i]) - Fraction(ay_i))
+                         * Fraction(kernel[k, i])
+                         + (Fraction(ay[j]) - Fraction(ay_j))
+                         * Fraction(kernel[k, j])
+                         + Fraction(b) - Fraction(b_old))
+                assert abs(Fraction(errors[k]) - exact) <= grown
+            moves += 1
+            return new_drift, new_slack
+
+        monkeypatch.setattr(svm, "_move_errors", checked)
+        train_svm(rows, labels, SvmConfig(c=c, seed=4))
+        assert moves
 
     @pytest.mark.parametrize("n", [2, 37, 400, 2000])
     def test_screen_slack_covers_product_error_gap(self, n):

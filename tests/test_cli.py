@@ -71,6 +71,65 @@ class TestExitCodes:
             assert "Traceback" not in captured.err
             assert captured.out == "" and not out.exists()
 
+    def test_out_below_a_regular_file_is_configuration_error(
+            self, data, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("a file\n", encoding="utf-8")
+        features = tmp_path / "features.csv"
+        term8 = ["--level", "term", "--variant", "8", "--formula", "max_sub"]
+        assert main(["featurize", *_corpus_flags(data), *term8,
+                     "--out", str(features)]) == 0
+        for argv in (
+                ["synth", "--docs", "2", "--out", str(afile)],
+                ["quality", "--corpus", data["corpus"],
+                 "--out", str(afile / "x.csv")],
+                ["featurize", *_corpus_flags(data), *term8,
+                 "--out", str(afile / "f.csv")],
+                ["train", "--features", str(features), "--classifier",
+                 "dtree", "--out", str(afile / "m.json")],
+                ["pipeline", *_corpus_flags(data), *term8, "--classifier",
+                 "dtree", "--folds", "3", "--out", str(afile)],
+                ["sweep", *_corpus_flags(data), "--formulas", "max_sub",
+                 "--variants", "8", "--rules-options", "off",
+                 "--classifiers", "dtree", "--folds", "3",
+                 "--out", str(afile)]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert "configuration error: cannot create directory" in err
+            assert f"{afile} is not a directory" in err
+            assert "Traceback" not in err
+        assert afile.read_text(encoding="utf-8") == "a file\n"
+        assert main(["train", "--features", str(features), "--classifier",
+                     "dtree", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path}: it is a directory" in err
+        assert "Traceback" not in err
+
+    def test_synth_refuses_to_mix_corpora(self, tmp_path, capsys):
+        out = tmp_path / "D"
+
+        def files():
+            return sorted((str(p.relative_to(out)), p.read_bytes())
+                          for p in out.rglob("*") if p.is_file())
+
+        assert main(["synth", "--docs", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        first = files()
+        capsys.readouterr()
+        assert main(["synth", "--docs", "4", "--seed", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: " in captured.err
+        assert f"{out / 'corpus' / 'neg'} holds 6 file(s)" in captured.err
+        assert "doc_0004.txt" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert files() == first
+        # The same command again rewrites the same bytes.
+        assert main(["synth", "--docs", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert files() == first
+
     def test_unknown_flag_is_configuration_error(self, capsys):
         assert main(["quality", "--bogus"]) == 1
         assert "configuration error" in capsys.readouterr().err
