@@ -11,10 +11,26 @@ comes from counter-based generators keyed off the single seed, so output
 is byte-identical across platforms. ``generate`` refuses a corpus
 directory that holds files it would not write, so a corpus is never
 mixed from two runs.
+
+Documents draw from ``PhiloxStream``, which reads each document's raw
+64-bit Philox outputs (Salmon et al., SC'11) in chunks and turns them
+into the values ``np.random.Generator(np.random.Philox(seed))`` gives,
+with plain integer code rather than one numpy call per draw:
+``random()`` is numpy's ``(raw >> 11) * 2**-53``, and ``integers(lo, hi)``
+is numpy's bounded-integer algorithm for ranges below 2**32, Lemire's
+multiply-and-reject (ACM TOMACS 29(1), 2019) on 32-bit draws, where each
+raw output yields its low half and then its high half. A corpus is thus
+a function of the seed and of numpy's Philox stream and bounded-integer
+algorithm. ``tests/test_synth.py`` compares the stream with ``Generator``
+call by call and every document with the scalar ``Generator`` version
+kept in ``tests/oracles.py``, and pins a digest of two generated corpora,
+so a numpy release that changed either algorithm fails loudly.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .util import atomic_write_text, derive_seed, make_dirs, make_rng
@@ -48,6 +64,18 @@ class SynthConfig:
         if self.docs_per_class < 1:
             raise ValueError("docs_per_class must be at least 1, got "
                              f"{self.docs_per_class}")
+        for name in ("pos_lemmas", "neg_lemmas", "neutral_lemmas"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+        for name in ("tokens_per_doc", "sentence_tokens", "senses_per_lemma"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} lower bound {lo} is above its "
+                                 f"upper bound {hi}")
+        if self.sentence_tokens[0] < 1:
+            raise ValueError("sentence_tokens lower bound must be at least "
+                             f"1, got {self.sentence_tokens[0]}")
         if not 0.0 <= self.sentiment_density <= 1.0:
             raise ValueError("sentiment_density must be in [0, 1]")
         if not 0.5 < self.purity <= 1.0:
@@ -56,6 +84,8 @@ class SynthConfig:
                 "strictly more likely than opposing ones")
         if not 0.0 <= self.rule_fraction <= 1.0:
             raise ValueError("rule_fraction must be in [0, 1]")
+        if not 0.0 <= self.noise_token_prob <= 1.0:
+            raise ValueError("noise_token_prob must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,17 +117,64 @@ def _sense_lines(cfg: SynthConfig, lemmas, polarity: str, rng) -> list:
     return lines
 
 
+_CHUNK = 256   # raw outputs fetched at a time; a 100-token document uses ~280
+
+
+def _raw_outputs(bits):
+    while True:
+        yield from bits.random_raw(_CHUNK).tolist()
+
+
+class PhiloxStream:
+    """``random()`` and ``integers(lo, hi)`` with the values of
+    ``np.random.Generator(np.random.Philox(seed))``, for ``hi - lo`` in
+    [1, 2**32); see the module docstring."""
+
+    __slots__ = ("_next", "_half")
+
+    def __init__(self, seed: int):
+        self._next = _raw_outputs(np.random.Philox(seed)).__next__
+        self._half = None   # high half of the last raw output split in two
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2.0 ** -53
+
+    def integers(self, lo: int, hi: int) -> int:
+        rng = hi - lo - 1
+        if not 0 <= rng < 0xFFFFFFFF:
+            raise ValueError(f"integers({lo}, {hi}): hi - lo must be in "
+                             "[1, 2**32)")
+        if rng == 0:
+            return lo
+        span = rng + 1
+        m = self._next32() * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = (0xFFFFFFFF - rng) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * span
+        return lo + (m >> 32)
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            raw = self._next()
+            self._half = raw >> 32
+            return raw & 0xFFFFFFFF
+        self._half = None
+        return half
+
+
 def _make_document(cfg: SynthConfig, label: int, index: int, vocab) -> str:
-    rng = make_rng(derive_seed(cfg.seed, "doc", label, index))
+    rng = PhiloxStream(derive_seed(cfg.seed, "doc", label, index))
     pos_vocab, neg_vocab, neutral_vocab, negations, intensifiers = vocab
     own, other = (pos_vocab, neg_vocab) if label == 1 else (neg_vocab, pos_vocab)
 
-    target = int(rng.integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
+    target = rng.integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1)
     sentences = []
     emitted = 0
     while emitted < target:
-        slots = int(rng.integers(cfg.sentence_tokens[0],
-                                 cfg.sentence_tokens[1] + 1))
+        slots = rng.integers(cfg.sentence_tokens[0],
+                             cfg.sentence_tokens[1] + 1)
         slots = min(slots, target - emitted)
         words = []
         for _ in range(slots):
@@ -106,20 +183,20 @@ def _make_document(cfg: SynthConfig, label: int, index: int, vocab) -> str:
                 words.append(str(rng.integers(0, 10000)))
             elif u < cfg.noise_token_prob + cfg.sentiment_density:
                 side = own if rng.random() < cfg.purity else other
-                lemma = side[int(rng.integers(0, len(side)))]
-                surface = _surfaces(lemma)[int(rng.integers(0, 3))]
+                lemma = side[rng.integers(0, len(side))]
+                surface = _surfaces(lemma)[rng.integers(0, 3)]
                 if rng.random() < cfg.rule_fraction:
                     if rng.random() < 0.5:
-                        words.append(negations[int(rng.integers(0, len(negations)))])
+                        words.append(negations[rng.integers(0, len(negations))])
                         words.append(surface)
                     else:
                         words.append(surface)
-                        words.append(intensifiers[int(rng.integers(0, len(intensifiers)))])
+                        words.append(intensifiers[rng.integers(0, len(intensifiers))])
                 else:
                     words.append(surface)
             else:
-                lemma = neutral_vocab[int(rng.integers(0, len(neutral_vocab)))]
-                words.append(_surfaces(lemma)[int(rng.integers(0, 3))])
+                lemma = neutral_vocab[rng.integers(0, len(neutral_vocab))]
+                words.append(_surfaces(lemma)[rng.integers(0, 3)])
             emitted += 1
         sentences.append(" ".join(words) + ".")
     return " ".join(sentences) + "\n"

@@ -6,9 +6,12 @@ against these functions is a genuine dual-route check. The tokenizer,
 corpus packing, token scoring, rule, sentence-score and feature-row
 oracles are the package's former per-document scalar code; they take
 ``Doc`` documents and the package's raw documents, lemma dictionaries
-and rule configurations by their attributes.
+and rule configurations by their attributes. ``make_document`` is the
+synthetic-corpus generator's former scalar ``Generator`` code, with the
+seed derivation and surface forms it used.
 """
 
+import hashlib
 import math
 import re
 import unicodedata
@@ -617,6 +620,60 @@ def tree_walk(node, row):
     while not node.is_leaf:
         node = node.left if row[node.feature] <= node.threshold else node.right
     return node
+
+
+def derive_seed(seed, *labels):
+    key = "|".join([str(int(seed))] + [str(l) for l in labels])
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def make_rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _surfaces(lemma):
+    return (lemma, lemma + "u", lemma + "an")
+
+
+def make_document(cfg, label, index, vocab):
+    """One synthetic document from scalar ``Generator`` calls, two or three
+    per token; ``cfg`` is a ``SynthConfig``."""
+    rng = make_rng(derive_seed(cfg.seed, "doc", label, index))
+    pos_vocab, neg_vocab, neutral_vocab, negations, intensifiers = vocab
+    own, other = (pos_vocab, neg_vocab) if label == 1 else (neg_vocab, pos_vocab)
+
+    target = int(rng.integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
+    sentences = []
+    emitted = 0
+    while emitted < target:
+        slots = int(rng.integers(cfg.sentence_tokens[0],
+                                 cfg.sentence_tokens[1] + 1))
+        slots = min(slots, target - emitted)
+        words = []
+        for _ in range(slots):
+            u = rng.random()
+            if u < cfg.noise_token_prob:
+                words.append(str(rng.integers(0, 10000)))
+            elif u < cfg.noise_token_prob + cfg.sentiment_density:
+                side = own if rng.random() < cfg.purity else other
+                lemma = side[int(rng.integers(0, len(side)))]
+                surface = _surfaces(lemma)[int(rng.integers(0, 3))]
+                if rng.random() < cfg.rule_fraction:
+                    if rng.random() < 0.5:
+                        words.append(negations[int(rng.integers(0, len(negations)))])
+                        words.append(surface)
+                    else:
+                        words.append(surface)
+                        words.append(intensifiers[int(rng.integers(0, len(intensifiers)))])
+                else:
+                    words.append(surface)
+            else:
+                lemma = neutral_vocab[int(rng.integers(0, len(neutral_vocab)))]
+                words.append(_surfaces(lemma)[int(rng.integers(0, 3))])
+            emitted += 1
+        sentences.append(" ".join(words) + ".")
+    return " ".join(sentences) + "\n"
 
 
 # The five-sense example entry used throughout the formula tests:

@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import oracles
 
 from multisent.classifiers import SvmConfig, train_svm
 from multisent.corpus_io import load_corpus, load_lemma_dictionary
@@ -9,12 +13,22 @@ from multisent.features import Variant
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
 from multisent.pipeline import build_dataset, prepare_corpus
 from multisent.scoring import RuleConfig, load_word_list
-from multisent.synth import SynthConfig, generate
+from multisent.synth import (ARABIC_INTENSIFIERS, ARABIC_NEGATIONS,
+                             ASCII_INTENSIFIERS, ASCII_NEGATIONS,
+                             PhiloxStream, SynthConfig, _lemma_names,
+                             _make_document, generate)
 
 
 def _tree_bytes(root):
     files = sorted(p for p in Path(root).rglob("*") if p.is_file())
-    return [(str(p.relative_to(root)), p.read_bytes()) for p in files]
+    return [(p.relative_to(root).as_posix(), p.read_bytes()) for p in files]
+
+
+def _tree_digest(root):
+    h = hashlib.sha256()
+    for name, data in _tree_bytes(root):
+        h.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
 
 
 class TestGenerate:
@@ -100,3 +114,120 @@ class TestGenerate:
     def test_density_range_checked(self):
         with pytest.raises(ValueError):
             SynthConfig(sentiment_density=1.5)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field,value", [
+        ("tokens_per_doc", (10, 9)),
+        ("sentence_tokens", (6, 5)),
+        ("senses_per_lemma", (3, 2)),
+    ])
+    def test_lower_bound_above_upper_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} lower bound"):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [(0, 0), (0, 5), (-1, 3)])
+    def test_sentence_tokens_below_one_is_rejected(self, value):
+        # (0, 0) used to make every sentence empty, so documents never ended.
+        with pytest.raises(ValueError, match="sentence_tokens"):
+            SynthConfig(sentence_tokens=value)
+
+    @pytest.mark.parametrize("field", ["pos_lemmas", "neg_lemmas",
+                                       "neutral_lemmas"])
+    def test_empty_vocabulary_is_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: 0})
+
+    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
+    def test_noise_probability_outside_unit_interval_is_rejected(self, value):
+        with pytest.raises(ValueError, match="noise_token_prob"):
+            SynthConfig(noise_token_prob=value)
+
+    def test_one_token_sentences_and_empty_documents_are_accepted(self):
+        cfg = SynthConfig(docs_per_class=1, tokens_per_doc=(0, 0),
+                          sentence_tokens=(1, 1), senses_per_lemma=(2, 2),
+                          noise_token_prob=1.0)
+        assert _make_document(cfg, 1, 0, _vocab(cfg)) == "\n"
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (5, 4), (0, 2 ** 32),
+                                       (-1, 2 ** 32)])
+    def test_stream_rejects_ranges_it_does_not_implement(self, lo, hi):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            PhiloxStream(1).integers(lo, hi)
+
+
+# Ranges for the stream test: (0, 1) draws nothing; 3 * 2**30 rejects a
+# quarter of its 32-bit draws and 2**31 + 1 almost half; 2**32 - 1 is the
+# widest range the stream implements.
+STREAM_RANGES = [(0, 1), (7, 8), (0, 2), (0, 3), (-5, 5), (0, 40), (0, 120),
+                 (0, 10000), (3 * 2 ** 30 - 1, 6 * 2 ** 30),
+                 (0, 3 * 2 ** 30), (0, 3 * 2 ** 30 + 1), (0, 2 ** 31 + 1),
+                 (-2 ** 31, 2 ** 31 - 1), (0, 2 ** 32 - 1)]
+
+
+def _vocab(cfg):
+    tool = ((ARABIC_NEGATIONS, ARABIC_INTENSIFIERS) if cfg.arabic_tool_words
+            else (ASCII_NEGATIONS, ASCII_INTENSIFIERS))
+    return (_lemma_names("pos", cfg.pos_lemmas),
+            _lemma_names("neg", cfg.neg_lemmas),
+            _lemma_names("neu", cfg.neutral_lemmas)) + tool
+
+
+class TestPhiloxStream:
+    def test_matches_numpy_generator_call_for_call(self):
+        # 3,000 calls use about 2,250 raw outputs, so every seed crosses
+        # eight 256-output chunk boundaries, about a third of them with a
+        # kept 32-bit half pending.
+        for seed in range(200):
+            plan = np.random.default_rng(seed).integers(
+                -len(STREAM_RANGES), len(STREAM_RANGES), 3000).tolist()
+            stream = PhiloxStream(seed)
+            gen = np.random.Generator(np.random.Philox(seed))
+            for step, k in enumerate(plan):
+                if k < 0:
+                    got, want = stream.random(), gen.random()
+                else:
+                    lo, hi = STREAM_RANGES[k]
+                    got, want = stream.integers(lo, hi), gen.integers(lo, hi)
+                assert got == want, (seed, step, k)
+            assert stream.random() == gen.random(), seed
+
+
+class TestDocumentsMatchGenerator:
+    @pytest.mark.parametrize("arabic,purity,rule_fraction",
+                             itertools.product((False, True), (1.0, 0.8),
+                                               (0.0, 0.2, 1.0)))
+    def test_every_document_equals_the_scalar_oracle(self, arabic, purity,
+                                                     rule_fraction):
+        shapes = [{"tokens_per_doc": (20, 60)},
+                  {"tokens_per_doc": (0, 3), "sentence_tokens": (1, 1)},
+                  {"tokens_per_doc": (7, 7), "sentence_tokens": (3, 3)}]
+        grid = itertools.product((0.0, 0.02), (0.0, 0.3, 1.0), shapes)
+        for seed, (noise, density, shape) in enumerate(grid, start=3):
+            cfg = SynthConfig(docs_per_class=4, sentiment_density=density,
+                              purity=purity, rule_fraction=rule_fraction,
+                              noise_token_prob=noise, arabic_tool_words=arabic,
+                              seed=seed * 101, **shape)
+            vocab = _vocab(cfg)
+            for label in (0, 1):
+                for i in range(cfg.docs_per_class):
+                    assert (_make_document(cfg, label, i, vocab)
+                            == oracles.make_document(cfg, label, i, vocab)), \
+                        (cfg, label, i)
+
+
+class TestGoldenCorpus:
+    # ``_tree_digest`` of two whole ``generate`` trees (20+20 documents and
+    # the lexicon files), recorded when documents came from scalar
+    # ``Generator`` calls. A numpy release that changed Philox or its
+    # bounded integers would move the stream and the oracle together, so
+    # only these pinned digests would catch it.
+    @pytest.mark.parametrize("arabic,seed,digest", [
+        (False, 7, "ce556857dde34e3e8e86841d5857b5d741fbc40234266c135b0328a377c71354"),
+        (True, 12, "39e672e7f22bdae7e10547174935c7180b4547486c07e9a68b1d9e2f054f3c98"),
+    ])
+    def test_corpus_tree_digest_is_pinned(self, tmp_path, arabic, seed,
+                                          digest):
+        generate(SynthConfig(docs_per_class=20, purity=0.8, rule_fraction=0.2,
+                             arabic_tool_words=arabic, seed=seed), tmp_path)
+        assert _tree_digest(tmp_path) == digest
