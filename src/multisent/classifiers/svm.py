@@ -32,6 +32,20 @@ The exact KKT test, one ``rng.permutation`` per violator and
 decide everything, so the models are those of the unscreened loop, bit
 for bit.
 
+The signed box. y_i ay_j is alpha_j signed by y_i y_j, so with c_same
+the vector of C at the samples of i's class and 0 elsewhere, and c_diff
+its reverse, every partner's box is lo = max(0, (y_i ay + a_i) - c_same)
+and hi = min(C, (c_diff + a_i) + y_i ay), with no branch. For both
+classes of partner these are the scalar step's IEEE operations in its
+order, apart from adding or subtracting a 0 entry, which is exact, so
+the box is the scalar step's bit for bit. The box, eta and the predicted
+step are taken over all n partners in sample order, and one mask keeps
+those with a box at least ``_STEP_EPS`` wide, eta < 0 and a step that is
+not small; the permutation reads the kept partners off that mask. The
+two divisions by eta also run where eta >= 0 (at j = i, eta is exactly
+0); the mask drops those entries, so their floating-point warnings are
+silenced there alone.
+
 The bound. Let u = 2**-53, S = sum(alpha) + |b| + 1 and T_k the exact
 error of the current alphas and b. Every kernel entry lies in [0, 1] and
 |ay_l| = alpha_l, so a dot over the n samples, in any summation order,
@@ -224,6 +238,11 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
 
     kernel = rbf_kernel(x, x, gamma)
+    diagonal = kernel.diagonal()
+    # C at the samples of one class and 0 at the other's: the signed box's
+    # constants for a violator of either class (module docstring).
+    c_pos = np.where(y > 0, cfg.c, 0.0)
+    c_neg = np.where(y > 0, 0.0, cfg.c)
     alphas = np.zeros(n)
     ay = alphas * y
     b = 0.0
@@ -255,25 +274,25 @@ def train_svm(rows: np.ndarray, labels: np.ndarray,
                 order = rng.permutation(n)
                 # Box and eta of every (partner, i) pair by the scalar step's
                 # operations in its order; eta is exactly 0 at partner i.
-                a_i = alphas[i]
-                same = y == y[i]
-                lo = np.where(same, np.maximum(0.0, alphas + a_i - cfg.c),
-                              np.maximum(0.0, a_i - alphas))
-                hi = np.where(same, np.minimum(cfg.c, alphas + a_i),
-                              np.minimum(cfg.c, cfg.c + a_i - alphas))
-                eta = 2.0 * kernel[:, i] - kernel.diagonal() - kernel[i, i]
-                can_move = (hi - lo >= _STEP_EPS) & (eta < 0)
-                partners = order[can_move[order]]
-                # Skip the partners whose step the cached errors show to
-                # stay under _STEP_EPS (module docstring).
-                eta_p = eta[partners]
-                step = np.minimum(hi[partners], np.maximum(
-                    lo[partners],
-                    a_i - y[i] * (errors[partners] - e_i) / eta_p)) - a_i
-                # A nan step is not small, so _pair_step decides it.
-                small = np.abs(step) + gap / -eta_p < _STEP_EPS
+                a_i, y_i = alphas[i], y[i]
+                c_same, c_diff = (c_pos, c_neg) if y_i > 0 else (c_neg, c_pos)
+                signed = y_i * ay
+                lo = np.maximum(0.0, signed + a_i - c_same)
+                hi = np.minimum(cfg.c, c_diff + a_i + signed)
+                eta = 2.0 * kernel[:, i] - diagonal - kernel[i, i]
+                # Each partner's predicted step and slack; the entries at
+                # eta >= 0, where these divisions can warn, are masked out.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = a_i - y_i * (errors - e_i) / eta
+                    slack_p = -gap / eta
+                step = np.minimum(hi, np.maximum(lo, step)) - a_i
+                # Keep the movable partners whose step the cached errors do
+                # not show to stay under _STEP_EPS; a nan step is not small,
+                # so _pair_step decides it.
+                keep = (hi - lo >= _STEP_EPS) & (eta < 0) \
+                    & ~(np.abs(step) + slack_p < _STEP_EPS)
                 moved = False
-                for j in partners[~small].tolist():
+                for j in order[keep[order]].tolist():
                     old = ay[i], ay[j], b
                     b, moved = _pair_step(j, i, e_i, lo[j], hi[j], eta[j],
                                           alphas, ay, y, kernel, b, cfg.c)

@@ -63,7 +63,7 @@ def load_lexicon(path) -> dict[str, LexiconEntry]:
 
     Repeated lemma lines accumulate as additional senses in file order.
     Scores outside [0, 1] or malformed lines raise ParseError with the
-    offending line number.
+    offending line number; a file with no entries raises DataError.
     """
     path = Path(path)
     try:
@@ -91,6 +91,8 @@ def load_lexicon(path) -> dict[str, LexiconEntry]:
             raise ParseError(f"{path}:{n}: {exc}")
         senses_by_lemma.setdefault(parts[0], []).append(sense)
 
+    if not senses_by_lemma:
+        raise DataError(f"lexicon file has no entries: {path}")
     return {lemma: LexiconEntry(lemma=lemma, senses=tuple(senses))
             for lemma, senses in senses_by_lemma.items()}
 

@@ -7,6 +7,7 @@ configuration reproduces its outputs byte for byte.
 """
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -194,19 +195,20 @@ class SweepCell:
     sentence_formula: str | None
     variant: int
     rules: bool
-    report: EvalReport
-
-    @property
-    def test_f_pos(self) -> float:
-        return self.report.average()["test"]["pos"]["f"]
-
-    @property
-    def test_f_neg(self) -> float:
-        return self.report.average()["test"]["neg"]["f"]
+    report: EvalReport | None = None
+    # Test F per class of the report's average, set with ``report``.
+    test_f_pos: float = math.nan
+    test_f_neg: float = math.nan
 
     @property
     def mean_test_f(self) -> float:
         return (self.test_f_pos + self.test_f_neg) / 2.0
+
+    def set_report(self, report: EvalReport) -> None:
+        """Keep ``report`` and its averaged test F, computed once."""
+        test = report.average()["test"]
+        self.report = report
+        self.test_f_pos, self.test_f_neg = test["pos"]["f"], test["neg"]["f"]
 
     def name(self) -> str:
         parts = [self.classifier, self.prior_formula]
@@ -249,7 +251,7 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
                         cell = SweepCell(classifier=kind, prior_formula=formula,
                                          sentence_formula=sf,
                                          variant=int(variant),
-                                         rules=bool(rules), report=None)
+                                         rules=bool(rules))
                         cell_cfg = replace(
                             base, out_dir=str(Path(base.out_dir) / "cells"
                                               / cell.name()),
@@ -266,8 +268,8 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
         key = (prior, sentence, cell.rules)
         if key not in datasets:
             datasets[key] = featurize(inputs, variant, *key)
-        cell.report = evaluate(cell_cfg, datasets[key].project(variant),
-                               prior, sentence, clf_config)
+        cell.set_report(evaluate(cell_cfg, datasets[key].project(variant),
+                                 prior, sentence, clf_config))
     finished = [cell for cell, _, _ in cells]
 
     best = max(range(len(finished)), key=lambda i: finished[i].mean_test_f)

@@ -73,6 +73,9 @@ class SynthConfig:
             if lo > hi:
                 raise ValueError(f"{name} lower bound {lo} is above its "
                                  f"upper bound {hi}")
+        if self.senses_per_lemma[1] < 1:
+            raise ValueError("senses_per_lemma upper bound must be at least "
+                             f"1, got {self.senses_per_lemma[1]}")
         if self.sentence_tokens[0] < 1:
             raise ValueError("sentence_tokens lower bound must be at least "
                              f"1, got {self.sentence_tokens[0]}")

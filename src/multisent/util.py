@@ -50,13 +50,19 @@ def make_dirs(path) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to `path` via a temp file + rename in the same directory,
-    creating the directory first (``make_dirs``). A directory at `path` is
-    a ConfigurationError."""
+    creating the directory first (``make_dirs``). The file gets mode 0666
+    less the process umask, as ``open`` would give it. A directory at
+    `path` is a ConfigurationError."""
     path = Path(path)
     make_dirs(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; os.umask only reads the mask
+            # by setting it, so set it back at once.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:

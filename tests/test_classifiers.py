@@ -1,6 +1,7 @@
 import functools
 import json
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -580,7 +581,9 @@ class TestSvm:
         assert label == (1 if score >= 0 else 0)
 
     @pytest.mark.parametrize("problem", SVM_PROBLEMS)
-    @pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 100.0, 1e4])
+    # At c = 0.05 many alphas sit at a bound, so the box clips at both
+    # ends for partners of either class.
+    @pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 10.0, 100.0, 1e4])
     def test_matches_scalar_oracle_bit_for_bit(self, problem, c):
         rows, labels = problem()
         # Seeds 0-5 meet every (max_passes, gamma) and (max_passes, tol)
@@ -595,6 +598,20 @@ class TestSvm:
             assert np.array_equal(np.signbit(got.alphas),
                                   np.signbit(want.alphas))
             assert got.bias == want.bias
+
+    @pytest.mark.parametrize("problem", SVM_PROBLEMS)
+    @pytest.mark.parametrize("c", [0.05, 1.0, 1e4])
+    def test_trains_without_floating_point_warnings(self, problem, c):
+        # The screen divides by eta at every partner and masks the
+        # entries with eta >= 0; none of their warnings may leak.
+        rows, labels = problem()
+        with warnings.catch_warnings(), np.errstate(divide="raise",
+                                                    invalid="raise",
+                                                    over="raise"):
+            warnings.simplefilter("error")
+            for seed in range(3):
+                model = train_svm(rows, labels, SvmConfig(c=c, seed=seed))
+                assert np.all(np.isfinite(model.alphas))
 
     @pytest.mark.parametrize("c", [1.0, 100.0])
     def test_pair_steps_get_only_movable_pairs(self, monkeypatch, c):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import time
 from itertools import groupby
 
@@ -162,6 +164,21 @@ class TestExitCodes:
         assert "prior aggregation" in err
         assert "bad.tsv:1" in err
 
+    def test_lexicon_without_entries_is_data_error(self, tmp_path, data,
+                                                   capsys):
+        empty = tmp_path / "lexicon.tsv"
+        empty.write_text("\n", encoding="utf-8")
+        code = main(["pipeline", "--corpus", data["corpus"],
+                     "--lexicon", str(empty),
+                     "--lemma-dict", data["lemma_dict"],
+                     "--out", str(tmp_path / "run"),
+                     "--classifier", "dtree", "--folds", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "no entries" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_incompatible_level_variant_fails_before_compute(self, tmp_path,
                                                              data):
         code = main(["pipeline", *_corpus_flags(data),
@@ -205,6 +222,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sweep").exists()
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002],
+                             ids=["022", "027", "002"])
+    def test_written_files_honour_the_umask(self, tmp_path, umask):
+        synth_dir, run_dir = tmp_path / "synth", tmp_path / "run"
+        old = os.umask(umask)
+        try:
+            assert main(["synth", "--docs", "4", "--seed", "5",
+                         "--out", str(synth_dir)]) == 0
+            assert main(["pipeline", "--corpus", str(synth_dir / "corpus"),
+                         "--lexicon", str(synth_dir / "lexicon.tsv"),
+                         "--lemma-dict", str(synth_dir / "lemma_dict.tsv"),
+                         "--out", str(run_dir), "--classifier", "dtree",
+                         "--folds", "2"]) == 0
+        finally:
+            os.umask(old)
+        document = min(p for p in (synth_dir / "corpus").rglob("*")
+                       if p.is_file())
+        for path in (document, run_dir / "report.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 class TestQuality:

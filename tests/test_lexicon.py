@@ -40,10 +40,14 @@ class TestLoadLexicon:
         with pytest.raises(ParseError, match=":1"):
             load_lexicon(path)
 
-    def test_empty_file_is_a_valid_empty_lexicon(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n  "])
+    def test_file_without_entries_is_a_data_error(self, tmp_path, text):
+        # Such a lexicon used to give every token a prior of 0, so the
+        # classifiers trained on all-zero rows.
         path = tmp_path / "lex.tsv"
-        path.write_text("", encoding="utf-8")
-        assert load_lexicon(path) == {}
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="no entries"):
+            load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -6,6 +6,7 @@ from collections import defaultdict
 import pytest
 
 from multisent import pipeline
+from multisent.evaluation import EvalReport
 from multisent.pipeline import PipelineConfig, run_pipeline, sweep
 from multisent.synth import SynthConfig, generate
 
@@ -87,3 +88,27 @@ def test_sweep_prepares_once_and_builds_each_dataset_once(paths, tmp_path,
     assert len({(id(priors), rule_cfg is None)
                 for _, priors, _, rule_cfg, _ in builds}) == 6
     assert {variant.name for _, _, variant, _, _ in builds} == {"TERM8"}
+
+
+def test_each_cell_averages_its_report_once(paths, tmp_path, monkeypatch):
+    calls = 0
+    real_average = EvalReport.average
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return real_average(self)
+
+    monkeypatch.setattr(EvalReport, "average", counting)
+    cells = sweep(_base(paths, tmp_path / "sweep"),
+                  prior_formulas=["max_sub", "avg_sub"], variants=[8, 6],
+                  rules_options=[False], classifier_kinds=["dtree"])
+    assert len(cells) == 4
+    # Once for the cell's report.json and once for its sweep.csv row.
+    assert calls == 2 * len(cells)
+    table = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    for cell, row in zip(cells, table):
+        test = real_average(cell.report)["test"]
+        assert row.split(",")[5:8] == [
+            repr(test["pos"]["f"]), repr(test["neg"]["f"]),
+            repr((test["pos"]["f"] + test["neg"]["f"]) / 2.0)]

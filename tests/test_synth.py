@@ -132,6 +132,12 @@ class TestConfigRanges:
         with pytest.raises(ValueError, match="sentence_tokens"):
             SynthConfig(sentence_tokens=value)
 
+    @pytest.mark.parametrize("value", [(0, 0), (-2, 0)])
+    def test_senses_upper_bound_below_one_is_rejected(self, value):
+        # (0, 0) used to write a lexicon with no entries.
+        with pytest.raises(ValueError, match="senses_per_lemma upper bound"):
+            SynthConfig(senses_per_lemma=value)
+
     @pytest.mark.parametrize("field", ["pos_lemmas", "neg_lemmas",
                                        "neutral_lemmas"])
     def test_empty_vocabulary_is_rejected(self, field):
