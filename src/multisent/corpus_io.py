@@ -108,8 +108,8 @@ def load_corpus(root_path) -> list[RawDocument]:
 
     Documents are ordered by their relative path so loading is
     deterministic. Raises ConfigurationError for a missing pos/ or neg/
-    subdirectory and DataError for empty classes, empty files, or files
-    that do not decode as UTF-8.
+    subdirectory and DataError for empty classes, or for ``*.txt`` entries
+    that cannot be read, are empty or do not decode as UTF-8.
     """
     root = Path(root_path)
     docs = []
@@ -126,6 +126,8 @@ def load_corpus(root_path) -> list[RawDocument]:
                 text = f.read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"file is not valid UTF-8: {f} ({exc.reason})")
+            except OSError as exc:
+                raise DataError(f"cannot read {f}: {exc.strerror}") from None
             if not text:
                 raise DataError(f"empty document file: {f}")
             docs.append(RawDocument(id=f"{sub}/{f.name}", label=label,

@@ -128,6 +128,9 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
         corpus = prepare_corpus(cfg.corpus_dir, cfg.lemma_dict_path)
     with _stage("prior aggregation"):
         lexicon = load_lexicon(cfg.lexicon_path)
+        if not any(lemma in lexicon for _, lemma in corpus.words):
+            raise DataError(f"{cfg.lexicon_path} has a prior for no lemma "
+                            "of the corpus")
         priors = {f: prior_table(lexicon, f) for f in prior_formulas}
     rule_cfg = None
     if rules:

@@ -27,6 +27,7 @@ kept in ``tests/oracles.py``, and pins a digest of two generated corpora,
 so a numpy release that changed either algorithm fails loudly.
 """
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,8 +101,7 @@ class SynthPaths:
     intensifiers: Path
 
 
-def _surfaces(lemma: str) -> tuple:
-    return (lemma, lemma + "u", lemma + "an")
+_ENDINGS = ("", "u", "an")   # a lemma's three surfaces: lemma + ending
 
 
 def _lemma_names(prefix: str, count: int) -> list:
@@ -124,8 +124,8 @@ _CHUNK = 256   # raw outputs fetched at a time; a 100-token document uses ~280
 
 
 def _raw_outputs(bits):
-    while True:
-        yield from bits.random_raw(_CHUNK).tolist()
+    return itertools.chain.from_iterable(
+        iter(lambda: bits.random_raw(_CHUNK).tolist(), None))
 
 
 class PhiloxStream:
@@ -187,7 +187,7 @@ def _make_document(cfg: SynthConfig, label: int, index: int, vocab) -> str:
             elif u < cfg.noise_token_prob + cfg.sentiment_density:
                 side = own if rng.random() < cfg.purity else other
                 lemma = side[rng.integers(0, len(side))]
-                surface = _surfaces(lemma)[rng.integers(0, 3)]
+                surface = lemma + _ENDINGS[rng.integers(0, 3)]
                 if rng.random() < cfg.rule_fraction:
                     if rng.random() < 0.5:
                         words.append(negations[rng.integers(0, len(negations))])
@@ -199,7 +199,7 @@ def _make_document(cfg: SynthConfig, label: int, index: int, vocab) -> str:
                     words.append(surface)
             else:
                 lemma = neutral_vocab[rng.integers(0, len(neutral_vocab))]
-                words.append(_surfaces(lemma)[rng.integers(0, 3)])
+                words.append(lemma + _ENDINGS[rng.integers(0, 3)])
             emitted += 1
         sentences.append(" ".join(words) + ".")
     return " ".join(sentences) + "\n"
@@ -224,8 +224,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthPaths:
 
     dict_lines = []
     for lemma in pos_names + neg_names + neutral_names:
-        for surface in _surfaces(lemma):
-            dict_lines.append(f"{surface}\t{lemma}")
+        for ending in _ENDINGS:
+            dict_lines.append(f"{lemma}{ending}\t{lemma}")
 
     # Refuse to mix into an earlier corpus before anything is written.
     names = {f"doc_{i:04d}.txt" for i in range(cfg.docs_per_class)}

@@ -1,9 +1,8 @@
 """Small shared helpers: seeding, deterministic RNG, float sums, output
-directories and atomic file writes."""
+directories and atomic file writes of one ``os.open`` and one rename."""
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +48,25 @@ def make_dirs(path) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to `path` via a temp file + rename in the same directory,
-    creating the directory first (``make_dirs``). The file gets mode 0666
-    less the process umask, as ``open`` would give it. A directory at
-    `path` is a ConfigurationError."""
-    path = Path(path)
-    make_dirs(path.parent)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """Write text as UTF-8 to a new temp file ``<name>.<random hex>``
+    beside `path`, then rename it over `path`. The kernel gives it mode
+    0666 less the umask, as with ``open``; the directory is made only when
+    missing. A failure leaves no temp file, and a directory at `path` is a
+    ConfigurationError."""
+    data = text.encode("utf-8")
+    tmp = f"{path}.{os.urandom(6).hex()}"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600; os.umask only reads the mask
-            # by setting it, so set it back at once.
-            umask = os.umask(0o077)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            fh.write(text)
+        fd = os.open(tmp, flags, 0o666)
+    except (FileNotFoundError, NotADirectoryError):
+        make_dirs(Path(path).parent)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         if isinstance(exc, IsADirectoryError):
             raise ConfigurationError(
                 f"cannot write {path}: it is a directory") from None

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import stat
 import time
 from itertools import groupby
@@ -178,6 +179,45 @@ class TestExitCodes:
         assert "data error" in err and "no entries" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_lexicon_covering_no_lemma_is_data_error(self, tmp_path, data,
+                                                     capsys, command):
+        unused = tmp_path / "lexicon.tsv"
+        unused.write_text("zzzunused\t0.9\t0.1\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main([command, "--corpus", data["corpus"],
+                     "--lexicon", str(unused),
+                     "--lemma-dict", data["lemma_dict"], "--out", str(out),
+                     "--folds", "2"]
+                    + (["--classifier", "dtree"] if command == "pipeline"
+                       else ["--classifiers", "dtree"]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: prior aggregation" in err
+        assert "a prior for no lemma of the corpus" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "quality"])
+    def test_unreadable_document_is_data_error(self, tmp_path, data, capsys,
+                                               command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(data["corpus"], corpus)
+        (corpus / "pos" / "zz.txt").mkdir()
+        out = tmp_path / "out"
+        if command == "pipeline":
+            argv = ["pipeline", "--corpus", str(corpus),
+                    "--lexicon", data["lexicon"],
+                    "--lemma-dict", data["lemma_dict"], "--out", str(out),
+                    "--classifier", "dtree", "--folds", "2"]
+        else:
+            argv = ["quality", "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "zz.txt" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_incompatible_level_variant_fails_before_compute(self, tmp_path,
                                                              data):
