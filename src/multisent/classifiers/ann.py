@@ -12,10 +12,25 @@ so the sign of the output is the predicted class.
 Each epoch runs one forward pass, on the candidate weights. The
 activations of the accepted weights are kept from the pass that accepted
 them, and their gradients are kept until the next candidate is accepted,
-so a rejected epoch runs no backward pass. Both passes write into work
-arrays allocated once per run, with the same element-wise operations in
-the same order as ``forward`` and ``loss_gradients`` on fresh arrays: a
-run's weights and error are the same bits either way.
+so a rejected epoch runs no backward pass. A run holds its current
+weights, the candidate, the velocity and the gradient each as one flat
+vector of length ``H*F + 2H + 1``, laid out as ``(w1, b1, w2, b2)``
+(see ``_flat``), so the momentum step is four whole-vector ufunc calls
+and accepting a candidate swaps two vectors. The passes read and write
+the weights through views and use work arrays allocated once per run,
+with the same element-wise operations in the same order as ``forward``
+and ``loss_gradients`` on fresh arrays: a run's weights and error are
+the same bits either way.
+
+``b1``'s gradient is the column sum of the (n, H) hidden error. numpy's
+``sum(axis=0)`` adds the rows one after another, but with one H-element
+inner-loop call per row; ``einsum("ij->j")`` does the same adds in the
+same order in one call, so ``_column_sums`` uses it. At H = 1 numpy sums
+the single column pairwise and einsum does not match, so that width
+keeps ``np.sum``. Two other rewrites are not bit-exact and are not used:
+a ones column that moves ``b1`` into the matmul changes the bits at
+H = 1, and an einsum outer product for ``d_out[:, None] * w2`` turns
+-0.0 products into +0.0.
 """
 
 import math
@@ -94,12 +109,20 @@ class AnnModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "AnnModel":
         w = doc["weights"]
-        return cls(w1=np.asarray(w["w1"], dtype=float),
-                   b1=np.asarray(w["b1"], dtype=float),
-                   w2=np.asarray(w["w2"], dtype=float),
-                   b2=float(w["b2"]),
-                   normalization=NormalizationParams.from_dict(
-                       doc["normalization"]),
+        w1 = np.asarray(w["w1"], dtype=float)
+        b1 = np.asarray(w["b1"], dtype=float)
+        w2 = np.asarray(w["w2"], dtype=float)
+        norm = NormalizationParams.from_dict(doc["normalization"])
+        if w1.ndim != 2:
+            raise ValueError(f"w1 must be 2-D, got shape {w1.shape}")
+        hidden, width = w1.shape
+        if b1.shape != (hidden,) or w2.shape != (hidden,):
+            raise ValueError(f"b1 and w2 must have length {hidden}, got "
+                             f"shapes {b1.shape} and {w2.shape}")
+        if norm.minimum.shape != (width,) or norm.maximum.shape != (width,):
+            raise ValueError(f"normalization bounds must have length {width}")
+        return cls(w1=w1, b1=b1, w2=w2, b2=float(w["b2"]),
+                   normalization=norm,
                    config=AnnConfig(**doc["hyperparameters"]),
                    final_error=doc["final_error"])
 
@@ -117,13 +140,23 @@ def forward(w1, b1, w2, b2, x: np.ndarray, hidden=None, out=None):
 
 
 def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
-    """Mean of (out - targets)**2, squared in ``work`` (n,) if given."""
+    """Mean of (out - targets)**2, squared in ``work`` (n,) if given: the
+    sum and the division of ``np.mean``, without its Python wrapper."""
     err = np.subtract(out, targets, out=work)
-    return float(np.mean(np.square(err, out=err)))
+    return float(np.add.reduce(np.square(err, out=err))) / len(err)
 
 
 def mse_loss(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray) -> float:
     return _mse(forward(w1, b1, w2, b2, x)[1], targets)
+
+
+def _flat(hidden: int, n_features: int):
+    """A zero parameter vector of length ``H*F + 2H + 1`` and its
+    ``(w1, b1, w2, b2)`` views; ``b2`` is a 1-element view."""
+    hf = hidden * n_features
+    flat = np.zeros(hf + 2 * hidden + 1)
+    return flat, (flat[:hf].reshape(hidden, n_features),
+                  flat[hf:hf + hidden], flat[hf + hidden:-1], flat[-1:])
 
 
 def _work_arrays(n: int, hidden: int):
@@ -132,25 +165,33 @@ def _work_arrays(n: int, hidden: int):
         np.empty((n, hidden))
 
 
-def _backward(x, targets, hidden, out, w2, work):
-    """Gradients ``(g_w1, g_b1, g_w2, g_b2)`` of the mean squared error at
-    the weights whose activations are ``hidden`` and ``out``; the (n,)
-    and (n, H) temporaries go into ``work`` (see ``_work_arrays``)."""
+def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` into ``out``, bit for bit (module docstring)."""
+    if a.shape[1] == 1:
+        return np.sum(a, axis=0, out=out)
+    return np.einsum("ij->j", a, out=out)
+
+
+def _backward(x, targets, hidden, out, w2, work, grads):
+    """Write the gradients of the mean squared error at the weights whose
+    activations are ``hidden`` and ``out`` into the ``(g_w1, g_b1, g_w2,
+    g_b2)`` views ``grads`` (see ``_flat``); the (n,) and (n, H)
+    temporaries go into ``work`` (see ``_work_arrays``)."""
     d_out, slope, d_hidden, hidden_slope = work
+    g_w1, g_b1, g_w2, g_b2 = grads
     np.subtract(out, targets, out=d_out)
     np.multiply(2.0 / len(x), d_out, out=d_out)
     np.square(out, out=slope)
     np.subtract(1.0, slope, out=slope)
     np.multiply(d_out, slope, out=d_out)
-    g_w2 = hidden.T @ d_out
-    g_b2 = float(np.sum(d_out))
+    np.matmul(hidden.T, d_out, out=g_w2)
+    np.add.reduce(d_out, keepdims=True, out=g_b2)
     np.multiply(d_out[:, None], w2, out=d_hidden)
     np.square(hidden, out=hidden_slope)
     np.subtract(1.0, hidden_slope, out=hidden_slope)
     np.multiply(d_hidden, hidden_slope, out=d_hidden)
-    g_w1 = d_hidden.T @ x
-    g_b1 = d_hidden.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    np.matmul(d_hidden.T, x, out=g_w1)
+    _column_sums(d_hidden, g_b1)
 
 
 def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
@@ -159,54 +200,65 @@ def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
     Returns ``(loss, (g_w1, g_b1, g_w2, g_b2))``.
     """
     hidden, out = forward(w1, b1, w2, b2, x)
-    return _mse(out, targets), _backward(
-        x, targets, hidden, out, w2, _work_arrays(len(x), len(w2)))
+    _, grads = _flat(len(w2), x.shape[1])
+    _backward(x, targets, hidden, out, w2,
+              _work_arrays(len(x), len(w2)), grads)
+    g_w1, g_b1, g_w2, g_b2 = grads
+    return _mse(out, targets), (g_w1, g_b1, g_w2, float(g_b2[0]))
 
 
 def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     """One training run; returns (params, final_error) or None on divergence."""
     rng = make_rng(run_seed)
     n_features = x.shape[1]
-    w1 = rng.normal(size=(cfg.hidden, n_features)) / np.sqrt(n_features)
-    b1 = np.zeros(cfg.hidden)
-    w2 = rng.normal(size=cfg.hidden) / np.sqrt(cfg.hidden)
-    b2 = 0.0
-    velocity = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
+    # Flat vectors (module docstring); the velocity and the step are only
+    # ever used whole, so they need no views.
+    params, weights = _flat(cfg.hidden, n_features)
+    cand, cand_weights = _flat(cfg.hidden, n_features)
+    grad, grads = _flat(cfg.hidden, n_features)
+    velocity, step = np.zeros_like(params), np.empty_like(params)
+    w1, _, w2, _ = weights
+    np.divide(rng.normal(size=w1.shape), np.sqrt(n_features), out=w1)
+    np.divide(rng.normal(size=cfg.hidden), np.sqrt(cfg.hidden), out=w2)
 
     # Activations of the current weights and of the candidate: an accepted
     # candidate's become current. Gradients stay until the weights move.
-    acts = forward(w1, b1, w2, b2, x)
+    acts = forward(*weights, x)
     cand_acts = np.empty_like(acts[0]), np.empty_like(acts[1])
     work = _work_arrays(*acts[0].shape)
-    grads = None
+    stale = True
 
     lr = cfg.lr
     error = _mse(acts[1], targets, work[0])
     for _ in range(cfg.max_epochs):
         if error <= cfg.goal:
             break
-        if grads is None:
-            grads = _backward(x, targets, *acts, w2, work)
-        velocity = [cfg.momentum * v - lr * g for v, g in zip(velocity, grads)]
-        cand = [p + v for p, v in zip((w1, b1, w2, b2), velocity)]
-        forward(*cand, x, *cand_acts)
+        if stale:
+            _backward(x, targets, *acts, weights[2], work, grads)
+            stale = False
+        velocity *= cfg.momentum
+        np.multiply(lr, grad, out=step)
+        velocity -= step
+        np.add(params, velocity, out=cand)
+        forward(*cand_weights, x, *cand_acts)
         new_error = _mse(cand_acts[1], targets, work[0])
-        if not np.isfinite(new_error):
+        if not math.isfinite(new_error):
             return None
         if new_error > error * ERROR_RATIO_TOLERANCE:
             # Reject the step: keep the old weights, damp the rate,
             # and restart the momentum from zero.
             lr *= cfg.lr_down
-            velocity = [np.zeros_like(w1), np.zeros_like(b1),
-                        np.zeros_like(w2), 0.0]
+            velocity.fill(0.0)
             continue
         if new_error < error:
             lr *= cfg.lr_up
-        w1, b1, w2, b2 = cand
         error = new_error
+        params, cand = cand, params
+        weights, cand_weights = cand_weights, weights
         acts, cand_acts = cand_acts, acts
-        grads = None
-    return (w1, b1, w2, b2), error
+        stale = True
+    w1, b1, w2, b2 = weights
+    return (w1, b1, w2, float(b2[0])), error
 
 
 def train_ann(rows: np.ndarray, labels: np.ndarray,

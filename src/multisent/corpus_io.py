@@ -107,9 +107,10 @@ def load_corpus(root_path) -> list[RawDocument]:
     """Load a pos/neg corpus directory into RawDocuments.
 
     Documents are ordered by their relative path so loading is
-    deterministic. Raises ConfigurationError for a missing pos/ or neg/
-    subdirectory and DataError for empty classes, or for ``*.txt`` entries
-    that cannot be read, are empty or do not decode as UTF-8.
+    deterministic: ``neg/`` before ``pos/``, each sorted by file name.
+    Raises ConfigurationError for a missing pos/ or neg/ subdirectory and
+    DataError for empty classes, or for ``*.txt`` entries that cannot be
+    read, are empty or do not decode as UTF-8.
     """
     root = Path(root_path)
     docs = []
@@ -118,7 +119,7 @@ def load_corpus(root_path) -> list[RawDocument]:
         if not subdir.is_dir():
             raise ConfigurationError(
                 f"corpus root {root} has no '{sub}/' subdirectory")
-        files = sorted(subdir.glob("*.txt"))
+        files = sorted(subdir.glob("*.txt"), key=lambda f: f.name)
         if not files:
             raise DataError(f"no {kind} documents under {subdir}")
         for f in files:
@@ -132,7 +133,6 @@ def load_corpus(root_path) -> list[RawDocument]:
                 raise DataError(f"empty document file: {f}")
             docs.append(RawDocument(id=f"{sub}/{f.name}", label=label,
                                     text=text))
-    docs.sort(key=lambda d: d.id)
     return docs
 
 

@@ -227,7 +227,7 @@ class TestAnn:
 
     @pytest.mark.parametrize("n", [2, 37, 400])
     @pytest.mark.parametrize("n_features", [1, 7])
-    @pytest.mark.parametrize("hidden", [1, 15])
+    @pytest.mark.parametrize("hidden", [1, 2, 15])
     def test_run_matches_three_pass_oracle(self, hidden, n_features, n):
         for seed in range(3):
             x, targets = ann_problem(n, n_features, seed)
@@ -235,6 +235,23 @@ class TestAnn:
             run_seed = derive_seed(seed, "ann", 0)
             assert_same_run(ann._run_once(x, targets, cfg, run_seed),
                             oracles.ann_run_once(x, targets, cfg, run_seed))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 400, 1601])
+    @pytest.mark.parametrize("hidden", [1, 2, 15, 16])
+    def test_column_sums_match_numpy_sum_bit_for_bit(self, hidden, n):
+        rng = make_rng(n * 100 + hidden)
+        # Magnitudes over 2**-10..2**10, so the order of the adds shows in
+        # the rounding of most draws; then -0.0 columns, whose sign bit
+        # must match too.
+        wide = [rng.normal(size=(n, hidden))
+                * 2.0 ** rng.integers(-10, 11, size=(n, hidden))
+                for _ in range(30)]
+        zero_col = wide[0].copy()
+        zero_col[:, -1] = -0.0
+        for a in [*wide, zero_col, np.full((n, hidden), -0.0)]:
+            want = a.sum(axis=0)
+            got = ann._column_sums(a, np.empty(hidden))
+            assert got.tobytes() == want.tobytes()
 
     def test_run_stopping_at_goal_matches_oracle(self, monkeypatch):
         x, targets = ann_problem(37, 7, 4)
@@ -797,11 +814,25 @@ class TestSharedSurface:
                 for kind, config in (("ann", AnnConfig(max_epochs=5)),
                                      ("dtree", None), ("svm", None))}
         svm_params = {**docs["svm"]["hyperparameters"], "kernel": "rbf"}
+        ann_weights = docs["ann"]["weights"]
         for kind, change, message in [
                 ("ann", {"weights": {}}, r"missing keys: \['w1'\]"),
                 ("dtree", {"nodes": [{}]}, r"missing keys: \['counts'\]"),
                 ("svm", {"hyperparameters": svm_params}, "kernel"),
                 ("ann", {"normalization": None}, "malformed ann model"),
+                ("ann", {"weights": {**ann_weights, "w2": [0.5, 0.5]}},
+                 "malformed ann model: b1 and w2"),
+                ("ann", {"weights": {**ann_weights, "b1": [0.0]}},
+                 "malformed ann model: b1 and w2"),
+                ("ann", {"weights": {**ann_weights,
+                                     "w1": ann_weights["w1"][0]}},
+                 "malformed ann model: w1 must be 2-D"),
+                ("ann", {"normalization": {"minimum": [0.0],
+                                           "maximum": [1.0]}},
+                 "malformed ann model: normalization bounds"),
+                ("ann", {"normalization": {**docs["ann"]["normalization"],
+                                           "maximum": [[1.0, 2.0]]}},
+                 "malformed ann model: normalization bounds"),
                 ("svm", {"support_vectors": "x"}, "malformed svm model"),
                 ("dtree", {"hyperparameters": {"confidence": 1.5}},
                  r"confidence must be in \(0, 1\)")]:

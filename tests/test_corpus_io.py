@@ -89,6 +89,26 @@ class TestLoadCorpus:
         ids = [d.id for d in load_corpus(tmp_path)]
         assert ids == sorted(ids)
 
+    def test_files_sort_by_name_bytes_not_creation(self, tmp_path):
+        names = ["a.txt", "B.txt", "9.txt", "10.txt"]
+        for sub in ("pos", "neg"):
+            (tmp_path / sub).mkdir()
+            for name in names:
+                (tmp_path / sub / name).write_text(name, encoding="utf-8")
+        docs = load_corpus(tmp_path)
+        order = ["10.txt", "9.txt", "B.txt", "a.txt"]
+        assert [d.id for d in docs] == ([f"neg/{n}" for n in order]
+                                        + [f"pos/{n}" for n in order])
+        assert [d.text for d in docs] == order * 2
+        assert [d.label for d in docs] == [0] * 4 + [1] * 4
+
+    def test_first_unreadable_file_by_name_is_reported(self, tmp_path):
+        write_corpus(tmp_path, ["fine"], ["fine"])
+        for name in ("b.txt", "a.txt"):
+            (tmp_path / "neg" / name).mkdir()   # a directory cannot be read
+        with pytest.raises(DataError, match=r"cannot read \S*/a\.txt:"):
+            load_corpus(tmp_path)
+
 
 class TestTokenizeAndSegment:
     def test_period_splits_sentences(self):
