@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from multisent.synth import SynthConfig, generate
+# One BLAS thread, as in the benchmark: numpy then starts no thread pool,
+# so ANN training may fork its restarts onto the other CPUs, and the
+# suite runs that path. Set before anything imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from multisent.synth import SynthConfig, generate  # noqa: E402
 
 _acceptance_results = []
 

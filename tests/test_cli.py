@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import stat
@@ -262,6 +263,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sweep").exists()
+
+    def test_network_beyond_the_address_space_is_configuration_error(
+            self, tmp_path, data, capfd):
+        # 10**15 hidden units need 71 PiB of weights, which no allocation
+        # can reserve; the parent and every helper fail at once. capfd
+        # also catches whatever a forked helper writes.
+        features = tmp_path / "features.csv"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        capfd.readouterr()
+        ann = ["--classifier", "ann", "--hidden", str(10**15)]
+        assert main(["pipeline", *_corpus_flags(data), *ann,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert main(["train", "--features", str(features), *ann,
+                     "--out", str(tmp_path / "model.json")]) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("configuration error: ") and
+                   "does not fit in memory" in line for line in err)
+        assert not (tmp_path / "model.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert multiprocessing.active_children() == []
 
 
 class TestArtifactModes:
