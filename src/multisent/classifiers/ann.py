@@ -33,28 +33,18 @@ H = 1, and an einsum outer product for ``d_out[:, None] * w2`` turns
 -0.0 products into +0.0.
 
 The restarts run side by side on the CPUs the process may use
-(``_cpus``). ``train_ann`` cuts them into one contiguous block per CPU
-(``_blocks``), forks a helper process for every block but the first, and
-trains the first block itself. Each block reduces to its first run with
-the lowest error, and the blocks' results reduce the same way in block
-order, so the model is the one serial training picks. When a helper's
-fork fails, or the helper dies or raises before it has sent its result,
-the parent trains that block itself. A fork copies only the calling
-thread, so a process with other OS threads (an unpinned BLAS pool, say)
-never forks, and neither does one without ``os.fork`` or without
-``/proc/self/task`` to count its threads in: they train every block in
-the parent.
+(``parallel.map_items``), and the serial selection rule (``_best_run``)
+picks among them in restart order, so the model is the one serial
+training picks.
 """
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
+from ..parallel import map_items
 from ..util import derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
@@ -277,28 +267,6 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     return (w1, b1, w2, float(b2[0])), error
 
 
-def _cpus() -> int:
-    """CPUs the restarts may run on (module docstring): 1 unless the
-    process may fork and runs no other OS thread."""
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = 0
-    if threads != 1 or not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blocks(restarts: int, cpus: int) -> list[range]:
-    """``range(restarts)`` cut into ``min(cpus, restarts)`` contiguous
-    blocks of sizes that differ by at most one."""
-    n = min(cpus, restarts)
-    return [range(i * restarts // n, (i + 1) * restarts // n)
-            for i in range(n)]
-
-
 def _best_run(runs):
     """The first of ``runs`` with the lowest final error; diverged (None)
     runs are skipped, and None means every run diverged."""
@@ -311,70 +279,6 @@ def _best_run(runs):
     return best
 
 
-def _train_block(x, targets, cfg: AnnConfig, block: range):
-    return _best_run(
-        _run_once(x, targets, cfg, derive_seed(cfg.seed, "ann", r))
-        for r in block)
-
-
-def _start_helper(x, targets, cfg: AnnConfig, block: range):
-    """The pid of a forked helper that pickles ``block``'s best run into a
-    pipe, and the pipe's read end; None if the fork fails (say with
-    EAGAIN: out of process ids)."""
-    recv, send = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(recv)
-        os.close(send)
-        return None
-    if pid == 0:
-        # The helper leaves by os._exit whatever happens: no traceback,
-        # and none of the parent's exit handlers or buffers run twice.
-        code = 1
-        try:
-            with open(send, "wb") as pipe:
-                pickle.dump(_train_block(x, targets, cfg, block), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(send)
-    return pid, open(recv, "rb")
-
-
-def _received(helper) -> tuple:
-    """``(best,)`` as the helper sent it, or () if it was never started,
-    or died or raised before it sent."""
-    if helper is not None:
-        try:
-            return (pickle.load(helper[1]),)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            pass
-    return ()
-
-
-def _train_restarts(x, targets, cfg: AnnConfig):
-    """The best run of all restarts, trained one block per CPU; the parent
-    trains the first block and every block a helper did not send."""
-    first, *rest = _blocks(cfg.restarts, _cpus())
-    helpers = []
-    try:
-        for block in rest:
-            helpers.append(_start_helper(x, targets, cfg, block))
-        bests = [_train_block(x, targets, cfg, first)]
-        for block, helper in zip(rest, helpers):
-            sent = _received(helper)
-            bests.append(sent[0] if sent
-                         else _train_block(x, targets, cfg, block))
-    finally:
-        # Every helper has sent or is no longer wanted.
-        for pid, pipe in filter(None, helpers):
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return _best_run(bests)
-
-
 def train_ann(rows: np.ndarray, labels: np.ndarray,
               config: AnnConfig | None = None) -> AnnModel:
     """Train on 0/1-labeled rows; the best of ``config.restarts`` runs wins."""
@@ -385,8 +289,11 @@ def train_ann(rows: np.ndarray, labels: np.ndarray,
     x = norm.apply(rows)
     targets = 2.0 * labels - 1.0
 
+    def run(r):
+        return _run_once(x, targets, cfg, derive_seed(cfg.seed, "ann", r))
+
     try:
-        best = _train_restarts(x, targets, cfg)
+        best = _best_run(map_items(run, cfg.restarts))
     except MemoryError:
         raise ConfigurationError(
             f"an ANN with {cfg.hidden} hidden units does not fit in memory "

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
 from .features import Dataset, Variant, doc_rows, term_rows, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
+from .parallel import map_items
 from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
                       sentence_scores)
 from .util import atomic_write_text
@@ -228,10 +229,11 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     """Run the pipeline over a configuration grid.
 
     Cells share one prepared corpus and one full-width dataset per (prior
-    formula, sentence formula, rules). Writes each cell's artifacts under
-    ``<out_dir>/cells/<name>/`` and a ``sweep.csv`` comparison table
-    marking the best cell (highest mean test F across classes). Returns
-    the cells in grid order.
+    formula, sentence formula, rules), all built before any cell runs; the
+    cells then run side by side (``parallel.map_items``). Writes each
+    cell's artifacts under ``<out_dir>/cells/<name>/`` and a ``sweep.csv``
+    comparison table marking the best cell (highest mean test F across
+    classes). Returns the cells in grid order.
     """
     for axis, values in (("classifiers", classifier_kinds),
                          ("prior formulas", prior_formulas),
@@ -267,13 +269,19 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     inputs = load_inputs(base, dict.fromkeys(r[1] for _, _, r in cells),
                          any(c.rules for c, _, _ in cells))
     datasets = {}
-    for cell, cell_cfg, (variant, prior, sentence, clf_config) in cells:
+    for cell, _, (variant, prior, sentence, _) in cells:
         key = (prior, sentence, cell.rules)
         if key not in datasets:
             datasets[key] = featurize(inputs, variant, *key)
-        cell.set_report(evaluate(cell_cfg, datasets[key].project(variant),
-                                 prior, sentence, clf_config))
+
+    def run_cell(j):
+        cell, cell_cfg, (variant, prior, sentence, clf_config) = cells[j]
+        dataset = datasets[(prior, sentence, cell.rules)].project(variant)
+        return evaluate(cell_cfg, dataset, prior, sentence, clf_config)
+
     finished = [cell for cell, _, _ in cells]
+    for cell, report in zip(finished, map_items(run_cell, len(cells))):
+        cell.set_report(report)
 
     best = max(range(len(finished)), key=lambda i: finished[i].mean_test_f)
     lines = [SWEEP_HEADER]

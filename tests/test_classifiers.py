@@ -1,10 +1,6 @@
-import errno
 import functools
 import json
-import multiprocessing
-import os
 import tempfile
-import threading
 import warnings
 from fractions import Fraction
 
@@ -304,32 +300,15 @@ class TestAnn:
             assert label == (1 if score >= 0 else 0)
 
 
-def train_on_cpus(monkeypatch, cpus, rows, labels, cfg):
+def train_on_cpus(on_cpus, cpus, rows, labels, cfg):
     """``train_ann`` as on ``cpus`` CPUs, and the number of helpers it
     started; none may outlive it, whether it returns or raises."""
-    started, fork = [], os.fork
-
-    def counted_fork():
-        started.append(1)
-        return fork()
-
-    monkeypatch.setattr(ann, "_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    parent, (escaped, escape) = os.getpid(), os.pipe()
     try:
-        return train_ann(rows, labels, cfg), len(started)
+        with on_cpus(cpus) as forks:
+            model = train_ann(rows, labels, cfg)
     finally:
-        if os.getpid() != parent:   # a helper came back out of train_ann
-            os.write(escape, b"!")
-            os._exit(1)
-        os.close(escape)
-        os.set_blocking(escaped, False)
-        with open(escaped, "rb") as pipe:
-            assert not pipe.read()
-        assert len(started) <= min(cpus, cfg.restarts) - 1
-        with pytest.raises(ChildProcessError):   # nothing left to reap
-            os.waitpid(-1, os.WNOHANG)
-        assert multiprocessing.active_children() == []
+        assert forks[0] <= min(cpus, cfg.restarts) - 1
+    return model, forks[0]
 
 
 def restart_problem(cfg):
@@ -354,66 +333,32 @@ def model_bytes(model):
 
 
 class TestAnnRestartBlocks:
-    def test_blocks_are_contiguous_ranges_capped_by_the_restarts(self):
-        half = 10**12 // 2
-        assert ann._blocks(10**12, 2) == [range(half), range(half, 10**12)]
-        assert ann._blocks(3, 8) == [range(0, 1), range(1, 2), range(2, 3)]
-        for restarts in range(1, 12):
-            for cpus in range(1, 14):
-                blocks = ann._blocks(restarts, cpus)
-                assert len(blocks) == min(cpus, restarts)
-                assert [r for b in blocks for r in b] == list(range(restarts))
-                assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
-        assert multiprocessing.active_children() == []
-
-    def test_cpus_are_the_affinity_of_a_single_threaded_process(
-            self, monkeypatch):
-        # conftest pins BLAS to one thread, so the suite forks helpers.
-        assert ann._cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert ann._cpus() == 1          # as under ``taskset -c 0``
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert ann._cpus() == 3
-        monkeypatch.delattr(os, "fork")
-        assert ann._cpus() == 1
-
-    def test_a_process_with_another_thread_does_not_fork(self):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert ann._cpus() == 1
-        finally:
-            release.set()
-            thread.join()
-
     @pytest.mark.parametrize("restarts", [1, 2, 3, 5])
     @pytest.mark.parametrize("hidden", [1, 2, 15])
     def test_parallel_training_matches_serial_and_oracle(
-            self, monkeypatch, hidden, restarts):
+            self, on_cpus, hidden, restarts):
         cfg = AnnConfig(hidden=hidden, restarts=restarts, max_epochs=60,
                         seed=restarts)
         rows, labels, runs = restart_problem(cfg)
         want = ann._best_run(runs)
         serial = None
         for cpus in (1, 2, 4):
-            model, helpers = train_on_cpus(monkeypatch, cpus, rows, labels,
+            model, helpers = train_on_cpus(on_cpus, cpus, rows, labels,
                                            cfg)
             assert helpers == min(cpus, restarts) - 1
             assert_same_run(model_run(model), want)
             serial = serial or model_bytes(model)
             assert model_bytes(model) == serial
 
-    # At seed 3 the best of 4 restarts is restart 2, in a helper's block
-    # at 2 and at 4 CPUs, so a lost block would change the model.
+    # At seed 7 the best of 4 restarts is restart 1, in a helper's share
+    # at 2 and at 4 CPUs, so a lost share would change the model.
     def test_diverged_restarts_in_helper_blocks_are_skipped(
-            self, monkeypatch):
-        cfg = AnnConfig(restarts=4, max_epochs=40, seed=3)
+            self, monkeypatch, on_cpus):
+        cfg = AnnConfig(restarts=4, max_epochs=40, seed=7)
         rows, labels, runs = restart_problem(cfg)
         seeds = [derive_seed(cfg.seed, "ann", r) for r in range(4)]
         best = [run is ann._best_run(runs) for run in runs].index(True)
-        assert best == 2
+        assert best == 1
         run_once = ann._run_once
         diverged = {seeds[best]}
         monkeypatch.setattr(
@@ -422,45 +367,16 @@ class TestAnnRestartBlocks:
         want = ann._best_run(None if r == best else run
                              for r, run in enumerate(runs))
         for cpus in (1, 2, 4):
-            model, _ = train_on_cpus(monkeypatch, cpus, rows, labels, cfg)
+            model, _ = train_on_cpus(on_cpus, cpus, rows, labels, cfg)
             assert_same_run(model_run(model), want)
         diverged.update(seeds)
         for cpus in (1, 2, 4):
             with pytest.raises(DataError,
                                match="all training restarts diverged"):
-                train_on_cpus(monkeypatch, cpus, rows, labels, cfg)
-
-    def test_failed_fork_leaves_the_block_to_the_parent(self, monkeypatch):
-        cfg = AnnConfig(restarts=4, max_epochs=40, seed=3)
-        rows, labels, runs = restart_problem(cfg)
-
-        def no_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        fds = sorted(os.listdir("/proc/self/fd"))
-        model, helpers = train_on_cpus(monkeypatch, 2, rows, labels, cfg)
-        assert helpers == 1
-        assert_same_run(model_run(model), ann._best_run(runs))
-        assert sorted(os.listdir("/proc/self/fd")) == fds   # pipe closed
-
-    def test_dead_helper_leaves_the_block_to_the_parent(self, monkeypatch):
-        cfg = AnnConfig(restarts=4, max_epochs=40, seed=3)
-        rows, labels, runs = restart_problem(cfg)
-        parent, train_block = os.getpid(), ann._train_block
-
-        def dying(*args):
-            if os.getpid() != parent:
-                os._exit(1)
-            return train_block(*args)
-
-        monkeypatch.setattr(ann, "_train_block", dying)
-        model, helpers = train_on_cpus(monkeypatch, 2, rows, labels, cfg)
-        assert helpers == 1
-        assert_same_run(model_run(model), ann._best_run(runs))
+                train_on_cpus(on_cpus, cpus, rows, labels, cfg)
 
     def test_memory_error_in_a_helper_block_is_a_configuration_error(
-            self, monkeypatch):
+            self, monkeypatch, on_cpus):
         cfg = AnnConfig(restarts=4, max_epochs=40, seed=2)
         rows, labels, _ = restart_problem(cfg)
         too_big, run_once = derive_seed(cfg.seed, "ann", 3), ann._run_once
@@ -474,7 +390,7 @@ class TestAnnRestartBlocks:
         for cpus in (1, 2):
             with pytest.raises(ConfigurationError,
                                match="15 hidden units does not fit"):
-                train_on_cpus(monkeypatch, cpus, rows, labels, cfg)
+                train_on_cpus(on_cpus, cpus, rows, labels, cfg)
 
 
 def tied_rows():

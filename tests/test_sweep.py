@@ -90,7 +90,18 @@ def test_sweep_prepares_once_and_builds_each_dataset_once(paths, tmp_path,
     assert {variant.name for _, _, variant, _, _ in builds} == {"TERM8"}
 
 
-def test_each_cell_averages_its_report_once(paths, tmp_path, monkeypatch):
+def _assert_rows_match_reports(cells, table_path, average):
+    table = table_path.read_text().splitlines()[1:]
+    assert len(table) == len(cells)
+    for cell, row in zip(cells, table):
+        test = average(cell.report)["test"]
+        assert row.split(",")[5:8] == [
+            repr(test["pos"]["f"]), repr(test["neg"]["f"]),
+            repr((test["pos"]["f"] + test["neg"]["f"]) / 2.0)]
+
+
+def test_each_cell_averages_its_report_once(paths, tmp_path, monkeypatch,
+                                            on_cpus):
     calls = 0
     real_average = EvalReport.average
 
@@ -100,15 +111,25 @@ def test_each_cell_averages_its_report_once(paths, tmp_path, monkeypatch):
         return real_average(self)
 
     monkeypatch.setattr(EvalReport, "average", counting)
-    cells = sweep(_base(paths, tmp_path / "sweep"),
-                  prior_formulas=["max_sub", "avg_sub"], variants=[8, 6],
-                  rules_options=[False], classifier_kinds=["dtree"])
+    # One CPU, so every cell runs in this process and its calls are counted.
+    with on_cpus(1) as forks:
+        cells = sweep(_base(paths, tmp_path / "sweep"),
+                      prior_formulas=["max_sub", "avg_sub"], variants=[8, 6],
+                      rules_options=[False], classifier_kinds=["dtree"])
+    assert forks == [0]
     assert len(cells) == 4
     # Once for the cell's report.json and once for its sweep.csv row.
     assert calls == 2 * len(cells)
-    table = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
-    for cell, row in zip(cells, table):
-        test = real_average(cell.report)["test"]
-        assert row.split(",")[5:8] == [
-            repr(test["pos"]["f"]), repr(test["neg"]["f"]),
-            repr((test["pos"]["f"] + test["neg"]["f"]) / 2.0)]
+    _assert_rows_match_reports(cells, tmp_path / "sweep" / "sweep.csv",
+                               real_average)
+
+
+def test_forked_cells_give_the_same_rows(paths, tmp_path, on_cpus):
+    with on_cpus(2) as forks:
+        cells = sweep(_base(paths, tmp_path / "sweep"),
+                      prior_formulas=["max_sub", "avg_sub"], variants=[8, 6],
+                      rules_options=[False], classifier_kinds=["dtree"])
+    assert forks == [1]
+    assert len(cells) == 4
+    _assert_rows_match_reports(cells, tmp_path / "sweep" / "sweep.csv",
+                               EvalReport.average)
