@@ -5,30 +5,66 @@ internally and classify by the sign of their decision value. Tree leaves
 score as (positive proportion - 0.5).
 """
 
+from bisect import bisect_right
 from dataclasses import replace
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .ann import AnnConfig, AnnModel, train_ann
+from ..parallel import map_items
+from .ann import AnnConfig, AnnModel, plan_ann
 from .io import load_model, model_from_dict, model_to_dict, save_model
 from .normalize import NormalizationParams
-from .svm import SvmConfig, SvmModel, train_svm
-from .tree import TreeConfig, TreeModel, train_dtree
+from .svm import SvmConfig, SvmModel, plan_svm
+from .tree import TreeConfig, TreeModel, plan_dtree
 
 KINDS = ("ann", "dtree", "svm")
 
-_TRAINERS = {"ann": (train_ann, AnnConfig),
-             "dtree": (train_dtree, TreeConfig),
-             "svm": (train_svm, SvmConfig)}
+_PLANS = {"ann": (plan_ann, AnnConfig),
+          "dtree": (plan_dtree, TreeConfig),
+          "svm": (plan_svm, SvmConfig)}
+
+
+def train_many(kind: str, jobs) -> list:
+    """One model of ``kind`` per ``(rows, labels, config)`` job, in order.
+
+    Each job's plan (``plan_ann``, ``plan_dtree``, ``plan_svm``) checks its
+    rows, normalizes them and fixes its seeds here, before anything forks.
+    Then one ``parallel.map_items`` call computes every job's independent
+    runs (an ANN's restarts; a tree's or an SVM's one run), numbered job
+    after job and looked up by number, so no list of runs is built. Each
+    model is then made from its own runs, in job order, so the models are
+    those of training the jobs one after another. The error that comes
+    out is the first failing plan's, in job order; else the first failing
+    run's, in run order; else the first failing model's (every restart of
+    an ANN diverged), in job order.
+    """
+    if kind not in _PLANS:
+        raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
+    plans = [_PLANS[kind][0](*job) for job in jobs]
+    ends = list(accumulate(runs for runs, _, _ in plans))
+    starts = [0, *ends[:-1]]
+
+    def run(i):
+        j = bisect_right(ends, i)
+        return plans[j][1](i - starts[j])
+
+    results = map_items(run, ends[-1] if ends else 0)
+    return [finish(results[start:end])
+            for (_, _, finish), start, end in zip(plans, starts, ends)]
 
 
 def train(kind: str, rows, labels, config=None):
-    """Train a classifier of the given kind ('ann', 'dtree', or 'svm')."""
-    if kind not in _TRAINERS:
-        raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
-    trainer, _ = _TRAINERS[kind]
-    return trainer(rows, labels, config)
+    """Train a classifier of the given kind ('ann', 'dtree', or 'svm'):
+    ``train_many`` with one job."""
+    return train_many(kind, [(rows, labels, config)])[0]
+
+
+train_ann = partial(train, "ann")
+train_dtree = partial(train, "dtree")
+train_svm = partial(train, "svm")
 
 
 def make_config(kind: str, **overrides):
@@ -37,11 +73,11 @@ def make_config(kind: str, **overrides):
     Raises ConfigurationError for an unknown kind, an unknown option name
     or an option value out of range.
     """
-    if kind not in _TRAINERS:
+    if kind not in _PLANS:
         raise ConfigurationError(
             f"unknown classifier {kind!r} (one of: {KINDS})")
     try:
-        return _TRAINERS[kind][1](**overrides)
+        return _PLANS[kind][1](**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad {kind} options: {exc}")
 
@@ -81,7 +117,7 @@ __all__ = [
     "TreeConfig", "TreeModel", "train_dtree",
     "SvmConfig", "SvmModel", "train_svm",
     "NormalizationParams", "KINDS",
-    "train", "make_config", "with_seed", "predict", "predict_labels",
-    "decision_values",
+    "train", "train_many", "make_config", "with_seed", "predict",
+    "predict_labels", "decision_values",
     "save_model", "load_model", "model_to_dict", "model_from_dict",
 ]

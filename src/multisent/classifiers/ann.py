@@ -32,10 +32,11 @@ a ones column that moves ``b1`` into the matmul changes the bits at
 H = 1, and an einsum outer product for ``d_out[:, None] * w2`` turns
 -0.0 products into +0.0.
 
-The restarts run side by side on the CPUs the process may use
-(``parallel.map_items``), and the serial selection rule (``_best_run``)
-picks among them in restart order, so the model is the one serial
-training picks.
+Each restart is one independent item of ``classifiers.train_many``
+(``plan_ann``), so restarts run side by side on the CPUs the process may
+use, together with the restarts of the other folds of a cross-validation.
+The serial selection rule (``_best_run``) then picks among a fold's runs
+in restart order, so the model is the one serial training picks.
 """
 
 import math
@@ -44,7 +45,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..parallel import map_items
 from ..util import derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
@@ -279,9 +279,11 @@ def _best_run(runs):
     return best
 
 
-def train_ann(rows: np.ndarray, labels: np.ndarray,
-              config: AnnConfig | None = None) -> AnnModel:
-    """Train on 0/1-labeled rows; the best of ``config.restarts`` runs wins."""
+def plan_ann(rows: np.ndarray, labels: np.ndarray,
+             config: AnnConfig | None = None):
+    """``(restarts, run, finish)`` for ``classifiers.train_many``: the row
+    checks and normalization happen here, ``run(r)`` is restart ``r`` and
+    ``finish`` keeps the best of the runs (``_best_run``) as the model."""
     cfg = config or AnnConfig()
     rows, labels = training_arrays(rows, labels, two_classes=True)
 
@@ -290,17 +292,20 @@ def train_ann(rows: np.ndarray, labels: np.ndarray,
     targets = 2.0 * labels - 1.0
 
     def run(r):
-        return _run_once(x, targets, cfg, derive_seed(cfg.seed, "ann", r))
+        try:
+            return _run_once(x, targets, cfg, derive_seed(cfg.seed, "ann", r))
+        except MemoryError:
+            raise ConfigurationError(
+                f"an ANN with {cfg.hidden} hidden units does not fit in "
+                f"memory for {x.shape[0]} rows of {x.shape[1]} features"
+            ) from None
 
-    try:
-        best = _best_run(map_items(run, cfg.restarts))
-    except MemoryError:
-        raise ConfigurationError(
-            f"an ANN with {cfg.hidden} hidden units does not fit in memory "
-            f"for {x.shape[0]} rows of {x.shape[1]} features") from None
-    if best is None:
-        raise DataError("all training restarts diverged")
+    def finish(runs):
+        best = _best_run(runs)
+        if best is None:
+            raise DataError("all training restarts diverged")
+        (w1, b1, w2, b2), error = best
+        return AnnModel(w1=w1, b1=b1, w2=w2, b2=b2, normalization=norm,
+                        config=cfg, final_error=error)
 
-    (w1, b1, w2, b2), error = best
-    return AnnModel(w1=w1, b1=b1, w2=w2, b2=b2, normalization=norm,
-                    config=cfg, final_error=error)
+    return cfg.restarts, run, finish

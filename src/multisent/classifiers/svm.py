@@ -79,6 +79,7 @@ T, to first order in u. ``_screen_slack`` is 64 n u S.
 
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -226,14 +227,22 @@ def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
     return (b1 + b2) / 2.0, True
 
 
-def train_svm(rows: np.ndarray, labels: np.ndarray,
-              config: SvmConfig | None = None) -> SvmModel:
+def plan_svm(rows: np.ndarray, labels: np.ndarray,
+             config: SvmConfig | None = None):
+    """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
+    and normalization happen here, ``run(0)`` trains the model by SMO and
+    ``finish`` takes it."""
     cfg = config or SvmConfig()
     rows, labels = training_arrays(rows, labels, two_classes=True)
 
     norm = NormalizationParams.fit(rows)
     x = norm.apply(rows)
     y = 2.0 * labels - 1.0
+    return 1, lambda _: _smo(x, y, norm, cfg), itemgetter(0)
+
+
+def _smo(x, y, norm: NormalizationParams, cfg: SvmConfig) -> SvmModel:
+    """The model of normalized rows ``x`` with +/-1 labels ``y``."""
     n = len(x)
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
 

@@ -9,6 +9,7 @@ confidence bound of the leaf's error (at the configured confidence
 factor) does not exceed the subtree's; subtree raising is not performed.
 Nothing here recurses, so no tree is too deep. Model documents list the
 nodes flat, in pre-order, with child indices: ``json`` recurses per level.
+A pickled model is that node list too, since ``pickle`` recurses as well.
 
 Split search: one stable argsort per node orders every feature, and
 array ops approximate the gain and gain ratio of every cut of every
@@ -29,6 +30,7 @@ arithmetic rescores the kept cuts and picks by the key (ratio, gain,
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,6 +137,9 @@ class TreeModel:
                 setattr(nodes[i], side, nodes[j])
         return cls(root=nodes[0], config=TreeConfig(**doc["hyperparameters"]),
                    n_features=doc["n_features"])
+
+    def __reduce__(self):
+        return TreeModel.from_dict, (self.to_dict(),)
 
 
 def _preorder(root: TreeNode) -> list:
@@ -298,11 +303,17 @@ def _prune(root: TreeNode, confidence: float) -> float:
     return estimates[id(root)]
 
 
-def train_dtree(rows: np.ndarray, labels: np.ndarray,
-                config: TreeConfig | None = None) -> TreeModel:
-    """Grow (and optionally prune) a tree; single-class data gives one leaf."""
+def plan_dtree(rows: np.ndarray, labels: np.ndarray,
+               config: TreeConfig | None = None):
+    """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
+    happen here, ``run(0)`` grows (and optionally prunes) the tree and
+    ``finish`` takes it; single-class data gives one leaf."""
     cfg = config or TreeConfig()
     rows, labels = training_arrays(rows, labels)
+    return 1, lambda _: _fit(rows, labels, cfg), itemgetter(0)
+
+
+def _fit(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> TreeModel:
     root = _grow(rows, labels, cfg)
     if cfg.prune:
         _prune(root, cfg.confidence)

@@ -158,21 +158,27 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     the trainer on training rows only) and reports metrics on both the
     training and the held-out partition. Per-fold trainer seeds derive
     from ``seed``, so the whole report is a pure function of its inputs.
+    All folds train through one ``classifiers.train_many`` call, so their
+    runs (an ANN's restarts, an SVM's or tree's one run per fold) spread
+    over the usable CPUs (``parallel``), unless the call is itself one
+    item of a ``parallel.map_items`` call, such as a cell of a sweep.
     """
     if config is None:
         config = classifiers.make_config(classifier)
     folds = stratified_kfold(dataset.labels, k, seed)
+
+    def job(f):
+        train = dataset.subset(np.flatnonzero(folds != f))
+        return (train.rows, train.labels,
+                classifiers.with_seed(config, derive_seed(seed, "fold", f)))
+
+    # Lazy jobs: a fold's training rows are kept only as far as its plan
+    # needs them, and are sliced again below for its metrics.
+    models = classifiers.train_many(classifier, map(job, range(k)))
     results = []
-    models = []
-    for f in range(k):
+    for f, model in enumerate(models):
         train_set = dataset.subset(np.flatnonzero(folds != f))
         test_set = dataset.subset(np.flatnonzero(folds == f))
-
-        cfg = classifiers.with_seed(config, derive_seed(seed, "fold", f))
-        model = classifiers.train(classifier, train_set.rows,
-                                  train_set.labels, cfg)
-        models.append(model)
-
         train_pred = classifiers.predict_labels(model, train_set.rows)
         test_pred = classifiers.predict_labels(model, test_set.rows)
         results.append(FoldResult(

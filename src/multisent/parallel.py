@@ -6,7 +6,10 @@ the parent computes the items with ``i % cpus == 0`` itself, and one
 forked helper per other residue computes its items in order and sends
 their results, pickled down a pipe, before it leaves by ``os._exit``.
 Residues rather than contiguous blocks spread items of unequal cost,
-such as the cells of a sweep over two classifiers, evenly.
+such as the cells of a sweep over two classifiers, evenly. The items
+are the documents of ``synth.generate``, the cells of ``pipeline.sweep``
+and the training runs of ``classifiers.train_many``: every ANN restart
+and every SVM or tree of every fold of a cross-validation.
 
 The parent then walks the items in order and computes every item no
 helper sent: those of a helper whose fork failed (say with EAGAIN: out
@@ -19,10 +22,10 @@ each is killed and reaped on return and on raise.
 
 A call made while another one runs, in the parent or in one of its
 helpers, runs serially, so no more than ``cpus - 1`` helpers are ever
-alive. That flag is module state because the nested call (an ANN's
-restarts inside a sweep cell, say) cannot be handed it. A fork copies
-only the calling thread, so a process with other OS threads (an
-unpinned BLAS pool, say) never forks, and neither does one without
+alive. That flag is module state because the nested call (the folds
+of a cross-validation inside a sweep cell, say) cannot be handed it. A
+fork copies only the calling thread, so a process with other OS threads
+(an unpinned BLAS pool, say) never forks, and neither does one without
 ``os.fork`` or without ``/proc/self/task`` to count its threads in:
 they compute every item in the parent.
 """

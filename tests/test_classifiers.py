@@ -1,5 +1,7 @@
 import functools
 import json
+import os
+import resource
 import tempfile
 import warnings
 from fractions import Fraction
@@ -374,6 +376,35 @@ class TestAnnRestartBlocks:
             with pytest.raises(DataError,
                                match="all training restarts diverged"):
                 train_on_cpus(on_cpus, cpus, rows, labels, cfg)
+
+    def test_a_huge_restart_count_starts_at_once(self, monkeypatch, on_cpus):
+        # Runs are looked up by index, so 10**12 restarts build no list.
+        class Stop(Exception):
+            pass
+
+        def stop(x, targets, cfg, seed):
+            raise Stop(seed)
+
+        monkeypatch.setattr(ann, "_run_once", stop)
+        rows, labels = separable_blobs(6)
+        cfg = AnnConfig(restarts=10**12, seed=4)
+        # A list of every run would grow until memory runs out; with the
+        # address space capped, such a list fails fast with MemoryError.
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        cap = size + 2**30
+        if limits[1] != resource.RLIM_INFINITY:
+            cap = min(cap, limits[1])
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+        try:
+            for cpus in (1, 2):
+                with pytest.raises(Stop) as stopped, on_cpus(cpus) as forks:
+                    classifiers.train_many("ann", [(rows, labels, cfg)] * 2)
+                assert forks == [cpus - 1]
+                assert stopped.value.args == (derive_seed(4, "ann", 0),)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
 
     def test_memory_error_in_a_helper_block_is_a_configuration_error(
             self, monkeypatch, on_cpus):

@@ -278,8 +278,12 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 1
         assert main(["train", "--features", str(features), *ann,
                      "--out", str(tmp_path / "model.json")]) == 1
+        # Two cells, so the cells fork and each one's folds run serially.
+        assert main(["sweep", *_corpus_flags(data), "--variants", "8,6",
+                     "--classifiers", "ann", "--hidden", str(10**15),
+                     "--out", str(tmp_path / "sweep")]) == 1
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 2
+        assert len(err) == 3
         assert all(line.startswith("configuration error: ") and
                    "does not fit in memory" in line for line in err)
         assert not (tmp_path / "model.json").exists()

@@ -1,20 +1,27 @@
 """``parallel.map_items`` gives the serial results, raises the serial
 exception, nests serially and leaves no helper behind; the sweep, the
-corpus generator and ANN training (``test_classifiers.py``) use it."""
+corpus generator, cross-validation and ANN training
+(``test_classifiers.py``) use it."""
 
 import errno
 import multiprocessing
 import os
+import pickle
 import threading
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from multisent import parallel
-from multisent.classifiers import ann
+from multisent import classifiers, parallel
+from multisent.classifiers import TreeConfig, TreeModel, ann
 from multisent.cli import main
 from multisent.errors import ConfigurationError, DataError
-from multisent.pipeline import PipelineConfig, sweep
+from multisent.evaluation import run_cv
+from multisent.features import Dataset, Variant
+from multisent.pipeline import PipelineConfig, run_pipeline, sweep
 from multisent.synth import SynthConfig, generate
+from multisent.util import derive_seed
 
 
 def square_and_pid(i):
@@ -217,3 +224,136 @@ def test_a_blocked_document_exits_1_on_every_cpu_count(on_cpus, tmp_path,
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "pos/doc_0007.txt: it is a directory" in errors[0]
+
+
+def chain_tree(depth):
+    """A tree ``depth`` splits deep whose every left child is a leaf."""
+    nodes = []
+    for d in range(depth):
+        nodes += [{"counts": [depth - d, 1], "feature": 0,
+                   "threshold": d + 0.5, "left": 2 * d + 1,
+                   "right": 2 * d + 2}, {"counts": [1, 0]}]
+    nodes.append({"counts": [0, 1]})
+    return TreeModel.from_dict({"hyperparameters": asdict(TreeConfig()),
+                                "nodes": nodes, "n_features": 1})
+
+
+def test_a_deep_tree_pickles_and_comes_back_unchanged():
+    model = chain_tree(999)
+    back = pickle.loads(pickle.dumps(model))
+    assert back.to_dict() == model.to_dict()
+    rows = np.arange(-0.5, 1000.0, 0.5)[:, None]
+    assert np.array_equal(back.decision_values(rows),
+                          model.decision_values(rows))
+
+
+def test_deep_trees_come_back_from_a_helper(on_cpus):
+    parent, computed = os.getpid(), []
+
+    def deep(i):
+        if os.getpid() == parent:
+            computed.append(i)
+        return chain_tree(999 - i)
+
+    with on_cpus(2) as forks:
+        got = parallel.map_items(deep, 4)
+    assert forks == [1]
+    assert computed == [0, 2]   # the helper's trees were not retrained
+    assert [t.to_dict() for t in got] == \
+        [chain_tree(999 - i).to_dict() for i in range(4)]
+
+
+# Cross-validation trains every fold through one map_items call: an ANN
+# contributes one item per (fold, restart), an SVM or a tree one per fold.
+CV_OPTIONS = {"ann": {"max_epochs": 30}, "dtree": {}, "svm": {}}
+CV_ITEMS = {"ann": 3 * 4, "dtree": 3, "svm": 3}
+
+
+def _pipeline(paths, out_dir, kind):
+    return run_pipeline(PipelineConfig(
+        corpus_dir=str(paths.corpus_dir), lexicon_path=str(paths.lexicon),
+        lemma_dict_path=str(paths.lemma_dict), out_dir=str(out_dir),
+        classifier=kind, classifier_options=CV_OPTIONS[kind], k=3, seed=5))
+
+
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_forked_cv_matches_one_cpu(paths, tmp_path, on_cpus, kind):
+    outputs, models = [], []
+    for cpus in (1, 2, 3):
+        with on_cpus(cpus) as forks:
+            report = _pipeline(paths, tmp_path / str(cpus), kind)
+        assert forks == [min(cpus, CV_ITEMS[kind]) - 1]
+        outputs.append(_tree(tmp_path / str(cpus)))
+        models.append([model.to_dict() for model in report.models])
+    assert sorted(outputs[0]) == ["features.csv", "model_fold0.json",
+                                  "model_fold1.json", "model_fold2.json",
+                                  "report.json"]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert models[0] == models[1] == models[2]
+
+
+def test_a_sweep_of_cv_cells_forks_only_at_the_cell_level(paths, tmp_path,
+                                                          on_cpus):
+    with on_cpus(1) as forks:
+        _sweep(paths, tmp_path / "serial", ["svm", "dtree"])
+    assert forks == [0]
+    with on_cpus(3) as forks:
+        _sweep(paths, tmp_path / "forked", ["svm", "dtree"])
+    assert forks == [2]
+    assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
+
+
+def _fold_seeds(fold):
+    """The ANN run seeds of fold ``fold`` of ``_pipeline``."""
+    return {derive_seed(derive_seed(5, "fold", fold), "ann", r)
+            for r in range(4)}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_fold_whose_restarts_all_diverge_fails_as_in_a_serial_run(
+        monkeypatch, paths, tmp_path, on_cpus, cpus):
+    # Fold 1's restarts are items 4-7, shared by the parent and helpers.
+    run_once, diverged = ann._run_once, _fold_seeds(1)
+    monkeypatch.setattr(ann, "_run_once", lambda x, t, c, seed:
+                        None if seed in diverged else run_once(x, t, c, seed))
+    with pytest.raises(DataError) as serial, on_cpus(1):
+        _pipeline(paths, tmp_path / "serial", "ann")
+    with pytest.raises(DataError) as forked, on_cpus(cpus) as forks:
+        _pipeline(paths, tmp_path / "forked", "ann")
+    assert forks == [cpus - 1]
+    assert str(forked.value) == str(serial.value) == \
+        "cross-validation: all training restarts diverged"
+
+
+def _three_jobs(bad):
+    """Three training jobs on the same rows, and job ``bad``, which has a
+    copy of them of its own to spoil."""
+    rows = np.arange(160.0).reshape(20, 8)
+    labels = np.arange(20) % 2
+    jobs = [(rows, labels, None)] * 3
+    jobs[bad] = (rows.copy(), labels.copy(), None)
+    return jobs, jobs[bad]
+
+
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_bad_training_rows_fail_before_any_fork(on_cpus, kind):
+    jobs, (rows, labels, _) = _three_jobs(2)
+    rows[5, 1] = np.nan
+    for cpus in (1, 2):
+        with pytest.raises(DataError, match="non-finite") as failed, \
+                on_cpus(cpus) as forks:
+            classifiers.train_many(kind, jobs)
+        assert forks == [0]
+    dataset = Dataset(rows=rows, labels=labels, variant=Variant.TERM8)
+    with pytest.raises(DataError, match="non-finite") as cv, \
+            on_cpus(2) as forks:
+        run_cv(dataset, kind, k=2)
+    assert forks == [0]
+    assert str(cv.value) == str(failed.value)
+    if kind != "dtree":   # a tree trains on one class
+        jobs, (_, labels, _) = _three_jobs(1)
+        labels[:] = 1
+        with pytest.raises(DataError, match="single class"), \
+                on_cpus(2) as forks:
+            classifiers.train_many(kind, jobs)
+        assert forks == [0]
