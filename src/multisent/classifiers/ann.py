@@ -14,23 +14,37 @@ activations of the accepted weights are kept from the pass that accepted
 them, and their gradients are kept until the next candidate is accepted,
 so a rejected epoch runs no backward pass. A run holds its current
 weights, the candidate, the velocity and the gradient each as one flat
-vector of length ``H*F + 2H + 1``, laid out as ``(w1, b1, w2, b2)``
+vector of length ``(F+1)*H + H + 1``, laid out as ``(w1ᵀ, b1, w2, b2)``
 (see ``_flat``), so the momentum step is four whole-vector ufunc calls
 and accepting a candidate swaps two vectors. The passes read and write
 the weights through views and use work arrays allocated once per run,
-with the same element-wise operations in the same order as ``forward``
-and ``loss_gradients`` on fresh arrays: a run's weights and error are
-the same bits either way.
+with the same element-wise operations in the same order as
+``loss_gradients`` on fresh arrays: a run's weights and error are the
+same bits either way.
+
+The first layer is one matmul. The vector's leading ``(F+1)*H`` values
+are the C-contiguous (F+1, H) block ``a = [w1ᵀ; b1]``, and a run appends
+a ones column to its rows once, so ``x @ w1.T + b1`` is ``[x | 1] @ a``
+with no copy of the weights. ``x @ w1.T`` hands BLAS a transposed
+operand, which at the fold shape (1600 x 7, H = 15) took about twice as
+long as the same product with a contiguous one, and the broadcast
+``+ b1`` makes one H-element inner-loop call per row. The bias is the
+last term of each dot product, so the sum is the same bits, except
+where numpy takes its gemv path, at H = 1 or for a single row: there
+the ones column, and for a single row the contiguous operand too,
+change the bits, so ``forward`` computes ``x @ w1.T + b1`` as before.
+The gradient takes the same layout: ``g_w1 = d_hidden.T @ x`` goes into
+an (H, F) scratch and its transpose is copied into the gradient's
+``w1ᵀ`` block (``x.T @ d_hidden`` gives the same bits, more slowly).
 
 ``b1``'s gradient is the column sum of the (n, H) hidden error. numpy's
 ``sum(axis=0)`` adds the rows one after another, but with one H-element
 inner-loop call per row; ``einsum("ij->j")`` does the same adds in the
 same order in one call, so ``_column_sums`` uses it. At H = 1 numpy sums
 the single column pairwise and einsum does not match, so that width
-keeps ``np.sum``. Two other rewrites are not bit-exact and are not used:
-a ones column that moves ``b1`` into the matmul changes the bits at
-H = 1, and an einsum outer product for ``d_out[:, None] * w2`` turns
--0.0 products into +0.0.
+keeps ``np.sum``. The outer product ``d_out[:, None] * w2`` stays a
+broadcast: its einsum and matmul forms turn -0.0 products into +0.0,
+and no other form tried was faster.
 
 Each restart is one independent item of ``classifiers.train_many``
 (``plan_ann``), so restarts run side by side on the CPUs the process may
@@ -103,7 +117,7 @@ class AnnModel:
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         x = self.normalization.apply(rows)
-        return forward(self.w1, self.b1, self.w2, self.b2, x)[1]
+        return _activations(self.w1, self.b1, self.w2, self.b2, x)[1]
 
     def to_dict(self) -> dict:
         return {"hyperparameters": asdict(self.config),
@@ -133,16 +147,41 @@ class AnnModel:
                    final_error=doc["final_error"])
 
 
-def forward(w1, b1, w2, b2, x: np.ndarray, hidden=None, out=None):
-    """Activations ``(hidden, out)``: tanh(x @ w1.T + b1) and
-    tanh(hidden @ w2 + b2), written into the given ``hidden`` (n, H) and
-    ``out`` (n,) arrays, or into new ones."""
-    hidden = np.matmul(x, w1.T, out=hidden)
-    np.add(hidden, b1, out=hidden)
+def forward(a, w2, b2, x1: np.ndarray, hidden=None, out=None):
+    """Activations ``(hidden, out)``: tanh(x1 @ a) and tanh(hidden @ w2 +
+    b2), for the (F+1, H) first-layer block ``a = [w1ᵀ; b1]`` and rows
+    with a ones column, ``x1 = [x | 1]`` (module docstring), written into
+    the given ``hidden`` (n, H) and ``out`` (n,) arrays, or into new
+    ones."""
+    if min(len(x1), a.shape[1]) == 1:
+        # numpy's gemv path: x @ w1.T + b1 with w1 C-contiguous, as the
+        # ones column and the transposed operand change its bits.
+        w1 = np.ascontiguousarray(a[:-1].T)
+        hidden = np.matmul(x1[:, :-1], w1.T, out=hidden)
+        np.add(hidden, a[-1], out=hidden)
+    else:
+        hidden = np.matmul(x1, a, out=hidden)
     np.tanh(hidden, out=hidden)
     out = np.matmul(hidden, w2, out=out)
     np.add(out, b2, out=out)
     return hidden, np.tanh(out, out=out)
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """``[x | 1]``, C-contiguous: the rows ``x`` with a column of ones
+    appended."""
+    x1 = np.ones((len(x), x.shape[1] + 1))
+    x1[:, :-1] = x
+    return x1
+
+
+def _activations(w1, b1, w2, b2, x: np.ndarray):
+    """``forward`` at the weights ``w1`` (H, F), ``b1``, ``w2``, ``b2``
+    and the rows ``x``, through a C-contiguous ``[w1ᵀ; b1]`` as in
+    training (``np.vstack`` would give a Fortran-ordered one)."""
+    a = np.empty((w1.shape[1] + 1, len(b1)))
+    a[:-1], a[-1] = w1.T, b1
+    return forward(a, w2, b2, _with_ones(x))
 
 
 def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
@@ -153,22 +192,26 @@ def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
 
 
 def mse_loss(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray) -> float:
-    return _mse(forward(w1, b1, w2, b2, x)[1], targets)
+    return _mse(_activations(w1, b1, w2, b2, x)[1], targets)
 
 
 def _flat(hidden: int, n_features: int):
-    """A zero parameter vector of length ``H*F + 2H + 1`` and its
-    ``(w1, b1, w2, b2)`` views; ``b2`` is a 1-element view."""
-    hf = hidden * n_features
-    flat = np.zeros(hf + 2 * hidden + 1)
-    return flat, (flat[:hf].reshape(hidden, n_features),
-                  flat[hf:hf + hidden], flat[hf + hidden:-1], flat[-1:])
+    """A zero parameter vector of length ``(F+1)*H + H + 1`` and its
+    ``(a, w2, b2)`` views: ``a`` is the (F+1, H) block ``[w1ᵀ; b1]`` of
+    the vector's leading values, C-contiguous, which ``forward`` takes
+    as it is; ``b2`` is a 1-element view."""
+    size = (n_features + 1) * hidden
+    flat = np.zeros(size + hidden + 1)
+    return flat, (flat[:size].reshape(n_features + 1, hidden),
+                  flat[size:-1], flat[-1:])
 
 
-def _work_arrays(n: int, hidden: int):
-    """Scratch for ``_backward``: two (n,) and two (n, hidden) arrays."""
+def _work_arrays(x: np.ndarray, hidden: int):
+    """Scratch for ``_backward`` on the rows ``x`` (n, F): two (n,) and
+    two (n, H) arrays, and an (H, F) one for ``w1``'s gradient."""
+    n, n_features = x.shape
     return np.empty(n), np.empty(n), np.empty((n, hidden)), \
-        np.empty((n, hidden))
+        np.empty((n, hidden)), np.empty((hidden, n_features))
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -180,11 +223,11 @@ def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _backward(x, targets, hidden, out, w2, work, grads):
     """Write the gradients of the mean squared error at the weights whose
-    activations are ``hidden`` and ``out`` into the ``(g_w1, g_b1, g_w2,
-    g_b2)`` views ``grads`` (see ``_flat``); the (n,) and (n, H)
-    temporaries go into ``work`` (see ``_work_arrays``)."""
-    d_out, slope, d_hidden, hidden_slope = work
-    g_w1, g_b1, g_w2, g_b2 = grads
+    activations are ``hidden`` and ``out`` into the ``(g_a, g_w2, g_b2)``
+    views ``grads`` (see ``_flat``); the temporaries go into ``work``
+    (see ``_work_arrays``)."""
+    d_out, slope, d_hidden, hidden_slope, g_w1 = work
+    g_a, g_w2, g_b2 = grads
     np.subtract(out, targets, out=d_out)
     np.multiply(2.0 / len(x), d_out, out=d_out)
     np.square(out, out=slope)
@@ -197,7 +240,8 @@ def _backward(x, targets, hidden, out, w2, work, grads):
     np.subtract(1.0, hidden_slope, out=hidden_slope)
     np.multiply(d_hidden, hidden_slope, out=d_hidden)
     np.matmul(d_hidden.T, x, out=g_w1)
-    _column_sums(d_hidden, g_b1)
+    np.copyto(g_a[:-1], g_w1.T)
+    _column_sums(d_hidden, g_a[-1])
 
 
 def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
@@ -205,33 +249,35 @@ def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
 
     Returns ``(loss, (g_w1, g_b1, g_w2, g_b2))``.
     """
-    hidden, out = forward(w1, b1, w2, b2, x)
+    hidden, out = _activations(w1, b1, w2, b2, x)
     _, grads = _flat(len(w2), x.shape[1])
-    _backward(x, targets, hidden, out, w2,
-              _work_arrays(len(x), len(w2)), grads)
-    g_w1, g_b1, g_w2, g_b2 = grads
-    return _mse(out, targets), (g_w1, g_b1, g_w2, float(g_b2[0]))
+    _backward(x, targets, hidden, out, w2, _work_arrays(x, len(w2)), grads)
+    g_a, g_w2, g_b2 = grads
+    return _mse(out, targets), (g_a[:-1].T, g_a[-1], g_w2, float(g_b2[0]))
 
 
 def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     """One training run; returns (params, final_error) or None on divergence."""
     rng = make_rng(run_seed)
     n_features = x.shape[1]
+    x1 = _with_ones(x)
     # Flat vectors (module docstring); the velocity and the step are only
     # ever used whole, so they need no views.
     params, weights = _flat(cfg.hidden, n_features)
     cand, cand_weights = _flat(cfg.hidden, n_features)
     grad, grads = _flat(cfg.hidden, n_features)
     velocity, step = np.zeros_like(params), np.empty_like(params)
-    w1, _, w2, _ = weights
-    np.divide(rng.normal(size=w1.shape), np.sqrt(n_features), out=w1)
+    a, w2, _ = weights
+    # w1 is drawn (H, F), so each weight gets the same draw as before.
+    np.divide(rng.normal(size=(cfg.hidden, n_features)), np.sqrt(n_features),
+              out=a[:-1].T)
     np.divide(rng.normal(size=cfg.hidden), np.sqrt(cfg.hidden), out=w2)
 
     # Activations of the current weights and of the candidate: an accepted
     # candidate's become current. Gradients stay until the weights move.
-    acts = forward(*weights, x)
+    acts = forward(*weights, x1)
     cand_acts = np.empty_like(acts[0]), np.empty_like(acts[1])
-    work = _work_arrays(*acts[0].shape)
+    work = _work_arrays(x, cfg.hidden)
     stale = True
 
     lr = cfg.lr
@@ -240,13 +286,13 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
         if error <= cfg.goal:
             break
         if stale:
-            _backward(x, targets, *acts, weights[2], work, grads)
+            _backward(x, targets, *acts, weights[1], work, grads)
             stale = False
         velocity *= cfg.momentum
         np.multiply(lr, grad, out=step)
         velocity -= step
         np.add(params, velocity, out=cand)
-        forward(*cand_weights, x, *cand_acts)
+        forward(*cand_weights, x1, *cand_acts)
         new_error = _mse(cand_acts[1], targets, work[0])
         if not math.isfinite(new_error):
             return None
@@ -263,8 +309,8 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
         weights, cand_weights = cand_weights, weights
         acts, cand_acts = cand_acts, acts
         stale = True
-    w1, b1, w2, b2 = weights
-    return (w1, b1, w2, float(b2[0])), error
+    a, w2, b2 = weights
+    return (a[:-1].T.copy(), a[-1], w2, float(b2[0])), error
 
 
 def _best_run(runs):

@@ -228,8 +228,8 @@ class TestAnn:
         assert abs(numeric - g_b2) / max(abs(numeric), abs(g_b2), 1e-8) <= 1e-4
 
     @pytest.mark.parametrize("n", [2, 37, 400])
-    @pytest.mark.parametrize("n_features", [1, 7])
-    @pytest.mark.parametrize("hidden", [1, 2, 15])
+    @pytest.mark.parametrize("n_features", [1, 7, 8])
+    @pytest.mark.parametrize("hidden", [1, 2, 15, 16])
     def test_run_matches_three_pass_oracle(self, hidden, n_features, n):
         for seed in range(3):
             x, targets = ann_problem(n, n_features, seed)
@@ -254,6 +254,41 @@ class TestAnn:
             want = a.sum(axis=0)
             got = ann._column_sums(a, np.empty(hidden))
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 400, 1601])
+    @pytest.mark.parametrize("n_features", [1, 7, 8])
+    @pytest.mark.parametrize("hidden", [1, 2, 15, 16])
+    def test_first_layer_matches_numpy_bit_for_bit(self, hidden, n_features,
+                                                   n):
+        rng = make_rng(n * 1000 + n_features * 100 + hidden)
+
+        def draw(*shape):
+            # Magnitudes over 2**-10..2**0 per factor, so the order of the
+            # adds shows in the rounding while tanh, short of saturation,
+            # keeps the last bits; and -0.0 entries, whose sign bit must
+            # match too.
+            a = rng.normal(size=shape) * 2.0 ** rng.integers(-10, 1, shape)
+            a[rng.random(shape) < 0.1] = -0.0
+            return a
+
+        rows = rng.normal(size=(n, n_features))
+        norm = NormalizationParams.fit(rows)
+        for draws in range(10):
+            x, w1, b1, w2 = (draw(n, n_features), draw(hidden, n_features),
+                             draw(hidden), draw(hidden))
+            if draws == 0:
+                x[0], b1[:] = -0.0, -0.0
+            _, (a, _, _) = ann._flat(hidden, n_features)
+            a[:-1], a[-1] = w1.T, b1
+            got, _ = ann.forward(a, w2, 0.5, ann._with_ones(x))
+            assert got.tobytes() == np.tanh(x @ w1.T + b1).tobytes()
+            # Predictions go through the same forward pass.
+            model = ann.AnnModel(w1=w1, b1=b1, w2=w2, b2=0.5,
+                                 normalization=norm,
+                                 config=AnnConfig(hidden=hidden),
+                                 final_error=0.0)
+            want = oracles.ann_forward(w1, b1, w2, 0.5, norm.apply(rows))
+            assert model.decision_values(rows).tobytes() == want.tobytes()
 
     def test_run_stopping_at_goal_matches_oracle(self, monkeypatch):
         x, targets = ann_problem(37, 7, 4)

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import multisent
 from multisent.errors import DataError
 from multisent.features import (Dataset, Variant, doc_rows, read_features_csv,
                                 term_rows, write_features_csv)
@@ -119,6 +123,28 @@ class TestDataset:
     def test_labels_checked(self):
         with pytest.raises(ValueError):
             Dataset(rows=[[0.0] * 8], labels=[2], variant=Variant.TERM8)
+
+    def test_bad_labels_are_listed_once_in_order(self):
+        labels = np.array([2, 0, -1, 2, 1, 7, -1])
+        found = sorted(set(np.unique(labels)) - {0, 1})
+        with pytest.raises(ValueError) as bad:
+            Dataset(rows=np.zeros((7, 4)), labels=labels,
+                    variant=Variant.DOC4)
+        assert str(bad.value) == f"labels must be 0 or 1, found {found}"
+
+    def test_building_a_dataset_leaves_numpy_ma_unimported(self):
+        # A fresh interpreter, so that no other test can have imported it.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from multisent.features import Dataset, Variant\n"
+                "Dataset(rows=np.zeros((3, 4)), labels=[0, 1, 1],\n"
+                "        variant=Variant.DOC4)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(multisent.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
     def test_subset_preserves_variant(self):
         ds = Dataset(rows=[[0.0] * 8, [1.0] * 8], labels=[0, 1],
