@@ -5,7 +5,7 @@
 import json
 
 from ..errors import DataError
-from ..util import atomic_write_text
+from ..util import atomic_write_text, read_text
 from .ann import AnnModel
 from .svm import SvmModel
 from .tree import TreeModel
@@ -44,10 +44,7 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {path}")
+        doc = json.loads(read_text(path, "model file"))
     except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {path} ({exc})")
     return model_from_dict(doc)

@@ -247,9 +247,14 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     base = _pipeline_config(args)
     kinds = _split(args.classifiers)
+    try:
+        variants = [int(v) for v in _split(args.variants)]
+    except ValueError:
+        raise ConfigurationError(
+            f"--variants takes integers, got {args.variants!r}") from None
     cells = sweep(base,
                   prior_formulas=_split(args.formulas),
-                  variants=[int(v) for v in _split(args.variants)],
+                  variants=variants,
                   rules_options=[_parse_bool(x)
                                  for x in _split(args.rules_options)],
                   classifier_kinds=kinds,

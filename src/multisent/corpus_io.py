@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError
+from .util import read_text
 
 # Sentence breaks: the ASCII terminators, the Arabic question mark and
 # semicolon, and every line break ``str.splitlines`` knows. Each becomes
@@ -85,14 +86,8 @@ class LemmaDictionary:
 
 def load_lemma_dictionary(path) -> LemmaDictionary:
     """Read a surface<TAB>lemma TSV into a LemmaDictionary."""
-    path = Path(path)
     mapping = {}
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"lemma dictionary not found: {path}")
-    except UnicodeDecodeError:
-        raise DataError(f"lemma dictionary is not valid UTF-8: {path}")
+    lines = read_text(path, "lemma dictionary").splitlines()
     for n, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -123,12 +118,7 @@ def load_corpus(root_path) -> list[RawDocument]:
         if not files:
             raise DataError(f"no {kind} documents under {subdir}")
         for f in files:
-            try:
-                text = f.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"file is not valid UTF-8: {f} ({exc.reason})")
-            except OSError as exc:
-                raise DataError(f"cannot read {f}: {exc.strerror}") from None
+            text = read_text(f, "document file")
             if not text:
                 raise DataError(f"empty document file: {f}")
             docs.append(RawDocument(id=f"{sub}/{f.name}", label=label,

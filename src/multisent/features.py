@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .util import atomic_write_text
+from .util import atomic_write_text, read_text
 
 TERM8_NAMES = ("count_pos", "count_neg", "sum_pos", "sum_neg",
                "avg_pos", "avg_neg", "first_subj", "last_subj")
@@ -179,17 +179,11 @@ def write_features_csv(dataset: Dataset, path) -> None:
 
 def read_features_csv(path) -> Dataset:
     """Read a features CSV back into a Dataset, inferring the variant."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except FileNotFoundError:
-        raise DataError(f"features file not found: {path}")
-    except UnicodeDecodeError:
-        raise DataError(f"features file is not valid UTF-8: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read features file {path}: {exc.strerror}")
-    if not lines:
+    text = read_text(path, "features file")
+    if not text:
         raise DataError(f"features file is empty: {path}")
+    # Only "\n" ends a row; a stray "\x85" stays inside its field.
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split(",")
     if header[:1] != ["label"]:
         raise DataError(f"{path}:1: header must start with 'label'")

@@ -10,10 +10,9 @@ sign-flipped).
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import DataError, ParseError
-from .util import sum_left
+from .util import read_text, sum_left
 
 
 class PriorFormula(enum.Enum):
@@ -65,14 +64,7 @@ def load_lexicon(path) -> dict[str, LexiconEntry]:
     Scores outside [0, 1] or malformed lines raise ParseError with the
     offending line number; a file with no entries raises DataError.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"lexicon file not found: {path}")
-    except UnicodeDecodeError:
-        raise DataError(f"lexicon file is not valid UTF-8: {path}")
-
+    lines = read_text(path, "lexicon file").splitlines()
     senses_by_lemma: dict[str, list[SenseScore]] = {}
     for n, line in enumerate(lines, start=1):
         if not line.strip():

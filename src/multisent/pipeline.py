@@ -23,7 +23,7 @@ from .lexicon import PriorFormula, load_lexicon, prior_table
 from .parallel import map_items
 from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
                       sentence_scores)
-from .util import atomic_write_text
+from .util import atomic_write_text, read_text
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
                 "test_f_pos,test_f_neg,mean_test_f,best")
@@ -136,10 +136,12 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
     rule_cfg = None
     if rules:
         with _stage("rule word lists"):
-            rule_cfg = RuleConfig(
-                negation_words=load_word_list(cfg.negations_path),
-                intensifier_words=load_word_list(cfg.intensifiers_path),
-                window=cfg.window)
+            negations = load_word_list(cfg.negations_path)
+            intensifiers = load_word_list(cfg.intensifiers_path)
+            try:
+                rule_cfg = RuleConfig(negations, intensifiers, cfg.window)
+            except ValueError as exc:   # a word on both lists
+                raise DataError(str(exc)) from None
     return corpus, priors, rule_cfg
 
 
@@ -233,7 +235,8 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     cells then run side by side (``parallel.map_items``). Writes each
     cell's artifacts under ``<out_dir>/cells/<name>/`` and a ``sweep.csv``
     comparison table marking the best cell (highest mean test F across
-    classes). Returns the cells in grid order.
+    classes). Returns the cells in grid order. An empty grid axis, or two
+    values of an axis that parse alike, is a ConfigurationError.
     """
     for axis, values in (("classifiers", classifier_kinds),
                          ("prior formulas", prior_formulas),
@@ -265,6 +268,11 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
                             rules=bool(rules), classifier=kind,
                             classifier_options=options_by_kind.get(kind, {}))
                         cells.append((cell, cell_cfg, cell_cfg.resolve()))
+    points = [(c.classifier, c.rules, *r[:3]) for c, _, r in cells]
+    for j, (cell, _, _) in enumerate(cells):
+        if points[j] in points[:j]:
+            raise ConfigurationError(
+                f"the sweep grid repeats the cell {cell.name()}")
 
     inputs = load_inputs(base, dict.fromkeys(r[1] for _, _, r in cells),
                          any(c.rules for c, _, _ in cells))
@@ -317,15 +325,11 @@ def read_config_file(path) -> dict:
     Values may be quoted strings, booleans (true/false), integers,
     floats, or bare strings; ``#`` starts a comment line. Keys mirror
     PipelineConfig field names, and each value must parse to its field's
-    type; an unknown key or a mistyped value is a ConfigurationError.
+    type; an unknown key, a mistyped value or a NUL character in a value
+    (no path can hold one) is a ConfigurationError.
     """
     values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except UnicodeDecodeError:
-        raise ConfigurationError(f"config file is not valid UTF-8: {path}")
+    lines = read_text(path, "config file", ConfigurationError).splitlines()
     for n, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -336,6 +340,8 @@ def read_config_file(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _FILE_TYPES:
             raise ConfigurationError(f"{path}:{n}: unknown config key {key!r}")
+        if "\0" in raw:
+            raise ConfigurationError(f"{path}:{n}: {key} holds a NUL character")
         value = _parse_value(raw)
         if type(value) is not _FILE_TYPES[key]:
             raise ConfigurationError(f"{path}:{n}: {key} must be of type "

@@ -22,12 +22,11 @@ these arrays reproduce bit for bit live in ``tests/oracles.py``.
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .corpus_io import remove_diacritics
-from .errors import DataError
+from .util import read_text
 
 
 class SentenceFormula(enum.Enum):
@@ -67,13 +66,7 @@ class RuleConfig:
 
 def load_word_list(path) -> frozenset:
     """One word per line, UTF-8; diacritics removed for matching."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"word list not found: {path}")
-    except UnicodeDecodeError:
-        raise DataError(f"word list is not valid UTF-8: {path}")
+    lines = read_text(path, "word list").splitlines()
     return frozenset(remove_diacritics(w.strip()) for w in lines if w.strip())
 
 

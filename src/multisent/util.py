@@ -1,5 +1,6 @@
 """Small shared helpers: seeding, deterministic RNG, float sums, output
-directories and atomic file writes of one ``os.open`` and one rename."""
+directories, the one reader of input files, and atomic file writes of one
+``os.open`` and one rename."""
 
 import hashlib
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -45,6 +46,22 @@ def make_dirs(path) -> None:
         blocker = next(p for p in (path, *path.parents) if p.exists())
         raise ConfigurationError(f"cannot create directory {path}: "
                                  f"{blocker} is not a directory") from None
+
+
+def read_text(path, what: str, error=DataError) -> str:
+    """The UTF-8 text of input file `path`, which `what` names in errors.
+    A missing file, one that is not UTF-8 or one that cannot be read (a
+    directory, say) raises `error` naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {path} "
+                    f"({exc.reason})") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
 def atomic_write_text(path, text: str) -> None:

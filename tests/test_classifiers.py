@@ -939,6 +939,21 @@ class TestSharedSurface:
         assert np.allclose(classifiers.decision_values(back, rows),
                            classifiers.decision_values(model, rows))
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda p: p.mkdir(), r"cannot read \S*model\.json: Is a directory"),
+        (lambda p: p.write_bytes(b'{"kind": "caf\xe9"}'),
+         r"model file is not valid UTF-8: \S*model\.json \(invalid"),
+        (lambda p: p.write_text("{", encoding="utf-8"),
+         "model file is not valid JSON"),
+        (lambda p: None, "model file not found"),
+    ], ids=["directory", "latin1", "json", "missing"])
+    def test_unreadable_model_files_are_data_errors(self, tmp_path, make,
+                                                    message):
+        path = tmp_path / "model.json"
+        make(path)
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("kind,config,keys", [
         ("ann", AnnConfig(max_epochs=5, seed=6),
          ("hyperparameters", "normalization", "weights", "final_error")),

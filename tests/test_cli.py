@@ -220,6 +220,54 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["directory", "latin1"])
+    @pytest.mark.parametrize("flag", ["--lexicon", "--lemma-dict",
+                                      "--negations", "--intensifiers",
+                                      "--config"])
+    def test_unreadable_input_path_is_an_error(self, tmp_path, data, capsys,
+                                               flag, bad):
+        # A directory, or a file that is not UTF-8, at any input path is a
+        # data error (a configuration error for --config) naming the path.
+        path = tmp_path / "input"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"caf\xe9\n")
+        inputs = {"--lexicon": data["lexicon"],
+                  "--lemma-dict": data["lemma_dict"],
+                  "--negations": data["negations"],
+                  "--intensifiers": data["intensifiers"], flag: str(path)}
+        out = tmp_path / "run"
+        code = main(["pipeline", "--corpus", data["corpus"],
+                     *(arg for pair in inputs.items() for arg in pair),
+                     "--rules", "--classifier", "dtree", "--folds", "2",
+                     "--out", str(out)])
+        assert code == (1 if flag == "--config" else 2)
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert ("Is a directory" if bad == "directory"
+                else "not valid UTF-8") in err
+        if bad == "latin1":
+            assert "(invalid continuation byte)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    def test_word_on_both_rule_lists_is_data_error(self, tmp_path, data,
+                                                   capsys, command):
+        both = tmp_path / "both.txt"
+        shutil.copy(data["intensifiers"], both)
+        out = tmp_path / "out"
+        argv = [command, *_corpus_flags(data), "--rules",
+                "--negations", str(both), "--intensifiers",
+                data["intensifiers"], "--out", str(out)]
+        assert main(argv + (["--classifier", "dtree"]
+                            if command == "pipeline" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: rule word lists: words listed "
+                              "as both negation and intensifier: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_incompatible_level_variant_fails_before_compute(self, tmp_path,
                                                              data):
         code = main(["pipeline", *_corpus_flags(data),
@@ -655,6 +703,11 @@ class TestPipeline:
         ("k = five", "k"), ("window = wide", "window"), ("seed = abc", "seed"),
         ("rules = maybe", "rules"), ("classifier_options = foo",
                                      "classifier_options"),
+        # No path can hold a NUL, so no string value may either.
+        ('out_dir = "run\0x"', "out_dir"),
+        ("lexicon_path = lexicon\0.tsv", "lexicon_path"),
+        ("lemma_dict_path = \0", "lemma_dict_path"),
+        ('negations_path = "neg\0ations.txt"', "negations_path"),
     ])
     def test_mistyped_config_value_is_config_error(self, data, tmp_path,
                                                    capsys, line, key):
@@ -721,6 +774,30 @@ class TestSweep:
                      "--classifiers", "dtree", flag, ","]) == 1
         err = capsys.readouterr().err
         assert "configuration error: the sweep grid has no" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,values,message", [
+        ("--variants", "8,x", "--variants takes integers, got '8,x'"),
+        ("--classifiers", "dtree,dtree",
+         "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
+        ("--rules-options", "off,no",
+         "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
+        ("--formulas", "max_sub,MAX_SUB",
+         "the sweep grid repeats the cell dtree_MAX_SUB_8f_norules"),
+        ("--variants", "8,08",
+         "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
+    ])
+    def test_bad_or_repeated_grid_values_are_config_errors(
+            self, data, tmp_path, capsys, flag, values, message):
+        # Each value of an axis must parse, and to a value of its own:
+        # one cell, one directory and one sweep.csv row per grid point.
+        out = tmp_path / "sweep"
+        argv = ["sweep", *_corpus_flags(data), "--out", str(out),
+                "--classifiers", "dtree", flag, values]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {message}\n"
         assert "Traceback" not in err
         assert not out.exists()
 

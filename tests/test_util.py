@@ -1,12 +1,13 @@
 import errno
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
 
 from multisent import util
-from multisent.errors import ConfigurationError
+from multisent.errors import ConfigurationError, DataError
 from multisent.synth import SynthConfig, generate
 from multisent.util import atomic_write_text
 
@@ -35,6 +36,28 @@ class _FullDisk:
 
     def write(self, data):
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestReadText:
+    def test_returns_the_utf8_text(self, tmp_path):
+        (tmp_path / "in.txt").write_bytes(TEXT.encode("utf-8"))
+        assert util.read_text(tmp_path / "in.txt", "input") == \
+            "سلام\nline two\n"
+
+    @pytest.mark.parametrize("error", [DataError, ConfigurationError])
+    @pytest.mark.parametrize("make,message", [
+        (lambda p: None, "word list not found: {}$"),
+        (lambda p: p.write_bytes(b"caf\xe9"),
+         r"word list is not valid UTF-8: {} \(unexpected end of data\)$"),
+        (lambda p: p.mkdir(), "cannot read {}: Is a directory$"),
+    ], ids=["missing", "latin1", "directory"])
+    def test_failures_name_the_file(self, tmp_path, error, make, message):
+        path = tmp_path / "in.txt"
+        make(path)
+        with pytest.raises(error, match=message.format(re.escape(str(path)))
+                           ) as info:
+            util.read_text(path, "word list", error)
+        assert info.type is error
 
 
 class TestAtomicWriteText:
