@@ -50,6 +50,9 @@ class TreeConfig:
         if not 0 < self.confidence < 1:
             raise ValueError(
                 f"confidence must be in (0, 1), got {self.confidence}")
+        if 1.0 - self.confidence == 1.0:   # pruning's quantile is at 1 - c
+            raise ValueError(f"confidence {self.confidence} is too small: "
+                             "1 - confidence rounds to 1")
 
 
 # Children stay out of repr and nodes compare by identity, so neither

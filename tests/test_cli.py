@@ -287,6 +287,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind,option", [
         ("dtree", "--confidence 1.5"), ("dtree", "--confidence 0"),
+        ("dtree", "--confidence 5e-324"), ("dtree", "--confidence 1e-17"),
         ("ann", "--restarts 0"), ("ann", "--hidden 0"),
         ("svm", "--svm-c 0"), ("svm", "--svm-c -1"), ("svm", "--gamma -1"),
         ("svm", "--max-passes 0"), ("ann", "--max-epochs 0"),

@@ -1,12 +1,14 @@
-"""Seeded CLI fuzzing: small edits to one input file must end in exit 0, 1
-or 2, never in a traceback, and a run that succeeds writes artifacts that
-parse.
+"""Seeded CLI fuzzing: small edits to one input file, and edge values of
+the numeric and list flags, must end in exit 0, 1 or 2, never in a
+traceback, and a run that succeeds writes artifacts that parse.
 
-Each trial copies one input (the lexicon, the lemma dictionary, a rule
-word list, a corpus document, a features CSV or a config file), makes 1-4
-insertions, deletions or replacements drawn from characters that break
-parsers, and runs a command that reads it through ``cli.main``. The seeds
-are fixed, so a failure names a trial that reruns the same way.
+Each input trial copies one input (the lexicon, the lemma dictionary, a
+rule word list, a corpus document, a features CSV or a config file),
+makes 1-4 insertions, deletions or replacements drawn from characters
+that break parsers, and runs a command that reads it through
+``cli.main``. Each flag trial gives one to three flags of one command
+values at and past the edges of their ranges. The seeds are fixed, so a
+failure names a trial that reruns the same way.
 """
 
 import json
@@ -18,6 +20,7 @@ import pytest
 
 from multisent.classifiers import load_model
 from multisent.cli import main
+from multisent.corpus_io import load_corpus
 from multisent.features import read_features_csv
 from multisent.pipeline import read_config_file
 
@@ -147,4 +150,97 @@ def test_mutated_inputs_never_crash(inputs, tmp_path, capfd, monkeypatch,
         if code == 0:
             if command == "config":   # an edit may have moved out_dir
                 out = work / read_config_file(victim)["out_dir"]
+            _check_artifacts(command, out)
+
+
+# Flag values at and past the edges of their ranges. A count that sizes
+# the work (documents, hidden units, restarts, epochs, passes, folds) takes
+# only small values, or one no allocation can hold: a huge valid count asks
+# for a huge run, which is not a bad input.
+SMALL = ["-1", "0", "1", "2", "+2", "-0", "08", "\u0663", "", "x", "1.5",
+         "1e3", "0x2"]
+BIG = SMALL + ["2147483648", "9223372036854775808", "-9223372036854775809",
+               str(10 ** 30)]
+REALS = ["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "0", "-0.0", "1",
+         "0.5", "1.0000000000000002", "0.9999999999999999", "-1", "5e-324",
+         "1e308", "", "x", "1_0", "0x10"]
+FORMULAS = ["max_sub", "MAX_MAX", "avg_avg,max_sub", "max_sub,max_sub", "x",
+            "", ",", " , ", "max_sub,,avg_max"]
+SENTENCE_FORMULAS = ["max_sub", "max_max,max_sub", "MAX_MAX", "x", "", ","]
+CLASSIFIER_FLAGS = {
+    "--hidden": SMALL + [str(10 ** 15)], "--restarts": SMALL,
+    "--max-epochs": SMALL, "--lr": REALS, "--momentum": REALS,
+    "--confidence": REALS, "--min-leaf": BIG, "--svm-c": REALS,
+    "--gamma": REALS, "--tol": REALS, "--max-passes": SMALL}
+KINDS = ["dtree", "svm", "ann", "dtree,svm", "tree", "DTREE", "", ","]
+FLAGS = {
+    "synth": {"--docs": SMALL, "--seed": BIG, "--density": REALS,
+              "--purity": REALS, "--rule-fraction": REALS},
+    "quality": {"--exponent": REALS, "--log-base": ["e", "2", "10", ""]},
+    "score": {"--window": BIG, "--formula": FORMULAS,
+              "--sentence-formula": SENTENCE_FORMULAS},
+    "featurize": {"--window": BIG, "--variant": BIG,
+                  "--level": ["term", "document", "x"],
+                  "--formula": FORMULAS,
+                  "--sentence-formula": SENTENCE_FORMULAS},
+    "train": {"--classifier": KINDS, "--seed": BIG, **CLASSIFIER_FLAGS},
+    "evaluate": {"--classifier": KINDS, "--folds": SMALL, "--seed": BIG,
+                 **CLASSIFIER_FLAGS},
+    "sweep": {"--formulas": FORMULAS,
+              "--variants": ["8", "6,8", "08,8", "7", "8,7", "4,5,7", "0",
+                             "-8", "x", "", ","],
+              "--rules-options": ["off", "on", "off,on", "yes,1", "maybe",
+                                  "", ","],
+              "--classifiers": KINDS,
+              "--sentence-formulas": SENTENCE_FORMULAS, "--window": BIG,
+              "--folds": SMALL, "--seed": BIG, **CLASSIFIER_FLAGS},
+}
+FLAG_TRIALS = 60
+
+
+def _base_argv(command: str, files: dict, out) -> list:
+    """A cheap run of the command, before the fuzzed flags override it."""
+    corpus = ["--corpus", str(files["corpus"]),
+              "--lexicon", str(files["lexicon"]),
+              "--lemma-dict", str(files["lemma_dict"]),
+              "--negations", str(files["negations"]),
+              "--intensifiers", str(files["intensifiers"])]
+    return {"synth": ["synth"],
+            "quality": ["quality", "--corpus", str(files["corpus"])],
+            "score": ["score", *corpus, "--rules"],
+            "featurize": ["featurize", *corpus, "--rules"],
+            "train": ["train", "--features", str(files["features"]),
+                      "--classifier", "dtree"],
+            "evaluate": ["evaluate", "--features", str(files["features"]),
+                         "--classifier", "dtree", "--folds", "2"],
+            "sweep": ["sweep", *corpus, "--rules-options", "on",
+                      "--classifiers", "dtree", "--folds", "2"],
+            }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flag_edge_values_never_crash(inputs, tmp_path, capfd, seed):
+    rng = random.Random(seed)
+    for trial in range(FLAG_TRIALS):
+        command = rng.choice(sorted(FLAGS))
+        flags = rng.sample(sorted(FLAGS[command]),
+                           rng.randint(1, min(3, len(FLAGS[command]))))
+        fuzzed = [f"{flag}={rng.choice(FLAGS[command][flag])}"
+                  for flag in flags]
+        out = tmp_path / str(trial) / ("run" if command in ("synth", "sweep")
+                                       else "out.txt")
+        case = f"seed {seed}, trial {trial}: {command} {' '.join(fuzzed)}"
+        try:
+            code = main(_base_argv(command, inputs, out) + fuzzed)
+        except Exception as exc:
+            pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
+        err = capfd.readouterr().err
+        assert code in (0, 1, 2), case
+        assert "Traceback" not in err, case
+        if code == 0 and command == "synth":
+            assert len(load_corpus(out / "corpus")) % 2 == 0, case
+        elif code == 0 and command == "sweep":
+            rows = (out / "sweep.csv").read_text(encoding="utf-8")
+            assert len(rows.splitlines()) > 1, case
+        elif code == 0:
             _check_artifacts(command, out)

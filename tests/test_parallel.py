@@ -187,7 +187,8 @@ def _diverging_6f_cell(monkeypatch, paths, out_dir):
 
 
 def _blocked_corpus(monkeypatch, paths, out_dir):
-    # pos/doc_0003.txt is item 7 of 20: a helper's on 2 CPUs.
+    # pos/doc_0003.txt is in item 1 of 2, the pos batch: a helper's on 2
+    # CPUs.
     blocker = out_dir / "corpus" / "pos" / "doc_0003.txt"
     blocker.mkdir(parents=True, exist_ok=True)
     generate(SynthConfig(docs_per_class=10, seed=3), out_dir)

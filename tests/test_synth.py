@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import os
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -7,16 +9,18 @@ import pytest
 
 import oracles
 
+from multisent import synth
 from multisent.classifiers import SvmConfig, train_svm
 from multisent.corpus_io import load_corpus, load_lemma_dictionary
+from multisent.errors import ConfigurationError
 from multisent.features import Variant
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
 from multisent.pipeline import build_dataset, prepare_corpus
 from multisent.scoring import RuleConfig, load_word_list
 from multisent.synth import (ARABIC_INTENSIFIERS, ARABIC_NEGATIONS,
                              ASCII_INTENSIFIERS, ASCII_NEGATIONS,
-                             PhiloxStream, SynthConfig, _lemma_names,
-                             _make_document, generate)
+                             PhiloxBatch, SynthConfig, _documents,
+                             _lemma_names, _word_table, generate)
 
 
 def _tree_bytes(root):
@@ -153,13 +157,21 @@ class TestConfigRanges:
         cfg = SynthConfig(docs_per_class=1, tokens_per_doc=(0, 0),
                           sentence_tokens=(1, 1), senses_per_lemma=(2, 2),
                           noise_token_prob=1.0)
-        assert _make_document(cfg, 1, 0, _vocab(cfg)) == "\n"
+        assert _documents(cfg, 1, range(2), _word_table(_vocab(cfg))) \
+            == ["\n", "\n"]
 
     @pytest.mark.parametrize("lo,hi", [(0, 0), (5, 4), (0, 2 ** 32),
                                        (-1, 2 ** 32)])
     def test_stream_rejects_ranges_it_does_not_implement(self, lo, hi):
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            PhiloxStream(1).integers(lo, hi)
+            PhiloxBatch([1, 2]).integers(np.arange(2), lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (5, 4), (0, 2 ** 32),
+                                       (-1, 2 ** 32)])
+    def test_stream_rejects_a_bad_range_on_one_row(self, lo, hi):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            PhiloxBatch([1, 2]).integers(np.arange(2), np.array([0, lo]),
+                                         np.array([3, hi]))
 
 
 # Ranges for the stream test: (0, 1) draws nothing; 3 * 2**30 rejects a
@@ -181,22 +193,43 @@ def _vocab(cfg):
 
 class TestPhiloxStream:
     def test_matches_numpy_generator_call_for_call(self):
-        # 3,000 calls use about 2,250 raw outputs, so every seed crosses
-        # eight 256-output chunk boundaries, about a third of them with a
-        # kept 32-bit half pending.
-        for seed in range(200):
-            plan = np.random.default_rng(seed).integers(
-                -len(STREAM_RANGES), len(STREAM_RANGES), 3000).tolist()
-            stream = PhiloxStream(seed)
-            gen = np.random.Generator(np.random.Philox(seed))
-            for step, k in enumerate(plan):
-                if k < 0:
-                    got, want = stream.random(), gen.random()
-                else:
+        # 200 streams, one per seed, each checked against its own
+        # Generator. A call draws for a random subset of the rows, with one
+        # range for all of them or one per row. Every stream makes 3,000
+        # calls on about 2,250 raw outputs, so the 512-output block
+        # doubles three times, at times under a row with a 32-bit half
+        # pending.
+        seeds = range(200)
+        stream = PhiloxBatch(seeds)
+        gens = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+        plan = np.random.default_rng(0)
+        calls = np.zeros(len(seeds), int)
+        pending_at_growth = 0
+        while (calls < 3000).any():
+            rows = np.flatnonzero((plan.random(len(seeds)) < 0.5)
+                                  & (calls < 3000))
+            calls[rows] += 1
+            at_edge = stream._pos[rows] == stream._raw.shape[1]
+            pending_at_growth += int(np.sum(at_edge & stream._pending[rows]))
+            k = int(plan.integers(-len(STREAM_RANGES), len(STREAM_RANGES)))
+            if k < 0:
+                got = stream.random(rows)
+                want = [gens[r].random() for r in rows]
+            else:
+                if plan.random() < 0.5:
                     lo, hi = STREAM_RANGES[k]
-                    got, want = stream.integers(lo, hi), gen.integers(lo, hi)
-                assert got == want, (seed, step, k)
-            assert stream.random() == gen.random(), seed
+                    bounds = [(lo, hi)] * len(rows)
+                else:
+                    bounds = [STREAM_RANGES[j] for j in plan.integers(
+                        0, len(STREAM_RANGES), len(rows))]
+                    lo, hi = (np.array([b[end] for b in bounds], np.int64)
+                              for end in (0, 1))
+                got = stream.integers(rows, lo, hi)
+                want = [gens[r].integers(*b) for r, b in zip(rows, bounds)]
+            assert got.tolist() == want, (rows, k)
+        assert pending_at_growth > 0
+        rows = np.arange(len(seeds))
+        assert stream.random(rows).tolist() == [g.random() for g in gens]
 
 
 class TestDocumentsMatchGenerator:
@@ -214,12 +247,89 @@ class TestDocumentsMatchGenerator:
                               purity=purity, rule_fraction=rule_fraction,
                               noise_token_prob=noise, arabic_tool_words=arabic,
                               seed=seed * 101, **shape)
+            _assert_documents_match(cfg, _vocab(cfg))
+
+    @pytest.mark.parametrize("case", [
+        # The two sides of a class differ in size, and so do the tool
+        # lists, so one draw has a different span on different rows.
+        {"pos_lemmas": 7, "neg_lemmas": 40, "neutral_lemmas": 3,
+         "tool_words": 3},
+        # Spans of 1 draw nothing: every neutral word, and the
+        # one-lemma side.
+        {"pos_lemmas": 1, "neg_lemmas": 2, "neutral_lemmas": 1},
+        {"pos_lemmas": 1, "neg_lemmas": 1, "neutral_lemmas": 1},
+        # Documents that use more raw outputs than the first block holds,
+        # beside short ones that end long before them.
+        {"tokens_per_doc": (0, 900), "sentiment_density": 0.9},
+    ], ids=["unequal_spans", "one_lemma_side", "one_lemma_each",
+            "block_growth"])
+    def test_varied_spans_and_lengths_equal_the_scalar_oracle(self, case):
+        case = dict(case)
+        tool_words = case.pop("tool_words", None)
+        for seed, arabic in ((5, False), (6, True)):
+            cfg = SynthConfig(docs_per_class=12, purity=0.7,
+                              rule_fraction=0.5, noise_token_prob=0.05,
+                              arabic_tool_words=arabic, seed=seed, **case)
             vocab = _vocab(cfg)
-            for label in (0, 1):
-                for i in range(cfg.docs_per_class):
-                    assert (_make_document(cfg, label, i, vocab)
-                            == oracles.make_document(cfg, label, i, vocab)), \
-                        (cfg, label, i)
+            if tool_words:
+                vocab = vocab[:3] + (vocab[3][:tool_words], vocab[4])
+            _assert_documents_match(cfg, vocab)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_tree_does_not_depend_on_the_batch_size(self, tmp_path,
+                                                    monkeypatch, batch):
+        # 5 documents per class: one batch by default, and batches of
+        # 1, 2 and 2 when at most 2 documents make one.
+        cfg = SynthConfig(docs_per_class=5, purity=0.8, rule_fraction=0.2,
+                          seed=9)
+        generate(cfg, tmp_path / "default")
+        monkeypatch.setattr(synth, "_BATCH", batch)
+        generate(cfg, tmp_path / "small")
+        assert (_tree_bytes(tmp_path / "small")
+                == _tree_bytes(tmp_path / "default"))
+
+
+def _assert_documents_match(cfg, vocab):
+    table = _word_table(vocab)
+    indices = range(cfg.docs_per_class)
+    for label in (0, 1):
+        got = _documents(cfg, label, indices, table)
+        for i in indices:
+            assert got[i] == oracles.make_document(cfg, label, i, vocab), \
+                (cfg, label, i)
+
+
+class TestStaleFiles:
+    @pytest.mark.parametrize("name,written", [
+        ("doc_0000.txt", True), ("doc_0009.txt", True),
+        ("doc_0010.txt", False), ("doc_00001.txt", False),
+        ("doc_1.txt", False), ("doc_٠٠٠١.txt", False),
+        ("doc_0001.txt.tmp", False), ("notes.txt", False)])
+    def test_names_a_corpus_writes(self, name, written):
+        assert synth._writes(name, 10) is written
+
+    def test_huge_corpus_checks_names_without_listing_them(self, tmp_path):
+        # A set of all 10**12 names per class used to run out of memory
+        # first; with the address space capped, it fails fast.
+        stale = tmp_path / "corpus" / "pos"
+        stale.mkdir(parents=True)
+        (stale / "doc_0003.txt").write_text("kept\n")
+        (stale / "doc_1000000000000.txt").write_text("stale\n")
+        cfg = SynthConfig(docs_per_class=10 ** 12)
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        cap = size + 2 ** 30
+        if limits[1] != resource.RLIM_INFINITY:
+            cap = min(cap, limits[1])
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+        try:
+            with pytest.raises(ConfigurationError,
+                               match="1 file.* doc_1000000000000.txt"):
+                generate(cfg, tmp_path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        assert not (tmp_path / "corpus" / "neg").exists()
 
 
 class TestGoldenCorpus:
