@@ -7,6 +7,7 @@ options), 2 data error (missing or malformed inputs).
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import classifiers
@@ -24,71 +25,120 @@ from .util import atomic_write_text
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigurationError."""
+    """argparse that reports usage problems as ConfigurationError and
+    takes each flag only as spelled in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigurationError(message)
 
 
-def _add_corpus_args(p, lexicon=True):
-    p.add_argument("--corpus", required=True, help="corpus root with pos/ and neg/")
-    p.add_argument("--lemma-dict", required=True,
-                   help="surface<TAB>lemma TSV file")
-    if lexicon:
-        p.add_argument("--lexicon", required=True,
-                       help="lemma<TAB>positive<TAB>negative TSV file")
+# The settings of a run, each declared once: flag -> (destination,
+# add_argument keywords). Each destination but --config's is the
+# PipelineConfig field the flag sets. No flag has a default, so a flag left
+# out keeps the config file's value or PipelineConfig's default.
+_RUN_FLAGS = {
+    "--config": ("config", {"help": "key = value configuration file"}),
+    "--corpus": ("corpus_dir", {"help": "corpus root with pos/ and neg/"}),
+    "--lemma-dict": ("lemma_dict_path",
+                     {"help": "surface<TAB>lemma TSV file"}),
+    "--lexicon": ("lexicon_path",
+                  {"help": "lemma<TAB>positive<TAB>negative TSV file"}),
+    "--negations": ("negations_path",
+                    {"help": "negation word list, one per line"}),
+    "--intensifiers": ("intensifiers_path",
+                       {"help": "intensifier word list, one per line"}),
+    "--window": ("window", {"type": int, "help": "rule adjacency window "
+                            "in tokens (default 1)"}),
+    "--level": ("level", {"choices": ("term", "document")}),
+    "--variant": ("variant", {"type": int, "help": "8|6 for term level, "
+                              "7|5|4 for document level (default 8)"}),
+    "--formula": ("prior_formula",
+                  {"choices": [f.value for f in PriorFormula],
+                   "help": "prior formula (default max_sub)"}),
+    "--sentence-formula": ("sentence_formula",
+                           {"choices": [f.value for f in SentenceFormula],
+                            "help": "document level's sentence formula; "
+                            "score emits sentence scores with it"}),
+    "--rules": ("rules", {"action": "store_const", "const": True,
+                          "help": "apply negation/intensification rules"}),
+    "--no-rules": ("rules", {"action": "store_const", "const": False}),
+    "--classifier": ("classifier", {"choices": classifiers.KINDS}),
+    "--folds": ("k", {"type": int,
+                      "help": "cross-validation folds (default 5)"}),
+    "--seed": ("seed", {"type": int}),
+    "--out": ("out_dir", {}),
+}
+_INPUT_FLAGS = ("--corpus", "--lemma-dict", "--lexicon", "--negations",
+                "--intensifiers", "--window")
+_CELL_FLAGS = ("--formula", "--sentence-formula", "--rules", "--no-rules")
+_LOOP_FLAGS = ("--config", *_INPUT_FLAGS, "--folds", "--seed", "--out")
+
+# Classifier options: (flag, kind, option, type, help). The bool one is a
+# switch that sets its option to False.
+_CLASSIFIER_FLAGS = (
+    ("--hidden", "ann", "hidden", int, "ANN hidden units (default 15)"),
+    ("--restarts", "ann", "restarts", int,
+     "ANN training restarts (default 4)"),
+    ("--max-epochs", "ann", "max_epochs", int,
+     "ANN epoch budget (default 500)"),
+    ("--lr", "ann", "lr", float, "ANN initial learning rate"),
+    ("--momentum", "ann", "momentum", float, "ANN momentum"),
+    ("--confidence", "dtree", "confidence", float,
+     "tree pruning confidence factor (default 0.25)"),
+    ("--min-leaf", "dtree", "min_leaf", int,
+     "tree minimum rows per leaf (default 2)"),
+    ("--no-prune", "dtree", "prune", bool, "disable tree pruning"),
+    ("--svm-c", "svm", "c", float, "SVM penalty C (default 1)"),
+    ("--gamma", "svm", "gamma", float,
+     "SVM RBF gamma (default 1/num_features)"),
+    ("--tol", "svm", "tol", float, "SVM KKT tolerance (default 1e-3)"),
+    ("--max-passes", "svm", "max_passes", int, "SVM sweep budget"),
+)
 
 
-def _add_rules_args(p):
-    p.add_argument("--rules", action="store_true", default=False,
-                   help="apply negation/intensification rules")
-    p.add_argument("--no-rules", dest="rules", action="store_false")
-    p.add_argument("--negations", help="negation word list, one per line")
-    p.add_argument("--intensifiers", help="intensifier word list, one per line")
-    p.add_argument("--window", type=int, default=1,
-                   help="rule adjacency window in tokens (default 1)")
+def _add_run_args(p, flags, **defaults):
+    for flag in flags:
+        dest, keywords = _RUN_FLAGS[flag]
+        p.add_argument(flag, dest=dest, **keywords)
+    p.set_defaults(**defaults)
 
 
-def _add_classifier_args(p, default="ann"):
-    p.add_argument("--classifier", choices=classifiers.KINDS, default=default)
-    p.add_argument("--hidden", type=int, help="ANN hidden units (default 15)")
-    p.add_argument("--restarts", type=int, help="ANN training restarts (default 4)")
-    p.add_argument("--max-epochs", type=int, help="ANN epoch budget (default 500)")
-    p.add_argument("--lr", type=float, help="ANN initial learning rate")
-    p.add_argument("--momentum", type=float, help="ANN momentum")
-    p.add_argument("--confidence", type=float,
-                   help="tree pruning confidence factor (default 0.25)")
-    p.add_argument("--min-leaf", type=int,
-                   help="tree minimum rows per leaf (default 2)")
-    p.add_argument("--no-prune", action="store_true", default=False,
-                   help="disable tree pruning")
-    p.add_argument("--svm-c", type=float, help="SVM penalty C (default 1)")
-    p.add_argument("--gamma", type=float,
-                   help="SVM RBF gamma (default 1/num_features)")
-    p.add_argument("--tol", type=float, help="SVM KKT tolerance (default 1e-3)")
-    p.add_argument("--max-passes", type=int, help="SVM sweep budget")
+def _add_classifier_args(p):
+    for flag, _, option, type_, text in _CLASSIFIER_FLAGS:
+        if type_ is bool:
+            p.add_argument(flag, dest=option, action="store_const",
+                           const=False, help=text)
+        else:
+            p.add_argument(flag, dest=option, type=type_, help=text)
 
 
-def _classifier_options(args, kind=None) -> dict:
-    by_kind = {
-        "ann": {"hidden": args.hidden, "restarts": args.restarts,
-                "max_epochs": args.max_epochs, "lr": args.lr,
-                "momentum": args.momentum},
-        "dtree": {"confidence": args.confidence, "min_leaf": args.min_leaf,
-                  "prune": False if args.no_prune else None},
-        "svm": {"c": args.svm_c, "gamma": args.gamma, "tol": args.tol,
-                "max_passes": args.max_passes},
-    }.get(kind or args.classifier, {})
-    return {k: v for k, v in by_kind.items() if v is not None}
+def _classifier_options(args, kind) -> dict:
+    given = vars(args)
+    return {option: given[option] for _, k, option, _, _ in _CLASSIFIER_FLAGS
+            if k == kind and given.get(option) is not None}
 
 
-def _corpus_config(args, **fields) -> PipelineConfig:
-    """Settings for the subcommands that write one file, not a run."""
-    return PipelineConfig(
-        corpus_dir=args.corpus, lexicon_path=args.lexicon,
-        lemma_dict_path=args.lemma_dict, out_dir=".",
-        negations_path=args.negations, intensifiers_path=args.intensifiers,
-        rules=args.rules, window=args.window, **fields)
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
+
+
+def _run_config(args, **fixed) -> PipelineConfig:
+    """A run's settings: the config file's, if one is given, overridden by
+    the flags given, then by ``fixed``."""
+    given = vars(args)
+    settings = read_config_file(given["config"]) if given.get("config") else {}
+    settings.update((k, v) for k, v in given.items()
+                    if k in _CONFIG_FIELDS and v is not None)
+    settings.update(fixed)
+    for required in ("corpus_dir", "lexicon_path", "lemma_dict_path",
+                     "out_dir"):
+        if not settings.get(required):
+            raise ConfigurationError(f"missing required setting: {required}")
+    cfg = PipelineConfig(**settings)
+    cfg.classifier_options = _classifier_options(args, cfg.classifier)
+    return cfg
 
 
 def cmd_synth(args) -> int:
@@ -133,7 +183,8 @@ def cmd_lexicon_aggregate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = _corpus_config(args, prior_formula=args.formula)
+    # A sentence formula here selects sentence scores, not a level.
+    cfg = _run_config(args, out_dir=".", sentence_formula=None)
     _, formula, _, _ = cfg.resolve()
     corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
     priors = priors[formula]
@@ -165,9 +216,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    cfg = _corpus_config(args, level=args.level, prior_formula=args.formula,
-                         sentence_formula=args.sentence_formula,
-                         variant=args.variant)
+    cfg = _run_config(args, out_dir=".")
     variant, formula, sentence_formula, _ = cfg.resolve()
     inputs = load_inputs(cfg, [formula], cfg.rules)
     dataset = featurize(inputs, variant, formula, sentence_formula,
@@ -179,7 +228,8 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     config = classifiers.with_seed(
-        classifiers.make_config(args.classifier, **_classifier_options(args)),
+        classifiers.make_config(args.classifier,
+                                **_classifier_options(args, args.classifier)),
         args.seed)
     dataset = read_features_csv(args.features)
     model = classifiers.train(args.classifier, dataset.rows, dataset.labels,
@@ -193,10 +243,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = classifiers.make_config(args.classifier,
-                                     **_classifier_options(args))
+    config = classifiers.make_config(
+        args.classifier, **_classifier_options(args, args.classifier))
     dataset = read_features_csv(args.features)
-    report = run_cv(dataset, args.classifier, config, k=args.folds,
+    report = run_cv(dataset, args.classifier, config, k=args.k,
                     seed=args.seed,
                     meta={"variant": dataset.variant.name})
     atomic_write_text(args.out, json.dumps(report.to_dict(), sort_keys=True,
@@ -208,33 +258,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    merged = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
-    overrides = {
-        "corpus_dir": args.corpus, "lexicon_path": args.lexicon,
-        "lemma_dict_path": args.lemma_dict, "out_dir": args.out,
-        "negations_path": args.negations, "intensifiers_path": args.intensifiers,
-        "level": getattr(args, "level", None),
-        "prior_formula": getattr(args, "formula", None),
-        "sentence_formula": getattr(args, "sentence_formula", None),
-        "variant": getattr(args, "variant", None),
-        "rules": getattr(args, "rules", None),
-        "window": args.window, "classifier": args.classifier,
-        "k": args.folds, "seed": args.seed,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    for required in ("corpus_dir", "lexicon_path", "lemma_dict_path", "out_dir"):
-        if not merged.get(required):
-            raise ConfigurationError(f"missing required setting: {required}")
-    cfg = PipelineConfig(**merged)
-    cfg.classifier_options = _classifier_options(args, cfg.classifier)
-    return cfg
-
-
 def cmd_pipeline(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _run_config(args)
     report = run_pipeline(cfg)
     avg = report.average()["test"]
     print(json.dumps({"report": str(Path(cfg.out_dir) / "report.json"),
@@ -245,7 +270,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _pipeline_config(args)
+    base = _run_config(args)
     kinds = _split(args.classifiers)
     try:
         variants = [int(v) for v in _split(args.variants)]
@@ -261,7 +286,7 @@ def cmd_sweep(args) -> int:
                   sentence_formulas=_split(args.sentence_formulas) or None,
                   options_by_kind={k: _classifier_options(args, k)
                                    for k in kinds})
-    best = max(cells, key=lambda c: c.mean_test_f)
+    best = next(cell for cell in cells if cell.best)
     print(json.dumps({"table": str(Path(base.out_dir) / "sweep.csv"),
                       "cells": len(cells), "best": best.name(),
                       "best_mean_test_f": best.mean_test_f}))
@@ -315,79 +340,51 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lexicon_aggregate)
 
     p = sub.add_parser("score", help="per-token or per-sentence scores")
-    _add_corpus_args(p)
-    p.add_argument("--formula", default="max_sub",
-                   choices=[f.value for f in PriorFormula])
-    p.add_argument("--sentence-formula",
-                   choices=[f.value for f in SentenceFormula],
-                   help="emit sentence scores instead of token scores")
-    _add_rules_args(p)
+    _add_run_args(p, _INPUT_FLAGS + _CELL_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("featurize", help="build a feature CSV")
-    _add_corpus_args(p)
-    p.add_argument("--level", choices=("term", "document"), default="term")
-    p.add_argument("--variant", type=int, default=8,
-                   help="8|6 for term level, 7|5|4 for document level")
-    p.add_argument("--formula", default="max_sub",
-                   choices=[f.value for f in PriorFormula])
-    p.add_argument("--sentence-formula",
-                   choices=[f.value for f in SentenceFormula])
-    _add_rules_args(p)
+    _add_run_args(p, _INPUT_FLAGS + _CELL_FLAGS + ("--level", "--variant"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train one model on a feature CSV")
     p.add_argument("--features", "--in", dest="features", required=True)
+    _add_run_args(p, ("--classifier", "--seed"), classifier="ann", seed=0)
     _add_classifier_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate",
                        help="cross-validate a classifier on a feature CSV")
     p.add_argument("--features", required=True)
+    _add_run_args(p, ("--classifier", "--folds", "--seed"),
+                  classifier="ann", k=5, seed=7)
     _add_classifier_args(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 
-    for name, handler in (("pipeline", cmd_pipeline), ("sweep", cmd_sweep)):
-        p = sub.add_parser(name, help=f"run the full {name}")
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--corpus")
-        p.add_argument("--lexicon")
-        p.add_argument("--lemma-dict")
-        p.add_argument("--out")
-        p.add_argument("--negations")
-        p.add_argument("--intensifiers")
-        p.add_argument("--window", type=int)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--seed", type=int)
-        _add_classifier_args(p, default=None)
-        if name == "pipeline":
-            p.add_argument("--level", choices=("term", "document"))
-            p.add_argument("--variant", type=int)
-            p.add_argument("--formula",
-                           choices=[f.value for f in PriorFormula])
-            p.add_argument("--sentence-formula",
-                           choices=[f.value for f in SentenceFormula])
-            p.add_argument("--rules", action="store_true", default=None)
-            p.add_argument("--no-rules", dest="rules", action="store_false")
-        else:
-            p.add_argument("--formulas", default="max_sub",
-                           help="comma-separated prior formulas")
-            p.add_argument("--variants", default="8",
-                           help="comma-separated widths, one level only")
-            p.add_argument("--rules-options", default="off",
-                           help="comma-separated booleans, e.g. off,on")
-            p.add_argument("--classifiers", default="ann",
-                           help="comma-separated classifier kinds")
-            p.add_argument("--sentence-formulas", default="",
-                           help="comma-separated sentence formulas")
-        p.set_defaults(func=handler)
+    p = sub.add_parser("pipeline", help="run the full pipeline")
+    _add_run_args(p, _LOOP_FLAGS + _CELL_FLAGS
+                  + ("--level", "--variant", "--classifier"))
+    _add_classifier_args(p)
+    p.set_defaults(func=cmd_pipeline)
+
+    p = sub.add_parser("sweep", help="run the full sweep")
+    _add_run_args(p, _LOOP_FLAGS)
+    _add_classifier_args(p)
+    p.add_argument("--formulas", default="max_sub",
+                   help="comma-separated prior formulas")
+    p.add_argument("--variants", default="8",
+                   help="comma-separated widths, one level only")
+    p.add_argument("--rules-options", default="off",
+                   help="comma-separated booleans, e.g. off,on")
+    p.add_argument("--classifiers", default="ann",
+                   help="comma-separated classifier kinds")
+    p.add_argument("--sentence-formulas", default="",
+                   help="comma-separated sentence formulas")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

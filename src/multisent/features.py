@@ -51,11 +51,14 @@ class Variant(enum.Enum):
         return Variant.TERM8 if self.level == "term" else Variant.DOC7
 
     @classmethod
-    def from_level_and_width(cls, level: str, width: int) -> "Variant":
+    def from_width(cls, width: int, level: str | None = None) -> "Variant":
+        """The variant ``width`` features wide (no two share a width), which
+        must be of ``level`` if one is given."""
         for v in cls:
-            if v.level == level and v.width == width:
+            if v.width == width and level in (None, v.level):
                 return v
-        raise ValueError(f"no {level}-level variant with {width} features")
+        where = f"{level}-level " if level else ""
+        raise ValueError(f"no {where}variant with {width} features")
 
     @classmethod
     def from_names(cls, names) -> "Variant":

@@ -10,6 +10,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"level must be 'term' or 'document', got {self.level!r}")
         try:
-            variant = Variant.from_level_and_width(self.level, int(self.variant))
+            variant = Variant.from_width(int(self.variant), self.level)
             prior = PriorFormula.from_name(self.prior_formula)
         except ValueError as exc:
             raise ConfigurationError(str(exc))
@@ -196,32 +197,31 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
 
 @dataclass
 class SweepCell:
-    classifier: str
-    prior_formula: str
-    sentence_formula: str | None
-    variant: int
-    rules: bool
+    """One point of a sweep's grid: the settings of its run, then its
+    report, the test F per class of the report's average, and whether its
+    mean test F is the grid's best, each set once."""
+    config: PipelineConfig
     report: EvalReport | None = None
-    # Test F per class of the report's average, set with ``report``.
     test_f_pos: float = math.nan
     test_f_neg: float = math.nan
+    best: bool = False
 
     @property
     def mean_test_f(self) -> float:
         return (self.test_f_pos + self.test_f_neg) / 2.0
 
     def set_report(self, report: EvalReport) -> None:
-        """Keep ``report`` and its averaged test F, computed once."""
         test = report.average()["test"]
         self.report = report
         self.test_f_pos, self.test_f_neg = test["pos"]["f"], test["neg"]["f"]
 
     def name(self) -> str:
-        parts = [self.classifier, self.prior_formula]
-        if self.sentence_formula:
-            parts.append(self.sentence_formula)
-        parts.append(f"{self.variant}f")
-        parts.append("rules" if self.rules else "norules")
+        cfg = self.config
+        parts = [cfg.classifier, cfg.prior_formula]
+        if cfg.sentence_formula:
+            parts.append(cfg.sentence_formula)
+        parts.append(f"{cfg.variant}f")
+        parts.append("rules" if cfg.rules else "norules")
         return "_".join(parts)
 
 
@@ -235,8 +235,9 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     cells then run side by side (``parallel.map_items``). Writes each
     cell's artifacts under ``<out_dir>/cells/<name>/`` and a ``sweep.csv``
     comparison table marking the best cell (highest mean test F across
-    classes). Returns the cells in grid order. An empty grid axis, or two
-    values of an axis that parse alike, is a ConfigurationError.
+    classes; the first such cell in grid order). Returns the cells in grid
+    order. An empty grid axis, or two values of an axis that parse alike,
+    is a ConfigurationError.
     """
     for axis, values in (("classifiers", classifier_kinds),
                          ("prior formulas", prior_formulas),
@@ -244,72 +245,62 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
                          ("rules options", rules_options)):
         if not values:
             raise ConfigurationError(f"the sweep grid has no {axis}")
-    levels = {_level_of(v) for v in variants}
+    try:
+        levels = {Variant.from_width(int(v)).level for v in variants}
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     if len(levels) > 1:
         raise ConfigurationError("sweep variants must all share one level")
+    (level,) = levels
 
     options_by_kind = options_by_kind or {}
-    sentence_formulas = list(sentence_formulas or [None])
     cells = []
-    for kind in classifier_kinds:
-        for formula in prior_formulas:
-            for sf in sentence_formulas:
-                for variant in variants:
-                    for rules in rules_options:
-                        cell = SweepCell(classifier=kind, prior_formula=formula,
-                                         sentence_formula=sf,
-                                         variant=int(variant),
-                                         rules=bool(rules))
-                        cell_cfg = replace(
-                            base, out_dir=str(Path(base.out_dir) / "cells"
-                                              / cell.name()),
-                            level=_level_of(variant), prior_formula=formula,
-                            sentence_formula=sf, variant=int(variant),
-                            rules=bool(rules), classifier=kind,
-                            classifier_options=options_by_kind.get(kind, {}))
-                        cells.append((cell, cell_cfg, cell_cfg.resolve()))
-    points = [(c.classifier, c.rules, *r[:3]) for c, _, r in cells]
-    for j, (cell, _, _) in enumerate(cells):
+    for kind, formula, sf, variant, rules in product(
+            classifier_kinds, prior_formulas, sentence_formulas or [None],
+            variants, rules_options):
+        cell = SweepCell(replace(
+            base, level=level, prior_formula=formula, sentence_formula=sf,
+            variant=int(variant), rules=bool(rules), classifier=kind,
+            classifier_options=options_by_kind.get(kind, {})))
+        cell.config.out_dir = str(Path(base.out_dir) / "cells" / cell.name())
+        cells.append(cell)
+    resolved = [cell.config.resolve() for cell in cells]
+    points = [(c.config.classifier, c.config.rules, *r[:3])
+              for c, r in zip(cells, resolved)]
+    for j, cell in enumerate(cells):
         if points[j] in points[:j]:
             raise ConfigurationError(
                 f"the sweep grid repeats the cell {cell.name()}")
 
-    inputs = load_inputs(base, dict.fromkeys(r[1] for _, _, r in cells),
-                         any(c.rules for c, _, _ in cells))
+    inputs = load_inputs(base, dict.fromkeys(r[1] for r in resolved),
+                         any(cell.config.rules for cell in cells))
     datasets = {}
-    for cell, _, (variant, prior, sentence, _) in cells:
-        key = (prior, sentence, cell.rules)
+    for cell, (variant, prior, sentence, _) in zip(cells, resolved):
+        key = (prior, sentence, cell.config.rules)
         if key not in datasets:
             datasets[key] = featurize(inputs, variant, *key)
 
     def run_cell(j):
-        cell, cell_cfg, (variant, prior, sentence, clf_config) = cells[j]
-        dataset = datasets[(prior, sentence, cell.rules)].project(variant)
-        return evaluate(cell_cfg, dataset, prior, sentence, clf_config)
+        variant, prior, sentence, clf_config = resolved[j]
+        cfg = cells[j].config
+        dataset = datasets[(prior, sentence, cfg.rules)].project(variant)
+        return evaluate(cfg, dataset, prior, sentence, clf_config)
 
-    finished = [cell for cell, _, _ in cells]
-    for cell, report in zip(finished, map_items(run_cell, len(cells))):
+    for cell, report in zip(cells, map_items(run_cell, len(cells))):
         cell.set_report(report)
+    max(cells, key=lambda cell: cell.mean_test_f).best = True
 
-    best = max(range(len(finished)), key=lambda i: finished[i].mean_test_f)
     lines = [SWEEP_HEADER]
-    for i, cell in enumerate(finished):
+    for cell in cells:
+        cfg = cell.config
         lines.append(",".join([
-            cell.classifier, cell.prior_formula,
-            cell.sentence_formula or "", str(cell.variant),
-            "true" if cell.rules else "false",
+            cfg.classifier, cfg.prior_formula, cfg.sentence_formula or "",
+            str(cfg.variant), "true" if cfg.rules else "false",
             repr(cell.test_f_pos), repr(cell.test_f_neg),
-            repr(cell.mean_test_f), "1" if i == best else "0"]))
+            repr(cell.mean_test_f), "1" if cell.best else "0"]))
     atomic_write_text(Path(base.out_dir) / "sweep.csv",
                       "\n".join(lines) + "\n")
-    return finished
-
-
-def _level_of(variant_width) -> str:
-    for v in Variant:
-        if v.width == int(variant_width):
-            return v.level
-    raise ConfigurationError(f"no variant has {variant_width} features")
+    return cells
 
 
 # The type each config-file value must parse to: int, bool, or str for

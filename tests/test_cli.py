@@ -766,6 +766,27 @@ class TestSweep:
             (pipe_out / "report.json").read_text("utf-8"))
         assert cell_report == direct_report
 
+    def test_grid_replaces_the_config_files_cell_settings(self, data,
+                                                          tmp_path):
+        out = tmp_path / "sweep"
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\n".join([
+            "level = document", "variant = 7", "prior_formula = avg_avg",
+            "sentence_formula = max_sub", "rules = true",
+            "classifier = svm", "k = 3"]) + "\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), *_corpus_flags(data),
+                     "--out", str(out), "--classifiers", "dtree"]) == 0
+        assert [p.name for p in (out / "cells").iterdir()] == [
+            "dtree_max_sub_8f_norules"]
+        report = json.loads((out / "cells" / "dtree_max_sub_8f_norules"
+                             / "report.json").read_text("utf-8"))
+        assert {key: report["meta"][key] for key in (
+            "classifier", "formula", "sentence_formula", "level", "variant",
+            "rules", "k")} == {
+            "classifier": "dtree", "formula": "max_sub",
+            "sentence_formula": None, "level": "term", "variant": "TERM8",
+            "rules": False, "k": 3}
+
     @pytest.mark.parametrize("flag", ["--classifiers", "--formulas",
                                       "--variants", "--rules-options"])
     def test_empty_grid_axis_is_config_error(self, data, tmp_path, capsys,

@@ -208,7 +208,10 @@ class TestDataset:
             read_features_csv(path)
 
     def test_variant_lookup(self):
-        assert Variant.from_level_and_width("term", 8) is Variant.TERM8
-        assert Variant.from_level_and_width("document", 4) is Variant.DOC4
-        with pytest.raises(ValueError):
-            Variant.from_level_and_width("term", 7)
+        assert Variant.from_width(8, "term") is Variant.TERM8
+        assert Variant.from_width(4, "document") is Variant.DOC4
+        assert Variant.from_width(7) is Variant.DOC7
+        with pytest.raises(ValueError, match="no term-level variant with 7"):
+            Variant.from_width(7, "term")
+        with pytest.raises(ValueError, match="no variant with 9 features"):
+            Variant.from_width(9)

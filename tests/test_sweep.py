@@ -52,9 +52,10 @@ def test_cells_match_standalone_pipeline_runs(paths, tmp_path, level, grid,
         direct_dir = tmp_path / "direct" / cell.name()
         run_pipeline(_base(
             paths, direct_dir, level=level,
-            prior_formula=cell.prior_formula,
-            sentence_formula=cell.sentence_formula, variant=cell.variant,
-            rules=cell.rules, classifier=kind,
+            prior_formula=cell.config.prior_formula,
+            sentence_formula=cell.config.sentence_formula,
+            variant=cell.config.variant, rules=cell.config.rules,
+            classifier=kind,
             classifier_options=dict(options)))
         cell_files = _files(sweep_dir / "cells" / cell.name())
         assert set(cell_files) == {"features.csv", "report.json",
@@ -93,6 +94,8 @@ def test_sweep_prepares_once_and_builds_each_dataset_once(paths, tmp_path,
 def _assert_rows_match_reports(cells, table_path, average):
     table = table_path.read_text().splitlines()[1:]
     assert len(table) == len(cells)
+    assert [row.endswith(",1") for row in table] == [c.best for c in cells]
+    assert sum(c.best for c in cells) == 1
     for cell, row in zip(cells, table):
         test = average(cell.report)["test"]
         assert row.split(",")[5:8] == [
