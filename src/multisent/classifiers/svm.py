@@ -154,16 +154,25 @@ class SvmModel:
     def from_dict(cls, doc: dict) -> "SvmModel":
         cfg = SvmConfig(**doc["hyperparameters"])
         norm = NormalizationParams.from_dict(doc["normalization"])
-        sv = np.asarray(doc["support_vectors"], dtype=float)
+        sv, coefficients, alphas, labels_pm = (
+            np.asarray(doc[key], dtype=float) for key in (
+                "support_vectors", "coefficients", "alphas",
+                "train_labels_pm"))
         if sv.size == 0:
             sv = sv.reshape(0, len(norm.minimum))
-        return cls(support_vectors=sv,
-                   coefficients=np.asarray(doc["coefficients"], dtype=float),
+        if sv.ndim != 2 or coefficients.shape != sv.shape[:1] or not \
+                norm.minimum.shape == norm.maximum.shape == sv.shape[1:]:
+            raise ValueError(
+                f"support vectors {sv.shape}, coefficients "
+                f"{coefficients.shape} and normalization bounds "
+                f"{norm.minimum.shape}, {norm.maximum.shape} disagree")
+        if alphas.ndim != 1 or labels_pm.shape != alphas.shape:
+            raise ValueError(f"alphas {alphas.shape} and train_labels_pm "
+                             f"{labels_pm.shape} disagree")
+        return cls(support_vectors=sv, coefficients=coefficients,
                    bias=float(doc["bias"]), gamma=float(doc["gamma"]),
-                   c=cfg.c, normalization=norm, config=cfg,
-                   alphas=np.asarray(doc["alphas"], dtype=float),
-                   train_labels_pm=np.asarray(doc["train_labels_pm"],
-                                              dtype=float))
+                   c=cfg.c, normalization=norm, config=cfg, alphas=alphas,
+                   train_labels_pm=labels_pm)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:

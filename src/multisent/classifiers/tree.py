@@ -7,9 +7,13 @@ has positive gain, or when every split would leave a child smaller than
 ``min_leaf``. Pruning replaces a subtree with a leaf when the upper
 confidence bound of the leaf's error (at the configured confidence
 factor) does not exceed the subtree's; subtree raising is not performed.
-Nothing here recurses, so no tree is too deep. Model documents list the
-nodes flat, in pre-order, with child indices: ``json`` recurses per level.
-A pickled model is that node list too, since ``pickle`` recurses as well.
+A model is its node list, in pre-order with left children first: each
+node is ``{"counts": [neg, pos]}`` of its training rows, and an internal
+node adds ``feature``, ``threshold`` and the list indices of its
+``left`` (``value <= threshold``) and ``right`` children. Growth appends
+to the list, pruning walks it backwards, prediction routes rows through
+it by index, and it is, as it stands, the model file's ``nodes`` and
+what a pickle holds. Nothing recurses, so no tree is too deep.
 
 Split search: one stable argsort per node orders every feature, and
 array ops approximate the gain and gain ratio of every cut of every
@@ -29,7 +33,8 @@ arithmetic rescores the kept cuts and picks by the key (ratio, gain,
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -38,6 +43,7 @@ from ..errors import DataError
 from .normalize import training_arrays
 
 _GAIN_EPS = 1e-12
+_SPLIT = ("feature", "threshold", "left", "right")   # an internal node's keys
 
 
 @dataclass(frozen=True)
@@ -55,37 +61,10 @@ class TreeConfig:
                              "1 - confidence rounds to 1")
 
 
-# Children stay out of repr and nodes compare by identity, so neither
-# method walks a subtree: trees may be deeper than the recursion limit.
-@dataclass(eq=False)
-class TreeNode:
-    counts: tuple            # (negatives, positives) of training rows here
-    feature: int | None = None
-    threshold: float | None = None
-    # rows with value <= threshold
-    left: "TreeNode | None" = field(default=None, repr=False)
-    right: "TreeNode | None" = field(default=None, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def size(self) -> int:
-        return self.counts[0] + self.counts[1]
-
-    @property
-    def leaf_errors(self) -> int:
-        return self.size - max(self.counts)
-
-    def leaf_score(self) -> float:
-        return self.counts[1] / self.size - 0.5
-
-
 @dataclass
 class TreeModel:
     kind = "dtree"
-    root: TreeNode
+    nodes: list   # pre-order (module docstring)
     config: TreeConfig
     n_features: int
 
@@ -98,60 +77,58 @@ class TreeModel:
         otherwise (``nan`` too), routed as index arrays through the tree."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         values = np.empty(len(rows))
-        todo = [(self.root, np.arange(len(rows)))]
+        todo = [(0, np.arange(len(rows)))]
         while todo:
-            node, idx = todo.pop()
-            if node.is_leaf:
-                values[idx] = node.leaf_score()
+            i, idx = todo.pop()
+            node = self.nodes[i]
+            if "left" not in node:
+                neg, pos = node["counts"]
+                values[idx] = pos / (neg + pos) - 0.5
             elif idx.size:
-                left = rows[idx, node.feature] <= node.threshold
-                todo += [(node.left, idx[left]), (node.right, idx[~left])]
+                le = rows[idx, node["feature"]] <= node["threshold"]
+                todo += [(node["left"], idx[le]), (node["right"], idx[~le])]
         return values
 
     def to_dict(self) -> dict:
-        nodes = _preorder(self.root)
-        index = {id(node): i for i, node in enumerate(nodes)}
         return {"hyperparameters": asdict(self.config),
-                "normalization": None,
-                "nodes": [{"counts": list(n.counts)} if n.is_leaf else
-                          {"counts": list(n.counts), "feature": n.feature,
-                           "threshold": n.threshold, "left": index[id(n.left)],
-                           "right": index[id(n.right)]} for n in nodes],
+                "normalization": None, "nodes": self.nodes,
                 "n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeModel":
-        """Nodes linked by child indices that point forward, each once."""
-        docs = doc["nodes"]
-        nodes = [TreeNode(counts=tuple(d["counts"])) for d in docs]
+        """The node list, checked so that prediction cannot fail on it;
+        its numbers must be JSON ints and floats (a bool is neither)."""
+        nodes, width = doc["nodes"], doc["n_features"]
+        config = TreeConfig(**doc["hyperparameters"])
+        if type(width) is not int or width < 1:
+            raise DataError(f"dtree n_features {width!r} is not an int >= 1")
         if not nodes:
             raise DataError("dtree model has no nodes")
-        reached = set()
-        for i, d in enumerate(docs):
-            if "feature" not in d:
+        reached = [True] + [False] * (len(nodes) - 1)
+        for i, node in enumerate(nodes):
+            counts = node["counts"]
+            if len(counts) != 2 or {type(c) for c in counts} != {int} \
+                    or min(counts) < 0 or sum(counts) == 0:
+                raise DataError(f"dtree node {i}: counts {counts!r} are not "
+                                "two non-negative ints with a positive sum")
+            if not node.keys() & _SPLIT:
                 continue
-            nodes[i].feature, nodes[i].threshold = d["feature"], d["threshold"]
+            f, t = node["feature"], node["threshold"]
+            if not (type(f) is int and 0 <= f < width and type(t) in
+                    (int, float) and abs(t) <= sys.float_info.max):
+                raise DataError(f"dtree node {i}: split {f!r} <= {t!r} needs "
+                                f"a feature in [0, {width}) and a finite "
+                                "threshold")
             for side in ("left", "right"):
-                j = d[side]
-                if not i < j < len(nodes) or j in reached:
+                j = node[side]
+                if not i < j < len(nodes) or reached[j]:
                     raise DataError(f"dtree node {i}: {side} child index "
                                     f"{j!r} is not a later, unused node")
-                reached.add(j)
-                setattr(nodes[i], side, nodes[j])
-        return cls(root=nodes[0], config=TreeConfig(**doc["hyperparameters"]),
-                   n_features=doc["n_features"])
-
-    def __reduce__(self):
-        return TreeModel.from_dict, (self.to_dict(),)
-
-
-def _preorder(root: TreeNode) -> list:
-    nodes, todo = [], [root]
-    while todo:
-        nodes.append(todo.pop())
-        if not nodes[-1].is_leaf:
-            todo += [nodes[-1].right, nodes[-1].left]
-    return nodes
+                reached[j] = True
+        if not all(reached):
+            raise DataError(f"dtree node {reached.index(False)} is no "
+                            "node's child")
+        return cls(nodes=nodes, config=config, n_features=width)
 
 
 def _entropy(counts) -> float:
@@ -166,8 +143,8 @@ def _entropy(counts) -> float:
     return ent
 
 
-def _class_counts(labels: np.ndarray) -> tuple:
-    return (int(np.sum(labels == 0)), int(np.sum(labels == 1)))
+def _class_counts(labels: np.ndarray) -> list:
+    return [int(np.sum(labels == 0)), int(np.sum(labels == 1))]
 
 
 def _entropies(pos, total):
@@ -224,23 +201,25 @@ def _best_split(rows: np.ndarray, labels: np.ndarray, min_leaf: int):
     return None if best is None else best[1:]
 
 
-def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> TreeNode:
-    root = TreeNode(counts=_class_counts(labels))
-    todo = [(root, rows, labels)]
+def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> list:
+    """The tree's nodes, each appended as it leaves the stack (left child
+    first) and linked into its parent; the root links into a spare dict."""
+    nodes, todo = [], [({}, "root", rows, labels)]
     while todo:
-        node, rows, labels = todo.pop()
-        split = None if 0 in node.counts or len(labels) < 2 * cfg.min_leaf \
+        parent, side, rows, labels = todo.pop()
+        parent[side] = len(nodes)
+        node = {"counts": _class_counts(labels)}
+        nodes.append(node)
+        split = None if 0 in node["counts"] or len(labels) < 2 * cfg.min_leaf \
             else _best_split(rows, labels, cfg.min_leaf)
         if split is None:
             continue
         f, threshold = split
-        node.feature, node.threshold = f, float(threshold)
+        node["feature"], node["threshold"] = f, float(threshold)
         mask = rows[:, f] <= threshold
-        node.left = TreeNode(counts=_class_counts(labels[mask]))
-        node.right = TreeNode(counts=_class_counts(labels[~mask]))
-        todo += [(node.right, rows[~mask], labels[~mask]),
-                 (node.left, rows[mask], labels[mask])]
-    return root
+        todo += [(node, "right", rows[~mask], labels[~mask]),
+                 (node, "left", rows[mask], labels[mask])]
+    return nodes
 
 
 def normal_upper_quantile(p: float) -> float:
@@ -289,21 +268,31 @@ def added_errors(n: int, e: int, confidence: float) -> float:
     return upper * n - e
 
 
-def _prune(root: TreeNode, confidence: float) -> float:
-    """Prune bottom-up; return the estimated errors of what is left."""
-    estimates = {}   # id(node) -> estimated errors of its pruned subtree
-    for node in reversed(_preorder(root)):   # children before parents
-        as_leaf = node.leaf_errors + added_errors(node.size, node.leaf_errors,
-                                                  confidence)
-        if not node.is_leaf:
-            as_subtree = estimates.pop(id(node.left)) \
-                + estimates.pop(id(node.right))
+def _prune(nodes: list, confidence: float) -> list:
+    """Prune bottom-up; return the nodes left, renumbered in pre-order."""
+    estimates = [0.0] * len(nodes)   # estimated errors of pruned subtrees
+    for i in reversed(range(len(nodes))):   # children before parents
+        node = nodes[i]
+        errors = min(node["counts"])
+        as_leaf = errors + added_errors(sum(node["counts"]), errors,
+                                        confidence)
+        if "left" in node:
+            as_subtree = estimates[node["left"]] + estimates[node["right"]]
             if as_leaf > as_subtree + 1e-10:
-                estimates[id(node)] = as_subtree
+                estimates[i] = as_subtree
                 continue
-            node.feature = node.threshold = node.left = node.right = None
-        estimates[id(node)] = as_leaf
-    return estimates[id(root)]
+            for key in _SPLIT:
+                del node[key]
+        estimates[i] = as_leaf
+    kept, todo = [], [({}, "root", nodes[0])]
+    while todo:
+        parent, side, node = todo.pop()
+        parent[side] = len(kept)
+        kept.append(node)
+        if "left" in node:
+            todo += [(node, "right", nodes[node["right"]]),
+                     (node, "left", nodes[node["left"]])]
+    return kept
 
 
 def plan_dtree(rows: np.ndarray, labels: np.ndarray,
@@ -317,7 +306,7 @@ def plan_dtree(rows: np.ndarray, labels: np.ndarray,
 
 
 def _fit(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> TreeModel:
-    root = _grow(rows, labels, cfg)
+    nodes = _grow(rows, labels, cfg)
     if cfg.prune:
-        _prune(root, cfg.confidence)
-    return TreeModel(root=root, config=cfg, n_features=rows.shape[1])
+        nodes = _prune(nodes, cfg.confidence)
+    return TreeModel(nodes=nodes, config=cfg, n_features=rows.shape[1])

@@ -614,11 +614,14 @@ def ann_run_once(x, targets, cfg, run_seed):
     return (w1, b1, w2, b2), error
 
 
-def tree_walk(node, row):
-    """The leaf one row reaches, one node at a time: left where
-    ``row[feature] <= threshold``, right otherwise (``nan`` included)."""
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
+def tree_walk(nodes, row):
+    """The leaf one row reaches in a tree's pre-order node list, one node
+    at a time: left where ``row[feature] <= threshold``, right otherwise
+    (``nan`` included)."""
+    node = nodes[0]
+    while "left" in node:
+        node = nodes[node["left"] if row[node["feature"]] <= node["threshold"]
+                     else node["right"]]
     return node
 
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import resource
 import tempfile
@@ -18,7 +19,7 @@ from multisent.classifiers import ann, svm, tree
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
-from multisent.classifiers.tree import (TreeModel, TreeNode, added_errors,
+from multisent.classifiers.tree import (TreeModel, added_errors,
                                         normal_upper_quantile)
 from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
@@ -103,8 +104,8 @@ def oracle_svm(rows, labels, cfg):
 
 def walked(model, rows):
     """Leaf scores of ``rows`` walked one at a time through the tree."""
-    return np.array([oracles.tree_walk(model.root, row).leaf_score()
-                     for row in rows])
+    leaves = [oracles.tree_walk(model.nodes, row)["counts"] for row in rows]
+    return np.array([pos / (neg + pos) - 0.5 for neg, pos in leaves])
 
 
 def ann_problem(n, n_features, seed):
@@ -512,6 +513,13 @@ SPLIT_PROBLEMS = {
 }
 
 
+def split(**change) -> list:
+    """A valid three-node tree on two features, with ``change`` made to
+    its root."""
+    return [{"counts": [1, 1], "feature": 0, "threshold": 0.5, "left": 1,
+             "right": 2, **change}, {"counts": [1, 0]}, {"counts": [0, 1]}]
+
+
 def same_split(got, want) -> bool:
     """Same feature and a bit-equal threshold, or both None."""
     if got is None or want is None:
@@ -524,23 +532,24 @@ class TestTree:
     def test_pure_data_is_a_single_leaf(self):
         rows = np.array([[1.0], [2.0], [3.0]])
         model = train_dtree(rows, np.array([1, 1, 1]))
-        assert model.root.is_leaf
+        assert model.nodes == [{"counts": [0, 3]}]
         assert predict(model, [9.0])[0] == 1
 
     def test_threshold_separable_gives_depth_one(self):
         rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])
         labels = np.array([0, 0, 0, 1, 1, 1])
         model = train_dtree(rows, labels)
-        assert not model.root.is_leaf
-        assert model.root.left.is_leaf and model.root.right.is_leaf
-        assert 3.0 < model.root.threshold < 10.0
+        root, left, right = model.nodes
+        assert root["left"] == 1 and root["right"] == 2
+        assert "left" not in left and "left" not in right
+        assert 3.0 < root["threshold"] < 10.0
         assert accuracy(model, rows, labels) == 1.0
 
     def test_min_leaf_two_blocks_one_row_children(self):
         rows = np.array([[1.0], [2.0], [3.0]])
         labels = np.array([0, 1, 1])
         model = train_dtree(rows, labels, TreeConfig(min_leaf=2))
-        assert model.root.is_leaf
+        assert len(model.nodes) == 1
 
     def test_unpruned_min_leaf_one_memorizes_conflict_free_data(self):
         rng = make_rng(77)
@@ -559,10 +568,10 @@ class TestTree:
         labels[:2] = [0, 1]
         grown = train_dtree(rows, labels, TreeConfig(min_leaf=2, prune=False))
         pruned = train_dtree(rows, labels, TreeConfig(min_leaf=2, prune=True))
-        assert _count_nodes(pruned.root) < _count_nodes(grown.root)
+        assert len(pruned.nodes) < len(grown.nodes)
 
     def test_leaf_score_is_positive_proportion(self):
-        model = TreeModel(root=TreeNode(counts=(1, 3)),
+        model = TreeModel(nodes=[{"counts": [1, 3]}],
                           config=TreeConfig(), n_features=1)
         label, score = predict(model, [0.0])
         assert label == 1
@@ -626,7 +635,7 @@ class TestTree:
         queries[rng.random(queries.shape) < 0.15] = np.nan
         for cfg in (TreeConfig(min_leaf=1, prune=False), TreeConfig()):
             model = train_dtree(rows, labels, cfg)
-            assert not model.root.is_leaf
+            assert len(model.nodes) > 1
             assert np.array_equal(model.decision_values(queries),
                                   walked(model, queries))
         assert model.decision_values(queries[:0]).shape == (0,)
@@ -635,12 +644,13 @@ class TestTree:
         rows = np.arange(3000.0)[:, None]
         labels = np.arange(3000) % 2
         model = train_dtree(rows, labels, TreeConfig(prune=False))
-        depth, todo = 0, [(model.root, 0)]
+        depth, todo = 0, [(0, 0)]
         while todo:
-            node, d = todo.pop()
+            i, d = todo.pop()
             depth = max(depth, d)
-            if not node.is_leaf:
-                todo += [(node.left, d + 1), (node.right, d + 1)]
+            if "left" in model.nodes[i]:
+                todo += [(model.nodes[i]["left"], d + 1),
+                         (model.nodes[i]["right"], d + 1)]
         assert depth > 990
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model),
                                                      indent=2)))
@@ -651,11 +661,10 @@ class TestTree:
         queries[::7] = np.nan
         assert np.array_equal(model.decision_values(queries),
                               walked(model, queries))
-        assert train_dtree(rows, labels).root.is_leaf
-        # Neither repr nor == walks the children.
-        assert repr(model).startswith("TreeModel(root=TreeNode(")
-        assert model == model and back != model
-        assert model.root == model.root and back.root != model.root
+        assert len(train_dtree(rows, labels).nodes) == 1
+        # repr and == read the flat node list, at any depth.
+        assert repr(model).startswith("TreeModel(nodes=[{'counts': [")
+        assert back == model and back.nodes is not model.nodes
 
     def test_nodes_serialize_flat_in_pre_order(self):
         rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])
@@ -681,12 +690,47 @@ class TestTree:
         ([{"counts": [1, 1], "feature": 0, "threshold": 0.5,
            "left": "1", "right": 2}, {"counts": [1, 0]}, {"counts": [0, 1]}],
          "malformed dtree model"),
+        # Each of these, if it loaded, would fail only at prediction or
+        # (feature -1) silently read the last column.
+        ([{"counts": [0, 0]}], r"node 0: counts \[0, 0\] are not"),
+        ([{"counts": [1]}], r"node 0: counts \[1\] are not"),
+        ([{"counts": [2, -1]}], r"node 0: counts \[2, -1\] are not"),
+        ([{"counts": [1, 1.0]}], r"node 0: counts \[1, 1.0\] are not"),
+        ([{"counts": [True, 1]}], r"node 0: counts \[True, 1\] are not"),
+        (split(feature=5),
+         r"node 0: split 5 <= 0.5 needs a feature in \[0, 2\) and a finite"),
+        (split(feature=-1), "node 0: split -1 <= 0.5 needs"),
+        (split(feature=1.0), "node 0: split 1.0 <= 0.5 needs"),
+        (split(feature=False), "node 0: split False <= 0.5 needs"),
+        (split(threshold="x"), "node 0: split 0 <= 'x' needs"),
+        (split(threshold=None), "node 0: split 0 <= None needs"),
+        (split(threshold=True), "node 0: split 0 <= True needs"),
+        (split(threshold=math.nan), "node 0: split 0 <= nan needs"),
+        (split(threshold=-math.inf), "node 0: split 0 <= -inf needs"),
+        (split(threshold=10 ** 400), "node 0: split 0 <= 1000.* needs"),
+        ([{"counts": [1, 1], "left": 1, "right": 2}, {"counts": [1, 0]},
+          {"counts": [0, 1]}], r"missing keys: \['feature'\]"),
+        ([{"counts": [1, 1], "feature": 0, "threshold": 0.5, "left": 1},
+          {"counts": [1, 0]}, {"counts": [0, 1]}],
+         r"missing keys: \['right'\]"),
+        ([{"counts": [1, 1]}, {"counts": [1, 0]}], "node 1 is no node's child"),
+        (split() + [{"counts": [1, 0]}], "node 3 is no node's child"),
     ])
     def test_bad_node_lists_are_data_errors(self, nodes, message):
         rows, labels = separable_blobs(6, gap=3.0)
         doc = model_to_dict(train_dtree(rows, labels))
         with pytest.raises(DataError, match=message):
             model_from_dict({**doc, "nodes": nodes})
+
+    def test_checked_node_lists_load_and_serialize_unchanged(self):
+        rows, labels = separable_blobs(6, gap=3.0)
+        doc = model_to_dict(train_dtree(rows, labels))
+        for nodes in (split(), split(feature=1, threshold=-2),
+                      [{"counts": [0, 1]}]):
+            want = {**doc, "nodes": nodes}
+            model = model_from_dict(json.loads(json.dumps(want)))
+            assert model_to_dict(model) == want
+            assert predict_labels(model, rows).shape == (len(rows),)
 
     def test_version_one_models_are_refused(self, tmp_path):
         path = tmp_path / "v1.json"
@@ -988,7 +1032,7 @@ class TestSharedSurface:
                 for kind, config in (("ann", AnnConfig(max_epochs=5)),
                                      ("dtree", None), ("svm", None))}
         svm_params = {**docs["svm"]["hyperparameters"], "kernel": "rbf"}
-        ann_weights = docs["ann"]["weights"]
+        ann_weights, svm_doc = docs["ann"]["weights"], docs["svm"]
         for kind, change, message in [
                 ("ann", {"weights": {}}, r"missing keys: \['w1'\]"),
                 ("dtree", {"nodes": [{}]}, r"missing keys: \['counts'\]"),
@@ -1008,17 +1052,30 @@ class TestSharedSurface:
                                            "maximum": [[1.0, 2.0]]}},
                  "malformed ann model: normalization bounds"),
                 ("svm", {"support_vectors": "x"}, "malformed svm model"),
+                # Each of these, if it loaded, would fail only at
+                # prediction, in numpy's matmul.
+                ("svm", {"coefficients": svm_doc["coefficients"][1:]},
+                 r"malformed svm model: support vectors \(\d+, 2\), "
+                 r"coefficients \(\d+,\) and .* disagree"),
+                ("svm", {"normalization": {"minimum": [0.0],
+                                           "maximum": [1.0]}},
+                 r"normalization bounds \(1,\), \(1,\) disagree"),
+                ("svm", {"support_vectors": svm_doc["support_vectors"][0]},
+                 r"malformed svm model: support vectors \(2,\)"),
+                ("svm", {"normalization": {"minimum": [0.0, 0.0],
+                                           "maximum": [1.0]}},
+                 r"normalization bounds \(2,\), \(1,\) disagree"),
+                ("svm", {"alphas": svm_doc["alphas"][1:]},
+                 r"malformed svm model: alphas \(\d+,\) and "
+                 r"train_labels_pm \(\d+,\) disagree"),
                 ("dtree", {"hyperparameters": {"confidence": 1.5}},
-                 r"confidence must be in \(0, 1\)")]:
+                 r"confidence must be in \(0, 1\)"),
+                ("dtree", {"n_features": 0}, "n_features 0 is not an int"),
+                ("dtree", {"n_features": "2"}, "n_features '2' is not"),
+                ("dtree", {"n_features": True}, "n_features True is not")]:
             with pytest.raises(DataError, match=message):
                 model_from_dict({**docs[kind], **change})
 
     def test_train_dispatch_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown classifier"):
             classifiers.train("forest", np.zeros((2, 2)), [0, 1])
-
-
-def _count_nodes(node):
-    if node.is_leaf:
-        return 1
-    return 1 + _count_nodes(node.left) + _count_nodes(node.right)

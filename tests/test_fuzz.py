@@ -73,7 +73,8 @@ def _mutate(text: str, rng: random.Random) -> str:
 def _argv(command: str, files: dict, out) -> list:
     if command in ("train", "evaluate"):
         return [command, "--features", str(files["features"]),
-                "--classifier", "dtree", "--folds", "2", "--out", str(out)]
+                "--classifier", "dtree", "--out", str(out)] \
+            + (["--folds", "2"] if command == "evaluate" else [])
     if command == "quality":
         return ["quality", "--corpus", str(files["corpus"]), "--out", str(out)]
     if command == "config":
