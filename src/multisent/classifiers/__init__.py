@@ -5,10 +5,8 @@ internally and classify by the sign of their decision value. Tree leaves
 score as (positive proportion - 0.5).
 """
 
-from bisect import bisect_right
 from dataclasses import replace
-from functools import partial
-from itertools import accumulate
+from itertools import islice
 
 import numpy as np
 
@@ -34,37 +32,32 @@ def train_many(kind: str, jobs) -> list:
     rows, normalizes them and fixes its seeds here, before anything forks.
     Then one ``parallel.map_items`` call computes every job's independent
     runs (an ANN's restarts; a tree's or an SVM's one run), numbered job
-    after job and looked up by number, so no list of runs is built. Each
-    model is then made from its own runs, in job order, so the models are
-    those of training the jobs one after another. The error that comes
-    out is the first failing plan's, in job order; else the first failing
-    run's, in run order; else the first failing model's (every restart of
-    an ANN diverged), in job order.
+    after job; run ``i`` finds its job by walking the plans, so no list of
+    runs is built. Each model is then made from its own runs, in job
+    order, so the models are those of training the jobs one after
+    another. The error that comes out is the first failing plan's, in job
+    order; else the first failing run's, in run order; else the first
+    failing model's (every restart of an ANN diverged), in job order.
     """
     if kind not in _PLANS:
         raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
     plans = [_PLANS[kind][0](*job) for job in jobs]
-    ends = list(accumulate(runs for runs, _, _ in plans))
-    starts = [0, *ends[:-1]]
 
     def run(i):
-        j = bisect_right(ends, i)
-        return plans[j][1](i - starts[j])
+        for count, job_run, _ in plans:
+            if i < count:
+                return job_run(i)
+            i -= count
 
-    results = map_items(run, ends[-1] if ends else 0)
-    return [finish(results[start:end])
-            for (_, _, finish), start, end in zip(plans, starts, ends)]
+    results = iter(map_items(run, sum(count for count, _, _ in plans)))
+    return [finish(list(islice(results, count)))
+            for count, _, finish in plans]
 
 
 def train(kind: str, rows, labels, config=None):
     """Train a classifier of the given kind ('ann', 'dtree', or 'svm'):
     ``train_many`` with one job."""
     return train_many(kind, [(rows, labels, config)])[0]
-
-
-train_ann = partial(train, "ann")
-train_dtree = partial(train, "dtree")
-train_svm = partial(train, "svm")
 
 
 def make_config(kind: str, **overrides):
@@ -103,21 +96,10 @@ def predict_labels(model, rows) -> np.ndarray:
     return (decision_values(model, rows) >= 0).astype(int)
 
 
-def predict(model, row):
-    """(label, score) for one row; raises ValueError on a width mismatch."""
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1:
-        raise ValueError("predict takes a single 1-D row")
-    score = float(decision_values(model, row[None, :])[0])
-    return (1 if score >= 0 else 0), score
-
-
 __all__ = [
-    "AnnConfig", "AnnModel", "train_ann",
-    "TreeConfig", "TreeModel", "train_dtree",
-    "SvmConfig", "SvmModel", "train_svm",
-    "NormalizationParams", "KINDS",
-    "train", "train_many", "make_config", "with_seed", "predict",
+    "AnnConfig", "AnnModel", "TreeConfig", "TreeModel", "SvmConfig",
+    "SvmModel", "NormalizationParams", "KINDS",
+    "train", "train_many", "make_config", "with_seed",
     "predict_labels", "decision_values",
     "save_model", "load_model", "model_to_dict", "model_from_dict",
 ]

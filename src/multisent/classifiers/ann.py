@@ -49,12 +49,13 @@ and no other form tried was faster.
 Each restart is one independent item of ``classifiers.train_many``
 (``plan_ann``), so restarts run side by side on the CPUs the process may
 use, together with the restarts of the other folds of a cross-validation.
-The serial selection rule (``_best_run``) then picks among a fold's runs
-in restart order, so the model is the one serial training picks.
+The model is then the first of a fold's runs, in restart order, with the
+lowest final error, as serial training picks it.
 """
 
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -313,23 +314,12 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     return (a[:-1].T.copy(), a[-1], w2, float(b2[0])), error
 
 
-def _best_run(runs):
-    """The first of ``runs`` with the lowest final error; diverged (None)
-    runs are skipped, and None means every run diverged."""
-    best = None
-    for result in runs:
-        if result is None:
-            continue
-        if best is None or result[1] < best[1]:
-            best = result
-    return best
-
-
 def plan_ann(rows: np.ndarray, labels: np.ndarray,
              config: AnnConfig | None = None):
     """``(restarts, run, finish)`` for ``classifiers.train_many``: the row
     checks and normalization happen here, ``run(r)`` is restart ``r`` and
-    ``finish`` keeps the best of the runs (``_best_run``) as the model."""
+    ``finish`` keeps the first run of the lowest final error, skipping
+    diverged (None) ones, as the model."""
     cfg = config or AnnConfig()
     rows, labels = training_arrays(rows, labels, two_classes=True)
 
@@ -347,7 +337,7 @@ def plan_ann(rows: np.ndarray, labels: np.ndarray,
             ) from None
 
     def finish(runs):
-        best = _best_run(runs)
+        best = min(filter(None, runs), key=itemgetter(1), default=None)
         if best is None:
             raise DataError("all training restarts diverged")
         (w1, b1, w2, b2), error = best

@@ -1,8 +1,11 @@
 """Versioned JSON serialization for trained models: each model's own
 ``to_dict()`` inside an envelope holding ``format_version`` and ``kind``.
+A model file's numbers must be finite: ``NaN``, ``Infinity``,
+``-Infinity`` and a literal that overflows (``1e999``) are data errors.
 """
 
 import json
+import math
 
 from ..errors import DataError
 from ..util import atomic_write_text, read_text
@@ -43,8 +46,16 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise DataError(f"model file holds the non-finite number {text}: "
+                            f"{path}")
+        return value
+
     try:
-        doc = json.loads(read_text(path, "model file"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(read_text(path, "model file"), parse_float=finite,
+                         parse_constant=finite)
+    except ValueError as exc:   # also an int too long for Python to read
         raise DataError(f"model file is not valid JSON: {path} ({exc})")
     return model_from_dict(doc)

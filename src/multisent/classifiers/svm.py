@@ -120,7 +120,6 @@ class SvmModel:
     coefficients: np.ndarray      # (m,), alpha_i * y_i
     bias: float
     gamma: float
-    c: float
     normalization: NormalizationParams
     config: SvmConfig
     # Full training-time duals kept so feasibility is checkable.
@@ -129,13 +128,10 @@ class SvmModel:
 
     @property
     def input_width(self) -> int:
-        return self.support_vectors.shape[1] if self.support_vectors.size \
-            else len(self.normalization.minimum)
+        return len(self.normalization.minimum)
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         x = self.normalization.apply(rows)
-        if self.support_vectors.size == 0:
-            return np.full(len(x), self.bias)
         k = rbf_kernel(x, self.support_vectors, self.gamma)
         return k @ self.coefficients + self.bias
 
@@ -171,7 +167,7 @@ class SvmModel:
                              f"{labels_pm.shape} disagree")
         return cls(support_vectors=sv, coefficients=coefficients,
                    bias=float(doc["bias"]), gamma=float(doc["gamma"]),
-                   c=cfg.c, normalization=norm, config=cfg, alphas=alphas,
+                   normalization=norm, config=cfg, alphas=alphas,
                    train_labels_pm=labels_pm)
 
 
@@ -327,5 +323,5 @@ def _smo(x, y, norm: NormalizationParams, cfg: SvmConfig) -> SvmModel:
 
     support = alphas > 0.0
     return SvmModel(support_vectors=x[support], coefficients=ay[support],
-                    bias=b, gamma=gamma, c=cfg.c, normalization=norm,
-                    config=cfg, alphas=alphas, train_labels_pm=y)
+                    bias=b, gamma=gamma, normalization=norm, config=cfg,
+                    alphas=alphas, train_labels_pm=y)

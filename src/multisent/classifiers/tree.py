@@ -36,6 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from operator import itemgetter
+from statistics import NormalDist
 
 import numpy as np
 
@@ -222,33 +223,6 @@ def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> list:
     return nodes
 
 
-def normal_upper_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if not p_low <= p <= p_high:
-        q = math.sqrt(-2 * math.log(min(p, 1 - p)))
-        tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-        return tail if p < p_low else -tail
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-
-
 def added_errors(n: int, e: int, confidence: float) -> float:
     """Extra errors implied by the upper confidence bound of e errors in n.
 
@@ -260,7 +234,7 @@ def added_errors(n: int, e: int, confidence: float) -> float:
         return n * (1.0 - confidence ** (1.0 / n))
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = normal_upper_quantile(1.0 - confidence)
+    z = NormalDist().inv_cdf(1.0 - confidence)
     f = (e + 0.5) / n
     upper = (f + z * z / (2 * n)
              + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) \

@@ -7,9 +7,10 @@ forked helper per other residue computes its items in order and sends
 their results, pickled down a pipe, before it leaves by ``os._exit``.
 Residues rather than contiguous blocks spread items of unequal cost,
 such as the cells of a sweep over two classifiers, evenly. The items
-are the documents of ``synth.generate``, the cells of ``pipeline.sweep``
-and the training runs of ``classifiers.train_many``: every ANN restart
-and every SVM or tree of every fold of a cross-validation.
+are the batches of ``synth.generate`` (up to 1,024 documents of one
+class each), the cells of ``pipeline.sweep`` and the training runs of
+``classifiers.train_many``: every ANN restart and every SVM or tree of
+every fold of a cross-validation.
 
 The parent then walks the items in order and computes every item no
 helper sent: those of a helper whose fork failed (say with EAGAIN: out

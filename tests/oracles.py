@@ -614,6 +614,18 @@ def ann_run_once(x, targets, cfg, run_seed):
     return (w1, b1, w2, b2), error
 
 
+def ann_best_run(runs):
+    """The first of ``runs`` with the lowest final error; diverged (None)
+    runs are skipped, and None means every run diverged."""
+    best = None
+    for result in runs:
+        if result is None:
+            continue
+        if best is None or result[1] < best[1]:
+            best = result
+    return best
+
+
 def tree_walk(nodes, row):
     """The leaf one row reaches in a tree's pre-order node list, one node
     at a time: left where ``row[feature] <= threshold``, right otherwise

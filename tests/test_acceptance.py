@@ -235,7 +235,7 @@ def test_criterion_08_numerical_checks():
                       gen.normal(size=(25, 3)) + 2])
     labels = np.array([0] * 25 + [1] * 25)
     svm_cfg = SvmConfig(c=1.0, seed=5)
-    model = classifiers.train_svm(rows, labels, svm_cfg)
+    model = classifiers.train("svm", rows, labels, svm_cfg)
     assert np.all(model.alphas >= 0.0)
     assert np.all(model.alphas <= svm_cfg.c)
     assert abs(float(model.alphas @ model.train_labels_pm)) <= 1e-6
@@ -244,8 +244,8 @@ def test_criterion_08_numerical_checks():
     tree_rows = gen.normal(size=(50, 4))
     tree_labels = (gen.random(50) < 0.5).astype(int)
     tree_labels[:2] = [0, 1]
-    tree = classifiers.train_dtree(tree_rows, tree_labels,
-                                   TreeConfig(min_leaf=1, prune=False))
+    tree = classifiers.train("dtree", tree_rows, tree_labels,
+                             TreeConfig(min_leaf=1, prune=False))
     predictions = classifiers.predict_labels(tree, tree_rows)
     assert np.array_equal(predictions, tree_labels)
 

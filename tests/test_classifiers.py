@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import operator
 import os
 import resource
 import tempfile
@@ -12,15 +13,13 @@ import pytest
 
 from multisent import classifiers
 from multisent.classifiers import (AnnConfig, SvmConfig, SvmModel,
-                                   TreeConfig, load_model, predict,
-                                   predict_labels, save_model, train_ann,
-                                   train_dtree, train_svm)
+                                   TreeConfig, decision_values, load_model,
+                                   predict_labels, save_model, train)
 from multisent.classifiers import ann, svm, tree
 from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
-from multisent.classifiers.tree import (TreeModel, added_errors,
-                                        normal_upper_quantile)
+from multisent.classifiers.tree import TreeModel, added_errors
 from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
 from multisent.lexicon import PriorFormula
@@ -97,7 +96,7 @@ def oracle_svm(rows, labels, cfg):
     support = alphas > 0.0
     model = SvmModel(support_vectors=x[support],
                      coefficients=(alphas * y)[support], bias=b, gamma=gamma,
-                     c=cfg.c, normalization=norm, config=cfg, alphas=alphas,
+                     normalization=norm, config=cfg, alphas=alphas,
                      train_labels_pm=y)
     return model, moves
 
@@ -152,21 +151,21 @@ def counted_runs(monkeypatch, x, targets, cfg, run_seed):
 class TestAnn:
     def test_fits_linearly_separable_data(self):
         rows, labels = separable_blobs(20)
-        model = train_ann(rows, labels, AnnConfig(seed=3))
+        model = train("ann", rows, labels, AnnConfig(seed=3))
         assert accuracy(model, rows, labels) == 1.0
 
     def test_fits_xor(self):
         rows = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         labels = np.array([0, 1, 1, 0])
-        model = train_ann(rows, labels,
-                          AnnConfig(max_epochs=4000, lr=0.05, seed=11))
+        model = train("ann", rows, labels,
+                      AnnConfig(max_epochs=4000, lr=0.05, seed=11))
         assert accuracy(model, rows, labels) == 1.0
 
     def test_same_seed_is_bit_identical(self):
         rows, labels = separable_blobs(10)
         cfg = AnnConfig(max_epochs=60, seed=42)
-        m1 = train_ann(rows, labels, cfg)
-        m2 = train_ann(rows, labels, cfg)
+        m1 = train("ann", rows, labels, cfg)
+        m2 = train("ann", rows, labels, cfg)
         assert np.array_equal(m1.w1, m2.w1)
         assert np.array_equal(m1.b1, m2.b1)
         assert np.array_equal(m1.w2, m2.w2)
@@ -175,18 +174,18 @@ class TestAnn:
 
     def test_different_seeds_differ(self):
         rows, labels = separable_blobs(10)
-        m1 = train_ann(rows, labels, AnnConfig(max_epochs=30, seed=1))
-        m2 = train_ann(rows, labels, AnnConfig(max_epochs=30, seed=2))
+        m1 = train("ann", rows, labels, AnnConfig(max_epochs=30, seed=1))
+        m2 = train("ann", rows, labels, AnnConfig(max_epochs=30, seed=2))
         assert not np.array_equal(m1.w1, m2.w1)
 
     def test_single_class_rejected(self):
         rows = np.zeros((4, 2))
         with pytest.raises(DataError, match="single class"):
-            train_ann(rows, np.array([1, 1, 1, 1]))
+            train("ann", rows, np.array([1, 1, 1, 1]))
 
     def test_hidden_width_default_is_fifteen(self):
         rows, labels = separable_blobs(5)
-        model = train_ann(rows, labels, AnnConfig(max_epochs=5, seed=0))
+        model = train("ann", rows, labels, AnnConfig(max_epochs=5, seed=0))
         assert model.w1.shape[0] == 15
 
     def test_backprop_matches_central_finite_differences(self):
@@ -332,18 +331,18 @@ class TestAnn:
 
     def test_sign_rule(self):
         rows, labels = separable_blobs(10)
-        model = train_ann(rows, labels, AnnConfig(max_epochs=80, seed=5))
-        for row in rows:
-            label, score = predict(model, row)
-            assert label == (1 if score >= 0 else 0)
+        model = train("ann", rows, labels, AnnConfig(max_epochs=80, seed=5))
+        scores = decision_values(model, rows)
+        assert predict_labels(model, rows).tolist() \
+            == [1 if score >= 0 else 0 for score in scores]
 
 
 def train_on_cpus(on_cpus, cpus, rows, labels, cfg):
-    """``train_ann`` as on ``cpus`` CPUs, and the number of helpers it
+    """An ANN trained as on ``cpus`` CPUs, and the number of helpers it
     started; none may outlive it, whether it returns or raises."""
     try:
         with on_cpus(cpus) as forks:
-            model = train_ann(rows, labels, cfg)
+            model = train("ann", rows, labels, cfg)
     finally:
         assert forks[0] <= min(cpus, cfg.restarts) - 1
     return model, forks[0]
@@ -378,7 +377,7 @@ class TestAnnRestartBlocks:
         cfg = AnnConfig(hidden=hidden, restarts=restarts, max_epochs=60,
                         seed=restarts)
         rows, labels, runs = restart_problem(cfg)
-        want = ann._best_run(runs)
+        want = oracles.ann_best_run(runs)
         serial = None
         for cpus in (1, 2, 4):
             model, helpers = train_on_cpus(on_cpus, cpus, rows, labels,
@@ -395,15 +394,15 @@ class TestAnnRestartBlocks:
         cfg = AnnConfig(restarts=4, max_epochs=40, seed=7)
         rows, labels, runs = restart_problem(cfg)
         seeds = [derive_seed(cfg.seed, "ann", r) for r in range(4)]
-        best = [run is ann._best_run(runs) for run in runs].index(True)
+        best = [run is oracles.ann_best_run(runs) for run in runs].index(True)
         assert best == 1
         run_once = ann._run_once
         diverged = {seeds[best]}
         monkeypatch.setattr(
             ann, "_run_once", lambda x, t, c, seed:
             None if seed in diverged else run_once(x, t, c, seed))
-        want = ann._best_run(None if r == best else run
-                             for r, run in enumerate(runs))
+        want = oracles.ann_best_run(None if r == best else run
+                                    for r, run in enumerate(runs))
         for cpus in (1, 2, 4):
             model, _ = train_on_cpus(on_cpus, cpus, rows, labels, cfg)
             assert_same_run(model_run(model), want)
@@ -412,6 +411,14 @@ class TestAnnRestartBlocks:
             with pytest.raises(DataError,
                                match="all training restarts diverged"):
                 train_on_cpus(on_cpus, cpus, rows, labels, cfg)
+
+    def test_first_of_equally_good_restarts_is_kept(self):
+        rows, labels = separable_blobs(6)
+        _, _, finish = ann.plan_ann(rows, labels, AnnConfig(restarts=3))
+        runs = [None] + [((np.full((15, 2), w), np.zeros(15), np.zeros(15),
+                           0.0), 0.5) for w in (1.0, 2.0)]
+        assert oracles.ann_best_run(runs) is runs[1]
+        assert finish(runs).w1[0, 0] == 1.0
 
     def test_a_huge_restart_count_starts_at_once(self, monkeypatch, on_cpus):
         # Runs are looked up by index, so 10**12 restarts build no list.
@@ -531,14 +538,14 @@ def same_split(got, want) -> bool:
 class TestTree:
     def test_pure_data_is_a_single_leaf(self):
         rows = np.array([[1.0], [2.0], [3.0]])
-        model = train_dtree(rows, np.array([1, 1, 1]))
+        model = train("dtree", rows, np.array([1, 1, 1]))
         assert model.nodes == [{"counts": [0, 3]}]
-        assert predict(model, [9.0])[0] == 1
+        assert predict_labels(model, [[9.0]]).tolist() == [1]
 
     def test_threshold_separable_gives_depth_one(self):
         rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        model = train_dtree(rows, labels)
+        model = train("dtree", rows, labels)
         root, left, right = model.nodes
         assert root["left"] == 1 and root["right"] == 2
         assert "left" not in left and "left" not in right
@@ -548,7 +555,7 @@ class TestTree:
     def test_min_leaf_two_blocks_one_row_children(self):
         rows = np.array([[1.0], [2.0], [3.0]])
         labels = np.array([0, 1, 1])
-        model = train_dtree(rows, labels, TreeConfig(min_leaf=2))
+        model = train("dtree", rows, labels, TreeConfig(min_leaf=2))
         assert len(model.nodes) == 1
 
     def test_unpruned_min_leaf_one_memorizes_conflict_free_data(self):
@@ -557,8 +564,8 @@ class TestTree:
         labels = (rng.random(60) < 0.5).astype(int)
         labels[0] = 0
         labels[1] = 1   # both classes present
-        model = train_dtree(rows, labels,
-                            TreeConfig(min_leaf=1, prune=False))
+        model = train("dtree", rows, labels,
+                      TreeConfig(min_leaf=1, prune=False))
         assert accuracy(model, rows, labels) == 1.0
 
     def test_pruning_shrinks_noise_trees(self):
@@ -566,21 +573,22 @@ class TestTree:
         rows = rng.normal(size=(40, 2))
         labels = (rng.random(40) < 0.5).astype(int)
         labels[:2] = [0, 1]
-        grown = train_dtree(rows, labels, TreeConfig(min_leaf=2, prune=False))
-        pruned = train_dtree(rows, labels, TreeConfig(min_leaf=2, prune=True))
+        grown = train("dtree", rows, labels,
+                      TreeConfig(min_leaf=2, prune=False))
+        pruned = train("dtree", rows, labels,
+                       TreeConfig(min_leaf=2, prune=True))
         assert len(pruned.nodes) < len(grown.nodes)
 
     def test_leaf_score_is_positive_proportion(self):
         model = TreeModel(nodes=[{"counts": [1, 3]}],
                           config=TreeConfig(), n_features=1)
-        label, score = predict(model, [0.0])
-        assert label == 1
-        assert score == 0.25
+        assert decision_values(model, [[0.0]]).tolist() == [0.25]
+        assert predict_labels(model, [[0.0]]).tolist() == [1]
 
     def test_deterministic_without_seed(self):
         rows, labels = separable_blobs(15)
-        m1 = train_dtree(rows, labels)
-        m2 = train_dtree(rows, labels)
+        m1 = train("dtree", rows, labels)
+        m2 = train("dtree", rows, labels)
         assert classifiers.model_to_dict(m1) == classifiers.model_to_dict(m2)
 
     def test_adjacent_float_values_split_cleanly(self):
@@ -590,7 +598,8 @@ class TestTree:
         hi = np.nextafter(1.0, 2.0)
         rows = np.array([[lo], [lo], [hi], [hi]])
         labels = np.array([0, 0, 1, 1])
-        model = train_dtree(rows, labels, TreeConfig(min_leaf=1, prune=False))
+        model = train("dtree", rows, labels,
+                      TreeConfig(min_leaf=1, prune=False))
         assert accuracy(model, rows, labels) == 1.0
 
     @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5])
@@ -609,7 +618,8 @@ class TestTree:
             return got
 
         monkeypatch.setattr(tree, "_best_split", checked)
-        train_dtree(rows, labels, TreeConfig(min_leaf=min_leaf, prune=False))
+        train("dtree", rows, labels,
+              TreeConfig(min_leaf=min_leaf, prune=False))
         assert searched
         # Nodes too small for two children of min_leaf rows are never
         # searched while growing; ask for them directly.
@@ -634,7 +644,7 @@ class TestTree:
         queries = np.vstack([rows, rng.integers(-2, 12, size=(60, 3)) / 2])
         queries[rng.random(queries.shape) < 0.15] = np.nan
         for cfg in (TreeConfig(min_leaf=1, prune=False), TreeConfig()):
-            model = train_dtree(rows, labels, cfg)
+            model = train("dtree", rows, labels, cfg)
             assert len(model.nodes) > 1
             assert np.array_equal(model.decision_values(queries),
                                   walked(model, queries))
@@ -643,7 +653,7 @@ class TestTree:
     def test_deep_tree_trains_and_round_trips(self):
         rows = np.arange(3000.0)[:, None]
         labels = np.arange(3000) % 2
-        model = train_dtree(rows, labels, TreeConfig(prune=False))
+        model = train("dtree", rows, labels, TreeConfig(prune=False))
         depth, todo = 0, [(0, 0)]
         while todo:
             i, d = todo.pop()
@@ -661,14 +671,15 @@ class TestTree:
         queries[::7] = np.nan
         assert np.array_equal(model.decision_values(queries),
                               walked(model, queries))
-        assert len(train_dtree(rows, labels).nodes) == 1
+        assert len(train("dtree", rows, labels).nodes) == 1
         # repr and == read the flat node list, at any depth.
         assert repr(model).startswith("TreeModel(nodes=[{'counts': [")
         assert back == model and back.nodes is not model.nodes
 
     def test_nodes_serialize_flat_in_pre_order(self):
         rows = np.array([[x] for x in (1.0, 2.0, 3.0, 10.0, 11.0, 12.0)])
-        doc = model_to_dict(train_dtree(rows, np.array([0, 0, 0, 1, 1, 1])))
+        doc = model_to_dict(train("dtree", rows,
+                                  np.array([0, 0, 0, 1, 1, 1])))
         assert doc["format_version"] == 2
         assert doc["nodes"] == [
             {"counts": [3, 3], "feature": 0, "threshold": 6.5,
@@ -718,13 +729,13 @@ class TestTree:
     ])
     def test_bad_node_lists_are_data_errors(self, nodes, message):
         rows, labels = separable_blobs(6, gap=3.0)
-        doc = model_to_dict(train_dtree(rows, labels))
+        doc = model_to_dict(train("dtree", rows, labels))
         with pytest.raises(DataError, match=message):
             model_from_dict({**doc, "nodes": nodes})
 
     def test_checked_node_lists_load_and_serialize_unchanged(self):
         rows, labels = separable_blobs(6, gap=3.0)
-        doc = model_to_dict(train_dtree(rows, labels))
+        doc = model_to_dict(train("dtree", rows, labels))
         for nodes in (split(), split(feature=1, threshold=-2),
                       [{"counts": [0, 1]}]):
             want = {**doc, "nodes": nodes}
@@ -747,8 +758,14 @@ class TestTree:
             load_model(path)
 
     def test_quantile_reference_value(self):
-        assert normal_upper_quantile(0.75) \
-            == pytest.approx(0.6744897501960817, abs=1e-8)
+        # The upper bound of (e + 0.5) / n at the 0.75 normal quantile.
+        z = 0.6744897501960817
+        for n, e in [(10, 1), (40, 7), (200, 150)]:
+            f = (e + 0.5) / n
+            upper = (f + z * z / (2 * n) + z * math.sqrt(
+                f / n - f * f / n + z * z / (4 * n * n))) / (1 + z * z / n)
+            assert added_errors(n, e, 0.25) \
+                == pytest.approx(upper * n - e, rel=1e-12)
 
     def test_added_errors_zero_error_case(self):
         # exact binomial bound at e = 0
@@ -760,45 +777,46 @@ class TestTree:
 class TestSvm:
     def test_separable_blobs(self):
         rows, labels = separable_blobs(30, gap=5.0)
-        model = train_svm(rows, labels, SvmConfig(seed=1))
+        model = train("svm", rows, labels, SvmConfig(seed=1))
         assert accuracy(model, rows, labels) >= 0.95
 
     def test_two_point_problem(self):
         rows = np.array([[0.0, 0.0], [1.0, 1.0]])
         labels = np.array([0, 1])
-        model = train_svm(rows, labels, SvmConfig(seed=2))
+        model = train("svm", rows, labels, SvmConfig(seed=2))
         assert predict_labels(model, rows).tolist() == [0, 1]
 
     def test_default_gamma_is_one_over_features(self):
         rows = np.hstack([separable_blobs(10)[0]] * 4)   # 8 features
         labels = separable_blobs(10)[1]
-        model = train_svm(rows, labels, SvmConfig(seed=3))
+        model = train("svm", rows, labels, SvmConfig(seed=3))
         assert model.gamma == pytest.approx(0.125)
 
     def test_dual_feasibility_at_convergence(self):
         rows, labels = separable_blobs(25, gap=3.0)
         cfg = SvmConfig(c=1.0, seed=4)
-        model = train_svm(rows, labels, cfg)
+        model = train("svm", rows, labels, cfg)
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= cfg.c + 1e-12)
         assert abs(float(model.alphas @ model.train_labels_pm)) <= 1e-6
 
     def test_same_seed_reproducible(self):
         rows, labels = separable_blobs(12)
-        m1 = train_svm(rows, labels, SvmConfig(seed=9))
-        m2 = train_svm(rows, labels, SvmConfig(seed=9))
+        m1 = train("svm", rows, labels, SvmConfig(seed=9))
+        m2 = train("svm", rows, labels, SvmConfig(seed=9))
         assert np.array_equal(m1.alphas, m2.alphas)
         assert m1.bias == m2.bias
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="single class"):
-            train_svm(np.zeros((3, 2)), np.array([0, 0, 0]))
+            train("svm", np.zeros((3, 2)), np.array([0, 0, 0]))
 
     def test_sign_rule(self):
         rows, labels = separable_blobs(10, gap=5.0)
-        model = train_svm(rows, labels, SvmConfig(seed=5))
-        label, score = predict(model, rows[0])
-        assert label == (1 if score >= 0 else 0)
+        model = train("svm", rows, labels, SvmConfig(seed=5))
+        scores = decision_values(model, rows)
+        assert predict_labels(model, rows).tolist() \
+            == [1 if score >= 0 else 0 for score in scores]
 
     @pytest.mark.parametrize("problem", SVM_PROBLEMS)
     # At c = 0.05 many alphas sit at a bound, so the box clips at both
@@ -812,7 +830,7 @@ class TestSvm:
             cfg = SvmConfig(c=c, gamma=(None, 2.5)[seed % 2],
                             max_passes=(1, 3, 200)[seed % 3],
                             tol=(1e-3, 0.0)[seed // 3], seed=seed)
-            got = train_svm(rows, labels, cfg)
+            got = train("svm", rows, labels, cfg)
             want, _ = oracle_svm(rows, labels, cfg)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
             assert np.array_equal(np.signbit(got.alphas),
@@ -830,7 +848,8 @@ class TestSvm:
                                                     over="raise"):
             warnings.simplefilter("error")
             for seed in range(3):
-                model = train_svm(rows, labels, SvmConfig(c=c, seed=seed))
+                model = train("svm", rows, labels,
+                              SvmConfig(c=c, seed=seed))
                 assert np.all(np.isfinite(model.alphas))
 
     @pytest.mark.parametrize("c", [1.0, 100.0])
@@ -857,7 +876,7 @@ class TestSvm:
             return b, moved
 
         monkeypatch.setattr(svm, "_pair_step", recording)
-        train_svm(rows, labels, cfg)
+        train("svm", rows, labels, cfg)
         assert calls
         for i, j, lo, hi, eta, box, eta_want, e_j, e_want, ay_ok in calls:
             assert i != j
@@ -910,7 +929,7 @@ class TestSvm:
             return new_drift, new_slack
 
         monkeypatch.setattr(svm, "_move_errors", checked)
-        train_svm(rows, labels, SvmConfig(c=c, seed=4))
+        train("svm", rows, labels, SvmConfig(c=c, seed=4))
         assert moves
 
     @pytest.mark.parametrize("n", [2, 37, 400, 2000])
@@ -935,18 +954,18 @@ class TestSvm:
 class TestSharedSurface:
     def test_width_mismatch_rejected(self):
         rows, labels = separable_blobs(6)
-        model = train_dtree(rows, labels)
+        model = train("dtree", rows, labels)
         with pytest.raises(ValueError, match="width"):
-            predict(model, [1.0, 2.0, 3.0])
+            predict_labels(model, [[1.0, 2.0, 3.0]])
 
     def test_normalization_fitted_on_training_rows_only(self):
         rows = np.array([[0.0, 5.0], [10.0, 15.0], [2.0, 9.0], [8.0, 11.0]])
         labels = np.array([0, 1, 0, 1])
-        model = train_ann(rows, labels, AnnConfig(max_epochs=5, seed=1))
+        model = train("ann", rows, labels, AnnConfig(max_epochs=5, seed=1))
         assert model.normalization.minimum.tolist() == [0.0, 5.0]
         assert model.normalization.maximum.tolist() == [10.0, 15.0]
         # predicting far outside the training range must not refit
-        predict(model, [100.0, -100.0])
+        predict_labels(model, [[100.0, -100.0]])
         assert model.normalization.maximum.tolist() == [10.0, 15.0]
 
     def test_degenerate_feature_maps_to_zero(self):
@@ -962,10 +981,6 @@ class TestSharedSurface:
         rows[7, 1] = bad
         with pytest.raises(DataError, match="non-finite"):
             classifiers.train(kind, rows, labels)
-        trainer = {"ann": train_ann, "dtree": train_dtree,
-                   "svm": train_svm}[kind]
-        with pytest.raises(DataError, match="non-finite"):
-            trainer(rows, labels)
 
     @pytest.mark.parametrize("kind,config", [
         ("ann", AnnConfig(max_epochs=40, seed=6)),
@@ -989,8 +1004,11 @@ class TestSharedSurface:
          r"model file is not valid UTF-8: \S*model\.json \(invalid"),
         (lambda p: p.write_text("{", encoding="utf-8"),
          "model file is not valid JSON"),
+        (lambda p: p.write_text('{"n_features": ' + "9" * 5000 + "}",
+                                encoding="utf-8"),
+         r"model file is not valid JSON: \S*model\.json \(Exceeds"),
         (lambda p: None, "model file not found"),
-    ], ids=["directory", "latin1", "json", "missing"])
+    ], ids=["directory", "latin1", "json", "long-int", "missing"])
     def test_unreadable_model_files_are_data_errors(self, tmp_path, make,
                                                     message):
         path = tmp_path / "model.json"
@@ -1076,6 +1094,52 @@ class TestSharedSurface:
             with pytest.raises(DataError, match=message):
                 model_from_dict({**docs[kind], **change})
 
+    # Python's json reads these literals; 1e999 overflows to inf.
+    @pytest.mark.parametrize("kind,keys,literal", [
+        ("svm", ("gamma",), "NaN"),
+        ("svm", ("bias",), "-Infinity"),
+        ("ann", ("weights", "b2"), "NaN"),
+        ("ann", ("normalization", "maximum", 0), "Infinity"),
+        ("dtree", ("nodes", 0, "threshold"), "1e999"),
+    ], ids=["svm-gamma", "svm-bias", "ann-b2", "ann-maximum", "dtree"])
+    def test_non_finite_numbers_in_model_files_are_data_errors(
+            self, tmp_path, kind, keys, literal):
+        rows, labels = separable_blobs(6, gap=3.0)
+        config = AnnConfig(max_epochs=5) if kind == "ann" else None
+        doc = model_to_dict(classifiers.train(kind, rows, labels, config))
+        *parents, last = keys
+        functools.reduce(operator.getitem, parents, doc)[last] = "@"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"non-finite number {literal}: "):
+            load_model(path)
+
     def test_train_dispatch_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown classifier"):
             classifiers.train("forest", np.zeros((2, 2)), [0, 1])
+
+    def test_every_exported_name_resolves(self):
+        namespace = {}
+        exec("from multisent.classifiers import *", namespace)
+        assert set(classifiers.__all__) <= set(namespace)
+
+
+class TestTrainMany:
+    # ANN jobs of 1, 3 and 2 restarts put run boundaries off any stride.
+    @pytest.mark.parametrize("kind,configs", [
+        ("ann", [AnnConfig(restarts=r, max_epochs=30, seed=r)
+                 for r in (1, 3, 2)]),
+        ("dtree", [TreeConfig()] * 4),
+        ("svm", [SvmConfig(seed=seed) for seed in range(4)]),
+    ])
+    def test_jobs_match_training_each_in_turn(self, on_cpus, kind, configs):
+        rows, labels = separable_blobs(16, gap=1.0, n_features=3, seed=41)
+        fold = np.arange(len(rows)) % len(configs)
+        jobs = [(rows[fold != f], labels[fold != f], config)
+                for f, config in enumerate(configs)]
+        want = [model_to_dict(train(kind, *job)) for job in jobs]
+        for cpus in (1, 2):
+            with on_cpus(cpus):
+                got = classifiers.train_many(kind, jobs)
+            assert [model_to_dict(model) for model in got] == want

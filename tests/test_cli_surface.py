@@ -2,7 +2,9 @@
 strings, spelled in full, and a sweep and a config-file pipeline run write
 exactly these bytes.
 
-Tree runs use no BLAS kernel, so the digests hold on any BLAS build.
+Tree runs use no BLAS kernel, so the digests hold on any BLAS build. SVM
+and ANN model files hold bits that depend on the BLAS kernel, so only the
+reports of their runs, which hold labels' scores, are pinned.
 """
 
 import hashlib
@@ -46,15 +48,26 @@ def test_each_subcommand_takes_exactly_its_flags():
         assert flags - {"-h", "--help"} == SURFACE[name], name
 
 
-@pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    out = tmp_path_factory.mktemp("surface_data")
-    assert main(["synth", "--docs", "20", "--seed", "23", "--density", "0.4",
-                 "--rule-fraction", "0.3", "--out", str(out)]) == 0
+def _synth(out, *flags) -> dict:
+    """The input paths of a seed-23 synthetic corpus written to ``out``."""
+    assert main(["synth", "--seed", "23", "--density", "0.4",
+                 "--rule-fraction", "0.3", *flags, "--out", str(out)]) == 0
     return {"corpus": str(out / "corpus"), "lexicon": str(out / "lexicon.tsv"),
             "lemma_dict": str(out / "lemma_dict.tsv"),
             "negations": str(out / "negations.txt"),
             "intensifiers": str(out / "intensifiers.txt")}
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    return _synth(tmp_path_factory.mktemp("surface_data"), "--docs", "20")
+
+
+@pytest.fixture(scope="module")
+def noisy_data(tmp_path_factory):
+    """A corpus whose classes share words, so no classifier scores 1."""
+    return _synth(tmp_path_factory.mktemp("noisy_data"), "--docs", "30",
+                  "--purity", "0.6")
 
 
 def _inputs(data) -> list:
@@ -115,6 +128,21 @@ def test_config_file_pipeline_artifacts_are_pinned(data, tmp_path):
         "seed = 9"]) + "\n", encoding="utf-8")
     assert main(["pipeline", "--config", str(config), "--min-leaf", "3"]) == 0
     assert _digests(out) == PIPELINE_DIGESTS
+
+
+@pytest.mark.parametrize("flags,digest", [
+    (["--level", "term", "--variant", "8", "--rules", "--classifier", "svm"],
+     "c12f543b446b9af43aa81435e6d0046429a738bf9666dced9b2e703fa8c9528a"),
+    (["--level", "document", "--variant", "7", "--sentence-formula",
+      "max_sub", "--classifier", "ann", "--restarts", "2",
+      "--max-epochs", "100"],
+     "a92ad32b94024a0b8d901c5599db23f996a91bc741734edbac7d53de58095a2d"),
+], ids=["svm-term8", "ann-doc7"])
+def test_blas_run_reports_are_pinned(noisy_data, tmp_path, flags, digest):
+    out = tmp_path / "run"
+    assert main(["pipeline", *_inputs(noisy_data), *flags, "--folds", "3",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert _digests(out)["report.json"] == digest
 
 
 SWEEP_DIGESTS = {

@@ -10,7 +10,7 @@ import pytest
 import oracles
 
 from multisent import synth
-from multisent.classifiers import SvmConfig, train_svm
+from multisent.classifiers import SvmConfig, train
 from multisent.corpus_io import load_corpus, load_lemma_dictionary
 from multisent.errors import ConfigurationError
 from multisent.features import Variant
@@ -82,7 +82,7 @@ class TestGenerate:
         priors = prior_table(load_lexicon(paths.lexicon),
                              PriorFormula.MAX_SUB)
         ds = build_dataset(docs, priors, Variant.TERM8)
-        model = train_svm(ds.rows, ds.labels, SvmConfig(seed=0))
+        model = train("svm", ds.rows, ds.labels, SvmConfig(seed=0))
         from multisent.classifiers import predict_labels
         assert np.array_equal(predict_labels(model, ds.rows), ds.labels)
 
