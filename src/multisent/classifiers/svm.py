@@ -10,6 +10,14 @@ updates keep every alpha in [0, C] and sum(alpha_i * y_i) = 0. Training
 stops after a sweep with no violations or no moves, or at the sweep
 budget. Inputs are min-max scaled to [-1, 1].
 
+The kernel is built in place: ``rbf_kernel`` writes the product
+(2 a) b^T into its n x m result and then, ``_KERNEL_BLOCK`` rows at a
+time, replaces it by exp(-gamma * max((|a_i|^2 + |b_j|^2) - G_ij, 0)).
+These are the IEEE operations of the three-temporary formula in its
+order, so the bits are that formula's, and the peak is the result plus
+one block of row sums: a training fold holds one 8 n^2-byte kernel, a
+scored batch of n rows one 8 n m-byte kernel against m support vectors.
+
 Cached errors. Each sweep starts from one product E = kernel @ ay + b - y,
 with ay = alphas * y, and each move of i and j updates it in O(n):
 E += (ay_i' - ay_i) K[:, i] + (ay_j' - ay_j) K[:, j] + (b' - b). E rounds
@@ -83,6 +91,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..util import derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
@@ -90,6 +99,8 @@ from .normalize import NormalizationParams, training_arrays
 _STEP_EPS = 1e-7
 # Unit roundoff of float64, 2**-53.
 _U = np.finfo(float).eps / 2
+# Rows of the kernel whose squared distances are formed at a time.
+_KERNEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -165,17 +176,35 @@ class SvmModel:
         if alphas.ndim != 1 or labels_pm.shape != alphas.shape:
             raise ValueError(f"alphas {alphas.shape} and train_labels_pm "
                              f"{labels_pm.shape} disagree")
+        gamma = float(doc["gamma"])
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {gamma}")
         return cls(support_vectors=sv, coefficients=coefficients,
-                   bias=float(doc["bias"]), gamma=float(doc["gamma"]),
+                   bias=float(doc["bias"]), gamma=gamma,
                    normalization=norm, config=cfg, alphas=alphas,
                    train_labels_pm=labels_pm)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    """exp(-gamma * max((|a_i|^2 + |b_j|^2) - 2 a_i . b_j, 0)) for all
+    pairs, built in place (module docstring). A kernel that does not fit
+    in memory is a ConfigurationError naming its rows and bytes."""
+    try:
+        out = (2.0 * a) @ b.T
+        sa, sb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+        for start in range(0, len(a), _KERNEL_BLOCK):
+            block = slice(start, start + _KERNEL_BLOCK)
+            rows = out[block]
+            np.subtract(sa[block, None] + sb, rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)
+            np.multiply(rows, -gamma, out=rows)
+            np.exp(rows, out=rows)
+    except MemoryError:
+        raise ConfigurationError(
+            f"an RBF kernel of {len(a)} x {len(b)} rows needs "
+            f"{8 * len(a) * len(b):,} bytes, which do not fit in memory"
+        ) from None
+    return out
 
 
 def _screen_slack(alphas, b):

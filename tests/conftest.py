@@ -1,6 +1,8 @@
 import contextlib
 import multiprocessing
 import os
+import resource
+import tracemalloc
 
 # One BLAS thread, as in the benchmark: numpy then starts no thread pool,
 # so ``parallel.map_items`` may fork helpers onto the other CPUs, and the
@@ -35,6 +37,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, passed in _acceptance_results:
         terminalreporter.write_line(f"[{'PASS' if passed else 'FAIL'}] {name}")
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: ``peak`` is the most memory ``fn`` held at once
+    above what was held when it started, in bytes, as ``tracemalloc``
+    counts it (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def capped_address_space():
+    """Runs its body with the address space capped at 1 GiB above the
+    process's current size, so that an allocation far beyond that fails
+    fast with MemoryError instead of growing until the host runs out."""
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    cap = size + 2**30
+    if limits[1] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
 
 
 @pytest.fixture(scope="session")

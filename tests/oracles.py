@@ -415,6 +415,14 @@ def kl_terms(p, q):
     return total
 
 
+def rbf_kernel(a, b, gamma):
+    """exp(-gamma * ||a_i - b_j||^2) for all pairs: the package's former
+    formula, with its three full-size temporaries."""
+    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+          - 2.0 * a @ b.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
 SMO_STEP_EPS = 1e-7
 
 

@@ -1,9 +1,8 @@
+import dataclasses
 import functools
 import json
 import math
 import operator
-import os
-import resource
 import tempfile
 import warnings
 from fractions import Fraction
@@ -28,6 +27,7 @@ from multisent.synth import SynthConfig, generate
 from multisent.util import derive_seed, make_rng
 
 import oracles
+from conftest import capped_address_space, traced_peak
 
 
 def separable_blobs(n_per_class=20, gap=4.0, n_features=2, seed=123):
@@ -90,8 +90,8 @@ def oracle_svm(rows, labels, cfg):
     x = norm.apply(rows)
     y = 2.0 * labels - 1.0
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
-    alphas, b, moves = oracles.smo(svm.rbf_kernel(x, x, gamma), y, cfg.c,
-                                   cfg.tol, cfg.max_passes,
+    kernel = oracles.rbf_kernel(x, x, gamma)
+    alphas, b, moves = oracles.smo(kernel, y, cfg.c, cfg.tol, cfg.max_passes,
                                    make_rng(derive_seed(cfg.seed, "svm")))
     support = alphas > 0.0
     model = SvmModel(support_vectors=x[support],
@@ -433,21 +433,12 @@ class TestAnnRestartBlocks:
         cfg = AnnConfig(restarts=10**12, seed=4)
         # A list of every run would grow until memory runs out; with the
         # address space capped, such a list fails fast with MemoryError.
-        limits = resource.getrlimit(resource.RLIMIT_AS)
-        with open("/proc/self/statm") as statm:
-            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-        cap = size + 2**30
-        if limits[1] != resource.RLIM_INFINITY:
-            cap = min(cap, limits[1])
-        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
-        try:
+        with capped_address_space():
             for cpus in (1, 2):
                 with pytest.raises(Stop) as stopped, on_cpus(cpus) as forks:
                     classifiers.train_many("ann", [(rows, labels, cfg)] * 2)
                 assert forks == [cpus - 1]
                 assert stopped.value.args == (derive_seed(4, "ann", 0),)
-        finally:
-            resource.setrlimit(resource.RLIMIT_AS, limits)
 
     def test_memory_error_in_a_helper_block_is_a_configuration_error(
             self, monkeypatch, on_cpus):
@@ -951,6 +942,71 @@ class TestSvm:
                     assert np.all(gap <= svm._screen_slack(alphas, b))
 
 
+class TestRbfKernel:
+    BLOCK = svm._KERNEL_BLOCK
+
+    @staticmethod
+    def grid_rows(n, seed):
+        """``n`` rows of 8 features in [-1, 1], the later third of them
+        copies of earlier rows, exact or moved by 1e-9 to 1e-7."""
+        rng = make_rng(seed)
+        x = rng.uniform(-1.0, 1.0, size=(n, 8))
+        for k in range(2 * n // 3, n):
+            x[k] = x[k % 5] + (0.0, 1e-9, 1e-8, 1e-7)[k % 4] * x[k - 1]
+        return x
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 400])
+    @pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 289])
+    def test_matches_the_three_temporary_formula_bit_for_bit(self, n, m):
+        a, b = self.grid_rows(n, 1), self.grid_rows(m, 2)
+        for gamma in (1e-3, 0.125, 1.0, 2.5, 40.0):
+            for x, z in ((a, b), (a, a)):
+                got, want = svm.rbf_kernel(x, z, gamma), \
+                    oracles.rbf_kernel(x, z, gamma)
+                assert got.shape == want.shape == (len(x), len(z))
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    def test_the_grid_meets_zero_and_clamped_distances(self):
+        # Exact copies give a squared distance of exactly 0, and near
+        # copies one that rounds below 0 before the clamp.
+        x = self.grid_rows(400, 1)
+        sq = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)
+              - 2.0 * x @ x.T)
+        off_diagonal = ~np.eye(len(x), dtype=bool)
+        assert np.any((sq == 0.0) & off_diagonal)
+        assert np.any(sq < 0.0)
+        kernel = svm.rbf_kernel(x, x, 1.0)
+        assert np.all(kernel[sq <= 0.0] == 1.0)
+
+    def test_peak_memory_is_about_its_output(self):
+        x = make_rng(3).uniform(-1.0, 1.0, size=(1000, 8))
+        kernel, peak = traced_peak(lambda: svm.rbf_kernel(x, x, 0.125))
+        assert kernel.nbytes == 8 * 1000 * 1000
+        # A full-size temporary would put the peak at 2x or more.
+        assert peak <= 1.1 * kernel.nbytes
+
+    def test_a_kernel_beyond_memory_is_a_configuration_error(self, on_cpus):
+        # 20,000 rows make a 3.2 GB kernel, which the capped address space
+        # cannot hold, in training (each of two jobs, one on a helper when
+        # there are 2 CPUs) and in scoring 20,000 rows.
+        rows, labels = separable_blobs(10_000)
+        model = train("svm", rows[::500], labels[::500], SvmConfig(seed=1))
+        model = dataclasses.replace(
+            model, support_vectors=model.normalization.apply(rows),
+            coefficients=np.zeros(len(rows)))
+        message = r"RBF kernel of 20000 x 20000 rows needs " \
+            r"3,200,000,000 bytes, which do not fit in memory"
+        with capped_address_space():
+            for cpus in (1, 2):
+                with pytest.raises(ConfigurationError, match=message), \
+                        on_cpus(cpus) as forks:
+                    classifiers.train_many("svm", [(rows, labels, None)] * 2)
+                assert forks == [cpus - 1]
+            with pytest.raises(ConfigurationError, match=message):
+                predict_labels(model, rows)
+
+
 class TestSharedSurface:
     def test_width_mismatch_rejected(self):
         rows, labels = separable_blobs(6)
@@ -1086,6 +1142,11 @@ class TestSharedSurface:
                 ("svm", {"alphas": svm_doc["alphas"][1:]},
                  r"malformed svm model: alphas \(\d+,\) and "
                  r"train_labels_pm \(\d+,\) disagree"),
+                # Gamma 0 would score every row alike, and a negative
+                # one take far rows for near ones.
+                ("svm", {"gamma": -5}, "malformed svm model: gamma must be "
+                 r"finite and > 0, got -5.0"),
+                ("svm", {"gamma": 0}, r"gamma must be finite and > 0, got 0"),
                 ("dtree", {"hyperparameters": {"confidence": 1.5}},
                  r"confidence must be in \(0, 1\)"),
                 ("dtree", {"n_features": 0}, "n_features 0 is not an int"),

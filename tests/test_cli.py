@@ -5,7 +5,7 @@ import os
 import shutil
 import stat
 import time
-from itertools import groupby
+from itertools import cycle, groupby, islice
 
 import pytest
 
@@ -16,6 +16,7 @@ from multisent.pipeline import prepare_corpus
 from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
 
 import oracles
+from conftest import capped_address_space
 from oracles import doc_features, term_features
 
 
@@ -339,6 +340,31 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert multiprocessing.active_children() == []
+
+    def test_svm_kernel_beyond_memory_is_configuration_error(
+            self, tmp_path, data, capfd):
+        # 20,000 rows make a 3.2 GB kernel (2 GB per CV fold), which the
+        # capped address space cannot hold, in the parent or a helper.
+        features, big = tmp_path / "features.csv", tmp_path / "big.csv"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        header, *lines = features.read_text().splitlines()
+        big.write_text("\n".join([header, *islice(cycle(lines), 20_000)])
+                       + "\n")
+        capfd.readouterr()
+        with capped_address_space():
+            assert main(["train", "--features", str(big), "--classifier",
+                         "svm", "--out", str(tmp_path / "model.json")]) == 1
+            assert main(["evaluate", "--features", str(big), "--classifier",
+                         "svm", "--out", str(tmp_path / "report.json")]) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert err == [
+            "configuration error: an RBF kernel of 20000 x 20000 rows needs "
+            "3,200,000,000 bytes, which do not fit in memory",
+            "configuration error: an RBF kernel of 16000 x 16000 rows needs "
+            "2,048,000,000 bytes, which do not fit in memory"]
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestArtifactModes:

@@ -1,13 +1,12 @@
 import hashlib
 import itertools
-import os
-import resource
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import capped_address_space
 
 from multisent import synth
 from multisent.classifiers import SvmConfig, train
@@ -316,19 +315,9 @@ class TestStaleFiles:
         (stale / "doc_0003.txt").write_text("kept\n")
         (stale / "doc_1000000000000.txt").write_text("stale\n")
         cfg = SynthConfig(docs_per_class=10 ** 12)
-        limits = resource.getrlimit(resource.RLIMIT_AS)
-        with open("/proc/self/statm") as statm:
-            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-        cap = size + 2 ** 30
-        if limits[1] != resource.RLIM_INFINITY:
-            cap = min(cap, limits[1])
-        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
-        try:
-            with pytest.raises(ConfigurationError,
-                               match="1 file.* doc_1000000000000.txt"):
-                generate(cfg, tmp_path)
-        finally:
-            resource.setrlimit(resource.RLIMIT_AS, limits)
+        with capped_address_space(), pytest.raises(
+                ConfigurationError, match="1 file.* doc_1000000000000.txt"):
+            generate(cfg, tmp_path)
         assert not (tmp_path / "corpus" / "neg").exists()
 
 
