@@ -9,7 +9,8 @@ Zipf/KL corpus quality statistics.
 __version__ = "0.1.0"
 
 from .corpus_io import (LemmaDictionary, RawDocument, encode_texts,
-                        load_corpus, load_lemma_dictionary)
+                        list_corpus, load_corpus, load_lemma_dictionary,
+                        read_document)
 from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)

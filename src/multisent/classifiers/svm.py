@@ -179,6 +179,13 @@ class SvmModel:
         gamma = float(doc["gamma"])
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+        # Training takes the configured gamma, else 1 / the row width.
+        want = cfg.gamma
+        if want is None and sv.shape[1]:
+            want = 1.0 / sv.shape[1]
+        if gamma != want:
+            raise ValueError(f"gamma {gamma!r} does not match the "
+                             f"hyperparameters, which give {want!r}")
         return cls(support_vectors=sv, coefficients=coefficients,
                    bias=float(doc["bias"]), gamma=gamma,
                    normalization=norm, config=cfg, alphas=alphas,

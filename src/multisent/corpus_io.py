@@ -15,6 +15,7 @@ per-document scalar tokenizer it reproduces lives in ``tests/oracles.py``.
 """
 
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +25,8 @@ from .errors import ConfigurationError, DataError, ParseError
 from .util import read_text
 
 # Sentence breaks: the ASCII terminators, the Arabic question mark and
-# semicolon, and every line break ``str.splitlines`` knows. Each becomes
-# the token ".", which cannot be a word: a "." in the text is a break too.
+# semicolon, and every line break ``str.splitlines`` knows.
 _BREAK_RE = re.compile("[.!?؟؛\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
-_BREAK, _NOISE = -1, -2
 
 # Arabic diacritics (tashkeel), Quranic annotation marks, dagger alif, and
 # tatweel; stripped before any dictionary or rule-word lookup.
@@ -98,14 +97,14 @@ def load_lemma_dictionary(path) -> LemmaDictionary:
     return LemmaDictionary(mapping)
 
 
-def load_corpus(root_path) -> list[RawDocument]:
-    """Load a pos/neg corpus directory into RawDocuments.
+def list_corpus(root_path) -> list[tuple[str, int, Path]]:
+    """``(id, label, path)`` of each document of a pos/neg corpus directory.
 
     Documents are ordered by their relative path so loading is
     deterministic: ``neg/`` before ``pos/``, each sorted by file name.
     Raises ConfigurationError for a missing pos/ or neg/ subdirectory and
-    DataError for empty classes, or for ``*.txt`` entries that cannot be
-    read, are empty or do not decode as UTF-8.
+    DataError for a class with no ``*.txt`` entry. Nothing is read, so
+    these directory faults come before any fault of a document.
     """
     root = Path(root_path)
     docs = []
@@ -117,28 +116,39 @@ def load_corpus(root_path) -> list[RawDocument]:
         files = sorted(subdir.glob("*.txt"), key=lambda f: f.name)
         if not files:
             raise DataError(f"no {kind} documents under {subdir}")
-        for f in files:
-            text = read_text(f, "document file")
-            if not text:
-                raise DataError(f"empty document file: {f}")
-            docs.append(RawDocument(id=f"{sub}/{f.name}", label=label,
-                                    text=text))
+        docs += ((f"{sub}/{f.name}", label, f) for f in files)
     return docs
 
 
+def read_document(path) -> str:
+    """The text of one document file. Raises DataError for a file that
+    cannot be read, is empty or does not decode as UTF-8."""
+    text = read_text(path, "document file")
+    if not text:
+        raise DataError(f"empty document file: {path}")
+    return text
+
+
+def load_corpus(root_path) -> list[RawDocument]:
+    """Every document of a corpus directory, in ``list_corpus`` order."""
+    return [RawDocument(id=doc_id, label=label, text=read_document(path))
+            for doc_id, label, path in list_corpus(root_path)]
+
+
 class _Vocabulary(dict):
-    """Surface -> code: a word id in order of first use for a surface with
-    a letter, ``_NOISE`` for one without, ``_BREAK`` for "."."""
+    """Surface -> code: for a surface with a letter, one more than its word
+    id, given in order of first use; 0 for one without, so that
+    ``filter(None, ...)`` drops the noise."""
 
     def __init__(self):
-        super().__init__({".": _BREAK})
+        super().__init__()
         self.words = []
 
     def __missing__(self, surface):
-        code = _NOISE
+        code = 0
         if any(map(str.isalpha, surface)):
-            code = len(self.words)
             self.words.append(surface)
+            code = len(self.words)
         self[surface] = code
         return code
 
@@ -148,27 +158,28 @@ def encode_texts(texts):
 
     Every break closes the current sentence. Noise tokens are dropped,
     and so is a sentence left with no token, so a text with no kept token
-    has no sentence. Returns ``(words, word_ids, doc_tokens,
-    sentence_tokens, doc_sentences)``: the distinct kept surfaces in
-    order of first use, then the columns ``scoring.Corpus`` holds.
+    has no sentence. Each text is encoded as it arrives and then let go,
+    so ``texts`` may be a generator that reads one document at a time.
+    Returns ``(words, word_ids, doc_tokens, sentence_tokens,
+    doc_sentences)``: the distinct kept surfaces in order of first use,
+    then the columns ``scoring.Corpus`` holds.
     """
     vocabulary = _Vocabulary()
-    codes, starts = [], []
+    code = vocabulary.__getitem__
+    # Each column grows in a typed buffer that numpy then reads in place.
+    word_ids, sentence_tokens = array("q"), array("q")
+    doc_tokens, doc_sentences = array("q", [0]), array("q", [0])
     for text in texts:
-        # Each document opens with a break, so no sentence spans two.
-        starts.append(len(codes))
-        codes.append(_BREAK)
-        codes += map(vocabulary.__getitem__,
-                     _BREAK_RE.sub(" . ", text).split())
-    starts.append(len(codes))
-    codes = np.array(codes, dtype=np.intp)
-    kept = codes >= 0
-    doc_tokens = np.searchsorted(np.flatnonzero(kept), starts)
-    word_ids = codes[kept]
-    # With noise left out, a kept token opens a sentence where a break
-    # comes right before it.
-    codes = codes[codes != _NOISE]
-    opens = np.flatnonzero((codes[:-1] == _BREAK)[codes[1:] >= 0])
-    return (vocabulary.words, word_ids, doc_tokens,
-            np.append(opens, len(word_ids)),
-            np.searchsorted(opens, doc_tokens))
+        for sentence in _BREAK_RE.split(text):
+            codes = [*filter(None, map(code, sentence.split()))]
+            if codes:
+                sentence_tokens.append(len(word_ids))
+                word_ids.fromlist(codes)
+        doc_tokens.append(len(word_ids))
+        doc_sentences.append(len(sentence_tokens))
+    sentence_tokens.append(len(word_ids))
+    word_ids, *offsets = (np.frombuffer(column, dtype=np.int64) for column
+                          in (word_ids, doc_tokens, sentence_tokens,
+                              doc_sentences))
+    word_ids -= 1   # from codes to word ids, in place
+    return vocabulary.words, word_ids, *offsets

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers
-from .corpus_io import encode_texts, load_corpus, load_lemma_dictionary
+from .corpus_io import (encode_texts, list_corpus, load_lemma_dictionary,
+                        read_document)
 from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
 from .features import Dataset, Variant, doc_rows, term_rows, write_features_csv
@@ -89,12 +90,12 @@ class PipelineConfig:
 
 
 def prepare_corpus(corpus_dir, lemma_dict_path) -> Corpus:
-    """Load, tokenize and lemmatize a corpus directory into columns."""
+    """Read, tokenize and lemmatize a corpus directory into columns, one
+    document at a time."""
     lemma_dict = load_lemma_dictionary(lemma_dict_path)
-    raws = load_corpus(corpus_dir)
-    surfaces, *columns = encode_texts(raw.text for raw in raws)
-    return Corpus([raw.id for raw in raws],
-                  np.array([raw.label for raw in raws], dtype=int),
+    ids, labels, paths = zip(*list_corpus(corpus_dir))
+    surfaces, *columns = encode_texts(map(read_document, paths))
+    return Corpus(list(ids), np.array(labels, dtype=int),
                   [(s, lemma_dict.lemma(s)) for s in surfaces], *columns)
 
 

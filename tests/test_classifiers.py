@@ -1147,6 +1147,14 @@ class TestSharedSurface:
                 ("svm", {"gamma": -5}, "malformed svm model: gamma must be "
                  r"finite and > 0, got -5.0"),
                 ("svm", {"gamma": 0}, r"gamma must be finite and > 0, got 0"),
+                # Prediction reads the top-level gamma, so it must be the
+                # one training took: 1 / the row width here, or the
+                # configured one.
+                ("svm", {"gamma": 0.01}, r"malformed svm model: gamma 0\.01 "
+                 r"does not match the hyperparameters, which give 0\.5"),
+                ("svm", {"hyperparameters": {**svm_doc["hyperparameters"],
+                                             "gamma": 2.5}},
+                 r"gamma 0\.5 does not match .*, which give 2\.5"),
                 ("dtree", {"hyperparameters": {"confidence": 1.5}},
                  r"confidence must be in \(0, 1\)"),
                 ("dtree", {"n_features": 0}, "n_features 0 is not an int"),

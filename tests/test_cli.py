@@ -9,8 +9,10 @@ from itertools import cycle, groupby, islice
 
 import pytest
 
+from multisent.classifiers import load_model
 from multisent.cli import main
 from multisent.corpus_io import load_corpus, load_lemma_dictionary
+from multisent.errors import DataError
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
 from multisent.pipeline import prepare_corpus
 from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
@@ -54,6 +56,15 @@ def rule_data(tmp_path_factory):
 def _corpus_flags(data):
     return ["--corpus", data["corpus"], "--lexicon", data["lexicon"],
             "--lemma-dict", data["lemma_dict"]]
+
+
+def _reading_argv(command, corpus, out, data):
+    """A ``pipeline`` or ``quality`` run that reads ``corpus``."""
+    if command == "quality":
+        return ["quality", "--corpus", str(corpus), "--out", str(out)]
+    return ["pipeline", "--corpus", str(corpus), "--lexicon", data["lexicon"],
+            "--lemma-dict", data["lemma_dict"], "--out", str(out),
+            "--classifier", "dtree", "--folds", "2"]
 
 
 def _rules_flags(data, window):
@@ -208,17 +219,27 @@ class TestExitCodes:
         shutil.copytree(data["corpus"], corpus)
         (corpus / "pos" / "zz.txt").mkdir()
         out = tmp_path / "out"
-        if command == "pipeline":
-            argv = ["pipeline", "--corpus", str(corpus),
-                    "--lexicon", data["lexicon"],
-                    "--lemma-dict", data["lemma_dict"], "--out", str(out),
-                    "--classifier", "dtree", "--folds", "2"]
-        else:
-            argv = ["quality", "--corpus", str(corpus), "--out", str(out)]
-        assert main(argv) == 2
+        assert main(_reading_argv(command, corpus, out, data)) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "zz.txt" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "quality"])
+    def test_missing_pos_comes_before_unreadable_document(
+            self, tmp_path, data, capsys, command):
+        # The corpus is listed before any document is read, so a missing
+        # pos/ (exit 1) is reported ahead of an unreadable document in
+        # neg/ (exit 2), although neg/ is read first.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(os.path.join(data["corpus"], "neg"), corpus / "neg")
+        (corpus / "neg" / "aa.txt").mkdir()
+        out = tmp_path / "out"
+        assert main(_reading_argv(command, corpus, out, data)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "has no 'pos/' subdirectory" in err
+        assert "aa.txt" not in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["directory", "latin1"])
@@ -598,6 +619,31 @@ class TestFeaturizeTrainEvaluate:
         body = json.loads(report.read_text(encoding="utf-8"))
         assert len(body["folds"]) == 5
         assert body["average"]["test"]["pos"]["f"] == 1.0
+
+    def test_svm_model_file_with_another_gamma_is_a_data_error(
+            self, data, tmp_path):
+        # No command reads a model file back, so the file that `train`
+        # writes goes through load_model. Its top-level gamma is the one
+        # prediction uses; edited away from the one training took (the
+        # --gamma flag, else 1 / the row width) it would load and score
+        # with another kernel.
+        features = tmp_path / "features.csv"
+        assert main(["featurize", *_corpus_flags(data), "--level", "term",
+                     "--variant", "8", "--formula", "max_sub",
+                     "--out", str(features)]) == 0
+        model = tmp_path / "model.json"
+        for flags, gamma in (([], 1 / 8), (["--gamma", "0.5"], 0.5)):
+            assert main(["train", "--features", str(features), "--classifier",
+                         "svm", *flags, "--out", str(model)]) == 0
+            doc = json.loads(model.read_text(encoding="utf-8"))
+            assert doc["gamma"] == gamma
+            load_model(model)
+            model.write_text(json.dumps({**doc, "gamma": 0.01}),
+                             encoding="utf-8")
+            with pytest.raises(DataError, match=(
+                    "malformed svm model: gamma 0.01 does not match the "
+                    f"hyperparameters, which give {gamma}")):
+                load_model(model)
 
     def test_train_rejects_non_finite_features(self, tmp_path, capsys):
         # Each bad features file is a data error naming the file, and its

@@ -5,11 +5,12 @@ import pytest
 
 from multisent import pipeline
 from multisent.corpus_io import (LemmaDictionary, RawDocument, encode_texts,
-                                 load_corpus, load_lemma_dictionary,
-                                 remove_diacritics)
+                                 list_corpus, load_corpus,
+                                 load_lemma_dictionary, remove_diacritics)
 from multisent.errors import ConfigurationError, DataError, ParseError
 
 import oracles
+from conftest import traced_peak
 
 
 def tokenize_and_segment(text):
@@ -20,12 +21,25 @@ def tokenize_and_segment(text):
     return [words[i] for i in word_ids.tolist()], list(zip(bounds, bounds[1:]))
 
 
-def prepare(monkeypatch, raws, lemma_dict):
-    """``pipeline.prepare_corpus`` over in-memory documents."""
-    monkeypatch.setattr(pipeline, "load_corpus", lambda root: raws)
-    monkeypatch.setattr(pipeline, "load_lemma_dictionary",
-                        lambda path: lemma_dict)
-    return pipeline.prepare_corpus("corpus", "lemmas.tsv")
+def write_inputs(root, raws, lemma_dict):
+    """Write each raw, byte for byte, to ``root/corpus/<its id>`` and the
+    dictionary to ``root/lemmas.tsv``; return the two paths."""
+    for raw in raws:
+        path = root / "corpus" / raw.id
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(raw.text.encode("utf-8"))
+    lemmas = root / "lemmas.tsv"
+    lemmas.write_text("".join(f"{surface}\t{lemma}\n" for surface, lemma
+                              in lemma_dict.mapping.items()),
+                      encoding="utf-8")
+    return root / "corpus", lemmas
+
+
+def prepare(root, raws, lemma_dict):
+    """``pipeline.prepare_corpus`` over the raws written under ``root``.
+    Their ids name their files, and they must come in the corpus's own
+    order: ``neg/`` before ``pos/``, each by file name."""
+    return pipeline.prepare_corpus(*write_inputs(root, raws, lemma_dict))
 
 
 def assert_columns_equal(corpus, want):
@@ -109,6 +123,24 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=r"cannot read \S*/a\.txt:"):
             load_corpus(tmp_path)
 
+    def test_directory_faults_come_before_document_faults(self, tmp_path):
+        # The corpus is listed before any document is read, so a missing or
+        # empty pos/ is reported ahead of an unreadable document in neg/,
+        # although neg/ is read first.
+        (tmp_path / "neg").mkdir()
+        (tmp_path / "neg" / "a.txt").mkdir()
+        with pytest.raises(ConfigurationError, match="no 'pos/' subdir"):
+            load_corpus(tmp_path)
+        (tmp_path / "pos").mkdir()
+        with pytest.raises(DataError, match="no positive documents"):
+            load_corpus(tmp_path)
+        (tmp_path / "pos" / "b.txt").write_text("fine", encoding="utf-8")
+        assert list_corpus(tmp_path) == [
+            ("neg/a.txt", 0, tmp_path / "neg" / "a.txt"),
+            ("pos/b.txt", 1, tmp_path / "pos" / "b.txt")]
+        with pytest.raises(DataError, match=r"cannot read \S*/a\.txt:"):
+            load_corpus(tmp_path)
+
 
 class TestTokenizeAndSegment:
     def test_period_splits_sentences(self):
@@ -154,13 +186,16 @@ class TestTokenizeAndSegment:
     def test_empty_text(self):
         assert tokenize_and_segment("") == ([], [])
 
-    def test_matches_character_loop_oracle(self, monkeypatch):
+    def test_matches_character_loop_oracle(self, tmp_path):
         # Random corpora over letters, diacritics, tatweel, both boundary
         # sets, every line break (and "\r\n"), Unicode spaces ("\x1f"
         # splits words but breaks no line), digits and punctuation. The
         # one-pass columns must equal the per-text tokenizer's documents
         # packed one token at a time, and that tokenizer must agree with
         # a character loop that strips noise and then remaps sentences.
+        # The corpora go through files: an empty file is a data error,
+        # so an empty text is written as a blank one, which keeps no
+        # token either.
         pool = [*"abXفيلمرائعجيد", *"\u064e\u0650\u0651\u0640",
                 *".!?\u061f\u061b", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85",
                 "\u2028", "\u2029", "\r\n", "...", " . ",
@@ -177,12 +212,15 @@ class TestTokenizeAndSegment:
             for text in texts:
                 assert oracles.tokenize_and_segment(text) \
                     == oracles.noise_free_tokens(text)
-            raws = [RawDocument(f"d{i:04d}", i % 2, text)
+            raws = [RawDocument(f"{('neg', 'pos')[i % 2]}/d{i:04d}.txt",
+                                i % 2, text or " ")
                     for i, text in enumerate(texts)]
+            raws.sort(key=lambda raw: raw.id)
             docs = [oracles.prepare_document(raw, lemma_dict)
                     for raw in raws]
-            assert_columns_equal(prepare(monkeypatch, raws, lemma_dict),
-                                 oracles.corpus_columns(docs))
+            assert_columns_equal(
+                prepare(tmp_path / str(corpus), raws, lemma_dict),
+                oracles.corpus_columns(docs))
 
 
 class TestStripNoise:
@@ -296,15 +334,42 @@ class TestPrepareDocument:
         covered = [i for s, e in sentences for i in range(s, e)]
         assert covered == list(range(len(tokens)))
 
-    def test_all_noise_document_keeps_zero_tokens(self, monkeypatch):
-        raws = [RawDocument(f"pos/{i}.txt", 1, text) for i, text in
-                enumerate(["123 456. 789", "good. bad", "", "!! 7", "x"])]
-        corpus = prepare(monkeypatch, raws, LemmaDictionary({}))
+    def test_all_noise_document_keeps_zero_tokens(self, tmp_path):
+        # "\n" is a document file with no token: an empty one is an error.
+        raws = [RawDocument(f"{('neg', 'pos')[i > 1]}/{i}.txt", int(i > 1),
+                            text) for i, text in
+                enumerate(["123 456. 789", "good. bad", "\n", "!! 7", "x"])]
+        corpus = prepare(tmp_path, raws, LemmaDictionary({}))
         assert corpus.words == [("good", "good"), ("bad", "bad"), ("x", "x")]
         assert corpus.word_ids.tolist() == [0, 1, 2]
         assert corpus.doc_tokens.tolist() == [0, 0, 2, 2, 2, 3]
         assert corpus.sentence_tokens.tolist() == [0, 1, 2, 3]
         assert corpus.doc_sentences.tolist() == [0, 0, 2, 2, 2, 3]
+
+    def test_peak_is_bounded_per_token_not_by_text_length(self, tmp_path):
+        # Documents are read one at a time and the columns take 8 bytes
+        # per token and per sentence, so the traced peak of a prepare stays
+        # under 24 bytes per kept token (about 15 here). Padding each of
+        # 200 documents with 16,000 blanks (6.4 MB of text in all, as
+        # Python holds it) moves the peak by less than 256 KB: a few
+        # copies of one padded text, not the corpus's text.
+        rng = random.Random(5)
+        words = ["جيد", "سيء", "فيلم", "رائع", "qq", "ab", "12", "!"]
+        texts = [" ".join(rng.choice(words) + rng.choice(["", "", ".", "\n"])
+                          for _ in range(500)) for _ in range(200)]
+        peaks = []
+        for pad in ("", " \t" * 4000):
+            raws = sorted((RawDocument(f"{('neg', 'pos')[i % 2]}/{i:03d}.txt",
+                                       i % 2, pad + text + pad)
+                           for i, text in enumerate(texts)),
+                          key=lambda raw: raw.id)
+            paths = write_inputs(tmp_path / str(len(pad)), raws,
+                                 LemmaDictionary({}))
+            corpus, peak = traced_peak(
+                lambda: pipeline.prepare_corpus(*paths))
+            assert peak < 24 * len(corpus.word_ids) > 0
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 256 * 1024
 
     def test_partition_property_random_texts(self):
         rng = random.Random(12)
