@@ -18,8 +18,9 @@ vector of length ``(F+1)*H + H + 1``, laid out as ``(w1ᵀ, b1, w2, b2)``
 (see ``_flat``), so the momentum step is four whole-vector ufunc calls
 and accepting a candidate swaps two vectors. The passes read and write
 the weights through views and use work arrays allocated once per run,
-with the same element-wise operations in the same order as
-``loss_gradients`` on fresh arrays: a run's weights and error are the
+with the same element-wise operations in the same order as the
+three-pass reference trainer in ``tests/oracles.py``, which takes each
+epoch's gradients on fresh arrays: a run's weights and error are the
 same bits either way.
 
 The first layer is one matmul. The vector's leading ``(F+1)*H`` values
@@ -192,10 +193,6 @@ def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
     return float(np.add.reduce(np.square(err, out=err))) / len(err)
 
 
-def mse_loss(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray) -> float:
-    return _mse(_activations(w1, b1, w2, b2, x)[1], targets)
-
-
 def _flat(hidden: int, n_features: int):
     """A zero parameter vector of length ``(F+1)*H + H + 1`` and its
     ``(a, w2, b2)`` views: ``a`` is the (F+1, H) block ``[w1ᵀ; b1]`` of
@@ -243,18 +240,6 @@ def _backward(x, targets, hidden, out, w2, work, grads):
     np.matmul(d_hidden.T, x, out=g_w1)
     np.copyto(g_a[:-1], g_w1.T)
     _column_sums(d_hidden, g_a[-1])
-
-
-def loss_gradients(w1, b1, w2, b2, x: np.ndarray, targets: np.ndarray):
-    """Backpropagated gradients of the mean squared error.
-
-    Returns ``(loss, (g_w1, g_b1, g_w2, g_b2))``.
-    """
-    hidden, out = _activations(w1, b1, w2, b2, x)
-    _, grads = _flat(len(w2), x.shape[1])
-    _backward(x, targets, hidden, out, w2, _work_arrays(x, len(w2)), grads)
-    g_a, g_w2, g_b2 = grads
-    return _mse(out, targets), (g_a[:-1].T, g_a[-1], g_w2, float(g_b2[0]))
 
 
 def _run_once(x, targets, cfg: AnnConfig, run_seed: int):

@@ -8,7 +8,7 @@ import json
 import math
 
 from ..errors import DataError
-from ..util import atomic_write_text, read_text
+from ..util import read_text, write_json
 from .ann import AnnModel
 from .svm import SvmModel
 from .tree import TreeModel
@@ -41,8 +41,7 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path) -> None:
-    atomic_write_text(path, json.dumps(model_to_dict(model), sort_keys=True,
-                                       indent=2) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path):

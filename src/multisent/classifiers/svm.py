@@ -123,6 +123,14 @@ class SvmConfig:
             raise ValueError(
                 f"max_passes must be >= 1, got {self.max_passes}")
 
+    def kernel_gamma(self, width: int) -> float | None:
+        """The RBF width training takes for rows of ``width`` features:
+        the configured gamma, else 1 / ``width``; None for no gamma and
+        no feature."""
+        if self.gamma is not None:
+            return self.gamma
+        return 1.0 / width if width else None
+
 
 @dataclass
 class SvmModel:
@@ -179,10 +187,7 @@ class SvmModel:
         gamma = float(doc["gamma"])
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-        # Training takes the configured gamma, else 1 / the row width.
-        want = cfg.gamma
-        if want is None and sv.shape[1]:
-            want = 1.0 / sv.shape[1]
+        want = cfg.kernel_gamma(sv.shape[1])
         if gamma != want:
             raise ValueError(f"gamma {gamma!r} does not match the "
                              f"hyperparameters, which give {want!r}")
@@ -237,33 +242,33 @@ def _move_errors(errors, drift, slack, kernel, alphas, ay, b, i, j, old):
     return drift + (slack + new_slack) / (4 * len(alphas)), new_slack
 
 
-def _pair_step(i, j, e_j, lo, hi, eta, alphas, ay, y, kernel, b, c):
-    """One SMO update of partner ``i`` and violator ``j`` (error ``e_j``),
+def _pair_step(j, i, e_i, lo, hi, eta, alphas, ay, y, kernel, b, c):
+    """One SMO update of partner ``j`` and violator ``i`` (error ``e_i``),
     for a pair the caller screened: ``i != j``, box [``lo``, ``hi``] at
     least ``_STEP_EPS`` wide, ``eta < 0``, and a step the cached errors
     do not show to stay under ``_STEP_EPS``. The partner's error comes
     from the exact per-row dot with ``ay = alphas * y`` and decides the
     move; a move updates both arrays. Returns (b, moved)."""
-    e_i = float(kernel[i] @ ay + b - y[i])
+    e_j = float(kernel[j] @ ay + b - y[j])
     a_i_old, a_j_old = alphas[i], alphas[j]
-    a_j = a_j_old - y[j] * (e_i - e_j) / eta
-    a_j = min(hi, max(lo, a_j))
-    if abs(a_j - a_j_old) < _STEP_EPS:
+    a_i = a_i_old - y[i] * (e_j - e_i) / eta
+    a_i = min(hi, max(lo, a_i))
+    if abs(a_i - a_i_old) < _STEP_EPS:
         return b, False
-    a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-    # The constraint keeps a_i inside [0, C] mathematically; rounding can
+    a_j = a_j_old + y[i] * y[j] * (a_i_old - a_i)
+    # The constraint keeps a_j inside [0, C] mathematically; rounding can
     # push it out by an ulp, so snap it back.
-    a_i = min(c, max(0.0, a_i))
+    a_j = min(c, max(0.0, a_j))
     alphas[i], alphas[j] = a_i, a_j
     ay[i], ay[j] = a_i * y[i], a_j * y[j]
 
-    b1 = b - e_i - y[i] * (a_i - a_i_old) * kernel[i, i] \
-        - y[j] * (a_j - a_j_old) * kernel[i, j]
-    b2 = b - e_j - y[i] * (a_i - a_i_old) * kernel[i, j] \
-        - y[j] * (a_j - a_j_old) * kernel[j, j]
-    if 0.0 < a_i < c:
-        return b1, True
+    b1 = b - e_j - y[j] * (a_j - a_j_old) * kernel[j, j] \
+        - y[i] * (a_i - a_i_old) * kernel[j, i]
+    b2 = b - e_i - y[j] * (a_j - a_j_old) * kernel[j, i] \
+        - y[i] * (a_i - a_i_old) * kernel[i, i]
     if 0.0 < a_j < c:
+        return b1, True
+    if 0.0 < a_i < c:
         return b2, True
     return (b1 + b2) / 2.0, True
 
@@ -285,7 +290,7 @@ def plan_svm(rows: np.ndarray, labels: np.ndarray,
 def _smo(x, y, norm: NormalizationParams, cfg: SvmConfig) -> SvmModel:
     """The model of normalized rows ``x`` with +/-1 labels ``y``."""
     n = len(x)
-    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
+    gamma = cfg.kernel_gamma(x.shape[1])
 
     kernel = rbf_kernel(x, x, gamma)
     diagonal = kernel.diagonal()

@@ -21,7 +21,7 @@ from .pipeline import (PipelineConfig, featurize, load_inputs,
                        read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
-from .util import atomic_write_text
+from .util import atomic_write_text, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,8 +249,7 @@ def cmd_evaluate(args) -> int:
     report = run_cv(dataset, args.classifier, config, k=args.k,
                     seed=args.seed,
                     meta={"variant": dataset.variant.name})
-    atomic_write_text(args.out, json.dumps(report.to_dict(), sort_keys=True,
-                                           indent=2) + "\n")
+    write_json(args.out, report.to_dict())
     avg = report.average()["test"]
     print(json.dumps({"report": str(args.out),
                       "test_f_pos": avg["pos"]["f"],

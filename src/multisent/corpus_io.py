@@ -16,7 +16,6 @@ per-document scalar tokenizer it reproduces lives in ``tests/oracles.py``.
 
 import re
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +39,6 @@ _SUFFIXES = ("ها", "ان", "ات", "ون", "ين", "ه", "ة", "ي")
 
 def remove_diacritics(text: str) -> str:
     return _DIACRITICS_RE.sub("", text)
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    """One labeled document as loaded from disk."""
-    id: str
-    label: int          # 1 = positive, 0 = negative
-    text: str
 
 
 class LemmaDictionary:
@@ -127,12 +118,6 @@ def read_document(path) -> str:
     if not text:
         raise DataError(f"empty document file: {path}")
     return text
-
-
-def load_corpus(root_path) -> list[RawDocument]:
-    """Every document of a corpus directory, in ``list_corpus`` order."""
-    return [RawDocument(id=doc_id, label=label, text=read_document(path))
-            for doc_id, label, path in list_corpus(root_path)]
 
 
 class _Vocabulary(dict):

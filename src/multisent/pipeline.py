@@ -6,7 +6,6 @@ single configured seed, so rerunning a pipeline with the same
 configuration reproduces its outputs byte for byte.
 """
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +24,7 @@ from .lexicon import PriorFormula, load_lexicon, prior_table
 from .parallel import map_items
 from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
                       sentence_scores)
-from .util import atomic_write_text, read_text
+from .util import atomic_write_text, read_text, write_json
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
                 "test_f_pos,test_f_neg,mean_test_f,best")
@@ -176,9 +175,7 @@ def evaluate(cfg, dataset, prior_formula, sentence_formula,
                         seed=cfg.seed, meta=meta)
     for j, model in enumerate(report.models):
         classifiers.save_model(model, out / f"model_fold{j}.json")
-    atomic_write_text(out / "report.json",
-                      json.dumps(report.to_dict(), sort_keys=True, indent=2)
-                      + "\n")
+    write_json(out / "report.json", report.to_dict())
     return report
 
 

@@ -59,10 +59,6 @@ class RuleConfig:
             raise ValueError(
                 f"words listed as both negation and intensifier: {sorted(overlap)}")
 
-    @cached_property
-    def all_words(self) -> frozenset:
-        return self.negation_words | self.intensifier_words
-
 
 def load_word_list(path) -> frozenset:
     """One word per line, UTF-8; diacritics removed for matching."""

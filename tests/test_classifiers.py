@@ -15,7 +15,6 @@ from multisent.classifiers import (AnnConfig, SvmConfig, SvmModel,
                                    TreeConfig, decision_values, load_model,
                                    predict_labels, save_model, train)
 from multisent.classifiers import ann, svm, tree
-from multisent.classifiers.ann import loss_gradients, mse_loss
 from multisent.classifiers.io import model_from_dict, model_to_dict
 from multisent.classifiers.normalize import NormalizationParams
 from multisent.classifiers.tree import TreeModel, added_errors
@@ -197,16 +196,17 @@ class TestAnn:
         w2 = rng.normal(size=5) * 0.7
         b2 = 0.2
 
-        _, (g_w1, g_b1, g_w2, g_b2) = loss_gradients(w1, b1, w2, b2, x, targets)
+        _, (g_w1, g_b1, g_w2, g_b2) = oracles.ann_loss_gradients(
+            w1, b1, w2, b2, x, targets)
 
         h = 1e-6
 
         def check(analytic, array, index):
             bumped = array.copy()
             bumped[index] += h
-            up = mse_loss(*_subst(array, bumped), x, targets)
+            up = oracles.ann_mse_loss(*_subst(array, bumped), x, targets)
             bumped[index] -= 2 * h
-            down = mse_loss(*_subst(array, bumped), x, targets)
+            down = oracles.ann_mse_loss(*_subst(array, bumped), x, targets)
             numeric = (up - down) / (2 * h)
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
             assert rel <= 1e-4, (index, numeric, analytic)
@@ -222,8 +222,8 @@ class TestAnn:
         for idx in range(len(w2)):
             check(g_w2[idx], w2, idx)
         # scalar bias via direct evaluation
-        up = mse_loss(w1, b1, w2, b2 + h, x, targets)
-        down = mse_loss(w1, b1, w2, b2 - h, x, targets)
+        up = oracles.ann_mse_loss(w1, b1, w2, b2 + h, x, targets)
+        down = oracles.ann_mse_loss(w1, b1, w2, b2 - h, x, targets)
         numeric = (up - down) / (2 * h)
         assert abs(numeric - g_b2) / max(abs(numeric), abs(g_b2), 1e-8) <= 1e-4
 
@@ -1155,6 +1155,10 @@ class TestSharedSurface:
                 ("svm", {"hyperparameters": {**svm_doc["hyperparameters"],
                                              "gamma": 2.5}},
                  r"gamma 0\.5 does not match .*, which give 2\.5"),
+                # No feature and no configured gamma: no gamma to match.
+                ("svm", {"support_vectors": [], "coefficients": [],
+                         "normalization": {"minimum": [], "maximum": []}},
+                 r"gamma 0\.5 does not match .*, which give None"),
                 ("dtree", {"hyperparameters": {"confidence": 1.5}},
                  r"confidence must be in \(0, 1\)"),
                 ("dtree", {"n_features": 0}, "n_features 0 is not an int"),

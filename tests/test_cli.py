@@ -11,7 +11,7 @@ import pytest
 
 from multisent.classifiers import load_model
 from multisent.cli import main
-from multisent.corpus_io import load_corpus, load_lemma_dictionary
+from multisent.corpus_io import load_lemma_dictionary
 from multisent.errors import DataError
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
 from multisent.pipeline import prepare_corpus
@@ -542,7 +542,7 @@ class TestScore:
                                                  rules):
         lemma_dict = load_lemma_dictionary(rule_data["lemma_dict"])
         docs = [oracles.prepare_document(raw, lemma_dict)
-                for raw in load_corpus(rule_data["corpus"])]
+                for raw in oracles.read_corpus(rule_data["corpus"])]
         priors = prior_table(load_lexicon(rule_data["lexicon"]),
                              PriorFormula.AVG_AVG)
         rule_cfg = RuleConfig(

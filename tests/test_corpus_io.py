@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from multisent import pipeline
-from multisent.corpus_io import (LemmaDictionary, RawDocument, encode_texts,
-                                 list_corpus, load_corpus,
-                                 load_lemma_dictionary, remove_diacritics)
+from multisent.corpus_io import (LemmaDictionary, encode_texts, list_corpus,
+                                 load_lemma_dictionary, read_document,
+                                 remove_diacritics)
 from multisent.errors import ConfigurationError, DataError, ParseError
 
 import oracles
 from conftest import traced_peak
+from oracles import RawDocument
 
 
 def tokenize_and_segment(text):
@@ -59,48 +60,59 @@ def write_corpus(root, pos_texts, neg_texts):
             (root / sub / f"d{i}.txt").write_text(text, encoding="utf-8")
 
 
+def prepare_dir(root):
+    """``pipeline.prepare_corpus`` of the corpus directory ``root``, with
+    an empty lemma dictionary: the program's listing, then its reads."""
+    lemmas = root / "lemmas.tsv"
+    lemmas.write_text("", encoding="utf-8")
+    return pipeline.prepare_corpus(root, lemmas)
+
+
 class TestLoadCorpus:
+    """Loading a corpus: ``list_corpus`` lists it and ``read_document``
+    reads each file, as ``pipeline.prepare_corpus`` does."""
+
     def test_labels_follow_directory(self, tmp_path):
         write_corpus(tmp_path, ["good film"], ["bad film"])
-        docs = load_corpus(tmp_path)
+        docs = list_corpus(tmp_path)
         assert len(docs) == 2
-        by_id = {d.id: d for d in docs}
-        assert by_id["pos/d0.txt"].label == 1
-        assert by_id["neg/d0.txt"].label == 0
+        by_id = {doc_id: label for doc_id, label, _ in docs}
+        assert by_id["pos/d0.txt"] == 1
+        assert by_id["neg/d0.txt"] == 0
 
     def test_empty_pos_directory_is_an_error(self, tmp_path):
         write_corpus(tmp_path, [], ["something"])
         with pytest.raises(DataError, match="no positive documents"):
-            load_corpus(tmp_path)
+            list_corpus(tmp_path)
 
     def test_missing_subdirectory_is_config_error(self, tmp_path):
         (tmp_path / "pos").mkdir()
         with pytest.raises(ConfigurationError, match="neg"):
-            load_corpus(tmp_path)
+            list_corpus(tmp_path)
 
     def test_large_corpus_counts(self, tmp_path):
         write_corpus(tmp_path, [f"text {i}" for i in range(250)],
                      [f"text {i}" for i in range(250)])
-        docs = load_corpus(tmp_path)
-        assert len(docs) == 500
-        assert sum(d.label for d in docs) == 250
-        assert sum(1 - d.label for d in docs) == 250
+        labels = [label for _, label, _ in list_corpus(tmp_path)]
+        assert len(labels) == 500
+        assert sum(labels) == 250
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
-        write_corpus(tmp_path, ["fine"], ["fine"])
-        bad = tmp_path / "pos" / "zz.txt"
+        bad = tmp_path / "zz.txt"
         bad.write_bytes(b"\xff\xfe\x00 garbage")
         with pytest.raises(DataError, match="zz.txt"):
-            load_corpus(tmp_path)
+            read_document(bad)
 
     def test_empty_file_is_an_error(self, tmp_path):
         write_corpus(tmp_path, ["fine", ""], ["fine"])
         with pytest.raises(DataError, match="empty document"):
-            load_corpus(tmp_path)
+            read_document(tmp_path / "pos" / "d1.txt")
+        with pytest.raises(DataError, match="empty document"):
+            prepare_dir(tmp_path)
 
     def test_ordering_is_deterministic(self, tmp_path):
         write_corpus(tmp_path, ["a", "b"], ["c"])
-        ids = [d.id for d in load_corpus(tmp_path)]
+        ids = [doc_id for doc_id, _, _ in list_corpus(tmp_path)]
         assert ids == sorted(ids)
 
     def test_files_sort_by_name_bytes_not_creation(self, tmp_path):
@@ -109,19 +121,19 @@ class TestLoadCorpus:
             (tmp_path / sub).mkdir()
             for name in names:
                 (tmp_path / sub / name).write_text(name, encoding="utf-8")
-        docs = load_corpus(tmp_path)
+        ids, labels, paths = zip(*list_corpus(tmp_path))
         order = ["10.txt", "9.txt", "B.txt", "a.txt"]
-        assert [d.id for d in docs] == ([f"neg/{n}" for n in order]
-                                        + [f"pos/{n}" for n in order])
-        assert [d.text for d in docs] == order * 2
-        assert [d.label for d in docs] == [0] * 4 + [1] * 4
+        assert list(ids) == ([f"neg/{n}" for n in order]
+                             + [f"pos/{n}" for n in order])
+        assert [read_document(path) for path in paths] == order * 2
+        assert list(labels) == [0] * 4 + [1] * 4
 
     def test_first_unreadable_file_by_name_is_reported(self, tmp_path):
         write_corpus(tmp_path, ["fine"], ["fine"])
         for name in ("b.txt", "a.txt"):
             (tmp_path / "neg" / name).mkdir()   # a directory cannot be read
         with pytest.raises(DataError, match=r"cannot read \S*/a\.txt:"):
-            load_corpus(tmp_path)
+            prepare_dir(tmp_path)
 
     def test_directory_faults_come_before_document_faults(self, tmp_path):
         # The corpus is listed before any document is read, so a missing or
@@ -130,16 +142,16 @@ class TestLoadCorpus:
         (tmp_path / "neg").mkdir()
         (tmp_path / "neg" / "a.txt").mkdir()
         with pytest.raises(ConfigurationError, match="no 'pos/' subdir"):
-            load_corpus(tmp_path)
+            prepare_dir(tmp_path)
         (tmp_path / "pos").mkdir()
         with pytest.raises(DataError, match="no positive documents"):
-            load_corpus(tmp_path)
+            prepare_dir(tmp_path)
         (tmp_path / "pos" / "b.txt").write_text("fine", encoding="utf-8")
         assert list_corpus(tmp_path) == [
             ("neg/a.txt", 0, tmp_path / "neg" / "a.txt"),
             ("pos/b.txt", 1, tmp_path / "pos" / "b.txt")]
         with pytest.raises(DataError, match=r"cannot read \S*/a\.txt:"):
-            load_corpus(tmp_path)
+            prepare_dir(tmp_path)
 
 
 class TestTokenizeAndSegment:

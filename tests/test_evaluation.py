@@ -83,7 +83,6 @@ class TestConfusion:
     def test_three_pair_enumeration(self):
         c = confusion([1, 1, 0], [1, 0, 0])
         assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 0)
-        assert c.total == 3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

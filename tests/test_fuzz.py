@@ -20,7 +20,7 @@ import pytest
 
 from multisent.classifiers import load_model
 from multisent.cli import main
-from multisent.corpus_io import load_corpus
+from multisent.corpus_io import list_corpus
 from multisent.features import read_features_csv
 from multisent.pipeline import read_config_file
 
@@ -239,7 +239,7 @@ def test_flag_edge_values_never_crash(inputs, tmp_path, capfd, seed):
         assert code in (0, 1, 2), case
         assert "Traceback" not in err, case
         if code == 0 and command == "synth":
-            assert len(load_corpus(out / "corpus")) % 2 == 0, case
+            assert len(list_corpus(out / "corpus")) % 2 == 0, case
         elif code == 0 and command == "sweep":
             rows = (out / "sweep.csv").read_text(encoding="utf-8")
             assert len(rows.splitlines()) > 1, case

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multisent import scoring
-from multisent.corpus_io import load_corpus, load_lemma_dictionary
+from multisent.corpus_io import load_lemma_dictionary
 from multisent.features import Variant
 from multisent.lexicon import (LexiconEntry, PriorFormula, SenseScore,
                                load_lexicon, prior_table)
@@ -23,6 +23,7 @@ INT = "جدا"  # an intensifier
 RULES = RuleConfig(negation_words=frozenset({NEG, "negword"}),
                    intensifier_words=frozenset({INT, "intword"}),
                    window=1)
+RULE_WORDS = RULES.negation_words | RULES.intensifier_words
 
 
 def doc_from_words(words, sentences=None, label=1):
@@ -53,57 +54,57 @@ class TestScoreTokens:
     def test_rule_words_score_zero_even_if_in_lexicon(self):
         doc = doc_from_words([NEG, "good"])
         scored = score_tokens(doc, {NEG: 0.9, "good": 0.5},
-                              rule_words=RULES.all_words)
+                              rule_words=RULE_WORDS)
         assert scored == [0.0, 0.5]
 
 
 class TestApplyRules:
     def test_negation_before_flips_sign(self):
         doc = doc_from_words([NEG, "good"])
-        scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         out = apply_rules(scored, doc, RULES)
         assert out[1] == -0.4
         assert scored[1] == 0.4
 
     def test_intensifier_after_pushes_to_one(self):
         doc = doc_from_words(["good", INT])
-        scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, RULES)[0] == 1.0
 
     def test_intensifier_before_negative_term(self):
         doc = doc_from_words([INT, "bad"])
-        scored = score_tokens(doc, {"bad": -0.2}, RULES.all_words)
+        scored = score_tokens(doc, {"bad": -0.2}, RULE_WORDS)
         assert apply_rules(scored, doc, RULES)[1] == -1.0
 
     def test_negation_then_intensification_order(self):
         # negation first makes the term negative, then the intensifier
         # drives it to the negative extreme
         doc = doc_from_words([NEG, "good", INT])
-        scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, RULES)[1] == -1.0
 
     def test_zero_priors_never_modified(self):
         doc = doc_from_words([NEG, "plain", INT])
-        scored = score_tokens(doc, {}, RULES.all_words)
+        scored = score_tokens(doc, {}, RULE_WORDS)
         out = apply_rules(scored, doc, RULES)
         assert all(t == 0.0 for t in out)
 
     def test_rules_do_not_cross_sentence_boundary(self):
         # negation ends sentence 1; sentiment term opens sentence 2
         doc = doc_from_words([NEG, "good"], sentences=[(0, 1), (1, 2)])
-        scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, RULES)[1] == 0.4
 
     def test_intensifier_across_boundary_ignored(self):
         doc = doc_from_words(["good", INT], sentences=[(0, 1), (1, 2)])
-        scored = score_tokens(doc, {"good": 0.4}, RULES.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, RULES)[0] == 0.4
 
     def test_window_two_reaches_farther(self):
         cfg = RuleConfig(negation_words=RULES.negation_words,
                          intensifier_words=RULES.intensifier_words, window=2)
         doc = doc_from_words([NEG, "filler", "good"])
-        scored = score_tokens(doc, {"good": 0.4}, cfg.all_words)
+        scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, cfg)[2] == -0.4
         # window 1 does not reach
         assert apply_rules(scored, doc, RULES)[2] == 0.4
@@ -127,7 +128,7 @@ class TestApplyRules:
                       for w in words}
             seq = [rng.choice(words + [NEG, INT]) for _ in range(40)]
             doc = doc_from_words(seq, sentences=[(0, 20), (20, 40)])
-            scored = score_tokens(doc, priors, RULES.all_words)
+            scored = score_tokens(doc, priors, RULE_WORDS)
             out = apply_rules(scored, doc, RULES)
             assert all(abs(t) <= 1.0 for t in out)
             for before, after in zip(scored, out):
@@ -324,7 +325,7 @@ def test_columnar_matches_oracles_on_a_prepared_corpus(tmp_path, arabic):
                                  seed=41), tmp_path)
     lemma_dict = load_lemma_dictionary(paths.lemma_dict)
     docs = [oracles.prepare_document(raw, lemma_dict)
-            for raw in load_corpus(paths.corpus_dir)]
+            for raw in oracles.read_corpus(paths.corpus_dir)]
     corpus = prepare_corpus(paths.corpus_dir, paths.lemma_dict)
     lexicon = load_lexicon(paths.lexicon)
     for formula in PriorFormula:

@@ -10,7 +10,8 @@ from conftest import capped_address_space
 
 from multisent import synth
 from multisent.classifiers import SvmConfig, train
-from multisent.corpus_io import load_corpus, load_lemma_dictionary
+from multisent.corpus_io import (list_corpus, load_lemma_dictionary,
+                                 read_document)
 from multisent.errors import ConfigurationError
 from multisent.features import Variant
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
@@ -37,8 +38,9 @@ def _tree_digest(root):
 class TestGenerate:
     def test_outputs_parse_through_the_loaders(self, small_synth):
         cfg, paths = small_synth
-        docs = load_corpus(paths.corpus_dir)
+        docs = list_corpus(paths.corpus_dir)
         assert len(docs) == cfg.docs_per_class * 2
+        assert all(read_document(path) for _, _, path in docs)
         lexicon = load_lexicon(paths.lexicon)
         assert len(lexicon) == cfg.pos_lemmas + cfg.neg_lemmas
         lo, hi = cfg.senses_per_lemma
@@ -50,9 +52,9 @@ class TestGenerate:
 
     def test_full_scale_document_counts(self, full_synth):
         cfg, paths = full_synth
-        docs = load_corpus(paths.corpus_dir)
-        assert len(docs) == 500
-        assert sum(d.label for d in docs) == 250
+        labels = [label for _, label, _ in list_corpus(paths.corpus_dir)]
+        assert len(labels) == 500
+        assert sum(labels) == 250
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         cfg = SynthConfig(docs_per_class=6, tokens_per_doc=(20, 40), seed=31)
