@@ -8,14 +8,26 @@ from ..errors import DataError
 
 
 def training_arrays(rows, labels, two_classes: bool = False):
-    """Float rows and int labels; DataError if empty, not all finite or,
-    when ``two_classes`` is asked for, of one class."""
+    """Float rows and int labels; DataError unless the rows are a
+    non-empty, all-finite 2-D array with at least one column and the
+    labels are one 0 or 1 per row, of both classes when ``two_classes``
+    is asked for."""
     rows, labels = np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
     if len(rows) == 0:
         raise DataError("cannot train on an empty dataset")
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise DataError(f"training rows must be a 2-D array with at least "
+                        f"one column, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise DataError("training rows contain non-finite values")
-    if two_classes and len(set(labels.tolist())) < 2:
+    if labels.shape != (len(rows),):
+        raise DataError(f"need one label per training row: {len(rows)} "
+                        f"rows, labels of shape {labels.shape}")
+    classes = set(labels.tolist())
+    if not classes <= {0, 1}:
+        raise DataError(f"training labels must be 0 or 1, got "
+                        f"{sorted(classes - {0, 1})}")
+    if two_classes and len(classes) < 2:
         raise DataError("training data contains a single class")
     return rows, labels
 

@@ -166,10 +166,10 @@ def cmd_quality(args) -> int:
     report = quality_report(table, a=args.exponent, csv_path=args.out,
                             base=base)
     print(json.dumps({"kl_prob": report.kl_prob, "kl_raw": report.kl_raw,
-                      "exponent": report.zipf_exponent_a,
+                      "exponent": args.exponent,
                       "unique_words": len(table.entries),
                       "total_tokens": table.total_tokens,
-                      "table": report.table_path}, indent=2))
+                      "table": str(Path(args.out))}, indent=2))
     return 0
 
 

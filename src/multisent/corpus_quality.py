@@ -11,7 +11,6 @@ emitted too, but it can be orders of magnitude larger (or negative).
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +38,6 @@ class FrequencyTable:
 class QualityReport:
     kl_raw: float
     kl_prob: float
-    zipf_exponent_a: float
-    table_path: str | None
 
 
 def rank_frequencies(words, word_ids) -> FrequencyTable:
@@ -109,11 +106,6 @@ def smooth_distribution(q, eps: float = 1e-12):
     return [x / s for x in q]
 
 
-def _normalize(values):
-    s = sum_left(values)
-    return [v / s for v in values]
-
-
 def quality_report(table: FrequencyTable, a: float = 1.0,
                    csv_path=None, base: float | None = None) -> QualityReport:
     """Compare observed counts against the ideal curve over ranks 1..N.
@@ -140,10 +132,9 @@ def quality_report(table: FrequencyTable, a: float = 1.0,
             f"exponent {a!r} puts the ideal frequency or its KL sum out of "
             f"range at ranks 1..{len(observed)}")
 
-    kl_prob = kl_divergence(_normalize(ideal),
+    kl_prob = kl_divergence(smooth_distribution(ideal),
                             smooth_distribution(observed), base=base)
 
-    path_str = None
     if csv_path is not None:
         lines = [CSV_HEADER]
         for (word, count, rank), f_ideal in zip(table.entries, ideal):
@@ -151,7 +142,4 @@ def quality_report(table: FrequencyTable, a: float = 1.0,
                 f"{rank},{word},{count},{f_ideal!r},{math.log(rank)!r},"
                 f"{math.log(count)!r},{math.log(f_ideal)!r}")
         atomic_write_text(csv_path, "\n".join(lines) + "\n")
-        path_str = str(Path(csv_path))
-
-    return QualityReport(kl_raw=kl_raw, kl_prob=kl_prob, zipf_exponent_a=a,
-                         table_path=path_str)
+    return QualityReport(kl_raw=kl_raw, kl_prob=kl_prob)

@@ -24,27 +24,6 @@ class ConfusionCounts:
     fn: int
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    """Precision/recall/F for both classes plus zero-denominator flags."""
-    precision_pos: float
-    recall_pos: float
-    f_pos: float
-    precision_neg: float
-    recall_neg: float
-    f_neg: float
-    degenerate: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "pos": {"p": self.precision_pos, "r": self.recall_pos,
-                    "f": self.f_pos},
-            "neg": {"p": self.precision_neg, "r": self.recall_neg,
-                    "f": self.f_neg},
-            "flags": sorted(self.degenerate),
-        }
-
-
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     """Per-document fold indices in 0..k-1, stratified by class."""
     labels = np.asarray(labels, dtype=int)
@@ -76,52 +55,37 @@ def confusion(predicted, actual) -> ConfusionCounts:
         fn=int(np.sum((predicted == 0) & (actual == 1))))
 
 
-def _ratio(num: int, den: int, name: str, flags: list) -> float:
-    if den == 0:
-        flags.append(name)
-        return 0.0
-    return num / den
+def class_metrics(c: ConfusionCounts) -> dict:
+    """Per-class precision, recall, and F (harmonic mean) in the form
+    ``report.json`` holds: ``{"pos": {"p", "r", "f"}, "neg": {...},
+    "flags": [...]}``.
 
-
-def class_metrics(c: ConfusionCounts) -> ClassMetrics:
-    """Per-class precision, recall, and F (harmonic mean).
-
-    Zero-denominator metrics come back as 0 with the metric name in
-    ``degenerate``.
+    Zero-denominator metrics come back as 0 with the metric name
+    (``precision_pos``, ..., ``f_neg``) in the sorted ``flags``.
     """
     flags: list = []
-    p_pos = _ratio(c.tp, c.tp + c.fp, "precision_pos", flags)
-    r_pos = _ratio(c.tp, c.tp + c.fn, "recall_pos", flags)
-    p_neg = _ratio(c.tn, c.tn + c.fn, "precision_neg", flags)
-    r_neg = _ratio(c.tn, c.tn + c.fp, "recall_neg", flags)
 
-    def f_score(p, r, name):
-        if p + r == 0:
+    def ratio(num, den, name: str) -> float:
+        if den == 0:
             flags.append(name)
             return 0.0
-        return 2 * p * r / (p + r)
+        return num / den
 
-    return ClassMetrics(
-        precision_pos=p_pos, recall_pos=r_pos,
-        f_pos=f_score(p_pos, r_pos, "f_pos"),
-        precision_neg=p_neg, recall_neg=r_neg,
-        f_neg=f_score(p_neg, r_neg, "f_neg"),
-        degenerate=tuple(flags))
+    def side(name: str, hit: int, false_hit: int, miss: int) -> dict:
+        p = ratio(hit, hit + false_hit, f"precision_{name}")
+        r = ratio(hit, hit + miss, f"recall_{name}")
+        return {"p": p, "r": r, "f": ratio(2 * p * r, p + r, f"f_{name}")}
 
-
-@dataclass
-class FoldResult:
-    fold: int
-    train: ClassMetrics
-    test: ClassMetrics
-
-    def to_dict(self) -> dict:
-        return {"fold": self.fold, "train": self.train.to_dict(),
-                "test": self.test.to_dict()}
+    out = {"pos": side("pos", c.tp, c.fp, c.fn),
+           "neg": side("neg", c.tn, c.fn, c.fp)}
+    out["flags"] = sorted(flags)
+    return out
 
 
 @dataclass
 class EvalReport:
+    """A run's meta, one ``{"fold", "train", "test"}`` dict per fold
+    (each part a ``class_metrics`` dict) and the fold models."""
     meta: dict
     folds: list
     models: list = field(default_factory=list, repr=False)
@@ -129,20 +93,17 @@ class EvalReport:
     def average(self) -> dict:
         out = {}
         for part in ("train", "test"):
-            metrics = [getattr(f, part) for f in self.folds]
+            metrics = [f[part] for f in self.folds]
             out[part] = {
-                side: {key: float(np.mean([getattr(m, f"{name}_{side}")
-                                           for m in metrics]))
-                       for key, name in (("p", "precision"), ("r", "recall"),
-                                         ("f", "f"))}
+                side: {key: float(np.mean([m[side][key] for m in metrics]))
+                       for key in ("p", "r", "f")}
                 for side in ("pos", "neg")}
             out[part]["flags"] = sorted({name for m in metrics
-                                         for name in m.degenerate})
+                                         for name in m["flags"]})
         return out
 
     def to_dict(self) -> dict:
-        return {"meta": self.meta,
-                "folds": [f.to_dict() for f in self.folds],
+        return {"meta": self.meta, "folds": self.folds,
                 "average": self.average()}
 
 
@@ -177,10 +138,10 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
         test_set = dataset.subset(np.flatnonzero(folds == f))
         train_pred = classifiers.predict_labels(model, train_set.rows)
         test_pred = classifiers.predict_labels(model, test_set.rows)
-        results.append(FoldResult(
-            fold=f,
-            train=class_metrics(confusion(train_pred, train_set.labels)),
-            test=class_metrics(confusion(test_pred, test_set.labels))))
+        results.append({
+            "fold": f,
+            "train": class_metrics(confusion(train_pred, train_set.labels)),
+            "test": class_metrics(confusion(test_pred, test_set.labels))})
 
     meta = dict(meta or {})
     meta.setdefault("classifier", classifier)

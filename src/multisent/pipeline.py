@@ -161,14 +161,11 @@ def evaluate(cfg, dataset, prior_formula, sentence_formula,
     out = Path(cfg.out_dir)
     write_features_csv(dataset, out / "features.csv")
     meta = {
-        "classifier": cfg.classifier,
         "formula": prior_formula.value,
         "sentence_formula": sentence_formula.value if sentence_formula else None,
         "level": cfg.level,
         "variant": dataset.variant.name,
         "rules": cfg.rules,
-        "k": cfg.k,
-        "seed": cfg.seed,
     }
     with _stage("cross-validation"):
         report = run_cv(dataset, cfg.classifier, clf_config, k=cfg.k,

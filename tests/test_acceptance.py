@@ -179,23 +179,23 @@ def test_criterion_06_cv_protocol(full_synth):
 @acceptance
 def test_criterion_07_metric_oracle():
     m = class_metrics(ConfusionCounts(tp=45, fp=5, tn=0, fn=10))
-    assert m.precision_pos == pytest.approx(0.9, abs=1e-5)
-    assert m.recall_pos == pytest.approx(0.81818, abs=1e-5)
-    assert m.f_pos == pytest.approx(0.85714, abs=1e-5)
+    assert m["pos"]["p"] == pytest.approx(0.9, abs=1e-5)
+    assert m["pos"]["r"] == pytest.approx(0.81818, abs=1e-5)
+    assert m["pos"]["f"] == pytest.approx(0.85714, abs=1e-5)
 
     perfect = class_metrics(ConfusionCounts(tp=10, fp=0, tn=10, fn=0))
-    assert (perfect.precision_pos, perfect.recall_pos, perfect.f_pos,
-            perfect.precision_neg, perfect.recall_neg, perfect.f_neg) \
+    assert (perfect["pos"]["p"], perfect["pos"]["r"], perfect["pos"]["f"],
+            perfect["neg"]["p"], perfect["neg"]["r"], perfect["neg"]["f"]) \
         == (1.0,) * 6
 
     inverted = class_metrics(ConfusionCounts(tp=0, fp=10, tn=0, fn=10))
-    assert (inverted.precision_pos, inverted.recall_pos, inverted.f_pos,
-            inverted.precision_neg, inverted.recall_neg, inverted.f_neg) \
+    assert (inverted["pos"]["p"], inverted["pos"]["r"], inverted["pos"]["f"],
+            inverted["neg"]["p"], inverted["neg"]["r"], inverted["neg"]["f"]) \
         == (0.0,) * 6
 
     degenerate = class_metrics(ConfusionCounts(tp=0, fp=0, tn=4, fn=0))
-    assert degenerate.precision_pos == 0.0
-    assert "precision_pos" in degenerate.degenerate
+    assert degenerate["pos"]["p"] == 0.0
+    assert "precision_pos" in degenerate["flags"]
 
 
 @acceptance

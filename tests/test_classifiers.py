@@ -1038,6 +1038,18 @@ class TestSharedSurface:
         with pytest.raises(DataError, match="non-finite"):
             classifiers.train(kind, rows, labels)
 
+    @pytest.mark.parametrize("rows,labels,message", [
+        (np.zeros(4), [0, 1, 0, 1], "2-D array"),
+        (np.zeros((4, 0)), [0, 1, 0, 1], "at least one column"),
+        (np.eye(4), [0, 1, 0], "one label per training row"),
+        (np.eye(4), [0, 1, 2, 1], r"must be 0 or 1, got \[2\]"),
+    ], ids=["1-D rows", "no columns", "3 labels for 4 rows", "label 2"])
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_malformed_training_input_is_a_data_error(self, kind, rows,
+                                                     labels, message):
+        with pytest.raises(DataError, match=message):
+            classifiers.train(kind, rows, labels)
+
     @pytest.mark.parametrize("kind,config", [
         ("ann", AnnConfig(max_epochs=40, seed=6)),
         ("dtree", TreeConfig()),

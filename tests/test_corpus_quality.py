@@ -126,11 +126,13 @@ class TestKlDivergence:
 
 
 class TestQualityReport:
-    def test_two_word_table_with_unit_exponent_is_ideal(self):
+    def test_two_word_table_with_unit_exponent_is_ideal(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
         table = FrequencyTable(entries=(("a", 2, 1), ("b", 1, 2)))
         report = quality_report(table, a=1.0)
         assert report.kl_prob == pytest.approx(0.0, abs=1e-9)
-        assert report.table_path is None
+        assert list(tmp_path.iterdir()) == []     # no csv_path, no table
 
     def test_exactly_zipfian_counts_give_zero(self):
         # counts 2520/r are integers for every rank r in 1..10
@@ -155,7 +157,7 @@ class TestQualityReport:
         out = tmp_path / "table.csv"
         report = quality_report(FrequencyTable(entries=entries), a=a,
                                 csv_path=out)
-        assert report.table_path == str(out)
+        assert list(tmp_path.iterdir()) == [out]
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(entries) + 1
@@ -166,6 +168,3 @@ class TestQualityReport:
             slope = (log_ideal[i] - log_ideal[0]) / (log_rank[i] - log_rank[0])
             assert slope == pytest.approx(-a, abs=1e-9)
 
-    def test_report_carries_exponent(self):
-        table = FrequencyTable(entries=(("a", 3, 1), ("b", 1, 2)))
-        assert quality_report(table, a=1.25).zipf_exponent_a == 1.25

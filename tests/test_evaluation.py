@@ -6,9 +6,8 @@ import pytest
 
 from multisent.classifiers import TreeConfig
 from multisent.errors import ConfigurationError, DataError
-from multisent.evaluation import (ClassMetrics, ConfusionCounts,
-                                  class_metrics, confusion, run_cv,
-                                  stratified_kfold)
+from multisent.evaluation import (ConfusionCounts, class_metrics,
+                                  confusion, run_cv, stratified_kfold)
 from multisent.features import Dataset, Variant
 from multisent.util import make_rng
 
@@ -92,26 +91,27 @@ class TestConfusion:
 class TestClassMetrics:
     def test_hand_checked_values(self):
         m = class_metrics(ConfusionCounts(tp=45, fp=5, tn=0, fn=10))
-        assert m.precision_pos == pytest.approx(0.9, abs=1e-5)
-        assert m.recall_pos == pytest.approx(0.81818, abs=1e-5)
-        assert m.f_pos == pytest.approx(0.85714, abs=1e-5)
+        assert m["pos"]["p"] == pytest.approx(0.9, abs=1e-5)
+        assert m["pos"]["r"] == pytest.approx(0.81818, abs=1e-5)
+        assert m["pos"]["f"] == pytest.approx(0.85714, abs=1e-5)
 
     def test_perfect_counts(self):
         m = class_metrics(ConfusionCounts(tp=10, fp=0, tn=10, fn=0))
-        assert (m.precision_pos, m.recall_pos, m.f_pos) == (1.0, 1.0, 1.0)
-        assert (m.precision_neg, m.recall_neg, m.f_neg) == (1.0, 1.0, 1.0)
-        assert m.degenerate == ()
+        assert (m["pos"]["p"], m["pos"]["r"], m["pos"]["f"]) == (1.0, 1.0, 1.0)
+        assert (m["neg"]["p"], m["neg"]["r"], m["neg"]["f"]) == (1.0, 1.0, 1.0)
+        assert m["flags"] == []
 
     def test_inverted_counts_all_zero(self):
         m = class_metrics(ConfusionCounts(tp=0, fp=10, tn=0, fn=10))
-        assert (m.precision_pos, m.recall_pos, m.f_pos) == (0.0, 0.0, 0.0)
-        assert (m.precision_neg, m.recall_neg, m.f_neg) == (0.0, 0.0, 0.0)
+        assert (m["pos"]["p"], m["pos"]["r"], m["pos"]["f"]) == (0.0, 0.0, 0.0)
+        assert (m["neg"]["p"], m["neg"]["r"], m["neg"]["f"]) == (0.0, 0.0, 0.0)
 
     def test_zero_denominator_flagged(self):
         m = class_metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-        assert m.precision_pos == 0.0
-        assert "precision_pos" in m.degenerate
-        assert "recall_pos" in m.degenerate
+        assert m["pos"]["p"] == 0.0
+        assert "precision_pos" in m["flags"]
+        assert "recall_pos" in m["flags"]
+        assert m["flags"] == ["f_pos", "precision_pos", "recall_pos"]
 
     def test_matches_oracle_on_random_counts(self):
         rng = random.Random(404)
@@ -121,19 +121,19 @@ class TestClassMetrics:
                 continue
             m = class_metrics(ConfusionCounts(tp, fp, tn, fn))
             want = oracles.metrics(tp, fp, tn, fn)
-            assert m.precision_pos == pytest.approx(want["p_pos"], abs=1e-12)
-            assert m.recall_pos == pytest.approx(want["r_pos"], abs=1e-12)
-            assert m.f_pos == pytest.approx(want["f_pos"], abs=1e-12)
-            assert m.precision_neg == pytest.approx(want["p_neg"], abs=1e-12)
-            assert m.recall_neg == pytest.approx(want["r_neg"], abs=1e-12)
-            assert m.f_neg == pytest.approx(want["f_neg"], abs=1e-12)
+            assert m["pos"]["p"] == pytest.approx(want["p_pos"], abs=1e-12)
+            assert m["pos"]["r"] == pytest.approx(want["r_pos"], abs=1e-12)
+            assert m["pos"]["f"] == pytest.approx(want["f_pos"], abs=1e-12)
+            assert m["neg"]["p"] == pytest.approx(want["p_neg"], abs=1e-12)
+            assert m["neg"]["r"] == pytest.approx(want["r_neg"], abs=1e-12)
+            assert m["neg"]["f"] == pytest.approx(want["f_neg"], abs=1e-12)
 
     def test_f_is_a_harmonic_mean(self):
         rng = random.Random(201)
         for _ in range(500):
             tp, fp, fn = rng.randint(1, 50), rng.randint(0, 50), rng.randint(0, 50)
             m = class_metrics(ConfusionCounts(tp, fp, 1, fn))
-            p, r, f = m.precision_pos, m.recall_pos, m.f_pos
+            p, r, f = m["pos"]["p"], m["pos"]["r"], m["pos"]["f"]
             assert f <= max(p, r) + 1e-12
             assert f >= min(p, r) - 1e-12 or f == 0.0
             if p == r:
@@ -147,9 +147,9 @@ class TestClassMetrics:
             # swapping class roles maps tp<->tn and fp<->fn
             swapped = class_metrics(ConfusionCounts(tp=tn, fp=fn,
                                                     tn=tp, fn=fp))
-            assert m.precision_pos == swapped.precision_neg
-            assert m.recall_pos == swapped.recall_neg
-            assert m.f_pos == swapped.f_neg
+            assert m["pos"]["p"] == swapped["neg"]["p"]
+            assert m["pos"]["r"] == swapped["neg"]["r"]
+            assert m["pos"]["f"] == swapped["neg"]["f"]
 
 
 def _separable_dataset(n=60, seed=5):
@@ -189,7 +189,7 @@ class TestRunCv:
     def test_average_lies_between_fold_extremes(self):
         ds = _separable_dataset(n=40)
         report = run_cv(ds, "dtree", TreeConfig(min_leaf=4), k=4, seed=2)
-        per_fold = [f.test.f_pos for f in report.folds]
+        per_fold = [f["test"]["pos"]["f"] for f in report.folds]
         avg = report.average()["test"]["pos"]["f"]
         assert min(per_fold) - 1e-12 <= avg <= max(per_fold) + 1e-12
 
