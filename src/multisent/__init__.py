@@ -9,7 +9,7 @@ Zipf/KL corpus quality statistics.
 __version__ = "0.1.0"
 
 from .corpus_io import (LemmaDictionary, encode_texts, list_corpus,
-                        load_lemma_dictionary, read_document)
+                        load_corpus, load_lemma_dictionary, read_document)
 from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)

@@ -11,6 +11,7 @@ from itertools import islice
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..features import checked_rows
 from ..parallel import map_items
 from .ann import AnnConfig, AnnModel, plan_ann
 from .io import load_model, model_from_dict, model_to_dict, save_model
@@ -83,12 +84,12 @@ def with_seed(config, seed: int):
 
 
 def decision_values(model, rows) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != model.input_width:
-        raise ValueError(
-            f"row width {rows.shape[1]} does not match model input width "
-            f"{model.input_width}")
-    return model.decision_values(rows)
+    """A decision value per row of a 2-D array, or of one 1-D row, by the
+    row rule (``features.checked_rows``) at the model's width. A NaN, an
+    infinity or a huge feature scores what its arithmetic gives."""
+    rows = checked_rows(rows, model.input_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.decision_values(rows)
 
 
 def predict_labels(model, rows) -> np.ndarray:

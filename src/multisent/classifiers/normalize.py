@@ -5,29 +5,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+from ..features import checked_labels, checked_rows
 
 
 def training_arrays(rows, labels, two_classes: bool = False):
-    """Float rows and int labels; DataError unless the rows are a
-    non-empty, all-finite 2-D array with at least one column and the
-    labels are one 0 or 1 per row, of both classes when ``two_classes``
-    is asked for."""
-    rows, labels = np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
+    """Float rows and int labels by the row and label rules
+    (``features.checked_rows``, ``features.checked_labels``); DataError,
+    too, unless there is a row, every value and every feature's range is
+    finite and, when ``two_classes`` is asked for, both classes are
+    present."""
+    rows = checked_rows(rows)
+    labels = checked_labels(labels, len(rows))
     if len(rows) == 0:
         raise DataError("cannot train on an empty dataset")
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise DataError(f"training rows must be a 2-D array with at least "
-                        f"one column, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise DataError("training rows contain non-finite values")
-    if labels.shape != (len(rows),):
-        raise DataError(f"need one label per training row: {len(rows)} "
-                        f"rows, labels of shape {labels.shape}")
-    classes = set(labels.tolist())
-    if not classes <= {0, 1}:
-        raise DataError(f"training labels must be 0 or 1, got "
-                        f"{sorted(classes - {0, 1})}")
-    if two_classes and len(classes) < 2:
+    # A NaN or an infinity makes its feature's range non-finite, and so
+    # does a range beyond the largest float, which no normalization spans.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = rows.max(axis=0) - rows.min(axis=0)
+    if not np.isfinite(ranges).all():
+        raise DataError("training rows contain non-finite values or a "
+                        "feature range wider than the largest float")
+    if two_classes and (labels.all() or not labels.any()):
         raise DataError("training data contains a single class")
     return rows, labels
 
@@ -45,16 +43,15 @@ class NormalizationParams:
 
     @classmethod
     def fit(cls, rows: np.ndarray) -> "NormalizationParams":
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or len(rows) == 0:
-            raise ValueError("need a non-empty 2-D array to fit normalization")
+        """Fit on the rows ``training_arrays`` gives."""
         return cls(minimum=rows.min(axis=0), maximum=rows.max(axis=0))
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         span = self.maximum - self.minimum
         safe = np.where(span == 0, 1.0, span)
-        out = 2.0 * (rows - self.minimum) / safe - 1.0
+        # Dividing before doubling gives the same bits, and a span near
+        # the float maximum does not overflow.
+        out = 2.0 * ((rows - self.minimum) / safe) - 1.0
         return np.where(span == 0, 0.0, out)
 
     def to_dict(self) -> dict:

@@ -76,7 +76,6 @@ class TreeModel:
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         """Leaf scores; rows go left where ``value <= threshold`` and right
         otherwise (``nan`` too), routed as index arrays through the tree."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         values = np.empty(len(rows))
         todo = [(0, np.arange(len(rows)))]
         while todo:

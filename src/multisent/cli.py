@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import classifiers
-from .corpus_io import encode_texts, list_corpus, read_document
+from .corpus_io import load_corpus
 from .corpus_quality import quality_report, rank_frequencies
 from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
@@ -159,8 +159,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    texts = (read_document(path) for _, _, path in list_corpus(args.corpus))
-    words, word_ids, *_ = encode_texts(texts)
+    _, _, words, word_ids, *_ = load_corpus(args.corpus)
     table = rank_frequencies(words, word_ids)
     base = 2.0 if args.log_base == "2" else None
     report = quality_report(table, a=args.exponent, csv_path=args.out,

@@ -120,6 +120,15 @@ def read_document(path) -> str:
     return text
 
 
+def load_corpus(root_path) -> tuple:
+    """``(ids, labels, *encode_texts(texts))`` of a corpus directory in
+    ``list_corpus`` order, each text read (``read_document``) and encoded
+    as it is reached."""
+    ids, labels, paths = zip(*list_corpus(root_path))
+    return (list(ids), np.array(labels),
+            *encode_texts(map(read_document, paths)))
+
+
 class _Vocabulary(dict):
     """Surface -> code: for a surface with a letter, one more than its word
     id, given in order of first use; 0 for one without, so that

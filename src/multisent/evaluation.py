@@ -26,7 +26,7 @@ class ConfusionCounts:
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     """Per-document fold indices in 0..k-1, stratified by class."""
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
     folds = np.full(len(labels), -1, dtype=int)
@@ -37,14 +37,12 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
             raise DataError(
                 f"class {cls} has {len(members)} members, fewer than k={k}")
         order = rng.permutation(len(members))
-        for slot, m in enumerate(members[order]):
-            folds[m] = slot % k
+        folds[members[order]] = np.arange(len(members)) % k
     return folds
 
 
 def confusion(predicted, actual) -> ConfusionCounts:
-    predicted = np.asarray(predicted, dtype=int)
-    actual = np.asarray(actual, dtype=int)
+    predicted, actual = np.asarray(predicted), np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError(
             f"length mismatch: {predicted.shape} vs {actual.shape}")

@@ -134,28 +134,63 @@ def doc_rows(values, doc_sentences) -> np.ndarray:
     return rows
 
 
+def _array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:   # lists of unequal lengths
+        raise DataError(f"{what} must not be lists of unequal lengths") \
+            from None
+
+
+def checked_rows(rows, width: int | None = None) -> np.ndarray:
+    """The row rule: ``rows`` as floats; DataError unless they are numbers
+    (bools read as 0 and 1) in a 2-D array with at least one column, or
+    with ``width`` columns when a width is given. Given a width, no rows
+    (``[]`` too) are zero rows that wide and a 1-D array is one row. NaN
+    and infinities pass."""
+    rows = _array(rows, "rows")
+    if rows.dtype.kind not in "biuf":
+        raise DataError(f"rows must be numbers, got {rows.dtype} values")
+    if width is not None:
+        rows = rows.reshape(0, width) if rows.shape[:1] == (0,) \
+            else np.atleast_2d(rows)
+    if rows.ndim != 2 or not rows.shape[1] \
+            or width not in (None, rows.shape[1]):
+        columns = f"{width} columns" if width else "at least one column"
+        raise DataError(f"rows must be a 2-D array with {columns}, got "
+                        f"shape {rows.shape}")
+    return rows.astype(float, copy=False)
+
+
+def checked_labels(labels, count: int) -> np.ndarray:
+    """The label rule: ``labels`` as ints; DataError unless there are
+    ``count``, one per row, each equal to 0 or 1 as given, before any
+    cast: ``True`` and ``False`` pass as 1 and 0, and a string, a
+    fraction, NaN or ``None`` does not."""
+    labels = _array(labels, "labels")
+    if labels.shape != (count,):
+        raise DataError(f"need one label per row: {count} rows, labels of "
+                        f"shape {labels.shape}")
+    # Not np.unique: its first call imports numpy.ma (about 20 ms). Each
+    # bad value shows once, unsorted: values of mixed types do not compare.
+    bad = labels[(labels != 0) & (labels != 1)].tolist()
+    if bad:
+        raise DataError(f"labels must be 0 or 1, got "
+                        f"[{', '.join(dict.fromkeys(map(repr, bad)))}]")
+    return labels.astype(int, copy=False)
+
+
 @dataclass
 class Dataset:
-    """Fixed-width numeric rows with binary labels for one variant."""
+    """Fixed-width numeric rows with binary labels for one variant; the
+    row and label rules hold them (``checked_rows``, ``checked_labels``)."""
     rows: np.ndarray     # shape (n, variant.width), float64
     labels: np.ndarray   # shape (n,), int values in {0, 1}
     variant: Variant
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
-        if self.rows.size == 0:
-            self.rows = self.rows.reshape(0, self.variant.width)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.variant.width:
-            raise ValueError(
-                f"rows must be (n, {self.variant.width}) for {self.variant.name}")
-        if len(self.labels) != len(self.rows):
-            raise ValueError("labels length must match row count")
-        # Not np.unique: its first call imports numpy.ma (about 20 ms).
-        bad = (self.labels != 0) & (self.labels != 1)
-        if bad.any():
-            raise ValueError(f"labels must be 0 or 1, found "
-                             f"{sorted(set(self.labels[bad]))}")
+        self.rows = checked_rows(self.rows, self.variant.width)
+        self.labels = checked_labels(self.labels, len(self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -12,11 +12,8 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
-import numpy as np
-
 from . import classifiers
-from .corpus_io import (encode_texts, list_corpus, load_lemma_dictionary,
-                        read_document)
+from .corpus_io import load_corpus, load_lemma_dictionary
 from .errors import ConfigurationError, DataError
 from .evaluation import EvalReport, run_cv
 from .features import Dataset, Variant, doc_rows, term_rows, write_features_csv
@@ -92,10 +89,9 @@ def prepare_corpus(corpus_dir, lemma_dict_path) -> Corpus:
     """Read, tokenize and lemmatize a corpus directory into columns, one
     document at a time."""
     lemma_dict = load_lemma_dictionary(lemma_dict_path)
-    ids, labels, paths = zip(*list_corpus(corpus_dir))
-    surfaces, *columns = encode_texts(map(read_document, paths))
-    return Corpus(list(ids), np.array(labels, dtype=int),
-                  [(s, lemma_dict.lemma(s)) for s in surfaces], *columns)
+    ids, labels, surfaces, *columns = load_corpus(corpus_dir)
+    return Corpus(ids, labels, [(s, lemma_dict.lemma(s)) for s in surfaces],
+                  *columns)
 
 
 def build_dataset(corpus: Corpus, priors, variant: Variant,

@@ -411,6 +411,19 @@ def feature_rows(docs, priors, level, rule_cfg=None, sentence_formula=None):
     return rows
 
 
+def stratified_kfold(labels, k, seed):
+    """Fold indices dealt member by member: each class's members, in a
+    seeded shuffle, go round-robin to folds 0..k-1."""
+    folds = [-1] * len(labels)
+    rng = make_rng(derive_seed(seed, "kfold"))
+    for cls in sorted(set(labels)):
+        members = [i for i, label in enumerate(labels) if label == cls]
+        order = rng.permutation(len(members))
+        for slot, m in enumerate(order.tolist()):
+            folds[members[m]] = slot % k
+    return folds
+
+
 def metrics(tp, fp, tn, fn):
     """Direct evaluation of the per-class precision/recall/F formulas."""
     def safe(num, den):

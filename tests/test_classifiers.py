@@ -1011,7 +1011,8 @@ class TestSharedSurface:
     def test_width_mismatch_rejected(self):
         rows, labels = separable_blobs(6)
         model = train("dtree", rows, labels)
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(DataError, match="rows must be a 2-D array with "
+                                            "2 columns"):
             predict_labels(model, [[1.0, 2.0, 3.0]])
 
     def test_normalization_fitted_on_training_rows_only(self):
@@ -1041,7 +1042,7 @@ class TestSharedSurface:
     @pytest.mark.parametrize("rows,labels,message", [
         (np.zeros(4), [0, 1, 0, 1], "2-D array"),
         (np.zeros((4, 0)), [0, 1, 0, 1], "at least one column"),
-        (np.eye(4), [0, 1, 0], "one label per training row"),
+        (np.eye(4), [0, 1, 0], "one label per row"),
         (np.eye(4), [0, 1, 2, 1], r"must be 0 or 1, got \[2\]"),
     ], ids=["1-D rows", "no columns", "3 labels for 4 rows", "label 2"])
     @pytest.mark.parametrize("kind", classifiers.KINDS)
@@ -1049,6 +1050,81 @@ class TestSharedSurface:
                                                      labels, message):
         with pytest.raises(DataError, match=message):
             classifiers.train(kind, rows, labels)
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0.7, 1, 0.2, 1], r"got \[0\.7, 0\.2\]"),
+        ([0, 1, float("nan"), 1], r"got \[nan\]"),
+        (["1", "0", "1", "0"], r"got \['1', '0'\]"),
+        ([0, None, 1, 1], r"got \[None\]"),
+    ], ids=["fractions", "NaN", "strings", "None"])
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_labels_are_checked_before_any_cast(self, kind, labels, message):
+        # A cast to int first trained on [0, 1, 0, 1] for the fractions.
+        with pytest.raises(DataError, match="labels must be 0 or 1, "
+                                            + message):
+            classifiers.train(kind, np.eye(4), labels)
+
+    @pytest.mark.parametrize("kind,config", [
+        ("ann", AnnConfig(max_epochs=20, seed=6)),
+        ("dtree", TreeConfig()),
+        ("svm", SvmConfig(seed=6)),
+    ])
+    def test_bool_labels_train_as_one_and_zero(self, kind, config):
+        rows, labels = separable_blobs(6)
+        as_bools = classifiers.train(kind, rows, labels.astype(bool), config)
+        assert model_to_dict(as_bools) == model_to_dict(
+            classifiers.train(kind, rows, labels, config))
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[1.0, 2.0, 3.0]], r"2 columns, got shape \(1, 3\)"),
+        ([["1.0", "2.0"]], "rows must be numbers"),
+        ([[1.0, None]], "rows must be numbers"),
+        ([[1.0, 2.0], [3.0]], "unequal lengths"),
+        (np.zeros((2, 2, 2)), "2-D array"),
+    ], ids=["wrong width", "strings", "None", "ragged", "3-D"])
+    def test_bad_prediction_rows_are_data_errors(self, rows, message):
+        model = train("dtree", *separable_blobs(6))
+        for predict in (predict_labels, classifiers.decision_values):
+            with pytest.raises(DataError, match=message):
+                predict(model, rows)
+
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_prediction_takes_one_row_and_no_rows(self, kind):
+        rows, labels = separable_blobs(6)
+        model = train(kind, rows, labels)
+        assert predict_labels(model, rows[3]).tolist() == \
+            predict_labels(model, rows[3:4]).tolist()
+        assert predict_labels(model, []).shape == (0,)
+        # A NaN feature is scored, not refused.
+        assert classifiers.decision_values(model, [[np.nan, 0.0]]).shape \
+            == (1,)
+
+    @pytest.mark.parametrize("kind", ["ann", "svm"])
+    def test_a_feature_near_the_float_maximum_normalizes_into_range(self,
+                                                                      kind):
+        # Doubling before dividing overflowed a span near the maximum.
+        rows, labels = separable_blobs(6)
+        rows[3, 0] = 1e308
+        model = train(kind, rows, labels)
+        x = model.normalization.apply(rows)
+        assert np.isfinite(x).all() and np.abs(x).max() == 1.0
+
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_a_feature_range_beyond_the_float_maximum_is_a_data_error(
+            self, kind):
+        rows, labels = separable_blobs(6)
+        rows[3, 0], rows[8, 0] = 1e308, -1e308
+        with pytest.raises(DataError, match="feature range wider than the "
+                                            "largest float"):
+            train(kind, rows, labels)
+
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_infinite_and_huge_prediction_rows_score_without_warnings(
+            self, kind):
+        model = train(kind, *separable_blobs(6))
+        rows = [[np.inf, 0.0], [-np.inf, np.inf], [1e308, -1e308]]
+        assert classifiers.decision_values(model, rows).shape == (3,)
+        assert predict_labels(model, rows).shape == (3,)
 
     @pytest.mark.parametrize("kind,config", [
         ("ann", AnnConfig(max_epochs=40, seed=6)),

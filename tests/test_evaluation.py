@@ -61,6 +61,14 @@ class TestStratifiedKfold:
         b = stratified_kfold(labels, k=5, seed=12)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_folds_match_the_member_by_member_deal(self, seed):
+        rng = random.Random(seed)
+        labels = [rng.choice([0, 1, 1]) for _ in range(rng.randint(20, 300))]
+        k = rng.randint(2, 7)
+        assert stratified_kfold(labels, k, seed).tolist() == \
+            oracles.stratified_kfold(labels, k, seed)
+
     def test_class_smaller_than_k(self):
         with pytest.raises(DataError, match="fewer than k"):
             stratified_kfold(np.array([0, 0, 0, 1]), k=2, seed=0)

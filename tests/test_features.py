@@ -117,20 +117,58 @@ class TestDocFeatures:
 
 class TestDataset:
     def test_variant_width_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"rows must be a 2-D array with "
+                                            r"8 columns, got shape \(1, 2\)"):
             Dataset(rows=[[1.0, 2.0]], labels=[1], variant=Variant.TERM8)
 
     def test_labels_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             Dataset(rows=[[0.0] * 8], labels=[2], variant=Variant.TERM8)
 
     def test_bad_labels_are_listed_once_in_order(self):
         labels = np.array([2, 0, -1, 2, 1, 7, -1])
-        found = sorted(set(np.unique(labels)) - {0, 1})
-        with pytest.raises(ValueError) as bad:
+        with pytest.raises(DataError) as bad:
             Dataset(rows=np.zeros((7, 4)), labels=labels,
                     variant=Variant.DOC4)
-        assert str(bad.value) == f"labels must be 0 or 1, found {found}"
+        assert str(bad.value) == "labels must be 0 or 1, got [2, -1, 7]"
+
+    @pytest.mark.parametrize("labels,shown", [
+        ([0.9, 1.0], "[0.9]"),
+        ([1, float("nan"), 0, float("nan")], "[nan]"),
+        (["1", "0"], "['1', '0']"),
+        ([None, "a"], "[None, 'a']"),
+        ([0, None], "[None]"),
+    ], ids=["fraction", "nan", "strings", "mixed types", "None"])
+    def test_labels_are_checked_before_any_cast(self, labels, shown):
+        # A cast to int first would read 0.9 as 0 and "1" as 1.
+        with pytest.raises(DataError) as bad:
+            Dataset(rows=np.zeros((len(labels), 4)), labels=labels,
+                    variant=Variant.DOC4)
+        assert str(bad.value) == f"labels must be 0 or 1, got {shown}"
+
+    def test_bool_labels_read_as_one_and_zero(self):
+        ds = Dataset(rows=np.zeros((3, 4)), labels=[True, False, True],
+                     variant=Variant.DOC4)
+        assert ds.labels.dtype == int and ds.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("rows,message", [
+        ([["0"] * 4], "rows must be numbers, got <U1 values"),
+        ([[0.0, None, 0.0, 0.0]], "rows must be numbers, got object values"),
+        ([[0.0] * 4, [0.0] * 3], "rows must not be lists of unequal lengths"),
+        (np.zeros(3), r"2-D array with 4 columns, got shape \(1, 3\)"),
+        (np.zeros((1, 0)), r"got shape \(1, 0\)"),
+        (np.zeros((1, 4, 1)), r"got shape \(1, 4, 1\)"),
+    ], ids=["strings", "None", "ragged", "narrow row", "no columns", "3-D"])
+    def test_malformed_rows_are_data_errors(self, rows, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(rows=rows, labels=[0], variant=Variant.DOC4)
+
+    def test_no_rows_are_zero_rows_and_one_row_is_a_row(self):
+        for rows in ([], np.zeros((0, 2))):
+            ds = Dataset(rows=rows, labels=[], variant=Variant.TERM8)
+            assert ds.rows.shape == (0, 8) and ds.labels.shape == (0,)
+        ds = Dataset(rows=[0.5] * 8, labels=[1], variant=Variant.TERM8)
+        assert ds.rows.tolist() == [[0.5] * 8]
 
     def test_building_a_dataset_leaves_numpy_ma_unimported(self):
         # A fresh interpreter, so that no other test can have imported it.
