@@ -26,6 +26,14 @@ _PLANS = {"ann": (plan_ann, AnnConfig),
           "svm": (plan_svm, SvmConfig)}
 
 
+def _kind(kind: str) -> tuple:
+    """The (plan, config class) of ``kind``; ConfigurationError if unknown."""
+    if kind not in _PLANS:
+        raise ConfigurationError(
+            f"unknown classifier {kind!r} (one of: {KINDS})")
+    return _PLANS[kind]
+
+
 def train_many(kind: str, jobs) -> list:
     """One model of ``kind`` per ``(rows, labels, config)`` job, in order.
 
@@ -38,11 +46,20 @@ def train_many(kind: str, jobs) -> list:
     order, so the models are those of training the jobs one after
     another. The error that comes out is the first failing plan's, in job
     order; else the first failing run's, in run order; else the first
-    failing model's (every restart of an ANN diverged), in job order.
+    failing model's (every restart of an ANN diverged), in job order. An
+    unknown kind, or a job config that is neither None (the defaults) nor
+    the kind's config class, is a ConfigurationError, raised in job order
+    with the plans' errors.
     """
-    if kind not in _PLANS:
-        raise ValueError(f"unknown classifier kind {kind!r} (one of: {KINDS})")
-    plans = [_PLANS[kind][0](*job) for job in jobs]
+    plan, config_type = _kind(kind)
+    plans = []
+    for rows, labels, config in jobs:
+        config = config_type() if config is None else config
+        if not isinstance(config, config_type):
+            raise ConfigurationError(
+                f"the {kind} config must be {config_type.__name__} or None, "
+                f"not {type(config).__name__}")
+        plans.append(plan(rows, labels, config))
 
     def run(i):
         for count, job_run, _ in plans:
@@ -67,11 +84,8 @@ def make_config(kind: str, **overrides):
     Raises ConfigurationError for an unknown kind, an unknown option name
     or an option value out of range.
     """
-    if kind not in _PLANS:
-        raise ConfigurationError(
-            f"unknown classifier {kind!r} (one of: {KINDS})")
     try:
-        return _PLANS[kind][1](**overrides)
+        return _kind(kind)[1](**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad {kind} options: {exc}")
 

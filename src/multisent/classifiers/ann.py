@@ -299,13 +299,11 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
     return (a[:-1].T.copy(), a[-1], w2, float(b2[0])), error
 
 
-def plan_ann(rows: np.ndarray, labels: np.ndarray,
-             config: AnnConfig | None = None):
+def plan_ann(rows: np.ndarray, labels: np.ndarray, cfg: AnnConfig):
     """``(restarts, run, finish)`` for ``classifiers.train_many``: the row
     checks and normalization happen here, ``run(r)`` is restart ``r`` and
     ``finish`` keeps the first run of the lowest final error, skipping
     diverged (None) ones, as the model."""
-    cfg = config or AnnConfig()
     rows, labels = training_arrays(rows, labels, two_classes=True)
 
     norm = NormalizationParams.fit(rows)

@@ -273,12 +273,10 @@ def _pair_step(j, i, e_i, lo, hi, eta, alphas, ay, y, kernel, b, c):
     return (b1 + b2) / 2.0, True
 
 
-def plan_svm(rows: np.ndarray, labels: np.ndarray,
-             config: SvmConfig | None = None):
+def plan_svm(rows: np.ndarray, labels: np.ndarray, cfg: SvmConfig):
     """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
     and normalization happen here, ``run(0)`` trains the model by SMO and
     ``finish`` takes it."""
-    cfg = config or SvmConfig()
     rows, labels = training_arrays(rows, labels, two_classes=True)
 
     norm = NormalizationParams.fit(rows)

@@ -268,12 +268,10 @@ def _prune(nodes: list, confidence: float) -> list:
     return kept
 
 
-def plan_dtree(rows: np.ndarray, labels: np.ndarray,
-               config: TreeConfig | None = None):
+def plan_dtree(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig):
     """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
     happen here, ``run(0)`` grows (and optionally prunes) the tree and
     ``finish`` takes it; single-class data gives one leaf."""
-    cfg = config or TreeConfig()
     rows, labels = training_arrays(rows, labels)
     return 1, lambda _: _fit(rows, labels, cfg), itemgetter(0)
 

@@ -17,7 +17,7 @@ from .errors import ConfigurationError, DataError
 from .evaluation import run_cv
 from .features import read_features_csv, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
-from .pipeline import (PipelineConfig, featurize, load_inputs,
+from .pipeline import (PipelineConfig, build_dataset, load_inputs,
                        read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
@@ -217,9 +217,9 @@ def cmd_score(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _run_config(args, out_dir=".")
     variant, formula, sentence_formula, _ = cfg.resolve()
-    inputs = load_inputs(cfg, [formula], cfg.rules)
-    dataset = featurize(inputs, variant, formula, sentence_formula,
-                        cfg.rules).project(variant)
+    corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
+    dataset = build_dataset(corpus, priors[formula], variant, rule_cfg,
+                            sentence_formula)
     write_features_csv(dataset, args.out)
     print(f"wrote {len(dataset)} {variant.name} rows to {args.out}")
     return 0

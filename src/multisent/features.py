@@ -51,14 +51,12 @@ class Variant(enum.Enum):
         return Variant.TERM8 if self.level == "term" else Variant.DOC7
 
     @classmethod
-    def from_width(cls, width: int, level: str | None = None) -> "Variant":
-        """The variant ``width`` features wide (no two share a width), which
-        must be of ``level`` if one is given."""
+    def from_width(cls, width: int) -> "Variant":
+        """The variant ``width`` features wide; no two share a width."""
         for v in cls:
-            if v.width == width and level in (None, v.level):
+            if v.width == width:
                 return v
-        where = f"{level}-level " if level else ""
-        raise ValueError(f"no {where}variant with {width} features")
+        raise ValueError(f"no variant with {width} features")
 
     @classmethod
     def from_names(cls, names) -> "Variant":

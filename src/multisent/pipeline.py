@@ -35,7 +35,7 @@ class PipelineConfig:
     out_dir: str
     negations_path: str | None = None
     intensifiers_path: str | None = None
-    level: str = "term"
+    level: str | None = None
     prior_formula: str = "max_sub"
     sentence_formula: str | None = None
     variant: int = 8
@@ -50,18 +50,25 @@ class PipelineConfig:
         """Validate the fields; resolve them into enums and a config.
 
         Returns (Variant, PriorFormula, SentenceFormula | None, classifier
-        config); raises ConfigurationError before any data is touched.
+        config), the level being the variant's; raises ConfigurationError
+        before any data is touched.
         """
-        if self.level not in ("term", "document"):
-            raise ConfigurationError(
-                f"level must be 'term' or 'document', got {self.level!r}")
+        for name, type_ in _FILE_TYPES.items():
+            value = getattr(self, name)
+            if type_ is not str and type(value) is not type_:
+                raise ConfigurationError(f"{name} must be of type "
+                                         f"{type_.__name__}, got {value!r}")
         try:
-            variant = Variant.from_width(int(self.variant), self.level)
+            variant = Variant.from_width(self.variant)
             prior = PriorFormula.from_name(self.prior_formula)
         except ValueError as exc:
             raise ConfigurationError(str(exc))
+        if self.level not in (None, variant.level):
+            raise ConfigurationError(
+                f"variant {self.variant} is {variant.level}-level, but "
+                f"level is {self.level!r}")
         sentence = None
-        if self.level == "document":
+        if variant.level == "document":
             if not self.sentence_formula:
                 raise ConfigurationError(
                     "document level requires a sentence formula")
@@ -142,48 +149,51 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
     return corpus, priors, rule_cfg
 
 
-def featurize(inputs, variant: Variant, prior_formula: PriorFormula,
-              sentence_formula: SentenceFormula | None, rules: bool):
-    """Build the full-width dataset that ``variant`` projects from."""
-    corpus, priors, rule_cfg = inputs
-    with _stage("feature extraction"):
-        return build_dataset(corpus, priors[prior_formula], variant.full,
-                             rule_cfg if rules else None, sentence_formula)
+def run_configs(configs, resolved) -> list:
+    """The report of each config; ``resolved`` holds their ``resolve()``.
 
+    The configs share their input paths and rule window: the inputs load
+    once, with a prior table per formula, and one full-width dataset is
+    built per (prior formula, sentence formula, rules). The configs then
+    run side by side (``parallel.map_items``), each cross-validating its
+    variant's projection and writing its artifacts under its ``out_dir``.
+    """
+    corpus, priors, rule_cfg = load_inputs(
+        configs[0], dict.fromkeys(r[1] for r in resolved),
+        any(cfg.rules for cfg in configs))
+    datasets = {}
+    for cfg, (variant, prior, sentence, _) in zip(configs, resolved):
+        key = (prior, sentence, cfg.rules)
+        if key not in datasets:
+            datasets[key] = build_dataset(corpus, priors[prior], variant.full,
+                                          rule_cfg if cfg.rules else None,
+                                          sentence)
 
-def evaluate(cfg, dataset, prior_formula, sentence_formula,
-             clf_config) -> EvalReport:
-    """Cross-validate ``dataset`` and write the run's artifacts."""
-    out = Path(cfg.out_dir)
-    write_features_csv(dataset, out / "features.csv")
-    meta = {
-        "formula": prior_formula.value,
-        "sentence_formula": sentence_formula.value if sentence_formula else None,
-        "level": cfg.level,
-        "variant": dataset.variant.name,
-        "rules": cfg.rules,
-    }
-    with _stage("cross-validation"):
-        report = run_cv(dataset, cfg.classifier, clf_config, k=cfg.k,
-                        seed=cfg.seed, meta=meta)
-    for j, model in enumerate(report.models):
-        classifiers.save_model(model, out / f"model_fold{j}.json")
-    write_json(out / "report.json", report.to_dict())
-    return report
+    def run(j):
+        cfg, (variant, prior, sentence, clf_config) = configs[j], resolved[j]
+        dataset = datasets[(prior, sentence, cfg.rules)].project(variant)
+        out = Path(cfg.out_dir)
+        write_features_csv(dataset, out / "features.csv")
+        meta = {"formula": prior.value,
+                "sentence_formula": sentence.value if sentence else None,
+                "level": variant.level, "variant": variant.name,
+                "rules": cfg.rules}
+        with _stage("cross-validation"):
+            report = run_cv(dataset, cfg.classifier, clf_config, k=cfg.k,
+                            seed=cfg.seed, meta=meta)
+        for fold, model in enumerate(report.models):
+            classifiers.save_model(model, out / f"model_fold{fold}.json")
+        write_json(out / "report.json", report.to_dict())
+        return report
+
+    return map_items(run, len(configs))
 
 
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
-    """Execute the full pipeline and write its artifacts.
-
-    Writes ``features.csv``, one ``model_fold<j>.json`` per fold, and
-    ``report.json`` under ``cfg.out_dir``.
-    """
-    variant, prior_formula, sentence_formula, clf_config = cfg.resolve()
-    inputs = load_inputs(cfg, [prior_formula], cfg.rules)
-    dataset = featurize(inputs, variant, prior_formula, sentence_formula,
-                        cfg.rules)
-    return evaluate(cfg, dataset.project(variant), prior_formula,
-                    sentence_formula, clf_config)
+    """Execute the full pipeline, ``run_configs`` of one config: writes
+    ``features.csv``, one ``model_fold<j>.json`` per fold, and
+    ``report.json`` under ``cfg.out_dir``."""
+    return run_configs([cfg], [cfg.resolve()])[0]
 
 
 @dataclass
@@ -219,16 +229,15 @@ class SweepCell:
 def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
           classifier_kinds, sentence_formulas=None,
           options_by_kind=None) -> list:
-    """Run the pipeline over a configuration grid.
+    """Run the pipeline over a configuration grid: ``run_configs`` of its
+    cells, each resolved at its variant's level before anything is read.
 
-    Cells share one prepared corpus and one full-width dataset per (prior
-    formula, sentence formula, rules), all built before any cell runs; the
-    cells then run side by side (``parallel.map_items``). Writes each
-    cell's artifacts under ``<out_dir>/cells/<name>/`` and a ``sweep.csv``
+    A cell's name spells its settings as its report does, and its
+    artifacts go under ``<out_dir>/cells/<name>/``. Writes a ``sweep.csv``
     comparison table marking the best cell (highest mean test F across
     classes; the first such cell in grid order). Returns the cells in grid
-    order. An empty grid axis, or two values of an axis that parse alike,
-    is a ConfigurationError.
+    order. An empty grid axis, or two cells of one name, is a
+    ConfigurationError.
     """
     for axis, values in (("classifiers", classifier_kinds),
                          ("prior formulas", prior_formulas),
@@ -236,48 +245,31 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
                          ("rules options", rules_options)):
         if not values:
             raise ConfigurationError(f"the sweep grid has no {axis}")
-    try:
-        levels = {Variant.from_width(int(v)).level for v in variants}
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-    if len(levels) > 1:
-        raise ConfigurationError("sweep variants must all share one level")
-    (level,) = levels
 
     options_by_kind = options_by_kind or {}
-    cells = []
-    for kind, formula, sf, variant, rules in product(
-            classifier_kinds, prior_formulas, sentence_formulas or [None],
-            variants, rules_options):
+    grid = product(classifier_kinds, prior_formulas,
+                   sentence_formulas or [None], variants, rules_options)
+    configs = [replace(base, level=None, prior_formula=formula,
+                       sentence_formula=sf, variant=variant, rules=rules,
+                       classifier=kind,
+                       classifier_options=options_by_kind.get(kind, {}))
+               for kind, formula, sf, variant, rules in grid]
+    resolved = [cfg.resolve() for cfg in configs]
+    cells = {}
+    for cfg, (_, prior, sentence, _) in zip(configs, resolved):
         cell = SweepCell(replace(
-            base, level=level, prior_formula=formula, sentence_formula=sf,
-            variant=int(variant), rules=bool(rules), classifier=kind,
-            classifier_options=options_by_kind.get(kind, {})))
-        cell.config.out_dir = str(Path(base.out_dir) / "cells" / cell.name())
-        cells.append(cell)
-    resolved = [cell.config.resolve() for cell in cells]
-    points = [(c.config.classifier, c.config.rules, *r[:3])
-              for c, r in zip(cells, resolved)]
-    for j, cell in enumerate(cells):
-        if points[j] in points[:j]:
+            cfg, prior_formula=prior.value,
+            sentence_formula=sentence.value if sentence else None))
+        name = cell.name()
+        if name in cells:
             raise ConfigurationError(
-                f"the sweep grid repeats the cell {cell.name()}")
+                f"the sweep grid repeats the cell {name}")
+        cell.config.out_dir = str(Path(base.out_dir) / "cells" / name)
+        cells[name] = cell
+    cells = list(cells.values())
 
-    inputs = load_inputs(base, dict.fromkeys(r[1] for r in resolved),
-                         any(cell.config.rules for cell in cells))
-    datasets = {}
-    for cell, (variant, prior, sentence, _) in zip(cells, resolved):
-        key = (prior, sentence, cell.config.rules)
-        if key not in datasets:
-            datasets[key] = featurize(inputs, variant, *key)
-
-    def run_cell(j):
-        variant, prior, sentence, clf_config = resolved[j]
-        cfg = cells[j].config
-        dataset = datasets[(prior, sentence, cfg.rules)].project(variant)
-        return evaluate(cfg, dataset, prior, sentence, clf_config)
-
-    for cell, report in zip(cells, map_items(run_cell, len(cells))):
+    reports = run_configs([cell.config for cell in cells], resolved)
+    for cell, report in zip(cells, reports):
         cell.set_report(report)
     max(cells, key=lambda cell: cell.mean_test_f).best = True
 

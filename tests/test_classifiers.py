@@ -21,7 +21,7 @@ from multisent.classifiers.tree import TreeModel, added_errors
 from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
 from multisent.lexicon import PriorFormula
-from multisent.pipeline import PipelineConfig, featurize, load_inputs
+from multisent.pipeline import PipelineConfig, build_dataset, load_inputs
 from multisent.synth import SynthConfig, generate
 from multisent.util import derive_seed, make_rng
 
@@ -496,9 +496,10 @@ def synth_rows(docs_per_class=40, rule_fraction=0.3, seed=7):
                              lemma_dict_path=str(paths.lemma_dict),
                              out_dir=tmp, negations_path=str(paths.negations),
                              intensifiers_path=str(paths.intensifiers))
-        inputs = load_inputs(cfg, [PriorFormula.MAX_SUB], True)
-        dataset = featurize(inputs, Variant.TERM8, PriorFormula.MAX_SUB,
-                            None, True)
+        corpus, priors, rule_cfg = load_inputs(cfg, [PriorFormula.MAX_SUB],
+                                               True)
+        dataset = build_dataset(corpus, priors[PriorFormula.MAX_SUB],
+                                Variant.TERM8, rule_cfg)
     return dataset.rows, dataset.labels
 
 
@@ -1277,8 +1278,23 @@ class TestSharedSurface:
             load_model(path)
 
     def test_train_dispatch_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown classifier"):
+        with pytest.raises(ConfigurationError, match="unknown classifier"):
             classifiers.train("forest", np.zeros((2, 2)), [0, 1])
+
+    @pytest.mark.parametrize("kind,config,message", [
+        ("svm", AnnConfig(), "the svm config must be SvmConfig or None, "
+         "not AnnConfig"),
+        ("ann", {"hidden": 3}, "the ann config must be AnnConfig or None, "
+         "not dict"),
+        ("dtree", AnnConfig(), "the dtree config must be TreeConfig or "
+         "None, not AnnConfig"),
+    ])
+    def test_train_refuses_a_config_of_another_kind(self, kind, config,
+                                                    message):
+        rows, labels = separable_blobs(6, gap=3.0)
+        with pytest.raises(ConfigurationError) as caught:
+            classifiers.train(kind, rows, labels, config)
+        assert str(caught.value) == message
 
     def test_every_exported_name_resolves(self):
         namespace = {}

@@ -291,12 +291,15 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_incompatible_level_variant_fails_before_compute(self, tmp_path,
-                                                             data):
+                                                             data, capsys):
         code = main(["pipeline", *_corpus_flags(data),
                      "--out", str(tmp_path / "x"),
                      "--level", "term", "--variant", "7",
                      "--classifier", "dtree"])
         assert code == 1
+        assert capsys.readouterr().err == ("configuration error: variant 7 "
+                                           "is document-level, but level "
+                                           "is 'term'\n")
         assert not (tmp_path / "x").exists()
 
     def test_sentence_formula_required_for_document_level(self, tmp_path,
@@ -725,6 +728,21 @@ class TestPipeline:
         assert report["meta"]["variant"] == "TERM8"
         assert report["meta"]["rules"] is False
 
+    def test_level_defaults_to_the_variants(self, data, tmp_path):
+        runs = {}
+        for level in ([], ["--level", "document"]):
+            out = tmp_path / f"run{len(level)}"
+            assert main(["pipeline", *_corpus_flags(data), "--out", str(out),
+                         *level, "--variant", "7", "--formula", "max_sub",
+                         "--sentence-formula", "max_sub",
+                         "--classifier", "dtree", "--folds", "3"]) == 0
+            runs[len(level)] = {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())}
+        assert len(runs[0]) == 5
+        assert runs[0] == runs[2]
+        meta = json.loads(runs[0]["report.json"])["meta"]
+        assert (meta["level"], meta["variant"]) == ("document", "DOC7")
+
     def test_document_level_with_rules(self, data, tmp_path):
         out = tmp_path / "run_doc"
         assert main(["pipeline", *_corpus_flags(data), "--out", str(out),
@@ -878,7 +896,7 @@ class TestSweep:
         ("--rules-options", "off,no",
          "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
         ("--formulas", "max_sub,MAX_SUB",
-         "the sweep grid repeats the cell dtree_MAX_SUB_8f_norules"),
+         "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
         ("--variants", "8,08",
          "the sweep grid repeats the cell dtree_max_sub_8f_norules"),
     ])
@@ -895,9 +913,36 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_mixed_level_variants_rejected(self, data, tmp_path):
-        assert main(["sweep", *_corpus_flags(data),
-                     "--out", str(tmp_path / "bad"),
-                     "--formulas", "max_sub", "--variants", "8,7",
-                     "--rules-options", "off",
-                     "--classifiers", "dtree"]) == 1
+    def test_mixed_level_variants_rejected(self, data, tmp_path, capsys):
+        # Each cell's level is its variant's, so a term cell refuses a
+        # sentence formula and a document cell needs one.
+        for sentence_formulas, message in (
+                ("", "document level requires a sentence formula"),
+                ("max_sub", "sentence formula only applies at document "
+                 "level")):
+            assert main(["sweep", *_corpus_flags(data),
+                         "--out", str(tmp_path / "bad"),
+                         "--formulas", "max_sub", "--variants", "8,7",
+                         "--sentence-formulas", sentence_formulas,
+                         "--rules-options", "off",
+                         "--classifiers", "dtree"]) == 1
+            assert capsys.readouterr().err == (f"configuration error: "
+                                               f"{message}\n")
+            assert not (tmp_path / "bad").exists()
+
+    def test_cells_are_named_as_their_reports_spell_them(self, data,
+                                                         tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *_corpus_flags(data), "--out", str(out),
+                     "--formulas", "MAX_SUB", "--variants", "5",
+                     "--sentence-formulas", "Max_Max",
+                     "--classifiers", "dtree", "--folds", "3"]) == 0
+        name = "dtree_max_sub_max_max_5f_norules"
+        assert [p.name for p in (out / "cells").iterdir()] == [name]
+        assert json.loads(capsys.readouterr().out)["best"] == name
+        row = (out / "sweep.csv").read_text("utf-8").splitlines()[1]
+        assert row.startswith("dtree,max_sub,max_max,5,false,")
+        meta = json.loads((out / "cells" / name / "report.json")
+                          .read_text("utf-8"))["meta"]
+        assert (meta["formula"], meta["sentence_formula"]) == (
+            "max_sub", "max_max")

@@ -246,10 +246,8 @@ class TestDataset:
             read_features_csv(path)
 
     def test_variant_lookup(self):
-        assert Variant.from_width(8, "term") is Variant.TERM8
-        assert Variant.from_width(4, "document") is Variant.DOC4
+        assert Variant.from_width(8) is Variant.TERM8
+        assert Variant.from_width(4) is Variant.DOC4
         assert Variant.from_width(7) is Variant.DOC7
-        with pytest.raises(ValueError, match="no term-level variant with 7"):
-            Variant.from_width(7, "term")
         with pytest.raises(ValueError, match="no variant with 9 features"):
             Variant.from_width(9)

@@ -1,11 +1,13 @@
 """The sweep shares its corpus and datasets across cells, and each cell's
-artifacts are byte-identical to a standalone pipeline run of that cell."""
+artifacts are byte-identical to a standalone pipeline run of that cell;
+both resolve their settings through ``PipelineConfig.resolve``."""
 
 from collections import defaultdict
 
 import pytest
 
 from multisent import pipeline
+from multisent.errors import ConfigurationError
 from multisent.evaluation import EvalReport
 from multisent.pipeline import PipelineConfig, run_pipeline, sweep
 from multisent.synth import SynthConfig, generate
@@ -89,6 +91,62 @@ def test_sweep_prepares_once_and_builds_each_dataset_once(paths, tmp_path,
     assert len({(id(priors), rule_cfg is None)
                 for _, priors, _, rule_cfg, _ in builds}) == 6
     assert {variant.name for _, _, variant, _, _ in builds} == {"TERM8"}
+
+
+@pytest.mark.parametrize("overrides,variant", [
+    (dict(variant=6), "TERM6"),
+    (dict(variant=5, sentence_formula="max_max", rules=True), "DOC5"),
+], ids=["term", "document"])
+def test_a_pipeline_run_prepares_once_and_builds_at_full_width(
+        paths, tmp_path, monkeypatch, overrides, variant):
+    calls = defaultdict(list)
+    for name in ("prepare_corpus", "build_dataset"):
+        def wrapper(*args, _name=name, _fn=getattr(pipeline, name)):
+            calls[_name].append(args)
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    report = run_pipeline(_base(paths, tmp_path / "run", classifier="dtree",
+                                **overrides))
+    assert report.meta["variant"] == variant
+    assert len(calls["prepare_corpus"]) == 1
+    (build,) = calls["build_dataset"]
+    assert build[2].name == {"TERM6": "TERM8", "DOC5": "DOC7"}[variant]
+    assert (build[3] is None) == (not overrides.get("rules", False))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(variant=8.9), "variant must be of type int, got 8.9"),
+    (dict(variant=True), "variant must be of type int, got True"),
+    (dict(k=2.5), "k must be of type int, got 2.5"),
+    (dict(window=1.5), "window must be of type int, got 1.5"),
+    (dict(seed="7"), "seed must be of type int, got '7'"),
+    (dict(rules="off"), "rules must be of type bool, got 'off'"),
+    (dict(rules=1), "rules must be of type bool, got 1"),
+    (dict(level="term", variant=7),
+     "variant 7 is document-level, but level is 'term'"),
+    (dict(level=""), "variant 8 is term-level, but level is ''"),
+])
+def test_resolve_refuses_a_value_of_another_type_or_level(paths, tmp_path,
+                                                          overrides, message):
+    with pytest.raises(ConfigurationError) as caught:
+        _base(paths, tmp_path, **overrides).resolve()
+    assert str(caught.value) == message
+
+
+def test_resolve_takes_the_level_of_the_variant(paths, tmp_path):
+    variant, _, sentence, _ = _base(paths, tmp_path, variant=4,
+                                    sentence_formula="max_sub").resolve()
+    assert (variant.name, variant.level, sentence.value) == (
+        "DOC4", "document", "max_sub")
+
+
+def test_sweep_refuses_a_rules_option_that_is_not_a_bool(paths, tmp_path):
+    with pytest.raises(ConfigurationError,
+                       match="rules must be of type bool, got 'off'"):
+        sweep(_base(paths, tmp_path / "sweep"), prior_formulas=["max_sub"],
+              variants=[8], rules_options=["off"], classifier_kinds=["dtree"])
+    assert not (tmp_path / "sweep").exists()
 
 
 def _assert_rows_match_reports(cells, table_path, average):
