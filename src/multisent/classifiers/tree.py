@@ -35,6 +35,7 @@ arithmetic rescores the kept cuts and picks by the key (ratio, gain,
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from operator import itemgetter
 from statistics import NormalDist
 
@@ -233,12 +234,19 @@ def added_errors(n: int, e: int, confidence: float) -> float:
         return n * (1.0 - confidence ** (1.0 / n))
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = NormalDist().inv_cdf(1.0 - confidence)
+    z = _quantile(confidence)
     f = (e + 0.5) / n
     upper = (f + z * z / (2 * n)
              + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) \
         / (1 + z * z / n)
     return upper * n - e
+
+
+@cache
+def _quantile(confidence: float) -> float:
+    """The standard normal quantile at ``1 - confidence``, computed once
+    per confidence rather than once per pruned node."""
+    return NormalDist().inv_cdf(1.0 - confidence)
 
 
 def _prune(nodes: list, confidence: float) -> list:

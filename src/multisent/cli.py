@@ -21,7 +21,7 @@ from .pipeline import (PipelineConfig, build_dataset, load_inputs,
                        read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
-from .util import atomic_write_text, write_json
+from .util import atomic_write_chunks, atomic_write_text, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,30 +186,42 @@ def cmd_score(args) -> int:
     cfg = _run_config(args, out_dir=".", sentence_formula=None)
     _, formula, _, _ = cfg.resolve()
     corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
-    priors = priors[formula]
-
+    word_scores = corpus.word_scores(priors[formula], rule_cfg)
     sf = (SentenceFormula.from_name(args.sentence_formula)
           if args.sentence_formula else None)
-    if sf is None:
-        lines = ["doc_id\tindex\tsurface\tlemma\tprior\tadjusted"]
-        offsets = corpus.doc_tokens.tolist()
-        words = corpus.word_ids.tolist()
-        token_priors, adjusted = (
-            a.tolist() for a in corpus.token_scores(priors, rule_cfg))
-        for doc_id, start, end in zip(corpus.ids, offsets, offsets[1:]):
-            for t in range(start, end):
-                surface, lemma = corpus.words[words[t]]
-                lines.append(f"{doc_id}\t{t - start}\t{surface}\t{lemma}"
-                             f"\t{token_priors[t]!r}\t{adjusted[t]!r}")
-    else:
-        lines = ["doc_id\tsentence\tscore"]
-        offsets = corpus.doc_sentences.tolist()
-        values = sentence_scores(*corpus.subjective(priors, rule_cfg),
-                                 corpus.sentence_tokens, sf).tolist()
-        for doc_id, start, end in zip(corpus.ids, offsets, offsets[1:]):
-            for k in range(start, end):
-                lines.append(f"{doc_id}\t{k - start}\t{values[k]!r}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+
+    def chunks():
+        # One chunk per block of documents: the table is never held whole.
+        if sf is None:
+            yield "doc_id\tindex\tsurface\tlemma\tprior\tadjusted\n"
+        else:
+            yield "doc_id\tsentence\tscore\n"
+        for _, block in corpus.blocks():
+            lines = []
+            if sf is None:
+                offsets = block.doc_tokens.tolist()
+                words = block.word_ids.tolist()
+                token_priors, adjusted = (
+                    a.tolist() for a in block.token_scores(word_scores))
+                for doc_id, start, end in zip(block.ids, offsets,
+                                              offsets[1:]):
+                    for t in range(start, end):
+                        surface, lemma = corpus.words[words[t]]
+                        lines.append(f"{doc_id}\t{t - start}\t{surface}"
+                                     f"\t{lemma}\t{token_priors[t]!r}"
+                                     f"\t{adjusted[t]!r}\n")
+            else:
+                offsets = block.doc_sentences.tolist()
+                values = sentence_scores(*block.subjective(word_scores),
+                                         block.sentence_tokens, sf).tolist()
+                for doc_id, start, end in zip(block.ids, offsets,
+                                              offsets[1:]):
+                    for k in range(start, end):
+                        lines.append(f"{doc_id}\t{k - start}"
+                                     f"\t{values[k]!r}\n")
+            yield "".join(lines)
+
+    atomic_write_chunks(args.out, chunks())
     print(f"wrote {args.out}")
     return 0
 

@@ -3,7 +3,7 @@
 Term-level rows summarize a document's adjusted token scores (counts,
 sums, and averages of each sign plus the first and last subjective
 scores); document-level rows summarize its sentence scores. Rows for a
-whole corpus are built at once from its score arrays and segment
+block of documents are built at once from its score arrays and segment
 offsets, at full width (TERM8 or DOC7); ``Dataset.project`` selects the
 columns of a narrower variant. The per-document scalar definitions they
 reproduce bit for bit live in ``tests/oracles.py``.

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import classifiers
 from .corpus_io import load_corpus, load_lemma_dictionary
 from .errors import ConfigurationError, DataError
@@ -55,7 +57,8 @@ class PipelineConfig:
         """
         for name, type_ in _FILE_TYPES.items():
             value = getattr(self, name)
-            if type_ is not str and type(value) is not type_:
+            if type(value) is not type_ and not (value is None
+                                                 and name in _NONE_DEFAULTS):
                 raise ConfigurationError(f"{name} must be of type "
                                          f"{type_.__name__}, got {value!r}")
         try:
@@ -105,15 +108,21 @@ def build_dataset(corpus: Corpus, priors, variant: Variant,
                   rule_cfg: RuleConfig | None = None,
                   sentence_formula: SentenceFormula | None = None) -> Dataset:
     """Score a corpus into full-width rows, in corpus order, and project
-    them onto ``variant``."""
-    positions, scores = corpus.subjective(priors, rule_cfg)
-    if variant.level == "term":
-        rows = term_rows(positions, scores, corpus.doc_tokens)
-    else:
-        rows = doc_rows(sentence_scores(positions, scores,
-                                        corpus.sentence_tokens,
-                                        sentence_formula),
-                        corpus.doc_sentences)
+    them onto ``variant``. The rows are built one block of whole documents
+    at a time (``Corpus.blocks``), so no token-level array spans more
+    than a block."""
+    word_scores = corpus.word_scores(priors, rule_cfg)
+    rows = np.empty((len(corpus.ids), variant.full.width))
+    for first, block in corpus.blocks():
+        positions, scores = block.subjective(word_scores)
+        if variant.level == "term":
+            block_rows = term_rows(positions, scores, block.doc_tokens)
+        else:
+            block_rows = doc_rows(
+                sentence_scores(positions, scores, block.sentence_tokens,
+                                sentence_formula),
+                block.doc_sentences)
+        rows[first:first + len(block_rows)] = block_rows
     return Dataset(rows=rows, labels=corpus.labels,
                    variant=variant.full).project(variant)
 
@@ -154,7 +163,8 @@ def run_configs(configs, resolved) -> list:
 
     The configs share their input paths and rule window: the inputs load
     once, with a prior table per formula, and one full-width dataset is
-    built per (prior formula, sentence formula, rules). The configs then
+    built per (prior formula, sentence formula, rules). The corpus, the
+    prior tables and the rule lists are then released, and the configs
     run side by side (``parallel.map_items``), each cross-validating its
     variant's projection and writing its artifacts under its ``out_dir``.
     """
@@ -168,6 +178,7 @@ def run_configs(configs, resolved) -> list:
             datasets[key] = build_dataset(corpus, priors[prior], variant.full,
                                           rule_cfg if cfg.rules else None,
                                           sentence)
+    del corpus, priors, rule_cfg
 
     def run(j):
         cfg, (variant, prior, sentence, clf_config) = configs[j], resolved[j]
@@ -291,6 +302,8 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
 _FILE_TYPES = {f.name: f.type if f.type in (int, bool) else str
                for f in fields(PipelineConfig)
                if f.name != "classifier_options"}
+# The fields that may also be None, their default.
+_NONE_DEFAULTS = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
 def read_config_file(path) -> dict:

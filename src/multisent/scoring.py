@@ -12,21 +12,29 @@ an intensifier within the window on either side pushes the score to +1
 or -1 according to its current sign. Sentence scores collapse a
 sentence's term scores through the (max positive, max |negative|) pair.
 
-Scores are computed with array operations over the whole corpus and kept
-only where they are nonzero: zero scores pass the rules unchanged and add
-nothing to any feature. The rule masks depend on the tokens alone, so
-each corpus computes them once per ``RuleConfig``. The scalar definitions
-these arrays reproduce bit for bit live in ``tests/oracles.py``.
+Scores are computed with array operations and kept only where they are
+nonzero: zero scores pass the rules unchanged and add nothing to any
+feature. Callers walk a corpus in blocks of whole documents
+(``Corpus.blocks``), so no token-level array spans more than a block;
+rule masks too are computed per block, not once per ``RuleConfig``.
+Every document starts a sentence and no rule window, sum or maximum
+crosses a document, so a block's scores carry the bits the whole
+corpus's would. The scalar definitions these arrays reproduce bit for
+bit live in ``tests/oracles.py``.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .corpus_io import remove_diacritics
 from .util import read_text
+
+# The tokens of whole documents a block of ``Corpus.blocks`` holds at most;
+# a longer document forms a block on its own.
+BLOCK_TOKENS = 2 ** 16
 
 
 class SentenceFormula(enum.Enum):
@@ -68,7 +76,7 @@ def load_word_list(path) -> frozenset:
 
 @dataclass(eq=False)
 class Corpus:
-    """A prepared corpus as columns over all of its tokens.
+    """A prepared corpus, or a block of one, as columns over its tokens.
 
     - ``ids`` and ``labels``: one entry per document, in corpus order.
     - ``words``: a (surface, lemma) pair per distinct surface, in order
@@ -88,82 +96,109 @@ class Corpus:
     doc_tokens: np.ndarray
     sentence_tokens: np.ndarray
     doc_sentences: np.ndarray
-    _masks: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def longest_sentence(self) -> int:
         return int(np.diff(self.sentence_tokens).max(initial=0))
 
-    def rule_masks(self, cfg: RuleConfig):
-        """``(rule_words, negated, intensified)``: per word, whether its
-        surface is a rule word; per token, whether a negation word lies
-        within ``cfg.window`` tokens before it in its sentence, and
-        whether an intensifier lies within the window on either side."""
-        if cfg not in self._masks:
-            forms = [remove_diacritics(surface) for surface, _ in self.words]
-            word_neg = np.array([f in cfg.negation_words for f in forms],
-                                dtype=bool)
-            word_int = np.array([f in cfg.intensifier_words for f in forms],
-                                dtype=bool)
-            # continues[t]: tokens t - 1 and t share a sentence.
-            continues = np.ones(len(self.word_ids), dtype=bool)
-            continues[self.sentence_tokens[:-1]] = False
-            # After d shifts a carry marks the tokens with a rule word d
-            # tokens back (or ahead) in their sentence; past the longest
-            # sentence every carry is empty.
-            neg_back = word_neg[self.word_ids]
-            int_back = word_int[self.word_ids]
-            int_ahead = int_back.copy()
-            negated = np.zeros_like(neg_back)
-            intensified = np.zeros_like(int_back)
-            for _ in range(min(cfg.window, self.longest_sentence - 1)):
-                for back in (neg_back, int_back):
-                    back[1:] = back[:-1] & continues[1:]
-                    back[0] = False
-                int_ahead[:-1] = int_ahead[1:] & continues[1:]
-                int_ahead[-1] = False
-                negated |= neg_back
-                intensified |= int_back
-                intensified |= int_ahead
-            self._masks[cfg] = (word_neg | word_int, negated, intensified)
-        return self._masks[cfg]
+    def blocks(self):
+        """``(first, block)`` in corpus order: ``block`` is a ``Corpus`` of
+        the whole documents ``first, first + 1, ...`` of at most
+        ``BLOCK_TOKENS`` tokens in all, or of one longer document, that
+        shares ``words`` and slices the token columns, its offsets rebased
+        to 0."""
+        docs, doc_tokens = len(self.ids), self.doc_tokens
+        first = 0
+        while first < docs:
+            end = max(first + 1, int(np.searchsorted(
+                doc_tokens, doc_tokens[first] + BLOCK_TOKENS,
+                side="right")) - 1)
+            tokens = doc_tokens[first:end + 1]
+            sentences = self.doc_sentences[first:end + 1]
+            yield first, Corpus(
+                self.ids[first:end], self.labels[first:end], self.words,
+                self.word_ids[tokens[0]:tokens[-1]], tokens - tokens[0],
+                self.sentence_tokens[sentences[0]:sentences[-1] + 1]
+                - tokens[0],
+                sentences - sentences[0])
+            first = end
 
-    def word_priors(self, priors: dict, rule_cfg: RuleConfig | None = None):
-        """The prior of each word's lemma (0 when unknown); with rules,
-        rule words score 0 so they never act as sentiment terms."""
+    def word_scores(self, priors: dict, rule_cfg: RuleConfig | None = None):
+        """``(values, rules)``: per word, the prior of its lemma (0 when
+        unknown); with ``rule_cfg``, ``rules`` is ``(negation,
+        intensifier, window)``, whether each word's surface is a negation
+        word or an intensifier, and ``None`` without. Rule words score 0,
+        so they never act as sentiment terms. The blocks of a corpus share
+        its words, so these hold for each of them."""
         values = np.array([priors.get(lemma, 0.0) for _, lemma in self.words],
                           dtype=float)
-        if rule_cfg is not None:
-            values[self.rule_masks(rule_cfg)[0]] = 0.0
-        return values
+        if rule_cfg is None:
+            return values, None
+        forms = [remove_diacritics(surface) for surface, _ in self.words]
+        negation = np.array([f in rule_cfg.negation_words for f in forms],
+                            dtype=bool)
+        intensifier = np.array([f in rule_cfg.intensifier_words
+                                for f in forms], dtype=bool)
+        values[negation | intensifier] = 0.0
+        return values, (negation, intensifier, rule_cfg.window)
 
-    def subjective(self, priors: dict, rule_cfg: RuleConfig | None = None):
-        """``(positions, scores)``: the corpus positions of the tokens with
-        a nonzero prior, ascending, and their scores after the rules.
+    def rule_masks(self, negation, intensifier, window: int):
+        """``(negated, intensified)``: per token, whether a ``negation``
+        word lies within ``window`` tokens before it in its sentence, and
+        whether an ``intensifier`` lies within the window on either side
+        (``negation`` and ``intensifier`` flag words, as ``word_scores``
+        gives them)."""
+        # continues[t]: tokens t - 1 and t share a sentence.
+        continues = np.ones(len(self.word_ids), dtype=bool)
+        continues[self.sentence_tokens[:-1]] = False
+        # After d shifts a carry marks the tokens with a rule word d
+        # tokens back (or ahead) in their sentence; past the longest
+        # sentence every carry is empty.
+        neg_back = negation[self.word_ids]
+        int_back = intensifier[self.word_ids]
+        int_ahead = int_back.copy()
+        negated = np.zeros_like(neg_back)
+        intensified = np.zeros_like(int_back)
+        for _ in range(min(window, self.longest_sentence - 1)):
+            for back in (neg_back, int_back):
+                back[1:] = back[:-1] & continues[1:]
+                back[0] = False
+            int_ahead[:-1] = int_ahead[1:] & continues[1:]
+            int_ahead[-1] = False
+            negated |= neg_back
+            intensified |= int_back
+            intensified |= int_ahead
+        return negated, intensified
+
+    def subjective(self, word_scores):
+        """``(positions, scores)``: the positions of the tokens with a
+        nonzero prior, ascending, and their scores after the rules, from
+        ``word_scores``.
 
         Negation flips the sign first, then intensification pushes the
         result to +/-1. Every other token scores 0 (or a -0.0 prior) both
         before and after the rules.
         """
-        values = self.word_priors(priors, rule_cfg)
+        values, rules = word_scores
         positions = np.flatnonzero((values != 0.0)[self.word_ids])
         scores = values[self.word_ids[positions]]
-        if rule_cfg is not None:
-            _, negated, intensified = self.rule_masks(rule_cfg)
+        if rules is not None:
+            negated, intensified = self.rule_masks(*rules)
             flip = negated[positions]
             scores[flip] = -scores[flip]
             push = intensified[positions]
             scores[push] = np.sign(scores[push])
         return positions, scores
 
-    def token_scores(self, priors: dict, rule_cfg: RuleConfig | None = None):
+    def token_scores(self, word_scores):
         """Every token's prior and its score after the rules, as two
-        arrays over the corpus; without ``rule_cfg`` both are the priors."""
-        token_priors = self.word_priors(priors, rule_cfg)[self.word_ids]
-        if rule_cfg is None:
+        arrays over the tokens, from ``word_scores``; without rules both
+        are the priors."""
+        token_priors = word_scores[0][self.word_ids]
+        if word_scores[1] is None:
             return token_priors, token_priors
         adjusted = token_priors.copy()
-        positions, scores = self.subjective(priors, rule_cfg)
+        positions, scores = self.subjective(word_scores)
         adjusted[positions] = scores
         return token_priors, adjusted
 

@@ -65,13 +65,16 @@ def read_text(path, what: str, error=DataError) -> str:
         raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text as UTF-8 to a new temp file ``<name>.<random hex>``
-    beside `path`, then rename it over `path`. The kernel gives it mode
-    0666 less the umask, as with ``open``; the directory is made only when
-    missing. A failure leaves no temp file, and a directory at `path` is a
-    ConfigurationError."""
-    data = text.encode("utf-8")
+def atomic_write_chunks(path, chunks) -> None:
+    """Write the text chunks of the iterable ``chunks``, in order, as UTF-8
+    to a new temp file ``<name>.<random hex>`` beside `path`, then rename
+    it over `path`. The kernel gives it mode 0666 less the umask, as with
+    ``open``; the directory is made only when missing, and only once the
+    first chunk is encoded, so a text that cannot be encoded creates
+    nothing. A failure, a chunk that raises among them, leaves no temp
+    file, and a directory at `path` is a ConfigurationError."""
+    data = (chunk.encode("utf-8") for chunk in chunks)
+    first = next(data, b"")
     tmp = f"{path}.{os.urandom(6).hex()}"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
@@ -81,7 +84,8 @@ def atomic_write_text(path, text: str) -> None:
         fd = os.open(tmp, flags, 0o666)
     try:
         with open(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(first)
+            fh.writelines(data)
         os.replace(tmp, path)
     except BaseException as exc:
         os.unlink(tmp)
@@ -89,6 +93,11 @@ def atomic_write_text(path, text: str) -> None:
             raise ConfigurationError(
                 f"cannot write {path}: it is a directory") from None
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """``atomic_write_chunks`` of the one chunk ``text``."""
+    atomic_write_chunks(path, [text])
 
 
 def write_json(path, doc) -> None:

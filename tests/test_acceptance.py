@@ -118,7 +118,8 @@ def test_criterion_04_rule_properties():
         doc = oracles.Doc(id="d", label=1, tokens=list(words),
                           sentences=sentences, lemmas=list(words))
         corpus = Corpus(**oracles.corpus_columns([doc]))
-        return corpus.token_scores(priors, cfg)[1].tolist()
+        return corpus.token_scores(
+            corpus.word_scores(priors, cfg))[1].tolist()
 
     # zero priors are never modified
     out = adjusted([neg_word, "plain", int_word], [(0, 3)], {})

@@ -571,6 +571,25 @@ class TestTree:
                        TreeConfig(min_leaf=2, prune=True))
         assert len(pruned.nodes) < len(grown.nodes)
 
+    def test_pruning_computes_its_quantile_once_per_confidence(
+            self, monkeypatch):
+        quantiles = []
+        inv_cdf = tree.NormalDist.inv_cdf
+
+        def counted(self, p):
+            quantiles.append(p)
+            return inv_cdf(self, p)
+
+        monkeypatch.setattr(tree.NormalDist, "inv_cdf", counted)
+        tree._quantile.cache_clear()
+        rng = make_rng(123)
+        rows = rng.normal(size=(40, 2))
+        labels = (rng.random(40) < 0.5).astype(int)
+        for confidence in (0.3, 0.3, 0.1):
+            train("dtree", rows, labels,
+                  TreeConfig(min_leaf=2, confidence=confidence))
+        assert quantiles == [0.7, 0.9]
+
     def test_leaf_score_is_positive_proportion(self):
         model = TreeModel(nodes=[{"counts": [1, 3]}],
                           config=TreeConfig(), n_features=1)

@@ -9,6 +9,7 @@ from itertools import cycle, groupby, islice
 
 import pytest
 
+from multisent import scoring
 from multisent.classifiers import load_model
 from multisent.cli import main
 from multisent.corpus_io import load_lemma_dictionary
@@ -18,7 +19,7 @@ from multisent.pipeline import prepare_corpus
 from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
 
 import oracles
-from conftest import capped_address_space
+from conftest import capped_address_space, traced_peak
 from oracles import doc_features, term_features
 
 
@@ -486,6 +487,44 @@ class TestScore:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "doc_id\tindex\tsurface\tlemma\tprior\tadjusted"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("extra", [[], ["--sentence-formula",
+                                            "max_max"]],
+                             ids=["tokens", "sentences"])
+    def test_blocks_of_any_budget_write_the_same_bytes(
+            self, rule_data, tmp_path, monkeypatch, extra):
+        argv = ["score", *_corpus_flags(rule_data),
+                *_rules_flags(rule_data, 2), *extra]
+        outputs = set()
+        for budget in (1, 50, scoring.BLOCK_TOKENS):
+            monkeypatch.setattr(scoring, "BLOCK_TOKENS", budget)
+            out = tmp_path / f"{budget}.tsv"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--sentence-formula",
+                                            "max_max"]],
+                             ids=["tokens", "sentences"])
+    def test_the_table_is_written_a_block_at_a_time(
+            self, full_synth, tmp_path, monkeypatch, extra):
+        # About 49,000 tokens in blocks of 1,024: a whole token table holds
+        # about 300 bytes per token of the corpus as lists, lines, text and
+        # bytes; a block's table stays under 256 bytes per token of a block
+        # above the peak of preparing the corpus.
+        _, paths = full_synth
+        monkeypatch.setattr(scoring, "BLOCK_TOKENS", 2 ** 10)
+        _, prepare_peak = traced_peak(
+            lambda: prepare_corpus(paths.corpus_dir, paths.lemma_dict))
+        code, peak = traced_peak(lambda: main([
+            "score", "--corpus", str(paths.corpus_dir),
+            "--lexicon", str(paths.lexicon),
+            "--lemma-dict", str(paths.lemma_dict), "--rules",
+            "--negations", str(paths.negations),
+            "--intensifiers", str(paths.intensifiers), *extra,
+            "--out", str(tmp_path / "scores.tsv")]))
+        assert code == 0
+        assert peak < prepare_peak + 256 * scoring.BLOCK_TOKENS
 
     def test_sentence_scores_with_rules(self, data, tmp_path):
         out = tmp_path / "sent.tsv"

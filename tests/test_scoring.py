@@ -14,6 +14,7 @@ from multisent.scoring import (Corpus, RuleConfig, SentenceFormula,
 from multisent.synth import SynthConfig, generate
 
 import oracles
+from conftest import traced_peak
 from oracles import (PolarityPair, apply_rules, intensify, negate, s_max,
                      score_tokens, sentence_score, sentence_scores)
 
@@ -286,7 +287,8 @@ def _assert_bits(got, want):
 
 
 def _assert_columnar_matches_oracles(corpus, docs, priors, rule_cfg):
-    token_priors, adjusted = corpus.token_scores(priors, rule_cfg)
+    word_scores = corpus.word_scores(priors, rule_cfg)
+    token_priors, adjusted = corpus.token_scores(word_scores)
     want = [oracles.score_document(d, priors, rule_cfg) for d in docs]
     _assert_bits(token_priors, [s for p, _ in want for s in p])
     _assert_bits(adjusted, [s for _, a in want for s in a])
@@ -294,7 +296,7 @@ def _assert_columnar_matches_oracles(corpus, docs, priors, rule_cfg):
                  oracles.feature_rows(docs, priors, "term", rule_cfg))
     for sf in SentenceFormula:
         _assert_bits(
-            scoring.sentence_scores(*corpus.subjective(priors, rule_cfg),
+            scoring.sentence_scores(*corpus.subjective(word_scores),
                                     corpus.sentence_tokens, sf),
             [v for d, (_, a) in zip(docs, want)
              for v in oracles.sentence_scores(d, a, sf)])
@@ -343,8 +345,82 @@ def test_rule_windows_stop_at_the_longest_sentence():
     corpus = corpus_of(docs)
     longest = max(end - start for d in docs for start, end in d.sentences)
     assert corpus.longest_sentence == longest
-    masks = {w: corpus.rule_masks(RuleConfig(GRID_NEG, GRID_INT, window=w))
+    masks = {w: corpus.rule_masks(*corpus.word_scores(
+                 {}, RuleConfig(GRID_NEG, GRID_INT, window=w))[1])
              for w in (longest - 1, longest, 10 ** 9)}
     for mask in masks.values():
         for got, want in zip(mask, masks[longest - 1]):
             assert np.array_equal(got, want)
+
+
+# Rows built one block of documents at a time carry the bits of rows built
+# over the whole corpus, for any block budget.
+
+def _edge_docs():
+    """Empty documents and one-token sentences at the block edges small
+    budgets make, with rule words on both sides of document edges."""
+    words_and_sentences = [
+        ([], []), (["negx"], [(0, 1)]), (["p1"], [(0, 1)]), ([], []),
+        (["p0", "intx"], [(0, 1), (1, 2)]), (["intx"], [(0, 1)]),
+        (["n2", "negx", "p3"], [(0, 1), (1, 2), (2, 3)]), ([], []), ([], []),
+        (["negx", "p1", "intx"], [(0, 3)]), (["n4"], [(0, 1)]), ([], [])]
+    return [oracles.Doc(id=f"e{i}", label=i % 2, tokens=list(words),
+                        sentences=sentences, lemmas=list(words))
+            for i, (words, sentences) in enumerate(words_and_sentences)]
+
+
+@pytest.mark.parametrize("budget", [1, 5, scoring.BLOCK_TOKENS],
+                         ids=["1token", "5tokens", "constant"])
+@pytest.mark.parametrize("make_docs", [_edge_docs, _grid_docs],
+                         ids=["edges", "grid"])
+@pytest.mark.parametrize("rule_cfg", GRID_RULES[:3],
+                         ids=["norules", "w1", "w2"])
+def test_rows_built_in_blocks_match_scalar_oracles(monkeypatch, budget,
+                                                   make_docs, rule_cfg):
+    monkeypatch.setattr(scoring, "BLOCK_TOKENS", budget)
+    docs = make_docs()
+    corpus = corpus_of(docs)
+    blocks = list(corpus.blocks())
+    assert [first for first, _ in blocks] == list(np.cumsum(
+        [0] + [len(block.ids) for _, block in blocks[:-1]]))
+    assert sum(len(block.ids) for _, block in blocks) == len(docs)
+    for _, block in blocks:
+        assert len(block.word_ids) <= budget or len(block.ids) == 1
+    if budget == 1:
+        assert len(blocks) > len(docs) // 2
+    priors = _grid_priors(_grid_lexicon(), PriorFormula.MAX_SUB)
+    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rule_cfg).rows,
+                 oracles.feature_rows(docs, priors, "term", rule_cfg))
+    for sf in SentenceFormula:
+        _assert_bits(
+            build_dataset(corpus, priors, Variant.DOC7, rule_cfg, sf).rows,
+            oracles.feature_rows(docs, priors, "document", rule_cfg, sf))
+
+
+@pytest.mark.parametrize("variant,sentence_formula",
+                         [(Variant.TERM8, None),
+                          (Variant.DOC7, SentenceFormula.MAX_SUB)],
+                         ids=["term", "document"])
+def test_a_build_holds_a_block_of_tokens_not_the_corpus(variant,
+                                                        sentence_formula):
+    # 1,000 documents of 640 tokens, 12 of the 17 words subjective, span
+    # about ten blocks. Every token-level array of a build spans one
+    # block, so its traced peak stays under 48 bytes per token of a block
+    # plus 256 per document (about 31 and 0 here); built over the whole
+    # corpus at once, the same rows peak at about 16 MB.
+    docs, per_doc = 1000, 640
+    rng = np.random.default_rng(5)
+    vocab = [f"p{i}" for i in range(6)] + [f"n{i}" for i in range(6)] + [
+        "negx", "intx", "z0", "z1", "z2"]
+    corpus = Corpus(ids=[f"d{i}" for i in range(docs)],
+                    labels=np.arange(docs) % 2,
+                    words=[(w, w) for w in vocab],
+                    word_ids=rng.integers(0, len(vocab), docs * per_doc),
+                    doc_tokens=np.arange(docs + 1) * per_doc,
+                    sentence_tokens=np.arange(0, docs * per_doc + 1, 10),
+                    doc_sentences=np.arange(docs + 1) * (per_doc // 10))
+    assert len(list(corpus.blocks())) >= 9
+    priors = _grid_priors(_grid_lexicon(), PriorFormula.MAX_SUB)
+    _, peak = traced_peak(lambda: build_dataset(
+        corpus, priors, variant, GRID_RULES[3], sentence_formula))
+    assert peak < 48 * scoring.BLOCK_TOKENS + 256 * docs

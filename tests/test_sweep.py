@@ -2,11 +2,12 @@
 artifacts are byte-identical to a standalone pipeline run of that cell;
 both resolve their settings through ``PipelineConfig.resolve``."""
 
+import weakref
 from collections import defaultdict
 
 import pytest
 
-from multisent import pipeline
+from multisent import classifiers, pipeline
 from multisent.errors import ConfigurationError
 from multisent.evaluation import EvalReport
 from multisent.pipeline import PipelineConfig, run_pipeline, sweep
@@ -115,6 +116,28 @@ def test_a_pipeline_run_prepares_once_and_builds_at_full_width(
     assert (build[3] is None) == (not overrides.get("rules", False))
 
 
+def test_a_run_releases_its_corpus_before_training(paths, tmp_path,
+                                                   monkeypatch):
+    corpora, alive = [], []
+    prepare, train_many = pipeline.prepare_corpus, classifiers.train_many
+
+    def watched_prepare(*args):
+        corpus = prepare(*args)
+        corpora.append(weakref.ref(corpus))
+        return corpus
+
+    def watched_train_many(*args):
+        alive.append(corpora[0]() is not None)
+        return train_many(*args)
+
+    monkeypatch.setattr(pipeline, "prepare_corpus", watched_prepare)
+    monkeypatch.setattr(classifiers, "train_many", watched_train_many)
+    run_pipeline(_base(paths, tmp_path / "run", classifier="dtree",
+                       variant=7, sentence_formula="max_sub", rules=True))
+    assert len(corpora) == 1
+    assert alive and not alive[0]
+
+
 @pytest.mark.parametrize("overrides,message", [
     (dict(variant=8.9), "variant must be of type int, got 8.9"),
     (dict(variant=True), "variant must be of type int, got True"),
@@ -126,12 +149,30 @@ def test_a_pipeline_run_prepares_once_and_builds_at_full_width(
     (dict(level="term", variant=7),
      "variant 7 is document-level, but level is 'term'"),
     (dict(level=""), "variant 8 is term-level, but level is ''"),
+    (dict(prior_formula=None), "prior_formula must be of type str, got None"),
+    (dict(classifier=None), "classifier must be of type str, got None"),
 ])
 def test_resolve_refuses_a_value_of_another_type_or_level(paths, tmp_path,
                                                           overrides, message):
     with pytest.raises(ConfigurationError) as caught:
         _base(paths, tmp_path, **overrides).resolve()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", [
+    "corpus_dir", "lexicon_path", "lemma_dict_path", "out_dir",
+    "negations_path", "intensifiers_path", "level", "prior_formula",
+    "sentence_formula", "classifier"])
+def test_resolve_refuses_a_name_or_path_that_is_not_a_str(paths, tmp_path,
+                                                          name):
+    # At a document variant, so that a sentence formula is looked up too.
+    cfg = _base(paths, tmp_path, variant=7, sentence_formula="max_sub")
+    for value in (5, b"max_sub"):
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigurationError) as caught:
+            cfg.resolve()
+        assert str(caught.value) == (
+            f"{name} must be of type str, got {value!r}")
 
 
 def test_resolve_takes_the_level_of_the_variant(paths, tmp_path):

@@ -93,6 +93,23 @@ class TestAtomicWriteText:
             atomic_write_text(tmp_path / "sub" / "a.txt", "lone \ud800")
         assert _names(tmp_path) == []
 
+    def test_chunks_are_written_as_their_joined_text(self, tmp_path):
+        chunks = [TEXT[:3], "", TEXT[3:], TEXT]
+        util.atomic_write_chunks(tmp_path / "a.txt", iter(chunks))
+        util.atomic_write_chunks(tmp_path / "empty.txt", [])
+        assert (tmp_path / "a.txt").read_bytes() == \
+            "".join(chunks).encode("utf-8")
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+
+    def test_a_chunk_that_raises_leaves_no_temp_file(self, tmp_path):
+        def chunks():
+            yield TEXT
+            raise DataError("a bad block")
+
+        with pytest.raises(DataError, match="a bad block"):
+            util.atomic_write_chunks(tmp_path / "a.txt", chunks())
+        assert _names(tmp_path) == []
+
     def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(util, "open", _FullDisk, raising=False)
         with pytest.raises(OSError, match="No space left"):
