@@ -86,7 +86,7 @@ def make_config(kind: str, **overrides):
     """
     try:
         return _kind(kind)[1](**overrides)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"bad {kind} options: {exc}")
 
 

@@ -82,24 +82,29 @@ class AnnConfig:
 
     def __post_init__(self):
         if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+            raise ConfigurationError(
+                f"hidden must be >= 1, got {self.hidden}")
         if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+            raise ConfigurationError(
+                f"restarts must be >= 1, got {self.restarts}")
         if self.max_epochs < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+            raise ConfigurationError(
+                f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
         if not 1 <= self.lr_up < math.inf:
-            raise ValueError(
+            raise ConfigurationError(
                 f"lr_up must be finite and >= 1, got {self.lr_up}")
         if not 0 < self.lr_down < 1:
-            raise ValueError(f"lr_down must be in (0, 1), got {self.lr_down}")
+            raise ConfigurationError(
+                f"lr_down must be in (0, 1), got {self.lr_down}")
         if not 0 <= self.goal < math.inf:
-            raise ValueError(f"goal must be finite and >= 0, got {self.goal}")
+            raise ConfigurationError(
+                f"goal must be finite and >= 0, got {self.goal}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ A model file's numbers must be finite: ``NaN``, ``Infinity``,
 import json
 import math
 
-from ..errors import DataError
+from ..errors import ConfigurationError, DataError
 from ..util import read_text, write_json
 from .ann import AnnModel
 from .svm import SvmModel
@@ -36,7 +36,7 @@ def model_from_dict(doc: dict):
         return _MODELS[kind].from_dict(doc)
     except KeyError as exc:
         raise DataError(f"{kind} model is missing keys: {list(exc.args)}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigurationError) as exc:
         raise DataError(f"malformed {kind} model: {exc}")
 
 

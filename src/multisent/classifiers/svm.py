@@ -43,16 +43,31 @@ for bit.
 The signed box. y_i ay_j is alpha_j signed by y_i y_j, so with c_same
 the vector of C at the samples of i's class and 0 elsewhere, and c_diff
 its reverse, every partner's box is lo = max(0, (y_i ay + a_i) - c_same)
-and hi = min(C, (c_diff + a_i) + y_i ay), with no branch. For both
-classes of partner these are the scalar step's IEEE operations in its
-order, apart from adding or subtracting a 0 entry, which is exact, so
-the box is the scalar step's bit for bit. The box, eta and the predicted
-step are taken over all n partners in sample order, and one mask keeps
-those with a box at least ``_STEP_EPS`` wide, eta < 0 and a step that is
-not small; the permutation reads the kept partners off that mask. The
-two divisions by eta also run where eta >= 0 (at j = i, eta is exactly
-0); the mask drops those entries, so their floating-point warnings are
-silenced there alone.
+and hi = min(C, (c_diff + a_i) + y_i ay), with no branch on the
+partner. For both classes of partner these are the scalar step's IEEE
+operations in its order, apart from adding or subtracting a 0 entry,
+which is exact, so the box is the scalar step's bit for bit. As y_i is
+1 or -1, y_i ay is ay or -ay exactly, and adding -ay is subtracting ay,
+so the box adds or subtracts ay with no product. Likewise the predicted
+step starts from E - e_i or e_i - E, which is y_i (E - e_i) up to the
+sign of a zero, a sign that clipping and |step| do not pass on. The
+box, eta and the predicted step are taken over all n partners in sample
+order, and one mask keeps those with a box at least ``_STEP_EPS`` wide,
+eta < 0 and a step that is not small; the permutation reads the kept
+partners off that mask. The two divisions by eta run only where eta < 0
+(at j = i, eta is exactly 0), so they raise no floating-point warning
+and none is silenced.
+
+Work arrays. At n in the hundreds a numpy call costs about as much as
+its arithmetic, so the KKT scan and the partner screen write every
+vector into arrays made once per fold; a violator allocates only its
+permutation and the kept partners read off it, and a move one n-vector.
+Scalars are read as Python floats, the same double arithmetic without
+numpy's scalar overhead. The screen's eta and the error update read
+kernel[:, i]. When the kernel equals its transpose, checked once per fold
+one ``_KERNEL_BLOCK`` of rows at a time, they read the contiguous row
+kernel[i] instead, which holds the same bits. BLAS does not promise that
+(2 a) a^T is symmetric, so a kernel that is not is read by columns.
 
 The bound. Let u = 2**-53, S = sum(alpha) + |b| + 1 and T_k the exact
 error of the current alphas and b. Every kernel entry lies in [0, 1] and
@@ -98,7 +113,7 @@ from .normalize import NormalizationParams, training_arrays
 # Minimum change in an alpha for a pair step to count as progress.
 _STEP_EPS = 1e-7
 # Unit roundoff of float64, 2**-53.
-_U = np.finfo(float).eps / 2
+_U = float(np.finfo(float).eps) / 2
 # Rows of the kernel whose squared distances are formed at a time.
 _KERNEL_BLOCK = 64
 
@@ -113,14 +128,16 @@ class SvmConfig:
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
-            raise ValueError(f"c must be finite and > 0, got {self.c}")
+            raise ConfigurationError(
+                f"c must be finite and > 0, got {self.c}")
         if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError(
+            raise ConfigurationError(
                 f"gamma must be finite and > 0, got {self.gamma}")
         if not 0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+            raise ConfigurationError(
+                f"tol must be finite and >= 0, got {self.tol}")
         if self.max_passes < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_passes must be >= 1, got {self.max_passes}")
 
     def kernel_gamma(self, width: int) -> float | None:
@@ -235,8 +252,9 @@ def _move_errors(errors, drift, slack, kernel, alphas, ay, b, i, j, old):
     rounds by at most 8 u (S + S'), and ``drift`` grows by twice that,
     (slack + slack') / 4n (module docstring)."""
     ay_i, ay_j, b_old = old
-    errors += (ay[i] - ay_i) * kernel[:, i]
-    errors += (ay[j] - ay_j) * kernel[:, j]
+    change = np.multiply(kernel[:, i], ay.item(i) - ay_i)
+    errors += change
+    errors += np.multiply(kernel[:, j], ay.item(j) - ay_j, out=change)
     errors += b - b_old
     new_slack = _screen_slack(alphas, b)
     return drift + (slack + new_slack) / (4 * len(alphas)), new_slack
@@ -249,28 +267,39 @@ def _pair_step(j, i, e_i, lo, hi, eta, alphas, ay, y, kernel, b, c):
     do not show to stay under ``_STEP_EPS``. The partner's error comes
     from the exact per-row dot with ``ay = alphas * y`` and decides the
     move; a move updates both arrays. Returns (b, moved)."""
-    e_j = float(kernel[j] @ ay + b - y[j])
-    a_i_old, a_j_old = alphas[i], alphas[j]
-    a_i = a_i_old - y[i] * (e_j - e_i) / eta
+    y_i, y_j = y.item(i), y.item(j)
+    e_j = float(kernel[j] @ ay) + b - y_j
+    a_i_old, a_j_old = alphas.item(i), alphas.item(j)
+    a_i = a_i_old - y_i * (e_j - e_i) / eta
     a_i = min(hi, max(lo, a_i))
     if abs(a_i - a_i_old) < _STEP_EPS:
         return b, False
-    a_j = a_j_old + y[i] * y[j] * (a_i_old - a_i)
+    a_j = a_j_old + y_i * y_j * (a_i_old - a_i)
     # The constraint keeps a_j inside [0, C] mathematically; rounding can
     # push it out by an ulp, so snap it back.
     a_j = min(c, max(0.0, a_j))
     alphas[i], alphas[j] = a_i, a_j
-    ay[i], ay[j] = a_i * y[i], a_j * y[j]
+    ay[i], ay[j] = a_i * y_i, a_j * y_j
 
-    b1 = b - e_j - y[j] * (a_j - a_j_old) * kernel[j, j] \
-        - y[i] * (a_i - a_i_old) * kernel[j, i]
-    b2 = b - e_i - y[j] * (a_j - a_j_old) * kernel[j, i] \
-        - y[i] * (a_i - a_i_old) * kernel[i, i]
+    k_ji = kernel.item(j, i)
+    b1 = b - e_j - y_j * (a_j - a_j_old) * kernel.item(j, j) \
+        - y_i * (a_i - a_i_old) * k_ji
+    b2 = b - e_i - y_j * (a_j - a_j_old) * k_ji \
+        - y_i * (a_i - a_i_old) * kernel.item(i, i)
     if 0.0 < a_j < c:
         return b1, True
     if 0.0 < a_i < c:
         return b2, True
     return (b1 + b2) / 2.0, True
+
+
+def _symmetric(kernel) -> bool:
+    """Whether the square ``kernel`` equals its transpose, compared one
+    ``_KERNEL_BLOCK`` of rows at a time, so that no n x n temporary is
+    made. Kernel entries are never -0.0, so equal entries are equal bits."""
+    return all(np.array_equal(kernel[start:start + _KERNEL_BLOCK, start:],
+                              kernel[start:, start:start + _KERNEL_BLOCK].T)
+               for start in range(0, len(kernel), _KERNEL_BLOCK))
 
 
 def plan_svm(rows: np.ndarray, labels: np.ndarray, cfg: SvmConfig):
@@ -289,17 +318,27 @@ def _smo(x, y, norm: NormalizationParams, cfg: SvmConfig) -> SvmModel:
     """The model of normalized rows ``x`` with +/-1 labels ``y``."""
     n = len(x)
     gamma = cfg.kernel_gamma(x.shape[1])
+    c, tol = cfg.c, cfg.tol
 
     kernel = rbf_kernel(x, x, gamma)
-    diagonal = kernel.diagonal()
+    diagonal = kernel.diagonal().copy()
+    # columns[:, i] is kernel[:, i]; it reads row i of a symmetric kernel,
+    # which is contiguous (module docstring).
+    columns = kernel.T if _symmetric(kernel) else kernel
     # C at the samples of one class and 0 at the other's: the signed box's
     # constants for a violator of either class (module docstring).
-    c_pos = np.where(y > 0, cfg.c, 0.0)
-    c_neg = np.where(y > 0, 0.0, cfg.c)
+    c_pos = np.where(y > 0, c, 0.0)
+    c_neg = np.where(y > 0, 0.0, c)
     alphas = np.zeros(n)
     ay = alphas * y
     b = 0.0
     rng = make_rng(derive_seed(cfg.seed, "svm"))
+    # Work arrays of the KKT scan and of the partner screen, made once.
+    # slack_p starts finite, so the entries its masked division skips stay
+    # finite.
+    r, shifted, lo, hi, eta, step, width, slack_p = np.zeros((8, n))
+    clear_low, clear_high, at_bound, movable, keep, small = np.empty(
+        (6, n), dtype=bool)
 
     for _ in range(cfg.max_passes):
         violations = 0
@@ -312,48 +351,75 @@ def _smo(x, y, norm: NormalizationParams, cfg: SvmConfig) -> SvmModel:
         while start < n:
             # Samples whose cached error might break KKT by more than tol.
             gap = drift + slack
-            r = y[start:] * errors[start:]
-            clear = ((cfg.tol + r > gap) | (alphas[start:] >= cfg.c)) \
-                & ((cfg.tol - r > gap) | (alphas[start:] <= 0.0))
-            candidates = start + np.flatnonzero(~clear)
+            # clear_low: y_k E_k is not below -tol by the gap, or alpha_k is
+            # at C; clear_high: not above tol by the gap, or alpha_k is 0.
+            np.multiply(y, errors, out=r)
+            np.greater(np.add(r, tol, out=shifted), gap, out=clear_low)
+            np.logical_or(clear_low, np.greater_equal(alphas, c, out=at_bound),
+                          out=clear_low)
+            np.greater(np.subtract(tol, r, out=shifted), gap, out=clear_high)
+            np.logical_or(clear_high, np.less_equal(alphas, 0.0, out=at_bound),
+                          out=clear_high)
+            flagged = np.logical_not(
+                np.logical_and(clear_low, clear_high, out=clear_low),
+                out=clear_low)
+            candidates = (start + flagged[start:].nonzero()[0]).tolist()
             start = n
-            for i in candidates.tolist():
-                e_i = float(kernel[i] @ ay + b - y[i])
-                r_i = y[i] * e_i
-                if not ((r_i < -cfg.tol and alphas[i] < cfg.c) or
-                        (r_i > cfg.tol and alphas[i] > 0)):
+            for i in candidates:
+                y_i, a_i = y.item(i), alphas.item(i)
+                e_i = float(kernel[i] @ ay) + b - y_i
+                r_i = y_i * e_i
+                if not ((r_i < -tol and a_i < c) or (r_i > tol and a_i > 0)):
                     continue
                 violations += 1
                 order = rng.permutation(n)
                 # Box and eta of every (partner, i) pair by the scalar step's
-                # operations in its order; eta is exactly 0 at partner i.
-                a_i, y_i = alphas[i], y[i]
-                c_same, c_diff = (c_pos, c_neg) if y_i > 0 else (c_neg, c_pos)
-                signed = y_i * ay
-                lo = np.maximum(0.0, signed + a_i - c_same)
-                hi = np.minimum(cfg.c, c_diff + a_i + signed)
-                eta = 2.0 * kernel[:, i] - diagonal - kernel[i, i]
-                # Each partner's predicted step and slack; the entries at
-                # eta >= 0, where these divisions can warn, are masked out.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = a_i - y_i * (errors - e_i) / eta
-                    slack_p = -gap / eta
-                step = np.minimum(hi, np.maximum(lo, step)) - a_i
+                # operations in its order; eta is exactly 0 at partner i. As
+                # y_i is 1 or -1, the box adds or subtracts ay in place of
+                # y_i ay, and the step starts from E - e_i or e_i - E in place
+                # of y_i (E - e_i) (module docstring).
+                if y_i > 0:
+                    c_same, c_diff, signed_add = c_pos, c_neg, np.add
+                    np.subtract(errors, e_i, out=step)
+                else:
+                    c_same, c_diff, signed_add = c_neg, c_pos, np.subtract
+                    np.subtract(e_i, errors, out=step)
+                np.maximum(0.0, np.subtract(signed_add(a_i, ay, out=lo),
+                                            c_same, out=lo), out=lo)
+                np.minimum(c, signed_add(np.add(c_diff, a_i, out=hi), ay,
+                                         out=hi), out=hi)
+                np.multiply(columns[:, i], 2.0, out=eta)   # 2 kernel[:, i]
+                np.subtract(np.subtract(eta, diagonal, out=eta),
+                            kernel.item(i, i), out=eta)
+                # Each partner's predicted step and slack, divided only where
+                # eta < 0; the other entries are masked out below.
+                np.less(eta, 0.0, out=movable)
+                np.divide(step, eta, out=step, where=movable)
+                np.subtract(a_i, step, out=step)
+                np.divide(-gap, eta, out=slack_p, where=movable)
+                np.maximum(lo, step, out=step)
+                np.subtract(np.minimum(hi, step, out=step), a_i, out=step)
                 # Keep the movable partners whose step the cached errors do
                 # not show to stay under _STEP_EPS; a nan step is not small,
                 # so _pair_step decides it.
-                keep = (hi - lo >= _STEP_EPS) & (eta < 0) \
-                    & ~(np.abs(step) + slack_p < _STEP_EPS)
+                np.greater_equal(np.subtract(hi, lo, out=width), _STEP_EPS,
+                                 out=keep)
+                np.logical_and(keep, movable, out=keep)
+                np.less(np.add(np.abs(step, out=step), slack_p, out=step),
+                        _STEP_EPS, out=small)
+                np.logical_and(keep, np.logical_not(small, out=small),
+                               out=keep)
                 moved = False
                 for j in order[keep[order]].tolist():
-                    old = ay[i], ay[j], b
-                    b, moved = _pair_step(j, i, e_i, lo[j], hi[j], eta[j],
-                                          alphas, ay, y, kernel, b, cfg.c)
+                    old = ay.item(i), ay.item(j), b
+                    b, moved = _pair_step(j, i, e_i, lo.item(j), hi.item(j),
+                                          eta.item(j), alphas, ay, y, kernel,
+                                          b, c)
                     if moved:
                         break
                 if moved:
                     progressed += 1
-                    drift, slack = _move_errors(errors, drift, slack, kernel,
+                    drift, slack = _move_errors(errors, drift, slack, columns,
                                                 alphas, ay, b, i, j, old)
                     start = i + 1
                     break

@@ -41,7 +41,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigurationError, DataError
 from .normalize import training_arrays
 
 _GAIN_EPS = 1e-12
@@ -56,11 +56,12 @@ class TreeConfig:
 
     def __post_init__(self):
         if not 0 < self.confidence < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"confidence must be in (0, 1), got {self.confidence}")
         if 1.0 - self.confidence == 1.0:   # pruning's quantile is at 1 - c
-            raise ValueError(f"confidence {self.confidence} is too small: "
-                             "1 - confidence rounds to 1")
+            raise ConfigurationError(
+                f"confidence {self.confidence} is too small: "
+                "1 - confidence rounds to 1")
 
 
 @dataclass

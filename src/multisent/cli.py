@@ -147,7 +147,7 @@ def cmd_synth(args) -> int:
                           sentiment_density=args.density, purity=args.purity,
                           rule_fraction=args.rule_fraction,
                           arabic_tool_words=args.arabic_tool_words)
-    except ValueError as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"bad synth options: {exc}")
     paths = generate(cfg, args.out)
     print(json.dumps({"corpus": str(paths.corpus_dir),

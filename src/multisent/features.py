@@ -199,7 +199,10 @@ class Dataset:
                        variant=self.variant)
 
     def project(self, variant: Variant) -> "Dataset":
-        """Select ``variant``'s named columns from these rows."""
+        """Select ``variant``'s named columns from these rows; a dataset
+        projects onto its own variant as itself, sharing its rows."""
+        if variant is self.variant:
+            return self
         columns = [self.variant.names.index(name) for name in variant.names]
         return Dataset(rows=self.rows[:, columns], labels=self.labels,
                        variant=variant)

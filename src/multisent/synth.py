@@ -78,33 +78,35 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.docs_per_class < 1:
-            raise ValueError("docs_per_class must be at least 1, got "
-                             f"{self.docs_per_class}")
+            raise ConfigurationError("docs_per_class must be at least 1, "
+                                     f"got {self.docs_per_class}")
         for name in ("pos_lemmas", "neg_lemmas", "neutral_lemmas"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got "
-                                 f"{getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be at least 1, got "
+                                         f"{getattr(self, name)}")
         for name in ("tokens_per_doc", "sentence_tokens", "senses_per_lemma"):
             lo, hi = getattr(self, name)
             if lo > hi:
-                raise ValueError(f"{name} lower bound {lo} is above its "
-                                 f"upper bound {hi}")
+                raise ConfigurationError(f"{name} lower bound {lo} is above "
+                                         f"its upper bound {hi}")
         if self.senses_per_lemma[1] < 1:
-            raise ValueError("senses_per_lemma upper bound must be at least "
-                             f"1, got {self.senses_per_lemma[1]}")
+            raise ConfigurationError("senses_per_lemma upper bound must be "
+                                     "at least 1, got "
+                                     f"{self.senses_per_lemma[1]}")
         if self.sentence_tokens[0] < 1:
-            raise ValueError("sentence_tokens lower bound must be at least "
-                             f"1, got {self.sentence_tokens[0]}")
+            raise ConfigurationError("sentence_tokens lower bound must be "
+                                     "at least 1, got "
+                                     f"{self.sentence_tokens[0]}")
         if not 0.0 <= self.sentiment_density <= 1.0:
-            raise ValueError("sentiment_density must be in [0, 1]")
+            raise ConfigurationError("sentiment_density must be in [0, 1]")
         if not 0.5 < self.purity <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 "purity must be in (0.5, 1]: class-matching lemmas must be "
                 "strictly more likely than opposing ones")
         if not 0.0 <= self.rule_fraction <= 1.0:
-            raise ValueError("rule_fraction must be in [0, 1]")
+            raise ConfigurationError("rule_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_token_prob <= 1.0:
-            raise ValueError("noise_token_prob must be in [0, 1]")
+            raise ConfigurationError("noise_token_prob must be in [0, 1]")
 
 
 @dataclass(frozen=True)

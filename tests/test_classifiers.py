@@ -961,6 +961,48 @@ class TestSvm:
                     gap = np.abs(product - rows)
                     assert np.all(gap <= svm._screen_slack(alphas, b))
 
+    @pytest.mark.parametrize("problem", [overlapping_blobs,
+                                         near_duplicate_rows, term8_rows])
+    def test_an_asymmetric_kernel_is_read_by_columns(self, monkeypatch,
+                                                     problem):
+        # Training reads kernel[:, i] as the contiguous row kernel[i] only
+        # when the kernel is symmetric; a kernel one ulp off above its
+        # diagonal must train as the scalar SMO does on that same kernel.
+        real_kernel, kernels = svm.rbf_kernel, []
+
+        def nudged(a, b, gamma):
+            kernel = real_kernel(a, b, gamma)
+            upper = np.triu_indices(len(kernel), 1)
+            kernel[upper] = np.nextafter(kernel[upper], 0.0)
+            kernels.append(kernel)
+            return kernel
+
+        monkeypatch.setattr(svm, "rbf_kernel", nudged)
+        rows, labels = problem()
+        y = 2.0 * labels - 1.0
+        for c in (0.5, 10.0):
+            cfg = SvmConfig(c=c, seed=2)
+            got = train("svm", rows, labels, cfg)
+            kernel = kernels.pop()
+            assert not np.array_equal(kernel, kernel.T)
+            alphas, b, _ = oracles.smo(kernel, y, c, cfg.tol, cfg.max_passes,
+                                       make_rng(derive_seed(cfg.seed, "svm")))
+            assert got.alphas.tobytes() == alphas.tobytes()
+            assert got.bias == b
+
+    def test_training_holds_the_kernel_and_o_of_n_more(self):
+        # The kernel build's block of row sums and a few dozen vectors of
+        # n floats come on top of the 8 n^2-byte kernel; any n x n
+        # temporary, even of bools, would not fit under the bound.
+        n = 1200
+        rng = make_rng(8)
+        rows = rng.uniform(-1.0, 1.0, size=(n, 8))
+        labels = (rows[:, 0] + rng.normal(scale=0.3, size=n) > 0).astype(int)
+        cfg = SvmConfig(seed=1, max_passes=2)
+        model, peak = traced_peak(lambda: train("svm", rows, labels, cfg))
+        assert np.count_nonzero(model.alphas)
+        assert peak <= 8 * n * n + 8 * (svm._KERNEL_BLOCK + 48) * n
+
 
 class TestRbfKernel:
     BLOCK = svm._KERNEL_BLOCK
@@ -1314,6 +1356,17 @@ class TestSharedSurface:
         with pytest.raises(ConfigurationError) as caught:
             classifiers.train(kind, rows, labels, config)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SynthConfig(docs_per_class=0), "docs_per_class"),
+        (lambda: SvmConfig(c=-1.0), "c must be"),
+        (lambda: AnnConfig(hidden=0), "hidden"),
+        (lambda: TreeConfig(confidence=2), "confidence"),
+    ], ids=["synth", "svm", "ann", "dtree"])
+    def test_configs_raise_configuration_errors_for_bad_ranges(self, make,
+                                                               message):
+        with pytest.raises(ConfigurationError, match=message):
+            make()
 
     def test_every_exported_name_resolves(self):
         namespace = {}

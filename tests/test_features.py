@@ -234,6 +234,11 @@ class TestDataset:
                                                for row in rows]
             assert projected.labels.tolist() == labels
 
+    def test_projecting_onto_its_own_variant_copies_nothing(self):
+        ds = Dataset(rows=[[0.5] * 7, [0.25] * 7], labels=[1, 0],
+                     variant=Variant.DOC7)
+        assert ds.project(Variant.DOC7) is ds
+
     def test_project_rejects_other_level(self):
         ds = Dataset(rows=[[0.0] * 8], labels=[1], variant=Variant.TERM8)
         with pytest.raises(ValueError):

@@ -113,11 +113,11 @@ class TestGenerate:
         assert "لم" in words
 
     def test_purity_must_exceed_half(self):
-        with pytest.raises(ValueError, match="purity"):
+        with pytest.raises(ConfigurationError, match="purity"):
             SynthConfig(purity=0.5)
 
     def test_density_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SynthConfig(sentiment_density=1.5)
 
 
@@ -128,30 +128,31 @@ class TestConfigRanges:
         ("senses_per_lemma", (3, 2)),
     ])
     def test_lower_bound_above_upper_is_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} lower bound"):
+        with pytest.raises(ConfigurationError, match=f"{field} lower bound"):
             SynthConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [(0, 0), (0, 5), (-1, 3)])
     def test_sentence_tokens_below_one_is_rejected(self, value):
         # (0, 0) used to make every sentence empty, so documents never ended.
-        with pytest.raises(ValueError, match="sentence_tokens"):
+        with pytest.raises(ConfigurationError, match="sentence_tokens"):
             SynthConfig(sentence_tokens=value)
 
     @pytest.mark.parametrize("value", [(0, 0), (-2, 0)])
     def test_senses_upper_bound_below_one_is_rejected(self, value):
         # (0, 0) used to write a lexicon with no entries.
-        with pytest.raises(ValueError, match="senses_per_lemma upper bound"):
+        with pytest.raises(ConfigurationError,
+                           match="senses_per_lemma upper bound"):
             SynthConfig(senses_per_lemma=value)
 
     @pytest.mark.parametrize("field", ["pos_lemmas", "neg_lemmas",
                                        "neutral_lemmas"])
     def test_empty_vocabulary_is_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigurationError, match=field):
             SynthConfig(**{field: 0})
 
     @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
     def test_noise_probability_outside_unit_interval_is_rejected(self, value):
-        with pytest.raises(ValueError, match="noise_token_prob"):
+        with pytest.raises(ConfigurationError, match="noise_token_prob"):
             SynthConfig(noise_token_prob=value)
 
     def test_one_token_sentences_and_empty_documents_are_accepted(self):
