@@ -10,7 +10,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DataError
 from ..features import checked_rows
 from ..parallel import map_items
 from .ann import AnnConfig, AnnModel, plan_ann
@@ -99,9 +99,12 @@ def with_seed(config, seed: int):
 
 def decision_values(model, rows) -> np.ndarray:
     """A decision value per row of a 2-D array, or of one 1-D row, by the
-    row rule (``features.checked_rows``) at the model's width. A NaN, an
-    infinity or a huge feature scores what its arithmetic gives."""
+    row rule (``features.checked_rows``) at the model's width; DataError,
+    too, if a value is NaN or an infinity, as in training. A huge finite
+    feature scores what its arithmetic gives."""
     rows = checked_rows(rows, model.input_width)
+    if not np.isfinite(rows).all():
+        raise DataError("prediction rows contain non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):
         return model.decision_values(rows)
 

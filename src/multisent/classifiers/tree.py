@@ -77,7 +77,8 @@ class TreeModel:
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         """Leaf scores; rows go left where ``value <= threshold`` and right
-        otherwise (``nan`` too), routed as index arrays through the tree."""
+        otherwise, routed as index arrays through the tree. The rows are
+        finite: ``classifiers.decision_values`` refuses NaN first."""
         values = np.empty(len(rows))
         todo = [(0, np.arange(len(rows)))]
         while todo:

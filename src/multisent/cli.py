@@ -192,34 +192,26 @@ def cmd_score(args) -> int:
 
     def chunks():
         # One chunk per block of documents: the table is never held whole.
-        if sf is None:
-            yield "doc_id\tindex\tsurface\tlemma\tprior\tadjusted\n"
-        else:
-            yield "doc_id\tsentence\tscore\n"
+        # A row is its document's id, its index there, then its fields.
+        yield ("doc_id\tindex\tsurface\tlemma\tprior\tadjusted\n"
+               if sf is None else "doc_id\tsentence\tscore\n")
         for _, block in corpus.blocks():
-            lines = []
             if sf is None:
                 offsets = block.doc_tokens.tolist()
-                words = block.word_ids.tolist()
                 token_priors, adjusted = (
                     a.tolist() for a in block.token_scores(word_scores))
-                for doc_id, start, end in zip(block.ids, offsets,
-                                              offsets[1:]):
-                    for t in range(start, end):
-                        surface, lemma = corpus.words[words[t]]
-                        lines.append(f"{doc_id}\t{t - start}\t{surface}"
-                                     f"\t{lemma}\t{token_priors[t]!r}"
-                                     f"\t{adjusted[t]!r}\n")
+                fields = ("\t".join((*corpus.words[w], repr(p), repr(a)))
+                          for w, p, a in zip(block.word_ids.tolist(),
+                                             token_priors, adjusted))
             else:
                 offsets = block.doc_sentences.tolist()
-                values = sentence_scores(*block.subjective(word_scores),
-                                         block.sentence_tokens, sf).tolist()
-                for doc_id, start, end in zip(block.ids, offsets,
-                                              offsets[1:]):
-                    for k in range(start, end):
-                        lines.append(f"{doc_id}\t{k - start}"
-                                     f"\t{values[k]!r}\n")
-            yield "".join(lines)
+                fields = map(repr, sentence_scores(
+                    *block.subjective(word_scores), block.sentence_tokens,
+                    sf).tolist())
+            yield "".join([f"{doc_id}\t{i}\t{row}\n"
+                           for doc_id, start, end in zip(block.ids, offsets,
+                                                         offsets[1:])
+                           for i, row in zip(range(end - start), fields)])
 
     atomic_write_chunks(args.out, chunks())
     print(f"wrote {args.out}")

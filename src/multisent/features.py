@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .util import atomic_write_text, read_text
 
 TERM8_NAMES = ("count_pos", "count_neg", "sum_pos", "sum_neg",
@@ -56,7 +56,7 @@ class Variant(enum.Enum):
         for v in cls:
             if v.width == width:
                 return v
-        raise ValueError(f"no variant with {width} features")
+        raise ConfigurationError(f"no variant with {width} features")
 
     @classmethod
     def from_names(cls, names) -> "Variant":

@@ -11,7 +11,7 @@ sign-flipped).
 import enum
 from dataclasses import dataclass
 
-from .errors import DataError, ParseError
+from .errors import ConfigurationError, DataError, ParseError
 from .util import read_text, sum_left
 
 
@@ -29,7 +29,8 @@ class PriorFormula(enum.Enum):
             return cls(name.lower())
         except ValueError:
             valid = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown prior formula {name!r} (one of: {valid})")
+            raise ConfigurationError(
+                f"unknown prior formula {name!r} (one of: {valid})")
 
 
 @dataclass(frozen=True)

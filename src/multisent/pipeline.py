@@ -61,11 +61,8 @@ class PipelineConfig:
                                                  and name in _NONE_DEFAULTS):
                 raise ConfigurationError(f"{name} must be of type "
                                          f"{type_.__name__}, got {value!r}")
-        try:
-            variant = Variant.from_width(self.variant)
-            prior = PriorFormula.from_name(self.prior_formula)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc))
+        variant = Variant.from_width(self.variant)
+        prior = PriorFormula.from_name(self.prior_formula)
         if self.level not in (None, variant.level):
             raise ConfigurationError(
                 f"variant {self.variant} is {variant.level}-level, but "
@@ -75,10 +72,7 @@ class PipelineConfig:
             if not self.sentence_formula:
                 raise ConfigurationError(
                     "document level requires a sentence formula")
-            try:
-                sentence = SentenceFormula.from_name(self.sentence_formula)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc))
+            sentence = SentenceFormula.from_name(self.sentence_formula)
         elif self.sentence_formula:
             raise ConfigurationError(
                 "sentence formula only applies at document level")
@@ -151,10 +145,7 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
         with _stage("rule word lists"):
             negations = load_word_list(cfg.negations_path)
             intensifiers = load_word_list(cfg.intensifiers_path)
-            try:
-                rule_cfg = RuleConfig(negations, intensifiers, cfg.window)
-            except ValueError as exc:   # a word on both lists
-                raise DataError(str(exc)) from None
+            rule_cfg = RuleConfig(negations, intensifiers, cfg.window)
     return corpus, priors, rule_cfg
 
 

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus_io import remove_diacritics
+from .errors import ConfigurationError, DataError
 from .util import read_text
 
 # The tokens of whole documents a block of ``Corpus.blocks`` holds at most;
@@ -48,23 +49,24 @@ class SentenceFormula(enum.Enum):
             return cls(name.lower())
         except ValueError:
             valid = ", ".join(f.value for f in cls)
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown sentence formula {name!r} (one of: {valid})")
 
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Negation/intensifier word sets and the adjacency window (>= 1)."""
+    """Negation/intensifier word sets and the adjacency window (>= 1): a
+    smaller window is a ConfigurationError, a word in both sets a DataError."""
     negation_words: frozenset = frozenset()
     intensifier_words: frozenset = frozenset()
     window: int = 1
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ConfigurationError(f"window must be >= 1, got {self.window}")
         overlap = self.negation_words & self.intensifier_words
         if overlap:
-            raise ValueError(
+            raise DataError(
                 f"words listed as both negation and intensifier: {sorted(overlap)}")
 
 

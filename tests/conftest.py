@@ -2,6 +2,7 @@ import contextlib
 import multiprocessing
 import os
 import resource
+import signal
 import tracemalloc
 
 # One BLAS thread, as in the benchmark: numpy then starts no thread pool,
@@ -17,6 +18,14 @@ from multisent.synth import SynthConfig, generate  # noqa: E402
 
 _acceptance_results = []
 
+# Each phase of a test (setup, call, teardown) that runs longer than this
+# fails instead of hanging the suite; the slowest test takes about 6 s on
+# a 2-vCPU host. The timer is this process's: a helper that
+# ``parallel.map_items`` forks inherits the handler but not the timer, and
+# the failure, which no ``except Exception`` catches, leaves through
+# ``map_items``'s ``finally``, which reaps the helpers.
+PHASE_SECONDS = 60
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -29,6 +38,39 @@ def pytest_runtest_makereport(item, call):
     report = outcome.get_result()
     if report.when == "call" and item.get_closest_marker("acceptance"):
         _acceptance_results.append((item.name, report.passed))
+
+
+@contextlib.contextmanager
+def _time_limit(item):
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran longer than {PHASE_SECONDS} s",
+                    pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, PHASE_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit(item):
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit(item):
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item):
+    with _time_limit(item):
+        return (yield)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

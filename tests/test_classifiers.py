@@ -1157,9 +1157,25 @@ class TestSharedSurface:
         assert predict_labels(model, rows[3]).tolist() == \
             predict_labels(model, rows[3:4]).tolist()
         assert predict_labels(model, []).shape == (0,)
-        # A NaN feature is scored, not refused.
-        assert classifiers.decision_values(model, [[np.nan, 0.0]]).shape \
-            == (1,)
+        # A NaN feature is refused, not scored.
+        with pytest.raises(DataError, match="non-finite"):
+            classifiers.decision_values(model, [[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_rows_are_a_data_error(self, kind, value):
+        # NaN scored NaN (label 0) under the ANN and the SVM and went
+        # right (label 1) in the tree; infinities scored as they fell.
+        rows, labels = separable_blobs(6)
+        model = train(kind, rows, labels)
+        bad = rows.copy()
+        bad[4, 1] = value
+        for predict in (classifiers.decision_values, predict_labels):
+            with pytest.raises(DataError, match="prediction rows contain "
+                                                "non-finite values"):
+                predict(model, bad)
+            with pytest.raises(DataError, match="non-finite"):
+                predict(model, bad[4])
 
     @pytest.mark.parametrize("kind", ["ann", "svm"])
     def test_a_feature_near_the_float_maximum_normalizes_into_range(self,
@@ -1181,10 +1197,11 @@ class TestSharedSurface:
             train(kind, rows, labels)
 
     @pytest.mark.parametrize("kind", classifiers.KINDS)
-    def test_infinite_and_huge_prediction_rows_score_without_warnings(
-            self, kind):
+    def test_huge_prediction_rows_score_without_warnings(self, kind):
+        # A feature near the float maximum overflows in the SVM's kernel;
+        # warnings are errors in this suite.
         model = train(kind, *separable_blobs(6))
-        rows = [[np.inf, 0.0], [-np.inf, np.inf], [1e308, -1e308]]
+        rows = [[1e308, -1e308], [-1.7e308, 1.7e308], [1e308, 0.0]]
         assert classifiers.decision_values(model, rows).shape == (3,)
         assert predict_labels(model, rows).shape == (3,)
 
@@ -1360,9 +1377,10 @@ class TestSharedSurface:
     @pytest.mark.parametrize("make,message", [
         (lambda: SynthConfig(docs_per_class=0), "docs_per_class"),
         (lambda: SvmConfig(c=-1.0), "c must be"),
+        (lambda: SvmConfig(gamma=0.0), "gamma must be finite and > 0, got 0"),
         (lambda: AnnConfig(hidden=0), "hidden"),
         (lambda: TreeConfig(confidence=2), "confidence"),
-    ], ids=["synth", "svm", "ann", "dtree"])
+    ], ids=["synth", "svm", "svm-gamma-0", "ann", "dtree"])
     def test_configs_raise_configuration_errors_for_bad_ranges(self, make,
                                                                message):
         with pytest.raises(ConfigurationError, match=message):

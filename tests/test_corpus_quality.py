@@ -151,6 +151,20 @@ class TestQualityReport:
             report = quality_report(FrequencyTable(entries=entries), a=1.0)
             assert report.kl_prob >= 0.0
 
+    def test_ideal_curve_anchors_at_the_rank_one_count(self, tmp_path):
+        # Counts 6, 2, 1 do not follow Zipf: the ideal curve is 6, 3, 2.
+        table = table_of(["a"] * 6 + ["b"] * 2 + ["c"])
+        out = tmp_path / "table.csv"
+        report = quality_report(table, a=1.0, csv_path=out)
+        rows = [line.split(",")
+                for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows[0][:3] == ["1", "a", "6"]
+        assert float(rows[0][3]) == float(rows[0][2])
+        assert [float(r[3]) for r in rows] == [6.0, 3.0, 2.0]
+        assert report.kl_raw == (6.0 * math.log(6.0 / 6.0)
+                                 + 3.0 * math.log(3.0 / 2.0)
+                                 + 2.0 * math.log(2.0 / 1.0))
+
     def test_csv_emission_and_log_log_slope(self, tmp_path):
         a = 1.7
         entries = tuple((f"w{r}", 1000 - r, r) for r in range(1, 30))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import multisent
-from multisent.errors import DataError
+from multisent.errors import ConfigurationError, DataError
 from multisent.features import (Dataset, Variant, doc_rows, read_features_csv,
                                 term_rows, write_features_csv)
 from multisent.lexicon import SenseScore, f_avg
@@ -254,5 +254,6 @@ class TestDataset:
         assert Variant.from_width(8) is Variant.TERM8
         assert Variant.from_width(4) is Variant.DOC4
         assert Variant.from_width(7) is Variant.DOC7
-        with pytest.raises(ValueError, match="no variant with 9 features"):
+        with pytest.raises(ConfigurationError,
+                           match="no variant with 9 features"):
             Variant.from_width(9)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from multisent.errors import DataError, ParseError
+from multisent.errors import ConfigurationError, DataError, ParseError
 from multisent.lexicon import (PolarityPair, PriorFormula, SenseScore,
                                aggregate_prior, f_avg, f_max, load_lexicon,
                                prior_table)
@@ -27,6 +27,14 @@ class TestLoadLexicon:
         assert set(lex) == {"hot"}
         assert len(lex["hot"].senses) == 5
         assert lex["hot"].senses[1] == SenseScore(0.75, 0.125)
+
+    def test_scores_of_exactly_zero_and_one_load(self, tmp_path):
+        # [0, 1] is closed at both ends.
+        path = tmp_path / "lex.tsv"
+        path.write_text("top\t1.000\t0\nlow\t0.0\t1\n", encoding="utf-8")
+        lex = load_lexicon(path)
+        assert lex["top"].senses == (SenseScore(1.0, 0.0),)
+        assert lex["low"].senses == (SenseScore(0.0, 1.0),)
 
     def test_score_out_of_range_reports_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -171,5 +179,6 @@ class TestAggregatePrior:
 
     def test_formula_from_name(self):
         assert PriorFormula.from_name("Max_Sub") is PriorFormula.MAX_SUB
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError,
+                           match="unknown prior formula 'bogus'"):
             PriorFormula.from_name("bogus")

@@ -11,6 +11,11 @@ width, with NaN or inf, of strings, of objects or ragged; labels that are
 fractions, NaN, strings, bools, ``None``, 2-D, of the wrong length or of
 one class. The seeds are fixed, so a failure names a trial that reruns
 the same way.
+
+``corpus_io.encode_texts`` is fuzzed apart: random mixes of Arabic
+letters, diacritics, tatweel, every sentence break, digits, punctuation,
+spaces and any code point that is not a surrogate must encode, text by
+text, as the per-text tokenizer of ``tests/oracles.py`` splits them.
 """
 
 import copy
@@ -22,9 +27,12 @@ import numpy as np
 import pytest
 
 from multisent import classifiers
+from multisent.corpus_io import _BREAK_RE, encode_texts
 from multisent.errors import ConfigurationError, DataError
 from multisent.evaluation import run_cv
 from multisent.features import Dataset, Variant
+
+import oracles
 
 # Fuzzed rows are as wide as this variant, so a Dataset can hold them.
 VARIANT = Variant.DOC4
@@ -262,3 +270,60 @@ def test_mutated_model_documents_load_or_raise_a_data_error(models, seed):
                 -3, 3, size=(4, model.input_width))
             got = _calls(case, lambda: classifiers.predict_labels(model, rows))
             assert got is not None and got.shape == (4,), case
+
+
+ARABIC_LETTERS = [chr(c) for c in range(0x0621, 0x064B)]
+# Diacritics, Quranic marks, dagger alif and tatweel.
+MARKS = [chr(c) for c in (*range(0x0610, 0x061B), *range(0x064B, 0x0660),
+                          0x0670, 0x0640)]
+OTHERS = [*"0123456789\u0660\u0663\u06f5", *",:;/%-_()\"'\u060c\u066a",
+          *" \t\xa0\u3000\x1f"]
+
+
+@pytest.fixture(scope="module")
+def breaks():
+    """Every character that ends a sentence, by the oracle (its
+    ``BOUNDARY_RE`` and the line breaks of ``str.splitlines``) or by
+    ``_BREAK_RE``, found by trying them all; and "\\r\\n"."""
+    every = "".join(chr(c) for c in range(0x110000)
+                    if not 0xD800 <= c < 0xE000)
+    lines = set(every) - set("".join(every.splitlines()))
+    return sorted({*oracles.BOUNDARY_RE.findall(every), *lines,
+                   *_BREAK_RE.findall(every)}) + ["\r\n"]
+
+
+def _text(rng: random.Random, breaks) -> str:
+    pieces = []
+    for _ in range(rng.randint(0, 60)):
+        pool = rng.choices([ARABIC_LETTERS, MARKS, breaks, OTHERS, None],
+                           weights=[8, 2, 1, 3, 1])[0]
+        if pool is None:   # any code point but a surrogate
+            c = rng.randrange(0x110000 - 0x800)
+            pieces.append(chr(c + 0x800 if c >= 0xD800 else c))
+        else:
+            pieces.append(rng.choice(pool))
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_encoded_texts_match_the_per_text_tokenizer(breaks, seed):
+    rng = random.Random(seed)
+    texts = [_text(rng, breaks) for _ in range(TRIALS * 2)]
+    words, word_ids, doc_tokens, sentence_tokens, doc_sentences = \
+        encode_texts(iter(texts))
+    docs = []
+    for trial, text in enumerate(texts):
+        first, last = doc_tokens[trial], doc_tokens[trial + 1]
+        bounds = sentence_tokens[doc_sentences[trial]:
+                                 doc_sentences[trial + 1] + 1] - first
+        got = ([words[i] for i in word_ids[first:last].tolist()],
+               list(zip(bounds.tolist(), bounds[1:].tolist())))
+        want = oracles.tokenize_and_segment(text)
+        assert got == want, f"seed {seed}, trial {trial}: {text!r}"
+        docs.append(oracles.Doc(f"d{trial}", 0, *want, want[0]))
+    columns = oracles.corpus_columns(docs)
+    assert words == [surface for surface, _ in columns["words"]]
+    for name, got in (("word_ids", word_ids), ("doc_tokens", doc_tokens),
+                      ("sentence_tokens", sentence_tokens),
+                      ("doc_sentences", doc_sentences)):
+        assert got.tolist() == columns[name].tolist(), f"seed {seed}: {name}"

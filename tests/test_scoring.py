@@ -5,6 +5,7 @@ import pytest
 
 from multisent import scoring
 from multisent.corpus_io import load_lemma_dictionary
+from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
 from multisent.lexicon import (LexiconEntry, PriorFormula, SenseScore,
                                load_lexicon, prior_table)
@@ -144,12 +145,25 @@ class TestApplyRules:
         assert first == second
 
     def test_rule_word_sets_must_be_disjoint(self):
-        with pytest.raises(ValueError):
+        # The word lists are input files: a word on both is a data error.
+        with pytest.raises(DataError, match=r"both negation and "
+                           r"intensifier: \['x'\]"):
             RuleConfig(negation_words=frozenset({"x"}),
                        intensifier_words=frozenset({"x"}))
 
+    def test_window_below_one_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError,
+                           match="window must be >= 1, got 0"):
+            RuleConfig(window=0)
+
 
 class TestSentenceScores:
+    def test_formula_from_name(self):
+        assert SentenceFormula.from_name("Max_Max") is SentenceFormula.MAX_MAX
+        with pytest.raises(ConfigurationError,
+                           match="unknown sentence formula 'bogus'"):
+            SentenceFormula.from_name("bogus")
+
     def test_mixed_sentence_pair(self):
         assert s_max([0.3, -0.5, 0.2]) == PolarityPair(0.3, 0.5)
 
