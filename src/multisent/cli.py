@@ -18,7 +18,7 @@ from .evaluation import run_cv
 from .features import read_features_csv, write_features_csv
 from .lexicon import PriorFormula, load_lexicon, prior_table
 from .pipeline import (PipelineConfig, build_dataset, load_inputs,
-                       read_config_file, run_pipeline, sweep)
+                       parse_bool, read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
 from .util import atomic_write_chunks, atomic_write_text, write_json
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
     cells = sweep(base,
                   prior_formulas=_split(args.formulas),
                   variants=variants,
-                  rules_options=[_parse_bool(x)
+                  rules_options=[parse_bool(x)
                                  for x in _split(args.rules_options)],
                   classifier_kinds=kinds,
                   sentence_formulas=_split(args.sentence_formulas) or None,
@@ -299,15 +299,6 @@ def _split(value) -> list:
     if not value:
         return []
     return [x.strip() for x in value.split(",") if x.strip()]
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "on", "yes"):
-        return True
-    if low in ("0", "false", "off", "no"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
 def build_parser() -> _Parser:

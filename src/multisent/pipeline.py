@@ -84,8 +84,7 @@ class PipelineConfig:
                 "are not configured")
         if self.k < 2:
             raise ConfigurationError(f"k must be >= 2, got {self.k}")
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
+        RuleConfig(window=self.window)   # its window rule, rules on or off
         return variant, prior, sentence, clf_config
 
 
@@ -288,8 +287,8 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     return cells
 
 
-# The type each config-file value must parse to: int, bool, or str for
-# names and paths. Classifier options come from flags only.
+# The type each config-file value is read as: int, bool, or str for names
+# and paths. Classifier options come from flags only.
 _FILE_TYPES = {f.name: f.type if f.type in (int, bool) else str
                for f in fields(PipelineConfig)
                if f.name != "classifier_options"}
@@ -297,13 +296,24 @@ _FILE_TYPES = {f.name: f.type if f.type in (int, bool) else str
 _NONE_DEFAULTS = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
+def parse_bool(text: str) -> bool:
+    """The one boolean grammar, of ``--rules-options`` and config files."""
+    low = text.lower()
+    if low in ("1", "true", "on", "yes"):
+        return True
+    if low in ("0", "false", "off", "no"):
+        return False
+    raise ConfigurationError(f"expected a boolean, got {text!r}")
+
+
 def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` configuration file.
 
-    Values may be quoted strings, booleans (true/false), integers,
-    floats, or bare strings; ``#`` starts a comment line. Keys mirror
-    PipelineConfig field names, and each value must parse to its field's
-    type; an unknown key, a mistyped value or a NUL character in a value
+    Keys mirror PipelineConfig field names, and each value is read as its
+    field's type: a string, without its surrounding quotes if it has them;
+    an integer, by ``int``; a boolean, by ``parse_bool``. ``#`` starts a
+    comment line. An unknown key, a value its field's type cannot read (a
+    quoted integer or boolean among them) or a NUL character in a value
     (no path can hold one) is a ConfigurationError.
     """
     values = {}
@@ -320,22 +330,18 @@ def read_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{n}: unknown config key {key!r}")
         if "\0" in raw:
             raise ConfigurationError(f"{path}:{n}: {key} holds a NUL character")
-        value = _parse_value(raw)
-        if type(value) is not _FILE_TYPES[key]:
+        type_ = _FILE_TYPES[key]
+        try:
+            values[key] = _parse_value(raw, type_)
+        except (ValueError, ConfigurationError):
             raise ConfigurationError(f"{path}:{n}: {key} must be of type "
-                                     f"{_FILE_TYPES[key].__name__}, got {raw!r}")
-        values[key] = value
+                                     f"{type_.__name__}, got {raw!r}"
+                                     ) from None
     return values
 
 
-def _parse_value(raw: str):
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    for parse in (int, float):
-        try:
-            return parse(raw)
-        except ValueError:
-            pass
-    return raw
+def _parse_value(raw: str, type_):
+    if type_ is str:
+        quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'"
+        return raw[1:-1] if quoted else raw
+    return int(raw) if type_ is int else parse_bool(raw)

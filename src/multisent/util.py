@@ -39,7 +39,8 @@ def sum_left(values) -> float:
 
 def make_dirs(path) -> None:
     """Create directory `path` and its parents. A file where a directory
-    must be is a ConfigurationError naming that file."""
+    must be is a ConfigurationError naming that file, and any other refusal
+    of the OS one giving its reason."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -47,6 +48,9 @@ def make_dirs(path) -> None:
         blocker = next(p for p in (path, *path.parents) if p.exists())
         raise ConfigurationError(f"cannot create directory {path}: "
                                  f"{blocker} is not a directory") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create directory {path}: "
+                                 f"{exc.strerror}") from None
 
 
 def read_text(path, what: str, error=DataError) -> str:
@@ -67,21 +71,26 @@ def read_text(path, what: str, error=DataError) -> str:
 
 def atomic_write_chunks(path, chunks) -> None:
     """Write the text chunks of the iterable ``chunks``, in order, as UTF-8
-    to a new temp file ``<name>.<random hex>`` beside `path`, then rename
-    it over `path`. The kernel gives it mode 0666 less the umask, as with
+    to a new temp file beside `path`, named ``.<12 random hex>.tmp`` so
+    that its name fits wherever the name of `path` does, then rename it
+    over `path`. The kernel gives it mode 0666 less the umask, as with
     ``open``; the directory is made only when missing, and only once the
     first chunk is encoded, so a text that cannot be encoded creates
     nothing. A failure, a chunk that raises among them, leaves no temp
-    file, and a directory at `path` is a ConfigurationError."""
+    file. A directory at `path`, or any other refusal of the OS to make
+    the directory, open, write or rename, is a ConfigurationError."""
     data = (chunk.encode("utf-8") for chunk in chunks)
     first = next(data, b"")
-    tmp = f"{path}.{os.urandom(6).hex()}"
+    tmp = Path(path).parent / f".{os.urandom(6).hex()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd = os.open(tmp, flags, 0o666)
-    except (FileNotFoundError, NotADirectoryError):
-        make_dirs(Path(path).parent)
-        fd = os.open(tmp, flags, 0o666)
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except (FileNotFoundError, NotADirectoryError):
+            make_dirs(tmp.parent)
+            fd = os.open(tmp, flags, 0o666)
+    except OSError as exc:
+        raise _write_error(path, exc) from None
     try:
         with open(fd, "wb") as fh:
             fh.write(first)
@@ -89,10 +98,15 @@ def atomic_write_chunks(path, chunks) -> None:
         os.replace(tmp, path)
     except BaseException as exc:
         os.unlink(tmp)
-        if isinstance(exc, IsADirectoryError):
-            raise ConfigurationError(
-                f"cannot write {path}: it is a directory") from None
+        if isinstance(exc, OSError):
+            raise _write_error(path, exc) from None
         raise
+
+
+def _write_error(path, exc: OSError) -> ConfigurationError:
+    reason = ("it is a directory" if isinstance(exc, IsADirectoryError)
+              else exc.strerror or exc)
+    return ConfigurationError(f"cannot write {path}: {reason}")
 
 
 def atomic_write_text(path, text: str) -> None:

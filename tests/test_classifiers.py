@@ -604,14 +604,17 @@ class TestTree:
 
     def test_adjacent_float_values_split_cleanly(self):
         # midpoint of two consecutive floats rounds onto one of them;
-        # the split must still separate exactly the sorted prefix
-        lo = 1.0
-        hi = np.nextafter(1.0, 2.0)
-        rows = np.array([[lo], [lo], [hi], [hi]])
-        labels = np.array([0, 0, 1, 1])
-        model = train("dtree", rows, labels,
-                      TreeConfig(min_leaf=1, prune=False))
-        assert accuracy(model, rows, labels) == 1.0
+        # the split must still separate exactly the sorted prefix. Ties
+        # round to even: 1.0's midpoint with the next float rounds down
+        # onto 1.0, and the next pair's rounds up onto the larger value.
+        after_one = np.nextafter(1.0, 2.0)
+        for lo, hi in ((1.0, after_one),
+                       (after_one, np.nextafter(after_one, 2.0))):
+            rows = np.array([[lo], [lo], [hi], [hi]])
+            labels = np.array([0, 0, 1, 1])
+            model = train("dtree", rows, labels,
+                          TreeConfig(min_leaf=1, prune=False))
+            assert accuracy(model, rows, labels) == 1.0
 
     @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5])
     @pytest.mark.parametrize("problem", sorted(SPLIT_PROBLEMS))

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ from itertools import cycle, groupby, islice
 
 import pytest
 
-from multisent import scoring
+from multisent import scoring, util
 from multisent.classifiers import load_model
 from multisent.cli import main
 from multisent.corpus_io import load_lemma_dictionary
@@ -122,6 +123,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"cannot write {tmp_path}: it is a directory" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,fault", [
+        ("open", PermissionError(errno.EACCES, "Permission denied")),
+        ("replace", OSError(errno.ENOSPC, "No space left on device")),
+    ])
+    def test_an_output_the_os_refuses_is_configuration_error(
+            self, data, tmp_path, capsys, monkeypatch, name, fault):
+        def refuse(*args, **kwargs):
+            raise fault
+
+        out = tmp_path / "q.csv"
+        monkeypatch.setattr(util.os, name, refuse)
+        assert main(["quality", "--corpus", data["corpus"],
+                     "--out", str(out)]) == 1
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert captured.err == (f"configuration error: cannot write {out}: "
+                                f"{fault.strerror}\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_an_output_name_that_fits_is_written(self, data, tmp_path):
+        short, long = tmp_path / "q.csv", tmp_path / ("a" * 250 + ".csv")
+        for out in (short, long):
+            assert main(["quality", "--corpus", data["corpus"],
+                         "--out", str(out)]) == 0
+        assert long.read_bytes() == short.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted([short.name, long.name])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pipeline", "--folds", "1"], "k must be >= 2, got 1"),
+        (["pipeline", "--window", "0"], "window must be >= 1, got 0"),
+        (["score", "--window", "0"], "window must be >= 1, got 0"),
+    ], ids=["pipeline-folds-1", "pipeline-window-0", "score-window-0"])
+    def test_run_settings_are_checked_before_any_file_is_read(
+            self, tmp_path, capsys, argv, message):
+        # The inputs do not exist: reading any of them would exit 2.
+        missing = ["--corpus", str(tmp_path / "corpus"),
+                   "--lexicon", str(tmp_path / "lexicon.tsv"),
+                   "--lemma-dict", str(tmp_path / "lemma_dict.tsv"),
+                   "--out", str(tmp_path / "out")]
+        assert main([*argv, *missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_synth_refuses_to_mix_corpora(self, tmp_path, capsys):
         out = tmp_path / "D"
@@ -824,6 +870,29 @@ class TestPipeline:
             (override_out / "report.json").read_text("utf-8"))
         assert report["meta"]["formula"] == "max_max"
 
+    def test_config_values_are_read_by_their_fields_type(
+            self, data, tmp_path, monkeypatch):
+        # A bare path that reads as a number is a path, and rules takes
+        # the words --rules-options takes.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\n".join([
+            f"corpus_dir = {data['corpus']}",
+            f"lexicon_path = {data['lexicon']}",
+            f"lemma_dict_path = {data['lemma_dict']}",
+            f"negations_path = {data['negations']}",
+            f"intensifiers_path = {data['intensifiers']}",
+            "out_dir = 2024", "rules = on", "classifier = dtree",
+            "k = 2"]) + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert main(["pipeline", *_corpus_flags(data),
+                     *_rules_flags(data, 1), "--classifier", "dtree",
+                     "--folds", "2", "--out", "flags"]) == 0
+        run = json.loads((tmp_path / "2024" / "report.json").read_bytes())
+        assert run["meta"]["rules"] is True
+        assert run == json.loads(
+            (tmp_path / "flags" / "report.json").read_bytes())
+
     def test_unknown_config_key_rejected(self, data, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("nonsense_key = 1\n", encoding="utf-8")
@@ -833,6 +902,8 @@ class TestPipeline:
         ("k = five", "k"), ("window = wide", "window"), ("seed = abc", "seed"),
         ("rules = maybe", "rules"), ("classifier_options = foo",
                                      "classifier_options"),
+        # A quoted value is a string, and no field is a float.
+        ('k = "5"', "k"), ("rules = 'on'", "rules"), ("seed = 1.0", "seed"),
         # No path can hold a NUL, so no string value may either.
         ('out_dir = "run\0x"', "out_dir"),
         ("lexicon_path = lexicon\0.tsv", "lexicon_path"),

@@ -336,6 +336,22 @@ def _three_jobs(bad):
     return jobs, jobs[bad]
 
 
+@pytest.mark.parametrize("kind,runs", [("ann", 4), ("dtree", 1),
+                                       ("svm", 1)])
+def test_each_job_hands_over_its_runs_once(monkeypatch, kind, runs):
+    # An ANN job's runs are its (default 4) restarts; a tree or an SVM
+    # trains once, and a second run would only repeat the first.
+    counts, real = [], classifiers.map_items
+
+    def counted(fn, n):
+        counts.append(n)
+        return real(fn, n)
+
+    monkeypatch.setattr(classifiers, "map_items", counted)
+    classifiers.train_many(kind, _three_jobs(0)[0])
+    assert counts == [3 * runs]
+
+
 @pytest.mark.parametrize("kind", classifiers.KINDS)
 def test_bad_training_rows_fail_before_any_fork(on_cpus, kind):
     jobs, (rows, labels, _) = _three_jobs(2)

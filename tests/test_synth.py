@@ -156,8 +156,10 @@ class TestConfigRanges:
             SynthConfig(noise_token_prob=value)
 
     def test_one_token_sentences_and_empty_documents_are_accepted(self):
+        # sentence_tokens and senses_per_lemma at the lowest bounds
+        # they accept.
         cfg = SynthConfig(docs_per_class=1, tokens_per_doc=(0, 0),
-                          sentence_tokens=(1, 1), senses_per_lemma=(2, 2),
+                          sentence_tokens=(1, 1), senses_per_lemma=(1, 1),
                           noise_token_prob=1.0)
         assert _documents(cfg, 1, range(2), _word_table(_vocab(cfg))) \
             == ["\n", "\n"]

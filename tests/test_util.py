@@ -112,8 +112,17 @@ class TestAtomicWriteText:
 
     def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(util, "open", _FullDisk, raising=False)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"cannot write {tmp_path / 'a.txt'}: No space left")):
             atomic_write_text(tmp_path / "a.txt", TEXT)
+        assert _names(tmp_path) == []
+
+    def test_a_name_too_long_is_configuration_error(self, tmp_path):
+        # The rename refuses the first, making the directory the second.
+        for path in (tmp_path / ("a" * 256), tmp_path / ("b" * 256) / "a"):
+            with pytest.raises(ConfigurationError,
+                               match="File name too long$"):
+                atomic_write_text(path, TEXT)
         assert _names(tmp_path) == []
 
     def test_the_umask_is_neither_read_nor_changed(self, tmp_path,
@@ -149,7 +158,7 @@ class TestAtomicWriteText:
                 atomic_write_text(tmp_path / "a.txt", "\udfff")
             with monkeypatch.context() as m:
                 m.setattr(util, "open", _FullDisk, raising=False)
-                with pytest.raises(OSError):
+                with pytest.raises(ConfigurationError):
                     atomic_write_text(tmp_path / "a.txt", TEXT)
         assert _open_fds() == before
         assert _names(tmp_path) == ["adir", "afile"]
