@@ -32,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/multisent"
+# Seconds allowed for one run of a module's test files; the whole suite
+# gets four times as long.
+TIMEOUT = 600.0
 
 # The test files that run first against a mutant of each module.
 TESTS = {
@@ -190,8 +193,8 @@ def _passes(work: Path, tests, timeout: float) -> bool:
     return done.returncode == 0
 
 
-def run_mutant(root: Path, package: str, site: Site, tests, work: Path,
-               timeout: float) -> str:
+def run_mutant(root: Path, package: str, site: Site, tests,
+               work: Path) -> str:
     """``killed``, ``killed by the suite`` or ``survived``: ``site``'s
     mutant against ``tests``, then against all of ``tests/``, in a copy
     of ``root`` under ``work``."""
@@ -203,9 +206,9 @@ def run_mutant(root: Path, package: str, site: Site, tests, work: Path,
     shutil.copy(root / "pyproject.toml", copy)
     (copy / package / site.module).write_text(
         mutant_source(root / package, site), encoding="utf-8")
-    if not _passes(copy, tests, timeout):
+    if not _passes(copy, tests, TIMEOUT):
         return "killed"
-    if not _passes(copy, ["tests"], timeout * 4):
+    if not _passes(copy, ["tests"], TIMEOUT * 4):
         return "killed by the suite"
     return "survived"
 
@@ -217,8 +220,6 @@ def main(argv=None, root=ROOT, package=PACKAGE, tests=None,
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--work", required=True,
                         help="directory for the mutated copies")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per run of the module's tests")
     args = parser.parse_args(argv)
     tests = TESTS if tests is None else tests
     equivalent = EQUIVALENT if equivalent is None else equivalent
@@ -227,8 +228,7 @@ def main(argv=None, root=ROOT, package=PACKAGE, tests=None,
     outcomes = []
     for site in drawn:
         outcome = ("equivalent" if site.key in equivalent else run_mutant(
-            root, package, site, tests[site.module], Path(args.work),
-            args.timeout))
+            root, package, site, tests[site.module], Path(args.work)))
         outcomes.append(outcome)
         print(f"{outcome:20} {site.module}:{site.line} {site.scope or '-'} "
               f"{site.source!r} {site.change}", flush=True)

@@ -118,11 +118,26 @@ class TestAtomicWriteText:
         assert _names(tmp_path) == []
 
     def test_a_name_too_long_is_configuration_error(self, tmp_path):
-        # The rename refuses the first, making the directory the second.
+        # The rename refuses the first; opening the temp file refuses the
+        # second, as its lookup meets the long directory name before any
+        # missing directory, so no directory is made.
         for path in (tmp_path / ("a" * 256), tmp_path / ("b" * 256) / "a"):
             with pytest.raises(ConfigurationError,
                                match="File name too long$"):
                 atomic_write_text(path, TEXT)
+        assert _names(tmp_path) == []
+
+    def test_a_refused_directory_is_configuration_error(self, tmp_path,
+                                                        monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(self))
+
+        monkeypatch.setattr(util.Path, "mkdir", refuse)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"cannot create directory {tmp_path / 'sub'}: "
+                "Permission denied")):
+            atomic_write_text(tmp_path / "sub" / "a.txt", TEXT)
         assert _names(tmp_path) == []
 
     def test_the_umask_is_neither_read_nor_changed(self, tmp_path,
