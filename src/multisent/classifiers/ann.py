@@ -309,9 +309,7 @@ def plan_ann(rows: np.ndarray, labels: np.ndarray, cfg: AnnConfig):
     checks and normalization happen here, ``run(r)`` is restart ``r`` and
     ``finish`` keeps the first run of the lowest final error, skipping
     diverged (None) ones, as the model."""
-    rows, labels = training_arrays(rows, labels, two_classes=True)
-
-    norm = NormalizationParams.fit(rows)
+    rows, labels, norm = training_arrays(rows, labels, two_classes=True)
     x = norm.apply(rows)
     targets = 2.0 * labels - 1.0
 

@@ -306,9 +306,7 @@ def plan_svm(rows: np.ndarray, labels: np.ndarray, cfg: SvmConfig):
     """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
     and normalization happen here, ``run(0)`` trains the model by SMO and
     ``finish`` takes it."""
-    rows, labels = training_arrays(rows, labels, two_classes=True)
-
-    norm = NormalizationParams.fit(rows)
+    rows, labels, norm = training_arrays(rows, labels, two_classes=True)
     x = norm.apply(rows)
     y = 2.0 * labels - 1.0
     return 1, lambda _: _smo(x, y, norm, cfg), itemgetter(0)

@@ -282,7 +282,7 @@ def plan_dtree(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig):
     """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
     happen here, ``run(0)`` grows (and optionally prunes) the tree and
     ``finish`` takes it; single-class data gives one leaf."""
-    rows, labels = training_arrays(rows, labels)
+    rows, labels, _ = training_arrays(rows, labels)
     return 1, lambda _: _fit(rows, labels, cfg), itemgetter(0)
 
 

@@ -123,23 +123,22 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     folds = stratified_kfold(dataset.labels, k, seed)
 
     def job(f):
-        train = dataset.subset(np.flatnonzero(folds != f))
-        return (train.rows, train.labels,
+        train = folds != f
+        return (dataset.rows[train], dataset.labels[train],
                 classifiers.with_seed(config, derive_seed(seed, "fold", f)))
 
     # Lazy jobs: a fold's training rows are kept only as far as its plan
-    # needs them, and are sliced again below for its metrics.
+    # needs them. Each model then labels every row once, and the fold's
+    # mask splits those labels into its training and test parts.
     models = classifiers.train_many(classifier, map(job, range(k)))
     results = []
     for f, model in enumerate(models):
-        train_set = dataset.subset(np.flatnonzero(folds != f))
-        test_set = dataset.subset(np.flatnonzero(folds == f))
-        train_pred = classifiers.predict_labels(model, train_set.rows)
-        test_pred = classifiers.predict_labels(model, test_set.rows)
-        results.append({
-            "fold": f,
-            "train": class_metrics(confusion(train_pred, train_set.labels)),
-            "test": class_metrics(confusion(test_pred, test_set.labels))})
+        predicted = classifiers.predict_labels(model, dataset.rows)
+        test = folds == f
+        train_counts = confusion(predicted[~test], dataset.labels[~test])
+        test_counts = confusion(predicted[test], dataset.labels[test])
+        results.append({"fold": f, "train": class_metrics(train_counts),
+                        "test": class_metrics(test_counts)})
 
     meta = dict(meta or {})
     meta.setdefault("classifier", classifier)

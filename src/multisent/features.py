@@ -193,11 +193,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        return Dataset(rows=self.rows[indices], labels=self.labels[indices],
-                       variant=self.variant)
-
     def project(self, variant: Variant) -> "Dataset":
         """Select ``variant``'s named columns from these rows; a dataset
         projects onto its own variant as itself, sharing its rows."""

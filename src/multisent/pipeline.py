@@ -98,7 +98,7 @@ def prepare_corpus(corpus_dir, lemma_dict_path) -> Corpus:
 
 
 def build_dataset(corpus: Corpus, priors, variant: Variant,
-                  rule_cfg: RuleConfig | None = None,
+                  rule_cfg: RuleConfig = RuleConfig(),
                   sentence_formula: SentenceFormula | None = None) -> Dataset:
     """Score a corpus into full-width rows, in corpus order, and project
     them onto ``variant``. The rows are built one block of whole documents
@@ -130,7 +130,8 @@ def _stage(name: str):
 
 
 def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
-    """Prepare the corpus, one prior table per formula and the rule lists."""
+    """Prepare the corpus, one prior table per formula and the rule lists,
+    or the empty rule set when ``rules`` is off."""
     with _stage("corpus loading"):
         corpus = prepare_corpus(cfg.corpus_dir, cfg.lemma_dict_path)
     with _stage("prior aggregation"):
@@ -139,7 +140,7 @@ def load_inputs(cfg: PipelineConfig, prior_formulas, rules: bool) -> tuple:
             raise DataError(f"{cfg.lexicon_path} has a prior for no lemma "
                             "of the corpus")
         priors = {f: prior_table(lexicon, f) for f in prior_formulas}
-    rule_cfg = None
+    rule_cfg = RuleConfig()
     if rules:
         with _stage("rule word lists"):
             negations = load_word_list(cfg.negations_path)
@@ -165,9 +166,9 @@ def run_configs(configs, resolved) -> list:
     for cfg, (variant, prior, sentence, _) in zip(configs, resolved):
         key = (prior, sentence, cfg.rules)
         if key not in datasets:
-            datasets[key] = build_dataset(corpus, priors[prior], variant.full,
-                                          rule_cfg if cfg.rules else None,
-                                          sentence)
+            datasets[key] = build_dataset(
+                corpus, priors[prior], variant.full,
+                rule_cfg if cfg.rules else RuleConfig(), sentence)
     del corpus, priors, rule_cfg
 
     def run(j):

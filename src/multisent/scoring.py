@@ -9,7 +9,9 @@ from the raw texts. Each token receives the prior polarity of its lemma
 stage then adjusts scores inside sentence boundaries: a negation word
 within the window before a sentiment term flips its sign, after which
 an intensifier within the window on either side pushes the score to +1
-or -1 according to its current sign. Sentence scores collapse a
+or -1 according to its current sign. Rules off is the empty rule set,
+``RuleConfig()``: no word is a rule word, so every mask is empty and the
+scores are the priors, by the same path. Sentence scores collapse a
 sentence's term scores through the (max positive, max |negative|) pair.
 
 Scores are computed with array operations and kept only where they are
@@ -125,24 +127,22 @@ class Corpus:
                 sentences - sentences[0])
             first = end
 
-    def word_scores(self, priors: dict, rule_cfg: RuleConfig | None = None):
-        """``(values, rules)``: per word, the prior of its lemma (0 when
-        unknown); with ``rule_cfg``, ``rules`` is ``(negation,
-        intensifier, window)``, whether each word's surface is a negation
-        word or an intensifier, and ``None`` without. Rule words score 0,
-        so they never act as sentiment terms. The blocks of a corpus share
-        its words, so these hold for each of them."""
+    def word_scores(self, priors: dict, rule_cfg: RuleConfig):
+        """``(values, negation, intensifier, window)``: per word, the prior
+        of its lemma (0 when unknown) and whether its surface is one of
+        ``rule_cfg``'s negation words or intensifiers, then its window.
+        Rule words score 0, so they never act as sentiment terms. The
+        blocks of a corpus share its words, so these hold for each of
+        them."""
         values = np.array([priors.get(lemma, 0.0) for _, lemma in self.words],
                           dtype=float)
-        if rule_cfg is None:
-            return values, None
         forms = [remove_diacritics(surface) for surface, _ in self.words]
         negation = np.array([f in rule_cfg.negation_words for f in forms],
                             dtype=bool)
         intensifier = np.array([f in rule_cfg.intensifier_words
                                 for f in forms], dtype=bool)
         values[negation | intensifier] = 0.0
-        return values, (negation, intensifier, rule_cfg.window)
+        return values, negation, intensifier, rule_cfg.window
 
     def rule_masks(self, negation, intensifier, window: int):
         """``(negated, intensified)``: per token, whether a ``negation``
@@ -181,24 +181,20 @@ class Corpus:
         result to +/-1. Every other token scores 0 (or a -0.0 prior) both
         before and after the rules.
         """
-        values, rules = word_scores
+        values, *rules = word_scores
         positions = np.flatnonzero((values != 0.0)[self.word_ids])
         scores = values[self.word_ids[positions]]
-        if rules is not None:
-            negated, intensified = self.rule_masks(*rules)
-            flip = negated[positions]
-            scores[flip] = -scores[flip]
-            push = intensified[positions]
-            scores[push] = np.sign(scores[push])
+        negated, intensified = self.rule_masks(*rules)
+        flip = negated[positions]
+        scores[flip] = -scores[flip]
+        push = intensified[positions]
+        scores[push] = np.sign(scores[push])
         return positions, scores
 
     def token_scores(self, word_scores):
         """Every token's prior and its score after the rules, as two
-        arrays over the tokens, from ``word_scores``; without rules both
-        are the priors."""
+        arrays over the tokens, from ``word_scores``."""
         token_priors = word_scores[0][self.word_ids]
-        if word_scores[1] is None:
-            return token_priors, token_priors
         adjusted = token_priors.copy()
         positions, scores = self.subjective(word_scores)
         adjusted[positions] = scores

@@ -85,7 +85,7 @@ SVM_PROBLEMS = [overlapping_blobs, duplicated_rows, one_feature_rows,
 
 def oracle_svm(rows, labels, cfg):
     """(model, moves) that the scalar SMO of ``oracles.smo`` reaches."""
-    norm = NormalizationParams.fit(rows)
+    norm = NormalizationParams(rows.min(axis=0), rows.max(axis=0))
     x = norm.apply(rows)
     y = 2.0 * labels - 1.0
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / x.shape[1]
@@ -272,7 +272,7 @@ class TestAnn:
             return a
 
         rows = rng.normal(size=(n, n_features))
-        norm = NormalizationParams.fit(rows)
+        norm = NormalizationParams(rows.min(axis=0), rows.max(axis=0))
         for draws in range(10):
             x, w1, b1, w2 = (draw(n, n_features), draw(hidden, n_features),
                              draw(hidden), draw(hidden))
@@ -352,7 +352,7 @@ def restart_problem(cfg):
     """Rows and labels, and every restart's oracle run on them."""
     rows, labels = separable_blobs(12, gap=1.0, n_features=3,
                                    seed=cfg.hidden)
-    x = NormalizationParams.fit(rows).apply(rows)
+    x = NormalizationParams(rows.min(axis=0), rows.max(axis=0)).apply(rows)
     targets = 2.0 * labels - 1.0
     runs = [oracles.ann_run_once(x, targets, cfg,
                                  derive_seed(cfg.seed, "ann", r))
@@ -1091,7 +1091,8 @@ class TestSharedSurface:
         assert model.normalization.maximum.tolist() == [10.0, 15.0]
 
     def test_degenerate_feature_maps_to_zero(self):
-        params = NormalizationParams.fit(np.array([[1.0, 3.0], [1.0, 5.0]]))
+        rows = np.array([[1.0, 3.0], [1.0, 5.0]])
+        params = NormalizationParams(rows.min(axis=0), rows.max(axis=0))
         out = params.apply(np.array([[1.0, 4.0], [7.0, 5.0]]))
         assert out[0, 0] == 0.0 and out[1, 0] == 0.0
         assert out[0, 1] == 0.0 and out[1, 1] == 1.0

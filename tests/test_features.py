@@ -184,13 +184,6 @@ class TestDataset:
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
 
-    def test_subset_preserves_variant(self):
-        ds = Dataset(rows=[[0.0] * 8, [1.0] * 8], labels=[0, 1],
-                     variant=Variant.TERM8)
-        sub = ds.subset([1])
-        assert sub.variant is Variant.TERM8
-        assert sub.labels.tolist() == [1]
-
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(41)
         rows = [[rng.uniform(-3, 3) for _ in range(7)] for _ in range(10)]

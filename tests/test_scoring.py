@@ -301,12 +301,14 @@ def _assert_bits(got, want):
 
 
 def _assert_columnar_matches_oracles(corpus, docs, priors, rule_cfg):
-    word_scores = corpus.word_scores(priors, rule_cfg)
+    # The oracle's rules-off path (None) against the empty rule set.
+    rules = rule_cfg or RuleConfig()
+    word_scores = corpus.word_scores(priors, rules)
     token_priors, adjusted = corpus.token_scores(word_scores)
     want = [oracles.score_document(d, priors, rule_cfg) for d in docs]
     _assert_bits(token_priors, [s for p, _ in want for s in p])
     _assert_bits(adjusted, [s for _, a in want for s in a])
-    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rule_cfg).rows,
+    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rules).rows,
                  oracles.feature_rows(docs, priors, "term", rule_cfg))
     for sf in SentenceFormula:
         _assert_bits(
@@ -315,7 +317,7 @@ def _assert_columnar_matches_oracles(corpus, docs, priors, rule_cfg):
             [v for d, (_, a) in zip(docs, want)
              for v in oracles.sentence_scores(d, a, sf)])
         _assert_bits(
-            build_dataset(corpus, priors, Variant.DOC7, rule_cfg, sf).rows,
+            build_dataset(corpus, priors, Variant.DOC7, rules, sf).rows,
             oracles.feature_rows(docs, priors, "document", rule_cfg, sf))
 
 
@@ -360,7 +362,7 @@ def test_rule_windows_stop_at_the_longest_sentence():
     longest = max(end - start for d in docs for start, end in d.sentences)
     assert corpus.longest_sentence == longest
     masks = {w: corpus.rule_masks(*corpus.word_scores(
-                 {}, RuleConfig(GRID_NEG, GRID_INT, window=w))[1])
+                 {}, RuleConfig(GRID_NEG, GRID_INT, window=w))[1:])
              for w in (longest - 1, longest, 10 ** 9)}
     for mask in masks.values():
         for got, want in zip(mask, masks[longest - 1]):
@@ -403,11 +405,12 @@ def test_rows_built_in_blocks_match_scalar_oracles(monkeypatch, budget,
     if budget == 1:
         assert len(blocks) > len(docs) // 2
     priors = _grid_priors(_grid_lexicon(), PriorFormula.MAX_SUB)
-    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rule_cfg).rows,
+    rules = rule_cfg or RuleConfig()   # the oracle's None is rules off
+    _assert_bits(build_dataset(corpus, priors, Variant.TERM8, rules).rows,
                  oracles.feature_rows(docs, priors, "term", rule_cfg))
     for sf in SentenceFormula:
         _assert_bits(
-            build_dataset(corpus, priors, Variant.DOC7, rule_cfg, sf).rows,
+            build_dataset(corpus, priors, Variant.DOC7, rules, sf).rows,
             oracles.feature_rows(docs, priors, "document", rule_cfg, sf))
 
 

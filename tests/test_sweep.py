@@ -89,7 +89,8 @@ def test_sweep_prepares_once_and_builds_each_dataset_once(paths, tmp_path,
     # one full-width build per distinct (prior formula, rules) pair
     builds = calls["build_dataset"]
     assert len(builds) == 6
-    assert len({(id(priors), rule_cfg is None)
+    assert len({(id(priors), not (rule_cfg.negation_words
+                                  | rule_cfg.intensifier_words))
                 for _, priors, _, rule_cfg, _ in builds}) == 6
     assert {variant.name for _, _, variant, _, _ in builds} == {"TERM8"}
 
@@ -113,7 +114,8 @@ def test_a_pipeline_run_prepares_once_and_builds_at_full_width(
     assert len(calls["prepare_corpus"]) == 1
     (build,) = calls["build_dataset"]
     assert build[2].name == {"TERM6": "TERM8", "DOC5": "DOC7"}[variant]
-    assert (build[3] is None) == (not overrides.get("rules", False))
+    assert (not (build[3].negation_words | build[3].intensifier_words)) \
+        == (not overrides.get("rules", False))
 
 
 def test_a_run_releases_its_corpus_before_training(paths, tmp_path,
