@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..util import derive_seed, make_rng
+from ..util import check_field_types, derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
 # An epoch whose error exceeds old_error * this ratio is rejected.
@@ -81,6 +81,7 @@ class AnnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.hidden < 1:
             raise ConfigurationError(
                 f"hidden must be >= 1, got {self.hidden}")
@@ -90,19 +91,19 @@ class AnnConfig:
         if self.max_epochs < 1:
             raise ConfigurationError(
                 f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0 < self.lr < math.inf:
+        if self.lr <= 0:
             raise ConfigurationError(
                 f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
-        if not 1 <= self.lr_up < math.inf:
+        if self.lr_up < 1:
             raise ConfigurationError(
                 f"lr_up must be finite and >= 1, got {self.lr_up}")
         if not 0 < self.lr_down < 1:
             raise ConfigurationError(
                 f"lr_down must be in (0, 1), got {self.lr_down}")
-        if not 0 <= self.goal < math.inf:
+        if self.goal < 0:
             raise ConfigurationError(
                 f"goal must be finite and >= 0, got {self.goal}")
 

@@ -107,7 +107,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..util import derive_seed, make_rng
+from ..util import check_field_types, derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
 # Minimum change in an alpha for a pair step to count as progress.
@@ -127,13 +127,14 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
+        check_field_types(self)
+        if self.c <= 0:
             raise ConfigurationError(
                 f"c must be finite and > 0, got {self.c}")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
+        if self.gamma is not None and self.gamma <= 0:
             raise ConfigurationError(
                 f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0 <= self.tol < math.inf:
+        if self.tol < 0:
             raise ConfigurationError(
                 f"tol must be finite and >= 0, got {self.tol}")
         if self.max_passes < 1:

@@ -42,6 +42,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
+from ..util import check_field_types
 from .normalize import training_arrays
 
 _GAIN_EPS = 1e-12
@@ -55,6 +56,10 @@ class TreeConfig:
     prune: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.min_leaf < 1:
+            raise ConfigurationError(
+                f"min_leaf must be >= 1, got {self.min_leaf}")
         if not 0 < self.confidence < 1:
             raise ConfigurationError(
                 f"confidence must be in (0, 1), got {self.confidence}")
@@ -163,7 +168,7 @@ def _best_split(rows: np.ndarray, labels: np.ndarray, min_leaf: int):
     """Highest-gain-ratio (feature, threshold) with positive gain, or None;
     array ops screen the cuts, within a margin (see the module docstring)."""
     n = len(labels)
-    lo, hi = max(min_leaf, 1), min(n - min_leaf, n - 1)
+    lo, hi = min_leaf, n - min_leaf
     if lo > hi:
         return None
     order = np.argsort(rows, axis=0, kind="stable")

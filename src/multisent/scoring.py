@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus_io import remove_diacritics
 from .errors import ConfigurationError, DataError
-from .util import read_text
+from .util import check_field_types, read_text
 
 # The tokens of whole documents a block of ``Corpus.blocks`` holds at most;
 # a longer document forms a block on its own.
@@ -64,6 +64,7 @@ class RuleConfig:
     window: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
         overlap = self.negation_words & self.intensifier_words

@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .parallel import map_items
-from .util import atomic_write_text, derive_seed, make_dirs, make_rng
+from .util import (atomic_write_text, check_field_types, derive_seed,
+                   make_dirs, make_rng)
 
 ASCII_NEGATIONS = ("negtool0", "negtool1")
 ASCII_INTENSIFIERS = ("inttool0", "inttool1")
@@ -77,6 +78,7 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
         if self.docs_per_class < 1:
             raise ConfigurationError("docs_per_class must be at least 1, "
                                      f"got {self.docs_per_class}")
@@ -84,19 +86,21 @@ class SynthConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got "
                                          f"{getattr(self, name)}")
-        for name in ("tokens_per_doc", "sentence_tokens", "senses_per_lemma"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigurationError(f"{name} lower bound {lo} is above "
-                                         f"its upper bound {hi}")
         if self.senses_per_lemma[1] < 1:
             raise ConfigurationError("senses_per_lemma upper bound must be "
                                      "at least 1, got "
                                      f"{self.senses_per_lemma[1]}")
-        if self.sentence_tokens[0] < 1:
-            raise ConfigurationError("sentence_tokens lower bound must be "
-                                     "at least 1, got "
-                                     f"{self.sentence_tokens[0]}")
+        # Empty documents and lemmas without senses are allowed; a
+        # negative count is no count.
+        for name, least in (("tokens_per_doc", 0), ("sentence_tokens", 1),
+                            ("senses_per_lemma", 0)):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ConfigurationError(f"{name} lower bound {lo} is above "
+                                         f"its upper bound {hi}")
+            if lo < least:
+                raise ConfigurationError(f"{name} lower bound must be at "
+                                         f"least {least}, got {lo}")
         if not 0.0 <= self.sentiment_density <= 1.0:
             raise ConfigurationError("sentiment_density must be in [0, 1]")
         if not 0.5 < self.purity <= 1.0:

@@ -1,10 +1,15 @@
-"""Small shared helpers: seeding, deterministic RNG, float sums, output
-directories, the one reader of input files, and atomic file writes of one
-``os.open`` and one rename, JSON artifacts among them."""
+"""Small shared helpers: seeding, deterministic RNG, float sums, the type
+rule of config fields, output directories, the one reader of input files,
+and atomic file writes of one ``os.open`` and one rename, JSON artifacts
+among them."""
 
 import hashlib
 import json
+import math
+import numbers
 import os
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,43 @@ def sum_left(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def check_field_types(config) -> None:
+    """The type rule of the config dataclasses, which call it before
+    checking their ranges. An ``int`` field takes an integer, numpy's
+    too; a ``bool`` field takes a bool; a ``float`` field takes a real
+    number whose ``float()`` is finite; a bool is no number here, and a
+    field typed ``... | None`` takes None as well. A value of another
+    type is a ConfigurationError naming its field; an accepted number is
+    stored as the field's Python type, which JSON can write."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        types = typing.get_args(f.type) or (f.type,)
+        if value is None and type(None) in types:
+            continue
+        number = isinstance(value, numbers.Real) \
+            and not isinstance(value, bool)
+        if bool in types:
+            type_, ok, kind = bool, isinstance(value, bool), "a bool"
+        elif int in types:
+            type_, kind = int, "an integer"
+            ok = number and isinstance(value, numbers.Integral)
+        elif float in types:
+            type_, kind = float, "a finite real number"
+            try:
+                ok = number and math.isfinite(value)
+            except OverflowError:   # a number beyond the float range
+                ok = False
+        else:
+            continue
+        if not ok:
+            try:
+                shown = repr(value)
+            except ValueError:   # an int too long for str()
+                shown = f"an int of {value.bit_length()} bits"
+            raise ConfigurationError(f"{f.name} must be {kind}, got {shown}")
+        object.__setattr__(config, f.name, type_(value))
 
 
 def make_dirs(path) -> None:

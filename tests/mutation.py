@@ -67,6 +67,9 @@ EQUIVALENT = {
     ("classifiers/tree.py", "_best_split", "gain <= _GAIN_EPS", "<= -> <"):
         "they differ only at a gain of exactly _GAIN_EPS, which an "
         "entropy difference all but never equals",
+    ("synth.py", "_documents", "stream.random(rows) < cfg.purity", "< -> <="):
+        "they differ only on a draw exactly equal to purity, one chance in "
+        "2**53 per draw",
     ("synth.py", "_documents", "initial=0", "0 -> 1"):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",

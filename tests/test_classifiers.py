@@ -616,7 +616,7 @@ class TestTree:
                           TreeConfig(min_leaf=1, prune=False))
             assert accuracy(model, rows, labels) == 1.0
 
-    @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3, 5])
     @pytest.mark.parametrize("problem", sorted(SPLIT_PROBLEMS))
     def test_best_split_matches_scalar_oracle(self, monkeypatch, problem,
                                               min_leaf):
@@ -1384,11 +1384,103 @@ class TestSharedSurface:
         (lambda: SvmConfig(gamma=0.0), "gamma must be finite and > 0, got 0"),
         (lambda: AnnConfig(hidden=0), "hidden"),
         (lambda: TreeConfig(confidence=2), "confidence"),
-    ], ids=["synth", "svm", "svm-gamma-0", "ann", "dtree"])
+        (lambda: TreeConfig(min_leaf=0), "min_leaf must be >= 1, got 0"),
+        (lambda: TreeConfig(min_leaf=-3), "min_leaf must be >= 1, got -3"),
+    ], ids=["synth", "svm", "svm-gamma-0", "ann", "dtree", "dtree-min_leaf-0",
+            "dtree-min_leaf-negative"])
     def test_configs_raise_configuration_errors_for_bad_ranges(self, make,
                                                                message):
         with pytest.raises(ConfigurationError, match=message):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: AnnConfig(lr_up=1.0), lambda: AnnConfig(momentum=0.0),
+        lambda: AnnConfig(goal=0.0), lambda: SvmConfig(tol=0.0),
+        lambda: TreeConfig(min_leaf=1)],
+        ids=["ann-lr_up-1", "ann-momentum-0", "ann-goal-0", "svm-tol-0",
+             "dtree-min_leaf-1"])
+    def test_configs_accept_the_closed_ends_of_their_ranges(self, make):
+        make()
+
+    # A value of another type fails at construction, naming its field,
+    # not inside training (a fraction of a unit) or later (an overflow).
+    @pytest.mark.parametrize("option,message", [
+        ({"hidden": 2.5}, "hidden must be an integer, got 2.5"),
+        ({"restarts": 1.5}, "restarts must be an integer, got 1.5"),
+        ({"max_epochs": True}, "max_epochs must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"lr": None}, "lr must be a finite real number, got None"),
+        ({"momentum": False}, "momentum must be a finite real number, got "
+         "False"),
+        ({"goal": math.inf}, "goal must be a finite real number, got inf"),
+    ], ids=["hidden", "restarts", "max_epochs", "seed", "lr", "momentum",
+            "goal"])
+    def test_ann_config_refuses_values_of_other_types(self, option, message):
+        with pytest.raises(ConfigurationError) as caught:
+            AnnConfig(**option)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("option,message", [
+        ({"max_passes": 2.5}, "max_passes must be an integer, got 2.5"),
+        ({"c": 10 ** 400}, f"c must be a finite real number, got {10**400}"),
+        ({"c": 10 ** 5000}, "c must be a finite real number, got an int of "
+         "16610 bits"),
+        ({"c": True}, "c must be a finite real number, got True"),
+        ({"gamma": "scale"}, "gamma must be a finite real number, got "
+         "'scale'"),
+        ({"tol": math.nan}, "tol must be a finite real number, got nan"),
+    ], ids=["max_passes", "c-huge", "c-too-long-to-print", "c-bool", "gamma",
+            "tol"])
+    def test_svm_config_refuses_values_of_other_types(self, option, message):
+        with pytest.raises(ConfigurationError) as caught:
+            SvmConfig(**option)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("option,message", [
+        ({"min_leaf": 2.5}, "min_leaf must be an integer, got 2.5"),
+        ({"min_leaf": False}, "min_leaf must be an integer, got False"),
+        ({"prune": 1}, "prune must be a bool, got 1"),
+        ({"confidence": "0.25"}, "confidence must be a finite real number, "
+         "got '0.25'"),
+    ], ids=["min_leaf-fraction", "min_leaf-bool", "prune", "confidence"])
+    def test_tree_config_refuses_values_of_other_types(self, option,
+                                                       message):
+        with pytest.raises(ConfigurationError) as caught:
+            TreeConfig(**option)
+        assert str(caught.value) == message
+
+    def test_configs_take_numpy_and_other_real_numbers(self, tmp_path):
+        # Stored as Python's int and float, so model files can hold them.
+        rows, labels = separable_blobs(6, gap=3.0)
+        configs = {
+            "ann": AnnConfig(hidden=np.int64(2), max_epochs=np.uint8(5),
+                             lr=np.float32(0.25), momentum=Fraction(1, 2)),
+            "svm": SvmConfig(c=np.int32(2), gamma=None, tol=np.float16(0.5),
+                             max_passes=np.int16(3)),
+            "dtree": TreeConfig(min_leaf=np.int64(1),
+                                confidence=Fraction(1, 4))}
+        for kind, config in configs.items():
+            assert all(type(v) in (int, float, bool, type(None))
+                       for v in dataclasses.asdict(config).values()), kind
+            save_model(train(kind, rows, labels, config), tmp_path / kind)
+            assert load_model(tmp_path / kind).config == config
+        assert configs["ann"].momentum == 0.5 and configs["svm"].c == 2.0
+
+    @pytest.mark.parametrize("kind,change,message", [
+        ("ann", {"hidden": 2.5}, "hidden must be an integer, got 2.5"),
+        ("svm", {"max_passes": 1e2}, "max_passes must be an integer, got "
+         "100.0"),
+        ("dtree", {"prune": "yes"}, "prune must be a bool, got 'yes'"),
+    ], ids=["ann-hidden", "svm-max_passes", "dtree-prune"])
+    def test_model_file_hyperparameters_of_other_types_are_data_errors(
+            self, kind, change, message):
+        rows, labels = separable_blobs(6, gap=3.0)
+        config = AnnConfig(max_epochs=5) if kind == "ann" else None
+        doc = model_to_dict(classifiers.train(kind, rows, labels, config))
+        doc["hyperparameters"].update(change)
+        with pytest.raises(DataError) as caught:
+            model_from_dict(doc)
+        assert str(caught.value) == f"malformed {kind} model: {message}"
 
     def test_every_exported_name_resolves(self):
         namespace = {}

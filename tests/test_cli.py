@@ -156,7 +156,12 @@ class TestExitCodes:
         (["pipeline", "--folds", "1"], "k must be >= 2, got 1"),
         (["pipeline", "--window", "0"], "window must be >= 1, got 0"),
         (["score", "--window", "0"], "window must be >= 1, got 0"),
-    ], ids=["pipeline-folds-1", "pipeline-window-0", "score-window-0"])
+        (["pipeline", "--classifier", "dtree", "--min-leaf", "-3"],
+         "bad dtree options: min_leaf must be >= 1, got -3"),
+        (["pipeline", "--classifier", "dtree", "--min-leaf", "0"],
+         "bad dtree options: min_leaf must be >= 1, got 0"),
+    ], ids=["pipeline-folds-1", "pipeline-window-0", "score-window-0",
+            "pipeline-min-leaf--3", "pipeline-min-leaf-0"])
     def test_run_settings_are_checked_before_any_file_is_read(
             self, tmp_path, capsys, argv, message):
         # The inputs do not exist: reading any of them would exit 2.

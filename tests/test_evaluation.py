@@ -73,6 +73,11 @@ class TestStratifiedKfold:
         with pytest.raises(DataError, match="fewer than k"):
             stratified_kfold(np.array([0, 0, 0, 1]), k=2, seed=0)
 
+    def test_class_of_exactly_k_puts_one_member_in_each_fold(self):
+        labels = np.array([0, 1, 1, 0, 1, 0, 1])
+        folds = stratified_kfold(labels, k=3, seed=0)
+        assert sorted(folds[labels == 0].tolist()) == [0, 1, 2]
+
     def test_k_below_two(self):
         with pytest.raises(ConfigurationError):
             stratified_kfold(np.array([0, 1]), k=1, seed=0)

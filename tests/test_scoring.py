@@ -156,6 +156,13 @@ class TestApplyRules:
                            match="window must be >= 1, got 0"):
             RuleConfig(window=0)
 
+    @pytest.mark.parametrize("window", [1.5, True, "2", None])
+    def test_window_of_another_type_is_a_configuration_error(self, window):
+        with pytest.raises(ConfigurationError) as caught:
+            RuleConfig(window=window)
+        assert str(caught.value) == \
+            f"window must be an integer, got {window!r}"
+
 
 class TestSentenceScores:
     def test_formula_from_name(self):

@@ -155,6 +155,29 @@ class TestConfigRanges:
         with pytest.raises(ConfigurationError, match="noise_token_prob"):
             SynthConfig(noise_token_prob=value)
 
+    @pytest.mark.parametrize("field,value", [
+        ("tokens_per_doc", (-3, -1)), ("tokens_per_doc", (-1, 4)),
+        ("senses_per_lemma", (-1, 2)),
+    ], ids=["tokens-negative", "tokens-from-negative", "senses"])
+    def test_negative_lower_bounds_are_rejected(self, field, value):
+        # (-3, -1) used to write documents that held only a newline.
+        with pytest.raises(ConfigurationError) as caught:
+            SynthConfig(**{field: value})
+        assert str(caught.value) == \
+            f"{field} lower bound must be at least 0, got {value[0]}"
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("docs_per_class", 2.5, "an integer"), ("seed", True, "an integer"),
+        ("arabic_tool_words", 1, "a bool"),
+        ("purity", 10 ** 400, "a finite real number"),
+        ("rule_fraction", "0.2", "a finite real number"),
+    ], ids=["docs_per_class", "seed", "arabic_tool_words", "purity",
+            "rule_fraction"])
+    def test_values_of_other_types_are_rejected(self, field, value, kind):
+        with pytest.raises(ConfigurationError) as caught:
+            SynthConfig(**{field: value})
+        assert str(caught.value) == f"{field} must be {kind}, got {value!r}"
+
     def test_one_token_sentences_and_empty_documents_are_accepted(self):
         # sentence_tokens and senses_per_lemma at the lowest bounds
         # they accept.
