@@ -91,8 +91,8 @@ def make_config(kind: str, **overrides):
 
 
 def with_seed(config, seed: int):
-    """``config`` with its seed set; a config with no seed passes unchanged."""
-    if not hasattr(config, "seed"):
+    """``config`` with its seed set, unless ``seed`` is None or it has none."""
+    if seed is None or not hasattr(config, "seed"):
         return config
     return replace(config, seed=seed)
 

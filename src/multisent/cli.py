@@ -7,7 +7,6 @@ options), 2 data error (missing or malformed inputs).
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import classifiers
@@ -21,7 +20,8 @@ from .pipeline import (PipelineConfig, build_dataset, load_inputs,
                        parse_bool, read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
-from .util import atomic_write_chunks, atomic_write_text, write_json
+from .util import (atomic_write_chunks, atomic_write_text, field_types,
+                   write_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +50,11 @@ _RUN_FLAGS = {
                     {"help": "negation word list, one per line"}),
     "--intensifiers": ("intensifiers_path",
                        {"help": "intensifier word list, one per line"}),
-    "--window": ("window", {"type": int, "help": "rule adjacency window "
-                            "in tokens (default 1)"}),
+    "--window": ("window", {"help": "rule adjacency window in tokens "
+                            "(default 1)"}),
     "--level": ("level", {"choices": ("term", "document")}),
-    "--variant": ("variant", {"type": int, "help": "8|6 for term level, "
-                              "7|5|4 for document level (default 8)"}),
+    "--variant": ("variant", {"help": "8|6 for term level, 7|5|4 for "
+                              "document level (default 8)"}),
     "--formula": ("prior_formula",
                   {"choices": [f.value for f in PriorFormula],
                    "help": "prior formula (default max_sub)"}),
@@ -66,9 +66,8 @@ _RUN_FLAGS = {
                           "help": "apply negation/intensification rules"}),
     "--no-rules": ("rules", {"action": "store_const", "const": False}),
     "--classifier": ("classifier", {"choices": classifiers.KINDS}),
-    "--folds": ("k", {"type": int,
-                      "help": "cross-validation folds (default 5)"}),
-    "--seed": ("seed", {"type": int}),
+    "--folds": ("k", {"help": "cross-validation folds (default 5)"}),
+    "--seed": ("seed", {}),
     "--out": ("out_dir", {}),
 }
 _INPUT_FLAGS = ("--corpus", "--lemma-dict", "--lexicon", "--negations",
@@ -76,77 +75,81 @@ _INPUT_FLAGS = ("--corpus", "--lemma-dict", "--lexicon", "--negations",
 _CELL_FLAGS = ("--formula", "--sentence-formula", "--rules", "--no-rules")
 _LOOP_FLAGS = ("--config", *_INPUT_FLAGS, "--folds", "--seed", "--out")
 
-# Classifier options: (flag, kind, option, type, help). The bool one is a
-# switch that sets its option to False.
-_CLASSIFIER_FLAGS = (
-    ("--hidden", "ann", "hidden", int, "ANN hidden units (default 15)"),
-    ("--restarts", "ann", "restarts", int,
-     "ANN training restarts (default 4)"),
-    ("--max-epochs", "ann", "max_epochs", int,
-     "ANN epoch budget (default 500)"),
-    ("--lr", "ann", "lr", float, "ANN initial learning rate"),
-    ("--momentum", "ann", "momentum", float, "ANN momentum"),
-    ("--confidence", "dtree", "confidence", float,
-     "tree pruning confidence factor (default 0.25)"),
-    ("--min-leaf", "dtree", "min_leaf", int,
-     "tree minimum rows per leaf (default 2)"),
-    ("--no-prune", "dtree", "prune", bool, "disable tree pruning"),
-    ("--svm-c", "svm", "c", float, "SVM penalty C (default 1)"),
-    ("--gamma", "svm", "gamma", float,
-     "SVM RBF gamma (default 1/num_features)"),
-    ("--tol", "svm", "tol", float, "SVM KKT tolerance (default 1e-3)"),
-    ("--max-passes", "svm", "max_passes", int, "SVM sweep budget"),
-)
+# Each classifier kind's options in the same form, each setting a field.
+_CLASSIFIER_FLAGS = {"ann": {
+    "--hidden": ("hidden", {"help": "ANN hidden units (default 15)"}),
+    "--restarts": ("restarts", {"help": "ANN training restarts (default 4)"}),
+    "--max-epochs": ("max_epochs", {"help": "ANN epoch budget (default 500)"}),
+    "--lr": ("lr", {"help": "ANN initial learning rate"}),
+    "--momentum": ("momentum", {"help": "ANN momentum"}),
+}, "dtree": {
+    "--confidence": ("confidence", {
+        "help": "tree pruning confidence factor (default 0.25)"}),
+    "--min-leaf": ("min_leaf",
+                   {"help": "tree minimum rows per leaf (default 2)"}),
+    "--no-prune": ("prune", {"action": "store_const", "const": False,
+                             "help": "disable tree pruning"}),
+}, "svm": {
+    "--svm-c": ("c", {"help": "SVM penalty C (default 1)"}),
+    "--gamma": ("gamma", {"help": "SVM RBF gamma (default 1/num_features)"}),
+    "--tol": ("tol", {"help": "SVM KKT tolerance (default 1e-3)"}),
+    "--max-passes": ("max_passes", {"help": "SVM sweep budget"}),
+}}
+
+# synth's settings in the same form, each destination a SynthConfig field.
+_SYNTH_FLAGS = {
+    "--docs": ("docs_per_class",
+               {"metavar": "DOCS", "help": "documents per class"}),
+    "--seed": ("seed", {}),
+    "--density": ("sentiment_density", {"metavar": "DENSITY"}),
+    "--purity": ("purity", {}),
+    "--rule-fraction": ("rule_fraction", {}),
+    "--arabic-tool-words": ("arabic_tool_words",
+                            {"action": "store_const", "const": True}),
+}
 
 
-def _add_run_args(p, flags, **defaults):
-    for flag in flags:
-        dest, keywords = _RUN_FLAGS[flag]
+def _add_flags(p, flags=None, table=_RUN_FLAGS, config=PipelineConfig):
+    """Add ``flags`` (all, if None) of ``table``, each but a switch reading
+    the type of the field of ``config`` it sets (else a str)."""
+    types = field_types(config)
+    for flag in flags or table:
+        dest, keywords = table[flag]
+        if "action" not in keywords:
+            keywords = dict(keywords, type=types.get(dest, str))
         p.add_argument(flag, dest=dest, **keywords)
-    p.set_defaults(**defaults)
 
 
 def _add_classifier_args(p):
-    for flag, _, option, type_, text in _CLASSIFIER_FLAGS:
-        if type_ is bool:
-            p.add_argument(flag, dest=option, action="store_const",
-                           const=False, help=text)
-        else:
-            p.add_argument(flag, dest=option, type=type_, help=text)
+    for kind, table in _CLASSIFIER_FLAGS.items():
+        _add_flags(p, table=table, config=classifiers.make_config(kind))
 
 
-def _classifier_options(args, kind) -> dict:
-    given = vars(args)
-    return {option: given[option] for _, k, option, _, _ in _CLASSIFIER_FLAGS
-            if k == kind and given.get(option) is not None}
-
-
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
+def _given(args, table) -> dict:
+    """Each destination of ``table`` whose flag was given, with its value."""
+    return {dest: value for dest, _ in table.values()
+            if (value := getattr(args, dest, None)) is not None}
 
 
 def _run_config(args, **fixed) -> PipelineConfig:
     """A run's settings: the config file's, if one is given, overridden by
     the flags given, then by ``fixed``."""
-    given = vars(args)
-    settings = read_config_file(given["config"]) if given.get("config") else {}
-    settings.update((k, v) for k, v in given.items()
-                    if k in _CONFIG_FIELDS and v is not None)
-    settings.update(fixed)
+    given = _given(args, _RUN_FLAGS)
+    path = given.pop("config", None)
+    settings = {**(read_config_file(path) if path else {}), **given, **fixed}
     for required in ("corpus_dir", "lexicon_path", "lemma_dict_path",
                      "out_dir"):
         if not settings.get(required):
             raise ConfigurationError(f"missing required setting: {required}")
     cfg = PipelineConfig(**settings)
-    cfg.classifier_options = _classifier_options(args, cfg.classifier)
+    cfg.classifier_options = _given(
+        args, _CLASSIFIER_FLAGS.get(cfg.classifier, {}))
     return cfg
 
 
 def cmd_synth(args) -> int:
     try:
-        cfg = SynthConfig(docs_per_class=args.docs, seed=args.seed,
-                          sentiment_density=args.density, purity=args.purity,
-                          rule_fraction=args.rule_fraction,
-                          arabic_tool_words=args.arabic_tool_words)
+        cfg = SynthConfig(**_given(args, _SYNTH_FLAGS))
     except ConfigurationError as exc:
         raise ConfigurationError(f"bad synth options: {exc}")
     paths = generate(cfg, args.out)
@@ -230,9 +233,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = classifiers.with_seed(
-        classifiers.make_config(args.classifier,
-                                **_classifier_options(args, args.classifier)),
+    config = classifiers.with_seed(classifiers.make_config(
+        args.classifier, **_given(args, _CLASSIFIER_FLAGS[args.classifier])),
         args.seed)
     dataset = read_features_csv(args.features)
     model = classifiers.train(args.classifier, dataset.rows, dataset.labels,
@@ -247,7 +249,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = classifiers.make_config(
-        args.classifier, **_classifier_options(args, args.classifier))
+        args.classifier, **_given(args, _CLASSIFIER_FLAGS[args.classifier]))
     dataset = read_features_csv(args.features)
     report = run_cv(dataset, args.classifier, config, k=args.k,
                     seed=args.seed,
@@ -286,8 +288,8 @@ def cmd_sweep(args) -> int:
                                  for x in _split(args.rules_options)],
                   classifier_kinds=kinds,
                   sentence_formulas=_split(args.sentence_formulas) or None,
-                  options_by_kind={k: _classifier_options(args, k)
-                                   for k in kinds})
+                  options_by_kind={kind: _given(args, table) for kind, table
+                                   in _CLASSIFIER_FLAGS.items()})
     best = next(cell for cell in cells if cell.best)
     print(json.dumps({"table": str(Path(base.out_dir) / "sweep.csv"),
                       "cells": len(cells), "best": best.name(),
@@ -308,12 +310,7 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and lexicon")
-    p.add_argument("--docs", type=int, default=250, help="documents per class")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--purity", type=float, default=1.0)
-    p.add_argument("--rule-fraction", type=float, default=0.0)
-    p.add_argument("--arabic-tool-words", action="store_true", default=False)
+    _add_flags(p, table=_SYNTH_FLAGS, config=SynthConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -333,47 +330,47 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lexicon_aggregate)
 
     p = sub.add_parser("score", help="per-token or per-sentence scores")
-    _add_run_args(p, _INPUT_FLAGS + _CELL_FLAGS)
+    _add_flags(p, _INPUT_FLAGS + _CELL_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("featurize", help="build a feature CSV")
-    _add_run_args(p, _INPUT_FLAGS + _CELL_FLAGS + ("--level", "--variant"))
+    _add_flags(p, _INPUT_FLAGS + _CELL_FLAGS + ("--level", "--variant"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train one model on a feature CSV")
     p.add_argument("--features", "--in", dest="features", required=True)
-    _add_run_args(p, ("--classifier", "--seed"), classifier="ann", seed=0)
+    _add_flags(p, ("--classifier", "--seed"))
     _add_classifier_args(p)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, classifier=PipelineConfig.classifier)
 
     p = sub.add_parser("evaluate",
                        help="cross-validate a classifier on a feature CSV")
     p.add_argument("--features", required=True)
-    _add_run_args(p, ("--classifier", "--folds", "--seed"),
-                  classifier="ann", k=5, seed=7)
+    _add_flags(p, ("--classifier", "--folds", "--seed"))
     _add_classifier_args(p)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, classifier=PipelineConfig.classifier,
+                   k=PipelineConfig.k, seed=PipelineConfig.seed)
 
     p = sub.add_parser("pipeline", help="run the full pipeline")
-    _add_run_args(p, _LOOP_FLAGS + _CELL_FLAGS
-                  + ("--level", "--variant", "--classifier"))
+    _add_flags(p, _LOOP_FLAGS + _CELL_FLAGS
+               + ("--level", "--variant", "--classifier"))
     _add_classifier_args(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("sweep", help="run the full sweep")
-    _add_run_args(p, _LOOP_FLAGS)
+    _add_flags(p, _LOOP_FLAGS)
     _add_classifier_args(p)
-    p.add_argument("--formulas", default="max_sub",
+    p.add_argument("--formulas", default=PipelineConfig.prior_formula,
                    help="comma-separated prior formulas")
-    p.add_argument("--variants", default="8",
+    p.add_argument("--variants", default=str(PipelineConfig.variant),
                    help="comma-separated widths, one level only")
-    p.add_argument("--rules-options", default="off",
+    p.add_argument("--rules-options", default=str(PipelineConfig.rules),
                    help="comma-separated booleans, e.g. off,on")
-    p.add_argument("--classifiers", default="ann",
+    p.add_argument("--classifiers", default=PipelineConfig.classifier,
                    help="comma-separated classifier kinds")
     p.add_argument("--sentence-formulas", default="",
                    help="comma-separated sentence formulas")

@@ -8,7 +8,7 @@ configuration reproduces its outputs byte for byte.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +23,8 @@ from .lexicon import PriorFormula, load_lexicon, prior_table
 from .parallel import map_items
 from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
                       sentence_scores)
-from .util import atomic_write_text, read_text, write_json
+from .util import (atomic_write_text, check_field_types, field_types,
+                   read_text, write_json)
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
                 "test_f_pos,test_f_neg,mean_test_f,best")
@@ -42,7 +43,7 @@ class PipelineConfig:
     sentence_formula: str | None = None
     variant: int = 8
     rules: bool = False
-    window: int = 1
+    window: int = RuleConfig.window
     classifier: str = "ann"
     classifier_options: dict = field(default_factory=dict)
     k: int = 5
@@ -55,12 +56,7 @@ class PipelineConfig:
         config), the level being the variant's; raises ConfigurationError
         before any data is touched.
         """
-        for name, type_ in _FILE_TYPES.items():
-            value = getattr(self, name)
-            if type(value) is not type_ and not (value is None
-                                                 and name in _NONE_DEFAULTS):
-                raise ConfigurationError(f"{name} must be of type "
-                                         f"{type_.__name__}, got {value!r}")
+        check_field_types(self)
         variant = Variant.from_width(self.variant)
         prior = PriorFormula.from_name(self.prior_formula)
         if self.level not in (None, variant.level):
@@ -288,15 +284,6 @@ def sweep(base: PipelineConfig, prior_formulas, variants, rules_options,
     return cells
 
 
-# The type each config-file value is read as: int, bool, or str for names
-# and paths. Classifier options come from flags only.
-_FILE_TYPES = {f.name: f.type if f.type in (int, bool) else str
-               for f in fields(PipelineConfig)
-               if f.name != "classifier_options"}
-# The fields that may also be None, their default.
-_NONE_DEFAULTS = {f.name for f in fields(PipelineConfig) if f.default is None}
-
-
 def parse_bool(text: str) -> bool:
     """The one boolean grammar, of ``--rules-options`` and config files."""
     low = text.lower()
@@ -317,7 +304,7 @@ def read_config_file(path) -> dict:
     quoted integer or boolean among them) or a NUL character in a value
     (no path can hold one) is a ConfigurationError.
     """
-    values = {}
+    values, types = {}, field_types(PipelineConfig)
     lines = read_text(path, "config file", ConfigurationError).splitlines()
     for n, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -327,22 +314,19 @@ def read_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{n}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _FILE_TYPES:
+        type_ = types.get(key)
+        if type_ not in (str, int, bool):   # classifier_options: flags only
             raise ConfigurationError(f"{path}:{n}: unknown config key {key!r}")
         if "\0" in raw:
             raise ConfigurationError(f"{path}:{n}: {key} holds a NUL character")
-        type_ = _FILE_TYPES[key]
+        quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'"
+        if type_ is str and quoted:
+            raw = raw[1:-1]
         try:
-            values[key] = _parse_value(raw, type_)
+            values[key] = (raw if type_ is str else int(raw) if type_ is int
+                           else parse_bool(raw))
         except (ValueError, ConfigurationError):
             raise ConfigurationError(f"{path}:{n}: {key} must be of type "
                                      f"{type_.__name__}, got {raw!r}"
                                      ) from None
     return values
-
-
-def _parse_value(raw: str, type_):
-    if type_ is str:
-        quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'"
-        return raw[1:-1] if quoted else raw
-    return int(raw) if type_ is int else parse_bool(raw)

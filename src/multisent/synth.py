@@ -67,11 +67,11 @@ class SynthConfig:
     pos_lemmas: int = 40
     neg_lemmas: int = 40
     neutral_lemmas: int = 120
-    tokens_per_doc: tuple = (60, 140)
-    sentence_tokens: tuple = (5, 12)
+    tokens_per_doc: tuple[int, int] = (60, 140)
+    sentence_tokens: tuple[int, int] = (5, 12)
     sentiment_density: float = 0.3   # probability a slot holds a sentiment word
     purity: float = 1.0              # probability it matches the document class
-    senses_per_lemma: tuple = (1, 5)
+    senses_per_lemma: tuple[int, int] = (1, 5)
     rule_fraction: float = 0.0       # fraction of sentiment tokens given a rule word
     noise_token_prob: float = 0.02
     arabic_tool_words: bool = False

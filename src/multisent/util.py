@@ -42,41 +42,63 @@ def sum_left(values) -> float:
     return total
 
 
+# The types the rule checks, each with what a value of it must be.
+_KINDS = {bool: "a bool", int: "an integer", float: "a finite real number",
+          str: "a str", tuple[int, int]: "a pair of integers"}
+
+
+def field_types(config) -> dict:
+    """Each field's type by name, in a config dataclass or instance: its
+    annotation without a last ``| None``."""
+    return {f.name: typing.get_args(f.type)[0]
+            if type(None) in typing.get_args(f.type) else f.type
+            for f in fields(config)}
+
+
 def check_field_types(config) -> None:
-    """The type rule of the config dataclasses, which call it before
-    checking their ranges. An ``int`` field takes an integer, numpy's
-    too; a ``bool`` field takes a bool; a ``float`` field takes a real
-    number whose ``float()`` is finite; a bool is no number here, and a
-    field typed ``... | None`` takes None as well. A value of another
-    type is a ConfigurationError naming its field; an accepted number is
-    stored as the field's Python type, which JSON can write."""
+    """The type rule of the config dataclasses, checked before their
+    ranges. An ``int`` field takes an integer, numpy's too, that ``str()``
+    can print; a ``float`` field, a real number whose ``float()`` is
+    finite; a bool is no number here. A ``bool`` or ``str`` field takes a
+    bool or a str, a ``tuple[int, int]`` field a tuple of two such
+    integers, and a field typed ``... | None`` None as well; other fields
+    are not checked. A value refused is a ConfigurationError naming its
+    field; one taken is stored as the field's Python type."""
+    types = field_types(config)
     for f in fields(config):
-        value = getattr(config, f.name)
-        types = typing.get_args(f.type) or (f.type,)
-        if value is None and type(None) in types:
+        type_, value = types[f.name], getattr(config, f.name)
+        if type_ not in _KINDS or value is None and type_ is not f.type:
             continue
-        number = isinstance(value, numbers.Real) \
-            and not isinstance(value, bool)
-        if bool in types:
-            type_, ok, kind = bool, isinstance(value, bool), "a bool"
-        elif int in types:
-            type_, kind = int, "an integer"
-            ok = number and isinstance(value, numbers.Integral)
-        elif float in types:
-            type_, kind = float, "a finite real number"
-            try:
-                ok = number and math.isfinite(value)
-            except OverflowError:   # a number beyond the float range
-                ok = False
-        else:
-            continue
-        if not ok:
+        try:
+            object.__setattr__(config, f.name, _converted(value, type_))
+        except (ValueError, OverflowError):
             try:
                 shown = repr(value)
-            except ValueError:   # an int too long for str()
-                shown = f"an int of {value.bit_length()} bits"
-            raise ConfigurationError(f"{f.name} must be {kind}, got {shown}")
-        object.__setattr__(config, f.name, type_(value))
+            except ValueError:   # an int too long for str(), or one inside
+                shown = (f"an int of {value.bit_length()} bits"
+                         if isinstance(value, int) else
+                         f"a {type(value).__name__} holding an int too "
+                         "long to print")
+            raise ConfigurationError(
+                f"{f.name} must be {_KINDS[type_]}, got {shown}") from None
+
+
+def _converted(value, type_):
+    """``value`` as ``type_`` if the type rule takes it, else ValueError
+    (OverflowError for a number past the float range)."""
+    args = typing.get_args(type_)   # (int, int) for a pair
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if args:
+        ok = isinstance(value, tuple) and len(value) == len(args)
+    elif type_ is int:   # str() raises ValueError past its digit limit
+        ok = number and isinstance(value, numbers.Integral) and str(value)
+    elif type_ is float:
+        ok = number and math.isfinite(value)
+    else:
+        ok = isinstance(value, type_)
+    if not ok:
+        raise ValueError
+    return tuple(map(_converted, value, args)) if args else type_(value)
 
 
 def make_dirs(path) -> None:

@@ -48,7 +48,8 @@ TESTS = {
     "pipeline.py": ["tests/test_sweep.py", "tests/test_cli.py"],
     "scoring.py": ["tests/test_scoring.py"],
     "synth.py": ["tests/test_synth.py"],
-    "util.py": ["tests/test_util.py", "tests/test_features.py"],
+    "util.py": ["tests/test_util.py", "tests/test_features.py",
+                "tests/test_classifiers.py", "tests/test_synth.py"],
     "classifiers/__init__.py": ["tests/test_classifiers.py"],
     "classifiers/ann.py": ["tests/test_classifiers.py"],
     "classifiers/io.py": ["tests/test_classifiers.py"],
@@ -70,6 +71,13 @@ EQUIVALENT = {
     ("synth.py", "_documents", "stream.random(rows) < cfg.purity", "< -> <="):
         "they differ only on a draw exactly equal to purity, one chance in "
         "2**53 per draw",
+    ("synth.py", "_documents", "stream.random(rows) < cfg.rule_fraction",
+     "< -> <="):
+        "they differ only on a draw exactly equal to rule_fraction, one "
+        "chance in 2**53 per draw",
+    ("synth.py", "_documents", "stream.random(rows) < 0.5", "< -> <="):
+        "they differ only on a draw of exactly 0.5, one chance in 2**53 "
+        "per draw",
     ("synth.py", "_documents", "initial=0", "0 -> 1"):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",

@@ -787,6 +787,12 @@ class TestTree:
             == pytest.approx(10 * (1 - 0.25 ** 0.1), abs=1e-12)
         assert added_errors(10, 0, 0.25) > 0
 
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_added_errors_all_error_case(self, n):
+        # The upper bound on the error count is n, so a node whose every
+        # row is an error adds none.
+        assert added_errors(n, n, 0.25) == 0.0
+
 
 class TestSvm:
     def test_separable_blobs(self):
@@ -1419,6 +1425,32 @@ class TestSharedSurface:
         with pytest.raises(ConfigurationError) as caught:
             AnnConfig(**option)
         assert str(caught.value) == message
+
+    # An int with more digits than str() prints is refused by the type
+    # rule, so no range message or seed derivation has to print it.
+    @pytest.mark.parametrize("make", [
+        lambda: AnnConfig(hidden=-10 ** 5000),
+        lambda: classifiers.make_config("ann", hidden=-10 ** 5000),
+    ], ids=["AnnConfig", "make_config"])
+    def test_an_int_too_long_to_print_is_refused(self, make):
+        with pytest.raises(ConfigurationError) as caught:
+            make()
+        assert str(caught.value).endswith(
+            "hidden must be an integer, got an int of 16610 bits")
+
+    def test_a_seed_too_long_to_print_is_refused_before_training(self):
+        rows, labels = separable_blobs(6, gap=3.0)
+        with pytest.raises(ConfigurationError) as caught:
+            classifiers.train("ann", rows, labels, classifiers.make_config(
+                "ann", seed=10 ** 5000, max_epochs=5))
+        assert str(caught.value) == ("bad ann options: seed must be an "
+                                     "integer, got an int of 16610 bits")
+
+    def test_with_seed_keeps_the_config_seed_for_none(self):
+        config = AnnConfig(seed=3)
+        assert classifiers.with_seed(config, None) is config
+        assert classifiers.with_seed(config, 4) == AnnConfig(seed=4)
+        assert classifiers.with_seed(TreeConfig(), 4) == TreeConfig()
 
     @pytest.mark.parametrize("option,message", [
         ({"max_passes": 2.5}, "max_passes must be an integer, got 2.5"),

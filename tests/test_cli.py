@@ -10,14 +10,17 @@ from itertools import cycle, groupby, islice
 
 import pytest
 
-from multisent import scoring, util
+from multisent import classifiers, scoring, util
 from multisent.classifiers import load_model
 from multisent.cli import main
 from multisent.corpus_io import load_lemma_dictionary
 from multisent.errors import DataError
+from multisent.evaluation import run_cv
+from multisent.features import read_features_csv
 from multisent.lexicon import PriorFormula, load_lexicon, prior_table
-from multisent.pipeline import prepare_corpus
+from multisent.pipeline import PipelineConfig, prepare_corpus
 from multisent.scoring import RuleConfig, SentenceFormula, load_word_list
+from multisent.synth import SynthConfig, generate
 
 import oracles
 from conftest import capped_address_space, traced_peak
@@ -799,6 +802,49 @@ class TestFeaturizeTrainEvaluate:
                      "--out", str(features)]) == 0
         header = features.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("label,count_pos_sent,count_neg_sent,first")
+
+
+class TestDefaults:
+    """A setting's default lives in its dataclass alone: a command given
+    no flag for it runs what the library runs by default."""
+
+    def test_synth_without_flags_writes_the_default_corpus(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        generate(SynthConfig(), tmp_path / "library")
+        files = [{p.relative_to(root): p.read_bytes()
+                  for p in sorted(root.rglob("*")) if p.is_file()}
+                 for root in (tmp_path / "cli", tmp_path / "library")]
+        assert len(files[0]) == 2 * SynthConfig().docs_per_class + 4
+        assert files[0] == files[1]
+
+    def test_evaluate_without_flags_runs_the_pipeline_defaults(self, data,
+                                                               tmp_path):
+        features, report = tmp_path / "features.csv", tmp_path / "cli.json"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        assert main(["evaluate", "--features", str(features),
+                     "--out", str(report)]) == 0
+        dataset = read_features_csv(features)
+        cfg = PipelineConfig("corpus", "lexicon", "lemmas", "out")
+        util.write_json(tmp_path / "library.json", run_cv(
+            dataset, cfg.classifier, k=cfg.k, seed=cfg.seed,
+            meta={"variant": dataset.variant.name}).to_dict())
+        assert report.read_bytes() == \
+            (tmp_path / "library.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["ann", "svm"])
+    def test_train_without_a_seed_keeps_the_config_seed(self, data, tmp_path,
+                                                        kind):
+        features, model = tmp_path / "features.csv", tmp_path / "cli.json"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        assert main(["train", "--features", str(features), "--classifier",
+                     kind, "--out", str(model)]) == 0
+        dataset = read_features_csv(features)
+        classifiers.save_model(classifiers.train(
+            kind, dataset.rows, dataset.labels), tmp_path / "library.json")
+        assert model.read_bytes() == \
+            (tmp_path / "library.json").read_bytes()
 
 
 class TestPipeline:

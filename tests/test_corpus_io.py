@@ -308,6 +308,11 @@ class TestLemmatize:
         d = LemmaDictionary({})
         assert d.lemma("وه") == "وه"
 
+    def test_strips_down_to_exactly_two_chars(self):
+        d = LemmaDictionary({})
+        assert d.lemma("الفن") == "فن"   # al + two letters
+        assert d.lemma("كتها") == "كت"   # two letters + ha
+
     def test_diacritics_removed_before_lookup(self):
         d = LemmaDictionary({"ساخن": "saxin"})
         marked = "سَاخِن"

@@ -237,6 +237,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.project(Variant.DOC4)
 
+    def test_read_names_a_bad_label(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label,count_pos_sent,count_neg_sent,max_pos,max_neg\n"
+                        "1,1.0,0.0,0.5,0.0\n2,0.0,1.0,0.0,0.5\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_features_csv(path)
+        assert str(caught.value) == f"{path}:3: label must be 0 or 1, got 2"
+
     def test_read_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,what,ever\n1,2,3\n", encoding="utf-8")

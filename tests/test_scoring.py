@@ -108,8 +108,10 @@ class TestApplyRules:
         doc = doc_from_words([NEG, "filler", "good"])
         scored = score_tokens(doc, {"good": 0.4}, RULE_WORDS)
         assert apply_rules(scored, doc, cfg)[2] == -0.4
-        # window 1 does not reach
-        assert apply_rules(scored, doc, RULES)[2] == 0.4
+        # window 1, the default, does not reach
+        default = RuleConfig(negation_words=RULES.negation_words,
+                             intensifier_words=RULES.intensifier_words)
+        assert apply_rules(scored, doc, default)[2] == 0.4
 
     def test_double_negation_restores_exactly(self):
         rng = random.Random(5)

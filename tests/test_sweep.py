@@ -5,6 +5,7 @@ both resolve their settings through ``PipelineConfig.resolve``."""
 import weakref
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from multisent import classifiers, pipeline
@@ -141,18 +142,18 @@ def test_a_run_releases_its_corpus_before_training(paths, tmp_path,
 
 
 @pytest.mark.parametrize("overrides,message", [
-    (dict(variant=8.9), "variant must be of type int, got 8.9"),
-    (dict(variant=True), "variant must be of type int, got True"),
-    (dict(k=2.5), "k must be of type int, got 2.5"),
-    (dict(window=1.5), "window must be of type int, got 1.5"),
-    (dict(seed="7"), "seed must be of type int, got '7'"),
-    (dict(rules="off"), "rules must be of type bool, got 'off'"),
-    (dict(rules=1), "rules must be of type bool, got 1"),
+    (dict(variant=8.9), "variant must be an integer, got 8.9"),
+    (dict(variant=True), "variant must be an integer, got True"),
+    (dict(k=2.5), "k must be an integer, got 2.5"),
+    (dict(window=1.5), "window must be an integer, got 1.5"),
+    (dict(seed="7"), "seed must be an integer, got '7'"),
+    (dict(rules="off"), "rules must be a bool, got 'off'"),
+    (dict(rules=1), "rules must be a bool, got 1"),
     (dict(level="term", variant=7),
      "variant 7 is document-level, but level is 'term'"),
     (dict(level=""), "variant 8 is term-level, but level is ''"),
-    (dict(prior_formula=None), "prior_formula must be of type str, got None"),
-    (dict(classifier=None), "classifier must be of type str, got None"),
+    (dict(prior_formula=None), "prior_formula must be a str, got None"),
+    (dict(classifier=None), "classifier must be a str, got None"),
 ])
 def test_resolve_refuses_a_value_of_another_type_or_level(paths, tmp_path,
                                                           overrides, message):
@@ -174,7 +175,23 @@ def test_resolve_refuses_a_name_or_path_that_is_not_a_str(paths, tmp_path,
         with pytest.raises(ConfigurationError) as caught:
             cfg.resolve()
         assert str(caught.value) == (
-            f"{name} must be of type str, got {value!r}")
+            f"{name} must be a str, got {value!r}")
+
+
+def test_resolve_stores_numpy_integers_as_python_ints(paths, tmp_path):
+    # The type rule of every config class: a library caller may pass
+    # numpy's integers, and a run writes what Python's give it.
+    numbers = dict(k=3, seed=5, variant=7, window=2)
+    runs = {}
+    for kind in (int, np.int64):
+        cfg = _base(paths, tmp_path / kind.__name__, classifier="dtree",
+                    sentence_formula="max_sub", rules=True,
+                    **{name: kind(value) for name, value in numbers.items()})
+        run_pipeline(cfg)
+        assert {name: getattr(cfg, name) for name in numbers} == numbers
+        assert {type(getattr(cfg, name)) for name in numbers} == {int}
+        runs[kind] = _files(tmp_path / kind.__name__)
+    assert runs[np.int64] == runs[int]
 
 
 def test_resolve_takes_the_level_of_the_variant(paths, tmp_path):
@@ -186,7 +203,7 @@ def test_resolve_takes_the_level_of_the_variant(paths, tmp_path):
 
 def test_sweep_refuses_a_rules_option_that_is_not_a_bool(paths, tmp_path):
     with pytest.raises(ConfigurationError,
-                       match="rules must be of type bool, got 'off'"):
+                       match="rules must be a bool, got 'off'"):
         sweep(_base(paths, tmp_path / "sweep"), prior_formulas=["max_sub"],
               variants=[8], rules_options=["off"], classifier_kinds=["dtree"])
     assert not (tmp_path / "sweep").exists()

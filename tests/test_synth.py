@@ -178,6 +178,33 @@ class TestConfigRanges:
             SynthConfig(**{field: value})
         assert str(caught.value) == f"{field} must be {kind}, got {value!r}"
 
+    @pytest.mark.parametrize("field", ["tokens_per_doc", "sentence_tokens",
+                                       "senses_per_lemma"])
+    @pytest.mark.parametrize("value", [
+        (2.5, 3), (3, "9"), (3,), (3, 9, 12), [3, 9], (3, True), None, 3,
+    ], ids=["fraction", "str", "one", "three", "list", "bool", "none",
+            "int"])
+    def test_pairs_of_other_types_are_rejected(self, field, value):
+        # (2.5, 3) used to reach generate and end in a numpy traceback.
+        with pytest.raises(ConfigurationError) as caught:
+            SynthConfig(**{field: value})
+        assert str(caught.value) == \
+            f"{field} must be a pair of integers, got {value!r}"
+
+    def test_a_pair_holding_an_int_too_long_to_print_is_rejected(self):
+        with pytest.raises(ConfigurationError) as caught:
+            SynthConfig(tokens_per_doc=(3, 10 ** 5000))
+        assert str(caught.value) == ("tokens_per_doc must be a pair of "
+                                     "integers, got a tuple holding an int "
+                                     "too long to print")
+
+    def test_pairs_of_numpy_integers_are_stored_as_python_ints(self):
+        cfg = SynthConfig(tokens_per_doc=(np.int64(3), np.uint8(9)),
+                          sentence_tokens=(np.int32(2), 4))
+        assert cfg.tokens_per_doc == (3, 9) and cfg.sentence_tokens == (2, 4)
+        assert {type(v) for v in cfg.tokens_per_doc + cfg.sentence_tokens} \
+            == {int}
+
     def test_one_token_sentences_and_empty_documents_are_accepted(self):
         # sentence_tokens and senses_per_lemma at the lowest bounds
         # they accept.
