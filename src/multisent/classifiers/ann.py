@@ -55,13 +55,13 @@ lowest final error, as serial training picks it.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..util import check_field_types, derive_seed, make_rng
+from ..util import check_fields, derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
 # An epoch whose error exceeds old_error * this ratio is rejected.
@@ -70,42 +70,19 @@ ERROR_RATIO_TOLERANCE = 1.04
 
 @dataclass(frozen=True)
 class AnnConfig:
-    hidden: int = 15
-    restarts: int = 4
-    max_epochs: int = 500
-    lr: float = 0.01
-    momentum: float = 0.9
-    lr_up: float = 1.05
-    lr_down: float = 0.7
-    goal: float = 1e-10   # stop a run once training MSE falls this low
+    hidden: int = field(default=15, metadata={"min": 1})
+    restarts: int = field(default=4, metadata={"min": 1})
+    max_epochs: int = field(default=500, metadata={"min": 1})
+    lr: float = field(default=0.01, metadata={"above": 0})
+    momentum: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    lr_up: float = field(default=1.05, metadata={"min": 1})
+    lr_down: float = field(default=0.7, metadata={"above": 0, "below": 1})
+    # stop a run once training MSE falls this low
+    goal: float = field(default=1e-10, metadata={"min": 0})
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.hidden < 1:
-            raise ConfigurationError(
-                f"hidden must be >= 1, got {self.hidden}")
-        if self.restarts < 1:
-            raise ConfigurationError(
-                f"restarts must be >= 1, got {self.restarts}")
-        if self.max_epochs < 1:
-            raise ConfigurationError(
-                f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.lr <= 0:
-            raise ConfigurationError(
-                f"lr must be finite and > 0, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigurationError(
-                f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lr_up < 1:
-            raise ConfigurationError(
-                f"lr_up must be finite and >= 1, got {self.lr_up}")
-        if not 0 < self.lr_down < 1:
-            raise ConfigurationError(
-                f"lr_down must be in (0, 1), got {self.lr_down}")
-        if self.goal < 0:
-            raise ConfigurationError(
-                f"goal must be finite and >= 0, got {self.goal}")
+        check_fields(self)
 
 
 @dataclass

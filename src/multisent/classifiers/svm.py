@@ -101,13 +101,13 @@ T, to first order in u. ``_screen_slack`` is 64 n u S.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..util import check_field_types, derive_seed, make_rng
+from ..util import check_fields, derive_seed, make_rng
 from .normalize import NormalizationParams, training_arrays
 
 # Minimum change in an alpha for a pair step to count as progress.
@@ -120,26 +120,16 @@ _KERNEL_BLOCK = 64
 
 @dataclass(frozen=True)
 class SvmConfig:
-    c: float = 1.0
-    gamma: float | None = None   # None -> 1 / n_features
-    tol: float = 1e-3
-    max_passes: int = 200        # sweep budget over the training set
+    c: float = field(default=1.0, metadata={"above": 0})
+    # None -> 1 / n_features
+    gamma: float | None = field(default=None, metadata={"above": 0})
+    tol: float = field(default=1e-3, metadata={"min": 0})
+    # sweep budget over the training set
+    max_passes: int = field(default=200, metadata={"min": 1})
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.c <= 0:
-            raise ConfigurationError(
-                f"c must be finite and > 0, got {self.c}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigurationError(
-                f"gamma must be finite and > 0, got {self.gamma}")
-        if self.tol < 0:
-            raise ConfigurationError(
-                f"tol must be finite and >= 0, got {self.tol}")
-        if self.max_passes < 1:
-            raise ConfigurationError(
-                f"max_passes must be >= 1, got {self.max_passes}")
+        check_fields(self)
 
     def kernel_gamma(self, width: int) -> float | None:
         """The RBF width training takes for rows of ``width`` features:

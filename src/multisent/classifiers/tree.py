@@ -34,7 +34,7 @@ arithmetic rescores the kept cuts and picks by the key (ratio, gain,
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from operator import itemgetter
 from statistics import NormalDist
@@ -42,7 +42,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..util import check_field_types
+from ..util import check_fields
 from .normalize import training_arrays
 
 _GAIN_EPS = 1e-12
@@ -51,18 +51,13 @@ _SPLIT = ("feature", "threshold", "left", "right")   # an internal node's keys
 
 @dataclass(frozen=True)
 class TreeConfig:
-    confidence: float = 0.25
-    min_leaf: int = 2
+    confidence: float = field(default=0.25,
+                              metadata={"above": 0, "below": 1})
+    min_leaf: int = field(default=2, metadata={"min": 1})
     prune: bool = True
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.min_leaf < 1:
-            raise ConfigurationError(
-                f"min_leaf must be >= 1, got {self.min_leaf}")
-        if not 0 < self.confidence < 1:
-            raise ConfigurationError(
-                f"confidence must be in (0, 1), got {self.confidence}")
+        check_fields(self)
         if 1.0 - self.confidence == 1.0:   # pruning's quantile is at 1 - c
             raise ConfigurationError(
                 f"confidence {self.confidence} is too small: "

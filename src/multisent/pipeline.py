@@ -23,7 +23,7 @@ from .lexicon import PriorFormula, load_lexicon, prior_table
 from .parallel import map_items
 from .scoring import (Corpus, RuleConfig, SentenceFormula, load_word_list,
                       sentence_scores)
-from .util import (atomic_write_text, check_field_types, field_types,
+from .util import (atomic_write_text, check_fields, field_types,
                    read_text, write_json)
 
 SWEEP_HEADER = ("classifier,prior_formula,sentence_formula,variant,rules,"
@@ -46,7 +46,7 @@ class PipelineConfig:
     window: int = RuleConfig.window
     classifier: str = "ann"
     classifier_options: dict = field(default_factory=dict)
-    k: int = 5
+    k: int = field(default=5, metadata={"min": 2})
     seed: int = 7
 
     def resolve(self):
@@ -56,7 +56,7 @@ class PipelineConfig:
         config), the level being the variant's; raises ConfigurationError
         before any data is touched.
         """
-        check_field_types(self)
+        check_fields(self)
         variant = Variant.from_width(self.variant)
         prior = PriorFormula.from_name(self.prior_formula)
         if self.level not in (None, variant.level):
@@ -78,8 +78,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 "rules are enabled but negation/intensifier word lists "
                 "are not configured")
-        if self.k < 2:
-            raise ConfigurationError(f"k must be >= 2, got {self.k}")
         RuleConfig(window=self.window)   # its window rule, rules on or off
         return variant, prior, sentence, clf_config
 
@@ -301,8 +299,9 @@ def read_config_file(path) -> dict:
     field's type: a string, without its surrounding quotes if it has them;
     an integer, by ``int``; a boolean, by ``parse_bool``. ``#`` starts a
     comment line. An unknown key, a value its field's type cannot read (a
-    quoted integer or boolean among them) or a NUL character in a value
-    (no path can hold one) is a ConfigurationError.
+    quoted integer or boolean among them; one longer than 40 characters is
+    shown cut short, with its length) or a NUL character in a value (no
+    path can hold one) is a ConfigurationError.
     """
     values, types = {}, field_types(PipelineConfig)
     lines = read_text(path, "config file", ConfigurationError).splitlines()
@@ -326,7 +325,9 @@ def read_config_file(path) -> dict:
             values[key] = (raw if type_ is str else int(raw) if type_ is int
                            else parse_bool(raw))
         except (ValueError, ConfigurationError):
+            shown = (repr(raw) if len(raw) <= 40 else
+                     f"{raw[:40]!r}... ({len(raw)} characters)")
             raise ConfigurationError(f"{path}:{n}: {key} must be of type "
-                                     f"{type_.__name__}, got {raw!r}"
+                                     f"{type_.__name__}, got {shown}"
                                      ) from None
     return values

@@ -26,14 +26,14 @@ bit live in ``tests/oracles.py``.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .corpus_io import remove_diacritics
 from .errors import ConfigurationError, DataError
-from .util import check_field_types, read_text
+from .util import check_fields, read_text
 
 # The tokens of whole documents a block of ``Corpus.blocks`` holds at most;
 # a longer document forms a block on its own.
@@ -57,16 +57,14 @@ class SentenceFormula(enum.Enum):
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Negation/intensifier word sets and the adjacency window (>= 1): a
-    smaller window is a ConfigurationError, a word in both sets a DataError."""
+    """Negation/intensifier word sets and the adjacency window: a window
+    out of range is a ConfigurationError, a word in both sets a DataError."""
     negation_words: frozenset = frozenset()
     intensifier_words: frozenset = frozenset()
-    window: int = 1
+    window: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
+        check_fields(self)
         overlap = self.negation_words & self.intensifier_words
         if overlap:
             raise DataError(

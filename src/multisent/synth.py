@@ -42,14 +42,14 @@ algorithm fails loudly.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .parallel import map_items
-from .util import (atomic_write_text, check_field_types, derive_seed,
+from .util import (atomic_write_text, check_fields, derive_seed,
                    make_dirs, make_rng)
 
 ASCII_NEGATIONS = ("negtool0", "negtool1")
@@ -63,54 +63,36 @@ ARABIC_INTENSIFIERS = ("جدا", "مطلق",
 
 @dataclass(frozen=True)
 class SynthConfig:
-    docs_per_class: int = 250
-    pos_lemmas: int = 40
-    neg_lemmas: int = 40
-    neutral_lemmas: int = 120
-    tokens_per_doc: tuple[int, int] = (60, 140)
-    sentence_tokens: tuple[int, int] = (5, 12)
-    sentiment_density: float = 0.3   # probability a slot holds a sentiment word
-    purity: float = 1.0              # probability it matches the document class
-    senses_per_lemma: tuple[int, int] = (1, 5)
-    rule_fraction: float = 0.0       # fraction of sentiment tokens given a rule word
-    noise_token_prob: float = 0.02
+    docs_per_class: int = field(default=250, metadata={"min": 1})
+    pos_lemmas: int = field(default=40, metadata={"min": 1})
+    neg_lemmas: int = field(default=40, metadata={"min": 1})
+    neutral_lemmas: int = field(default=120, metadata={"min": 1})
+    # Empty documents and lemmas without senses are allowed; a negative
+    # count is no count, and an empty sentence would never end.
+    tokens_per_doc: tuple[int, int] = field(default=(60, 140),
+                                            metadata={"min": 0})
+    sentence_tokens: tuple[int, int] = field(default=(5, 12),
+                                             metadata={"min": 1})
+    # probability a slot holds a sentiment word
+    sentiment_density: float = field(default=0.3,
+                                     metadata={"min": 0, "max": 1})
+    # probability it matches the document class: class-matching lemmas
+    # must be strictly more likely than opposing ones
+    purity: float = field(default=1.0, metadata={"above": 0.5, "max": 1})
+    senses_per_lemma: tuple[int, int] = field(default=(1, 5),
+                                              metadata={"min": 0})
+    # fraction of sentiment tokens given a rule word
+    rule_fraction: float = field(default=0.0, metadata={"min": 0, "max": 1})
+    noise_token_prob: float = field(default=0.02,
+                                    metadata={"min": 0, "max": 1})
     arabic_tool_words: bool = False
     seed: int = 7
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.docs_per_class < 1:
-            raise ConfigurationError("docs_per_class must be at least 1, "
-                                     f"got {self.docs_per_class}")
-        for name in ("pos_lemmas", "neg_lemmas", "neutral_lemmas"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1, got "
-                                         f"{getattr(self, name)}")
+        check_fields(self)
         if self.senses_per_lemma[1] < 1:
             raise ConfigurationError("senses_per_lemma upper bound must be "
-                                     "at least 1, got "
-                                     f"{self.senses_per_lemma[1]}")
-        # Empty documents and lemmas without senses are allowed; a
-        # negative count is no count.
-        for name, least in (("tokens_per_doc", 0), ("sentence_tokens", 1),
-                            ("senses_per_lemma", 0)):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigurationError(f"{name} lower bound {lo} is above "
-                                         f"its upper bound {hi}")
-            if lo < least:
-                raise ConfigurationError(f"{name} lower bound must be at "
-                                         f"least {least}, got {lo}")
-        if not 0.0 <= self.sentiment_density <= 1.0:
-            raise ConfigurationError("sentiment_density must be in [0, 1]")
-        if not 0.5 < self.purity <= 1.0:
-            raise ConfigurationError(
-                "purity must be in (0.5, 1]: class-matching lemmas must be "
-                "strictly more likely than opposing ones")
-        if not 0.0 <= self.rule_fraction <= 1.0:
-            raise ConfigurationError("rule_fraction must be in [0, 1]")
-        if not 0.0 <= self.noise_token_prob <= 1.0:
-            raise ConfigurationError("noise_token_prob must be in [0, 1]")
+                                     f">= 1, got {self.senses_per_lemma[1]}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Small shared helpers: seeding, deterministic RNG, float sums, the type
-rule of config fields, output directories, the one reader of input files,
-and atomic file writes of one ``os.open`` and one rename, JSON artifacts
-among them."""
+and range rule of config fields, output directories, the one reader of
+input files, and atomic file writes of one ``os.open`` and one rename,
+JSON artifacts among them."""
 
 import hashlib
 import json
 import math
 import numbers
+import operator
 import os
 import typing
 from dataclasses import fields
@@ -55,15 +56,17 @@ def field_types(config) -> dict:
             for f in fields(config)}
 
 
-def check_field_types(config) -> None:
-    """The type rule of the config dataclasses, checked before their
-    ranges. An ``int`` field takes an integer, numpy's too, that ``str()``
-    can print; a ``float`` field, a real number whose ``float()`` is
-    finite; a bool is no number here. A ``bool`` or ``str`` field takes a
-    bool or a str, a ``tuple[int, int]`` field a tuple of two such
-    integers, and a field typed ``... | None`` None as well; other fields
-    are not checked. A value refused is a ConfigurationError naming its
-    field; one taken is stored as the field's Python type."""
+def check_fields(config) -> None:
+    """The type and range rule of the config dataclasses. An ``int`` field
+    takes an integer, numpy's too, that ``str()`` can print; a ``float``
+    field, a real number whose ``float()`` is finite; a bool is no number
+    here. A ``bool`` or ``str`` field takes a bool or a str, a
+    ``tuple[int, int]`` field a tuple of two such integers in order, and a
+    field typed ``... | None`` None as well; other fields are not checked.
+    Once every field has its type, each value must lie within the bounds
+    its field's metadata gives (``_BOUNDS``), both entries of a pair. A
+    value refused is a ConfigurationError naming its field; one taken is
+    stored as the field's Python type."""
     types = field_types(config)
     for f in fields(config):
         type_, value = types[f.name], getattr(config, f.name)
@@ -81,6 +84,34 @@ def check_field_types(config) -> None:
                          "long to print")
             raise ConfigurationError(
                 f"{f.name} must be {_KINDS[type_]}, got {shown}") from None
+    for f in fields(config):
+        _check_range(f.name, getattr(config, f.name), f.metadata)
+
+
+# Each bound a field's metadata may give: the test a value must pass, and
+# how a message writes the bound alone and as an interval's end.
+_BOUNDS = {"min": (operator.ge, ">=", "["), "above": (operator.gt, ">", "("),
+           "max": (operator.le, "<=", "]"), "below": (operator.lt, "<", ")")}
+
+
+def _check_range(name: str, value, metadata) -> None:
+    """ConfigurationError unless a pair ``value`` is in order and every
+    entry of ``value`` passes each bound in ``metadata``; None passes."""
+    if isinstance(value, tuple) and value[0] > value[1]:
+        raise ConfigurationError(f"{name} lower bound {value[0]} is above "
+                                 f"its upper bound {value[1]}")
+    bounds = [(key, metadata[key]) for key in _BOUNDS if key in metadata]
+    entries = value if isinstance(value, tuple) else (value,)
+    if value is None or all(_BOUNDS[key][0](v, bound)
+                            for v in entries for key, bound in bounds):
+        return
+    if len(bounds) == 1:
+        (key, bound), = bounds
+        allowed = f"{_BOUNDS[key][1]} {bound}"
+    else:
+        (low, lo), (high, hi) = bounds
+        allowed = f"in {_BOUNDS[low][2]}{lo}, {hi}{_BOUNDS[high][2]}"
+    raise ConfigurationError(f"{name} must be {allowed}, got {value}")
 
 
 def _converted(value, type_):

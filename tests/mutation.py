@@ -45,17 +45,18 @@ TESTS = {
     "features.py": ["tests/test_features.py"],
     "lexicon.py": ["tests/test_lexicon.py"],
     "parallel.py": ["tests/test_parallel.py"],
-    "pipeline.py": ["tests/test_sweep.py", "tests/test_cli.py"],
-    "scoring.py": ["tests/test_scoring.py"],
-    "synth.py": ["tests/test_synth.py"],
+    "pipeline.py": ["tests/test_sweep.py", "tests/test_cli.py",
+                    "tests/test_util.py"],
+    "scoring.py": ["tests/test_scoring.py", "tests/test_util.py"],
+    "synth.py": ["tests/test_synth.py", "tests/test_util.py"],
     "util.py": ["tests/test_util.py", "tests/test_features.py",
                 "tests/test_classifiers.py", "tests/test_synth.py"],
     "classifiers/__init__.py": ["tests/test_classifiers.py"],
-    "classifiers/ann.py": ["tests/test_classifiers.py"],
+    "classifiers/ann.py": ["tests/test_classifiers.py", "tests/test_util.py"],
     "classifiers/io.py": ["tests/test_classifiers.py"],
     "classifiers/normalize.py": ["tests/test_classifiers.py"],
-    "classifiers/svm.py": ["tests/test_classifiers.py"],
-    "classifiers/tree.py": ["tests/test_classifiers.py"],
+    "classifiers/svm.py": ["tests/test_classifiers.py", "tests/test_util.py"],
+    "classifiers/tree.py": ["tests/test_classifiers.py", "tests/test_util.py"],
 }
 
 # (module, scope, source, change) of each mutant that computes what the
@@ -78,6 +79,13 @@ EQUIVALENT = {
     ("synth.py", "_documents", "stream.random(rows) < 0.5", "< -> <="):
         "they differ only on a draw of exactly 0.5, one chance in 2**53 "
         "per draw",
+    ("features.py", "doc_rows", "values < 0", "< -> <="):
+        "sentence scores are never -0.0 (MAX_SUB's pos - neg of equal "
+        "sides is +0.0, MAX_MAX's negative side is nonzero), and at +0.0 "
+        "both keep 0.0",
+    ("classifiers/ann.py", "_run_once", "work[0]", "0 -> 1"):
+        "work[0] and work[1] are both (n,) scratch, which _mse and "
+        "_backward write before they read",
     ("synth.py", "_documents", "initial=0", "0 -> 1"):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",

@@ -795,6 +795,32 @@ class TestTree:
 
 
 class TestSvm:
+    def test_smo_stops_after_a_sweep_that_moves_no_pair(self, monkeypatch):
+        # Such a sweep leaves every alpha, b and error as they were, so a
+        # later sweep could only repeat it: a larger sweep budget must
+        # draw no more partner orders. On these rows a sweep ends with
+        # violators that no partner can move.
+        draws, seeded = [], svm.make_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = seeded(seed)
+
+            def permutation(self, n):
+                draws.append(n)
+                return self.rng.permutation(n)
+
+        monkeypatch.setattr(svm, "make_rng", Counted)
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(80, 4))
+        labels = (rows[:, 0] + 0.8 * rng.normal(size=80) > 0).astype(int)
+        counts = []
+        for max_passes in (200, 2000):
+            draws.clear()
+            train("svm", rows, labels, SvmConfig(max_passes=max_passes))
+            counts.append(len(draws))
+        assert counts[0] == counts[1] > 0
+
     def test_separable_blobs(self):
         rows, labels = separable_blobs(30, gap=5.0)
         model = train("svm", rows, labels, SvmConfig(seed=1))
@@ -1056,6 +1082,15 @@ class TestRbfKernel:
         assert kernel.nbytes == 8 * 1000 * 1000
         # A full-size temporary would put the peak at 2x or more.
         assert peak <= 1.1 * kernel.nbytes
+
+    @pytest.mark.parametrize("at", [(0, 1), (BLOCK + 1, 2 * BLOCK + 3)],
+                             ids=["first-block", "later-block"])
+    def test_symmetric_sees_one_unequal_pair_in_any_block(self, at):
+        kernel = make_rng(4).uniform(size=(3 * self.BLOCK, 3 * self.BLOCK))
+        kernel += kernel.T
+        assert svm._symmetric(kernel)
+        kernel[at] = np.nextafter(kernel[at], 9.0)
+        assert not svm._symmetric(kernel)
 
     def test_a_kernel_beyond_memory_is_a_configuration_error(self, on_cpus):
         # 20,000 rows make a 3.2 GB kernel, which the capped address space
@@ -1387,7 +1422,7 @@ class TestSharedSurface:
     @pytest.mark.parametrize("make,message", [
         (lambda: SynthConfig(docs_per_class=0), "docs_per_class"),
         (lambda: SvmConfig(c=-1.0), "c must be"),
-        (lambda: SvmConfig(gamma=0.0), "gamma must be finite and > 0, got 0"),
+        (lambda: SvmConfig(gamma=0.0), r"gamma must be > 0, got 0\.0"),
         (lambda: AnnConfig(hidden=0), "hidden"),
         (lambda: TreeConfig(confidence=2), "confidence"),
         (lambda: TreeConfig(min_leaf=0), "min_leaf must be >= 1, got 0"),

@@ -978,6 +978,20 @@ class TestPipeline:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("variant", "9" * 5000), ("rules", "x" * 5000),
+    ], ids=["variant-5000-digits", "rules-5000-letters"])
+    def test_a_long_refused_config_value_is_cut_short(self, tmp_path, capsys,
+                                                      key, value):
+        cfg = tmp_path / "long.conf"
+        cfg.write_text(f"# a refused value\n{key} = {value}\n",
+                       encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {cfg}:2: {key} must be of "
+                       f"type {'int' if key == 'variant' else 'bool'}, got "
+                       f"{value[:40]!r}... (5000 characters)\n")
+
 
 class TestSweep:
     def test_grid_shape_and_argmax(self, data, tmp_path, capsys):

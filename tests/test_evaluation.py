@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from multisent import classifiers
 from multisent.classifiers import TreeConfig
 from multisent.errors import ConfigurationError, DataError
 from multisent.evaluation import (ConfusionCounts, class_metrics,
@@ -223,3 +224,20 @@ class TestRunCv:
     def test_unknown_classifier(self):
         with pytest.raises(ConfigurationError):
             run_cv(_separable_dataset(n=20), "nope", None, k=2, seed=0)
+
+    def test_each_fold_trains_on_the_rows_outside_it(self, monkeypatch):
+        ds, jobs = _separable_dataset(n=30), []
+        train_many = classifiers.train_many
+
+        def recorded(kind, fold_jobs):
+            fold_jobs = list(fold_jobs)   # run_cv hands over an iterator
+            jobs.extend(fold_jobs)
+            return train_many(kind, fold_jobs)
+
+        monkeypatch.setattr(classifiers, "train_many", recorded)
+        run_cv(ds, "dtree", TreeConfig(), k=3, seed=4)
+        folds = stratified_kfold(ds.labels, 3, 4)
+        assert len(jobs) == 3
+        for f, (rows, labels, _) in enumerate(jobs):
+            assert np.array_equal(rows, ds.rows[folds != f])
+            assert np.array_equal(labels, ds.labels[folds != f])

@@ -154,12 +154,33 @@ def test_a_run_releases_its_corpus_before_training(paths, tmp_path,
     (dict(level=""), "variant 8 is term-level, but level is ''"),
     (dict(prior_formula=None), "prior_formula must be a str, got None"),
     (dict(classifier=None), "classifier must be a str, got None"),
-])
+], ids=["variant-float", "variant-bool", "k-float", "window-float",
+        "seed-str", "rules-str", "rules-int", "level-term-variant-7",
+        "level-empty", "prior_formula-none", "classifier-none"])
 def test_resolve_refuses_a_value_of_another_type_or_level(paths, tmp_path,
                                                           overrides, message):
     with pytest.raises(ConfigurationError) as caught:
         _base(paths, tmp_path, **overrides).resolve()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("missing", [
+    ("negations_path",), ("intensifiers_path",),
+    ("negations_path", "intensifiers_path"),
+], ids=["negations", "intensifiers", "both"])
+def test_rules_need_both_word_lists(paths, tmp_path, missing):
+    with pytest.raises(ConfigurationError) as caught:
+        _base(paths, tmp_path, rules=True, **dict.fromkeys(missing)).resolve()
+    assert str(caught.value) == ("rules are enabled but negation/intensifier "
+                                 "word lists are not configured")
+
+
+def test_a_config_file_value_of_two_quotes_is_the_empty_string(tmp_path):
+    path = tmp_path / "quotes.conf"
+    path.write_text("level = \"\"\nout_dir = ''\ncorpus_dir = \"\n",
+                    encoding="utf-8")
+    assert pipeline.read_config_file(path) == {
+        "level": "", "out_dir": "", "corpus_dir": '"'}
 
 
 @pytest.mark.parametrize("name", [

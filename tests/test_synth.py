@@ -126,29 +126,36 @@ class TestConfigRanges:
         ("tokens_per_doc", (10, 9)),
         ("sentence_tokens", (6, 5)),
         ("senses_per_lemma", (3, 2)),
-    ])
+    ], ids=["tokens_per_doc", "sentence_tokens", "senses_per_lemma"])
     def test_lower_bound_above_upper_is_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} lower bound"):
             SynthConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [(0, 0), (0, 5), (-1, 3)])
+    @pytest.mark.parametrize("value", [(0, 0), (0, 5), (-1, 3)],
+                             ids=["0-0", "0-5", "-1-3"])
     def test_sentence_tokens_below_one_is_rejected(self, value):
         # (0, 0) used to make every sentence empty, so documents never ended.
-        with pytest.raises(ConfigurationError, match="sentence_tokens"):
+        with pytest.raises(ConfigurationError) as caught:
             SynthConfig(sentence_tokens=value)
+        assert str(caught.value) == \
+            f"sentence_tokens must be >= 1, got {value}"
 
-    @pytest.mark.parametrize("value", [(0, 0), (-2, 0)])
-    def test_senses_upper_bound_below_one_is_rejected(self, value):
+    @pytest.mark.parametrize("value,message", [
+        ((0, 0), "senses_per_lemma upper bound must be >= 1, got 0"),
+        ((-2, 0), "senses_per_lemma must be >= 0, got (-2, 0)"),
+    ], ids=["0-0", "-2-0"])
+    def test_senses_upper_bound_below_one_is_rejected(self, value, message):
         # (0, 0) used to write a lexicon with no entries.
-        with pytest.raises(ConfigurationError,
-                           match="senses_per_lemma upper bound"):
+        with pytest.raises(ConfigurationError) as caught:
             SynthConfig(senses_per_lemma=value)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("field", ["pos_lemmas", "neg_lemmas",
                                        "neutral_lemmas"])
     def test_empty_vocabulary_is_rejected(self, field):
-        with pytest.raises(ConfigurationError, match=field):
+        with pytest.raises(ConfigurationError) as caught:
             SynthConfig(**{field: 0})
+        assert str(caught.value) == f"{field} must be >= 1, got 0"
 
     @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
     def test_noise_probability_outside_unit_interval_is_rejected(self, value):
@@ -163,8 +170,7 @@ class TestConfigRanges:
         # (-3, -1) used to write documents that held only a newline.
         with pytest.raises(ConfigurationError) as caught:
             SynthConfig(**{field: value})
-        assert str(caught.value) == \
-            f"{field} lower bound must be at least 0, got {value[0]}"
+        assert str(caught.value) == f"{field} must be >= 0, got {value}"
 
     @pytest.mark.parametrize("field,value,kind", [
         ("docs_per_class", 2.5, "an integer"), ("seed", True, "an integer"),

@@ -2,12 +2,16 @@ import errno
 import os
 import re
 import stat
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from multisent import util
+from multisent.classifiers import AnnConfig, SvmConfig, TreeConfig
 from multisent.errors import ConfigurationError, DataError
+from multisent.pipeline import PipelineConfig
+from multisent.scoring import RuleConfig
 from multisent.synth import SynthConfig, generate
 from multisent.util import atomic_write_text
 
@@ -194,3 +198,111 @@ def test_generate_writes_only_its_own_names(tmp_path):
     assert _names(tmp_path) == expected
     assert all((tmp_path / name).read_bytes() == data
                for name, data in first.items())
+
+
+CONFIGS = (AnnConfig, SvmConfig, TreeConfig, SynthConfig, RuleConfig,
+           PipelineConfig)
+# The float next to 0, 0.5 and 1 on either side.
+TINY, BELOW_1, ABOVE_1 = 5e-324, 0.9999999999999999, 1.0000000000000002
+# Each declared bound: a value the rule takes at or just inside it, and
+# the nearest value it refuses, with the message.
+BOUNDS = [
+    (AnnConfig, "hidden", "min", 1, 0, "must be >= 1, got 0"),
+    (AnnConfig, "restarts", "min", 1, 0, "must be >= 1, got 0"),
+    (AnnConfig, "max_epochs", "min", 1, 0, "must be >= 1, got 0"),
+    (AnnConfig, "lr", "above", TINY, 0, "must be > 0, got 0.0"),
+    (AnnConfig, "momentum", "min", 0, -TINY,
+     "must be in [0, 1), got -5e-324"),
+    (AnnConfig, "momentum", "below", BELOW_1, 1, "must be in [0, 1), got 1.0"),
+    (AnnConfig, "lr_up", "min", 1, BELOW_1,
+     "must be >= 1, got 0.9999999999999999"),
+    (AnnConfig, "lr_down", "above", TINY, 0, "must be in (0, 1), got 0.0"),
+    (AnnConfig, "lr_down", "below", BELOW_1, 1, "must be in (0, 1), got 1.0"),
+    (AnnConfig, "goal", "min", 0, -TINY, "must be >= 0, got -5e-324"),
+    (SvmConfig, "c", "above", TINY, 0, "must be > 0, got 0.0"),
+    (SvmConfig, "gamma", "above", TINY, 0, "must be > 0, got 0.0"),
+    (SvmConfig, "tol", "min", 0, -TINY, "must be >= 0, got -5e-324"),
+    (SvmConfig, "max_passes", "min", 1, 0, "must be >= 1, got 0"),
+    # The least confidence whose 1 - confidence is below 1.
+    (TreeConfig, "confidence", "above", 2 ** -53, 0,
+     "must be in (0, 1), got 0.0"),
+    (TreeConfig, "confidence", "below", BELOW_1, 1,
+     "must be in (0, 1), got 1.0"),
+    (TreeConfig, "min_leaf", "min", 1, 0, "must be >= 1, got 0"),
+    (SynthConfig, "docs_per_class", "min", 1, 0, "must be >= 1, got 0"),
+    (SynthConfig, "pos_lemmas", "min", 1, 0, "must be >= 1, got 0"),
+    (SynthConfig, "neg_lemmas", "min", 1, 0, "must be >= 1, got 0"),
+    (SynthConfig, "neutral_lemmas", "min", 1, 0, "must be >= 1, got 0"),
+    (SynthConfig, "tokens_per_doc", "min", (0, 0), (-1, 0),
+     "must be >= 0, got (-1, 0)"),
+    (SynthConfig, "sentence_tokens", "min", (1, 1), (0, 1),
+     "must be >= 1, got (0, 1)"),
+    (SynthConfig, "senses_per_lemma", "min", (0, 1), (-1, 1),
+     "must be >= 0, got (-1, 1)"),
+    (SynthConfig, "sentiment_density", "min", 0, -TINY,
+     "must be in [0, 1], got -5e-324"),
+    (SynthConfig, "sentiment_density", "max", 1, ABOVE_1,
+     "must be in [0, 1], got 1.0000000000000002"),
+    (SynthConfig, "purity", "above", 0.5000000000000001, 0.5,
+     "must be in (0.5, 1], got 0.5"),
+    (SynthConfig, "purity", "max", 1, ABOVE_1,
+     "must be in (0.5, 1], got 1.0000000000000002"),
+    (SynthConfig, "rule_fraction", "min", 0, -TINY,
+     "must be in [0, 1], got -5e-324"),
+    (SynthConfig, "rule_fraction", "max", 1, ABOVE_1,
+     "must be in [0, 1], got 1.0000000000000002"),
+    (SynthConfig, "noise_token_prob", "min", 0, -TINY,
+     "must be in [0, 1], got -5e-324"),
+    (SynthConfig, "noise_token_prob", "max", 1, ABOVE_1,
+     "must be in [0, 1], got 1.0000000000000002"),
+    (RuleConfig, "window", "min", 1, 0, "must be >= 1, got 0"),
+    (PipelineConfig, "k", "min", 2, 1, "must be >= 2, got 1"),
+]
+# Number fields the rule gives no range: the seeds, PipelineConfig's
+# variant (``Variant.from_width`` owns its values) and window
+# (``RuleConfig`` owns its range).
+UNBOUNDED = {(AnnConfig, "seed"), (SvmConfig, "seed"), (SynthConfig, "seed"),
+             (PipelineConfig, "seed"), (PipelineConfig, "variant"),
+             (PipelineConfig, "window")}
+
+
+def _checked(cls, name, value):
+    """A ``cls`` with ``name`` set to ``value``, by the field rule."""
+    if cls is PipelineConfig:
+        config = PipelineConfig("corpus", "lexicon.tsv", "lemmas.tsv", "out",
+                                **{name: value})
+        util.check_fields(config)
+        return config
+    return cls(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls,name,key,taken,refused,message", BOUNDS,
+    ids=[f"{row[0].__name__}-{row[1]}-{row[2]}" for row in BOUNDS])
+def test_each_bound_takes_its_edge_and_refuses_the_nearest_value_past_it(
+        cls, name, key, taken, refused, message):
+    assert getattr(_checked(cls, name, taken), name) == taken
+    with pytest.raises(ConfigurationError) as caught:
+        _checked(cls, name, refused)
+    assert str(caught.value) == f"{name} {message}"
+
+
+def test_every_number_field_declares_a_range_and_the_table_has_each_bound():
+    declared = set()
+    for cls in CONFIGS:
+        for f in fields(cls):
+            bounds = set(f.metadata) & {"min", "max", "above", "below"}
+            assert set(f.metadata) == bounds, (cls, f.name)
+            if util.field_types(cls)[f.name] in (int, float, tuple[int, int]):
+                assert bool(bounds) != ((cls, f.name) in UNBOUNDED), \
+                    (cls, f.name)
+            declared |= {(cls, f.name, key) for key in bounds}
+    assert declared == {row[:3] for row in BOUNDS}
+
+
+@pytest.mark.parametrize("value", [(3, 2), (0, -1)], ids=["3-2", "0--1"])
+def test_a_pair_out_of_order_is_refused_before_its_bound(value):
+    with pytest.raises(ConfigurationError) as caught:
+        SynthConfig(sentence_tokens=value)
+    assert str(caught.value) == (f"sentence_tokens lower bound {value[0]} "
+                                 f"is above its upper bound {value[1]}")
