@@ -13,11 +13,10 @@ from .corpus_io import (LemmaDictionary, encode_texts, list_corpus,
 from .corpus_quality import (FrequencyTable, QualityReport, kl_divergence,
                              ideal_zipf_frequency, quality_report,
                              rank_frequencies)
-from .errors import ConfigurationError, DataError, ParseError
+from .errors import ConfigurationError, DataError
 from .features import Dataset, Variant, doc_rows, term_rows
-from .lexicon import (LexiconEntry, PolarityPair, PriorFormula, SenseScore,
-                      aggregate_prior, f_avg, f_max, load_lexicon,
-                      prior_table)
+from .lexicon import (PriorFormula, SenseScore, aggregate_prior, f_avg, f_max,
+                      load_lexicon, prior_table)
 from .pipeline import (PipelineConfig, build_dataset, prepare_corpus,
                        run_pipeline, sweep)
 from .scoring import Corpus, RuleConfig, SentenceFormula, sentence_scores

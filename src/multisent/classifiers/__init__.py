@@ -30,7 +30,7 @@ def _kind(kind: str) -> tuple:
     """The (plan, config class) of ``kind``; ConfigurationError if unknown."""
     if kind not in _PLANS:
         raise ConfigurationError(
-            f"unknown classifier {kind!r} (one of: {KINDS})")
+            f"unknown classifier {kind!r} (one of: {', '.join(KINDS)})")
     return _PLANS[kind]
 
 
@@ -84,8 +84,9 @@ def make_config(kind: str, **overrides):
     Raises ConfigurationError for an unknown kind, an unknown option name
     or an option value out of range.
     """
+    config_type = _kind(kind)[1]
     try:
-        return _kind(kind)[1](**overrides)
+        return config_type(**overrides)
     except (TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"bad {kind} options: {exc}")
 

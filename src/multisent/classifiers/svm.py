@@ -100,7 +100,6 @@ T, to first order in u. ``_screen_slack`` is 64 n u S.
   its partner.
 """
 
-import math
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
@@ -193,8 +192,6 @@ class SvmModel:
             raise ValueError(f"alphas {alphas.shape} and train_labels_pm "
                              f"{labels_pm.shape} disagree")
         gamma = float(doc["gamma"])
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {gamma}")
         want = cfg.kernel_gamma(sv.shape[1])
         if gamma != want:
             raise ValueError(f"gamma {gamma!r} does not match the "

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError
+from .errors import ConfigurationError, DataError
 from .util import read_text
 
 # Sentence breaks: the ASCII terminators, the Arabic question mark and
@@ -83,7 +83,7 @@ def load_lemma_dictionary(path) -> LemmaDictionary:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(f"{path}:{n}: expected 'surface<TAB>lemma'")
+            raise DataError(f"{path}:{n}: expected 'surface<TAB>lemma'")
         mapping[remove_diacritics(parts[0])] = parts[1]
     return LemmaDictionary(mapping)
 

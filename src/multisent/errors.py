@@ -1,7 +1,6 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigurationError -> 1, DataError
-(including ParseError) -> 2.
+The CLI maps these onto exit codes: ConfigurationError -> 1, DataError -> 2.
 """
 
 
@@ -12,6 +11,3 @@ class ConfigurationError(Exception):
 class DataError(Exception):
     """Input data is missing, malformed, or unusable."""
 
-
-class ParseError(DataError):
-    """A structured input file failed to parse; message carries file/line."""

@@ -11,7 +11,7 @@ sign-flipped).
 import enum
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DataError, ParseError
+from .errors import ConfigurationError, DataError
 from .util import read_text, sum_left
 
 
@@ -35,35 +35,24 @@ class PriorFormula(enum.Enum):
 
 @dataclass(frozen=True)
 class SenseScore:
-    """One sense's (positive, negative) posterior scores, each in [0, 1]."""
-    positive: float
-    negative: float
+    """A (positive, negative) score pair, each in [0, 1]: one sense's
+    posterior scores, or their per-column collapse by ``f_avg``/``f_max``."""
+    pos: float
+    neg: float
 
     def __post_init__(self):
-        for name, v in (("positive", self.positive), ("negative", self.negative)):
+        for name, v in (("positive", self.pos), ("negative", self.neg)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} sense score {v!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    lemma: str
-    senses: tuple  # of SenseScore, non-empty
-
-
-@dataclass(frozen=True)
-class PolarityPair:
-    """Collapsed per-column (positive, negative) scores, both in [0, 1]."""
-    pos: float
-    neg: float
-
-
-def load_lexicon(path) -> dict[str, LexiconEntry]:
+def load_lexicon(path) -> dict[str, tuple[SenseScore, ...]]:
     """Read a lemma<TAB>positive<TAB>negative TSV, one sense per line.
 
-    Repeated lemma lines accumulate as additional senses in file order.
-    Scores outside [0, 1] or malformed lines raise ParseError with the
-    offending line number; a file with no entries raises DataError.
+    Maps each lemma to its senses; repeated lemma lines accumulate as
+    additional senses in file order. Scores outside [0, 1], malformed
+    lines and a file with no entries raise DataError, the line faults
+    prefixed with ``path:line:``.
     """
     lines = read_text(path, "lexicon file").splitlines()
     senses_by_lemma: dict[str, list[SenseScore]] = {}
@@ -72,22 +61,21 @@ def load_lexicon(path) -> dict[str, LexiconEntry]:
             continue
         parts = line.split("\t")
         if len(parts) != 3 or not parts[0]:
-            raise ParseError(
+            raise DataError(
                 f"{path}:{n}: expected 'lemma<TAB>positive<TAB>negative'")
         try:
             pos, neg = float(parts[1]), float(parts[2])
         except ValueError:
-            raise ParseError(f"{path}:{n}: scores must be decimal numbers")
+            raise DataError(f"{path}:{n}: scores must be decimal numbers")
         try:
-            sense = SenseScore(positive=pos, negative=neg)
+            sense = SenseScore(pos, neg)
         except ValueError as exc:
-            raise ParseError(f"{path}:{n}: {exc}")
+            raise DataError(f"{path}:{n}: {exc}")
         senses_by_lemma.setdefault(parts[0], []).append(sense)
 
     if not senses_by_lemma:
         raise DataError(f"lexicon file has no entries: {path}")
-    return {lemma: LexiconEntry(lemma=lemma, senses=tuple(senses))
-            for lemma, senses in senses_by_lemma.items()}
+    return {lemma: tuple(senses) for lemma, senses in senses_by_lemma.items()}
 
 
 def _require_senses(senses):
@@ -97,19 +85,19 @@ def _require_senses(senses):
     return senses
 
 
-def f_avg(senses) -> PolarityPair:
+def f_avg(senses) -> SenseScore:
     """Mean of |positive| and mean of |negative| over the senses."""
     senses = _require_senses(senses)
-    return PolarityPair(
-        pos=sum_left(abs(s.positive) for s in senses) / len(senses),
-        neg=sum_left(abs(s.negative) for s in senses) / len(senses))
+    return SenseScore(
+        pos=sum_left(abs(s.pos) for s in senses) / len(senses),
+        neg=sum_left(abs(s.neg) for s in senses) / len(senses))
 
 
-def f_max(senses) -> PolarityPair:
+def f_max(senses) -> SenseScore:
     """Max of |positive| and max of |negative| over the senses."""
     senses = _require_senses(senses)
-    return PolarityPair(pos=max(abs(s.positive) for s in senses),
-                        neg=max(abs(s.negative) for s in senses))
+    return SenseScore(pos=max(abs(s.pos) for s in senses),
+                      neg=max(abs(s.neg) for s in senses))
 
 
 def aggregate_prior(senses, formula: PriorFormula) -> float:
@@ -133,8 +121,8 @@ def aggregate_prior(senses, formula: PriorFormula) -> float:
     return (pair.pos + (-pair.neg)) / 2.0
 
 
-def prior_table(lexicon: dict[str, LexiconEntry],
+def prior_table(lexicon: dict[str, tuple[SenseScore, ...]],
                 formula: PriorFormula) -> dict[str, float]:
-    """Aggregate every entry of a loaded lexicon under one formula."""
-    return {lemma: aggregate_prior(entry.senses, formula)
-            for lemma, entry in lexicon.items()}
+    """Aggregate every lemma of a loaded lexicon under one formula."""
+    return {lemma: aggregate_prior(senses, formula)
+            for lemma, senses in lexicon.items()}

@@ -292,6 +292,12 @@ def parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted, cut to its first 40 characters if it is longer."""
+    return (repr(text) if len(text) <= 40 else
+            f"{text[:40]!r}... ({len(text)} characters)")
+
+
 def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` configuration file.
 
@@ -299,9 +305,9 @@ def read_config_file(path) -> dict:
     field's type: a string, without its surrounding quotes if it has them;
     an integer, by ``int``; a boolean, by ``parse_bool``. ``#`` starts a
     comment line. An unknown key, a value its field's type cannot read (a
-    quoted integer or boolean among them; one longer than 40 characters is
-    shown cut short, with its length) or a NUL character in a value (no
-    path can hold one) is a ConfigurationError.
+    quoted integer or boolean among them) or a NUL character in a value
+    (no path can hold one) is a ConfigurationError; a key or value longer
+    than 40 characters is shown cut short, with its length.
     """
     values, types = {}, field_types(PipelineConfig)
     lines = read_text(path, "config file", ConfigurationError).splitlines()
@@ -315,7 +321,8 @@ def read_config_file(path) -> dict:
         key, raw = key.strip(), raw.strip()
         type_ = types.get(key)
         if type_ not in (str, int, bool):   # classifier_options: flags only
-            raise ConfigurationError(f"{path}:{n}: unknown config key {key!r}")
+            raise ConfigurationError(
+                f"{path}:{n}: unknown config key {_shown(key)}")
         if "\0" in raw:
             raise ConfigurationError(f"{path}:{n}: {key} holds a NUL character")
         quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'"
@@ -325,9 +332,7 @@ def read_config_file(path) -> dict:
             values[key] = (raw if type_ is str else int(raw) if type_ is int
                            else parse_bool(raw))
         except (ValueError, ConfigurationError):
-            shown = (repr(raw) if len(raw) <= 40 else
-                     f"{raw[:40]!r}... ({len(raw)} characters)")
             raise ConfigurationError(f"{path}:{n}: {key} must be of type "
-                                     f"{type_.__name__}, got {shown}"
+                                     f"{type_.__name__}, got {_shown(raw)}"
                                      ) from None
     return values

@@ -86,6 +86,17 @@ EQUIVALENT = {
     ("classifiers/ann.py", "_run_once", "work[0]", "0 -> 1"):
         "work[0] and work[1] are both (n,) scratch, which _mse and "
         "_backward write before they read",
+    ("classifiers/svm.py", "_pair_step", "a_i * y_i", "* -> /"):
+        "y_i is +1.0 or -1.0, and a float times or over +-1 is the same "
+        "float",
+    ("classifiers/svm.py", "_pair_step", "a_j * y_j", "* -> /"):
+        "y_j is +1.0 or -1.0, and a float times or over +-1 is the same "
+        "float",
+    ("classifiers/tree.py", "_best_split",
+     "ratios >= ratios[sure].max() - margin", ">= -> >"):
+        "a cut whose screened ratio is exactly M - margin has an exact "
+        "ratio below M - delta (margin > 2 delta), so it cannot win or tie "
+        "whether the screen keeps it or not",
     ("synth.py", "_documents", "initial=0", "0 -> 1"):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",

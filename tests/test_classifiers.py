@@ -299,6 +299,17 @@ class TestAnn:
         assert want[1] <= cfg.goal
         assert_same_run(got, want)
 
+    def test_run_stops_at_an_error_equal_to_the_goal(self, monkeypatch):
+        # The goal is met when the error reaches it, not only below it: a
+        # goal equal to the error after 20 epochs stops the run there.
+        x, targets = ann_problem(37, 7, 4)
+        _, error = ann._run_once(x, targets,
+                                 AnnConfig(max_epochs=20, goal=0.0), 9)
+        got, want, _, _, _ = counted_runs(
+            monkeypatch, x, targets, AnnConfig(max_epochs=500, goal=error), 9)
+        assert got[1] == error
+        assert_same_run(got, want)
+
     def test_rejected_epochs_reuse_gradients(self, monkeypatch):
         x, targets = ann_problem(400, 7, 5)
         cfg = AnnConfig(max_epochs=300, lr=5.0)
@@ -820,6 +831,12 @@ class TestSvm:
             train("svm", rows, labels, SvmConfig(max_passes=max_passes))
             counts.append(len(draws))
         assert counts[0] == counts[1] > 0
+
+    def test_screen_slack_uses_the_float64_unit_roundoff(self):
+        # 64 n u (sum(alphas) + |b| + 1) with u = 2**-53: a smaller u
+        # would let the screens skip partners whose step rounding hid.
+        assert svm._screen_slack(np.array([0.5, 1.0, 0.0]), -2.0) == (
+            64 * 3 * 2.0 ** -53 * 4.5)
 
     def test_separable_blobs(self):
         rows, labels = separable_blobs(30, gap=5.0)
@@ -1356,9 +1373,9 @@ class TestSharedSurface:
                  r"train_labels_pm \(\d+,\) disagree"),
                 # Gamma 0 would score every row alike, and a negative
                 # one take far rows for near ones.
-                ("svm", {"gamma": -5}, "malformed svm model: gamma must be "
-                 r"finite and > 0, got -5.0"),
-                ("svm", {"gamma": 0}, r"gamma must be finite and > 0, got 0"),
+                ("svm", {"gamma": -5}, r"malformed svm model: gamma -5\.0 "
+                 r"does not match the hyperparameters, which give 0\.5"),
+                ("svm", {"gamma": 0}, r"gamma 0\.0 does not match"),
                 # Prediction reads the top-level gamma, so it must be the
                 # one training took: 1 / the row width here, or the
                 # configured one.
@@ -1403,6 +1420,23 @@ class TestSharedSurface:
     def test_train_dispatch_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="unknown classifier"):
             classifiers.train("forest", np.zeros((2, 2)), [0, 1])
+
+    @pytest.mark.parametrize("kind", ["ann", "svm"])
+    def test_training_without_a_config_takes_seed_0(self, kind):
+        rows, labels = separable_blobs(10)
+        assert model_to_dict(train(kind, rows, labels)) == model_to_dict(
+            train(kind, rows, labels, classifiers.make_config(kind, seed=0)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: classifiers.train_many("nb", []),
+        lambda: classifiers.make_config("nb", hidden=3),
+    ], ids=["train_many", "make_config"])
+    def test_unknown_kind_message_lists_the_kinds(self, call):
+        # An unknown kind is not a fault of its options.
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == ("unknown classifier 'nb' "
+                                   "(one of: ann, dtree, svm)")
 
     @pytest.mark.parametrize("kind,config,message", [
         ("svm", AnnConfig(), "the svm config must be SvmConfig or None, "

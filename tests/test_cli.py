@@ -992,6 +992,27 @@ class TestPipeline:
                        f"type {'int' if key == 'variant' else 'bool'}, got "
                        f"{value[:40]!r}... (5000 characters)\n")
 
+    def test_unknown_classifier_in_config_file(self, data, tmp_path, capsys):
+        cfg = tmp_path / "nb.conf"
+        cfg.write_text("\n".join([
+            f'corpus_dir = "{data["corpus"]}"',
+            f'lexicon_path = "{data["lexicon"]}"',
+            f'lemma_dict_path = "{data["lemma_dict"]}"',
+            f'out_dir = "{tmp_path / "run"}"',
+            "classifier = nb"]) + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: unknown classifier 'nb' "
+            "(one of: ann, dtree, svm)\n")
+
+    def test_a_long_unknown_config_key_is_cut_short(self, tmp_path, capsys):
+        cfg = tmp_path / "long.conf"
+        cfg.write_text(f"{'k' * 5000} = 1\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:1: unknown config key "
+            f"{'k' * 40!r}... (5000 characters)\n")
+
 
 class TestSweep:
     def test_grid_shape_and_argmax(self, data, tmp_path, capsys):

@@ -7,7 +7,7 @@ from multisent import pipeline
 from multisent.corpus_io import (LemmaDictionary, encode_texts, list_corpus,
                                  load_lemma_dictionary, read_document,
                                  remove_diacritics)
-from multisent.errors import ConfigurationError, DataError, ParseError
+from multisent.errors import ConfigurationError, DataError
 
 import oracles
 from conftest import traced_peak
@@ -337,9 +337,10 @@ class TestLemmatize:
 
     def test_load_lemma_dictionary_malformed(self, tmp_path):
         path = tmp_path / "dict.tsv"
-        path.write_text("justone\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":1"):
-            load_lemma_dictionary(path)
+        for text in ("justone\n", "\tlemma\n", "surface\t\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match=":1: expected 'surface"):
+                load_lemma_dictionary(path)
 
 
 class TestPrepareDocument:

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from multisent.errors import ConfigurationError, DataError, ParseError
-from multisent.lexicon import (PolarityPair, PriorFormula, SenseScore,
-                               aggregate_prior, f_avg, f_max, load_lexicon,
-                               prior_table)
+from multisent.errors import ConfigurationError, DataError
+from multisent.lexicon import (PriorFormula, SenseScore, aggregate_prior,
+                               f_avg, f_max, load_lexicon, prior_table)
 
 import oracles
 
@@ -25,28 +24,30 @@ class TestLoadLexicon:
                         encoding="utf-8")
         lex = load_lexicon(path)
         assert set(lex) == {"hot"}
-        assert len(lex["hot"].senses) == 5
-        assert lex["hot"].senses[1] == SenseScore(0.75, 0.125)
+        assert len(lex["hot"]) == 5
+        assert lex["hot"][1] == SenseScore(0.75, 0.125)
 
     def test_scores_of_exactly_zero_and_one_load(self, tmp_path):
         # [0, 1] is closed at both ends.
         path = tmp_path / "lex.tsv"
         path.write_text("top\t1.000\t0\nlow\t0.0\t1\n", encoding="utf-8")
         lex = load_lexicon(path)
-        assert lex["top"].senses == (SenseScore(1.0, 0.0),)
-        assert lex["low"].senses == (SenseScore(0.0, 1.0),)
+        assert lex["top"] == (SenseScore(1.0, 0.0),)
+        assert lex["low"] == (SenseScore(0.0, 1.0),)
 
     def test_score_out_of_range_reports_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("ok\t0.5\t0.5\nx\t1.5\t0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"lex\.tsv:2"):
+        with pytest.raises(DataError, match=r"lex\.tsv:2"):
             load_lexicon(path)
 
     def test_malformed_line_is_an_error(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("just-a-lemma\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":1"):
-            load_lexicon(path)
+        # The second line has scores but no lemma.
+        for text in ("just-a-lemma\n", "\t0.5\t0.5\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match=":1: expected 'lemma"):
+                load_lexicon(path)
 
     @pytest.mark.parametrize("text", ["", "\n", " \n\t\n  "])
     def test_file_without_entries_is_a_data_error(self, tmp_path, text):
@@ -70,20 +71,20 @@ class TestPairReductions:
 
     def test_five_sense_maxima(self):
         pair = f_max(FIVE)
-        assert pair == PolarityPair(0.75, 0.375)
+        assert pair == SenseScore(0.75, 0.375)
 
     def test_singleton(self):
         senses = make_senses([(0.7, 0.1)])
-        assert f_avg(senses) == PolarityPair(0.7, 0.1)
-        assert f_max(senses) == PolarityPair(0.7, 0.1)
+        assert f_avg(senses) == SenseScore(0.7, 0.1)
+        assert f_max(senses) == SenseScore(0.7, 0.1)
 
     def test_all_zero(self):
         senses = make_senses([(0.0, 0.0), (0.0, 0.0)])
-        assert f_avg(senses) == PolarityPair(0.0, 0.0)
+        assert f_avg(senses) == SenseScore(0.0, 0.0)
 
     def test_columns_reduce_independently(self):
         senses = make_senses([(0.2, 0.9), (0.8, 0.1)])
-        assert f_max(senses) == PolarityPair(0.8, 0.9)
+        assert f_max(senses) == SenseScore(0.8, 0.9)
 
     def test_empty_senses_error(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from multisent import scoring
 from multisent.corpus_io import load_lemma_dictionary
 from multisent.errors import ConfigurationError, DataError
 from multisent.features import Variant
-from multisent.lexicon import (LexiconEntry, PriorFormula, SenseScore,
-                               load_lexicon, prior_table)
+from multisent.lexicon import (PriorFormula, SenseScore, load_lexicon,
+                               prior_table)
 from multisent.pipeline import build_dataset, prepare_corpus
 from multisent.scoring import (Corpus, RuleConfig, SentenceFormula,
                                load_word_list)
@@ -256,10 +256,9 @@ def _grid_lexicon():
             + ["negx", "intx"]:
         senses = [(round(rng.random(), 3), round(rng.random(), 3))
                   for _ in range(rng.randint(1, 4))]
-        lexicon[name] = LexiconEntry(
-            name, tuple(SenseScore(p, n) for p, n in senses))
+        lexicon[name] = tuple(SenseScore(p, n) for p, n in senses)
     # equal columns: the _sub formulas and avg_avg give +0.0
-    lexicon["tie"] = LexiconEntry("tie", (SenseScore(0.5, 0.5),))
+    lexicon["tie"] = (SenseScore(0.5, 0.5),)
     return lexicon
 
 

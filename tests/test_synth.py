@@ -44,7 +44,7 @@ class TestGenerate:
         lexicon = load_lexicon(paths.lexicon)
         assert len(lexicon) == cfg.pos_lemmas + cfg.neg_lemmas
         lo, hi = cfg.senses_per_lemma
-        assert all(lo <= len(e.senses) <= hi for e in lexicon.values())
+        assert all(lo <= len(senses) <= hi for senses in lexicon.values())
         lemma_dict = load_lemma_dictionary(paths.lemma_dict)
         assert lemma_dict.lemma("pos000u") == "pos000"
         assert load_word_list(paths.negations)
