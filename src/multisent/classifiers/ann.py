@@ -37,6 +37,9 @@ change the bits, so ``forward`` computes ``x @ w1.T + b1`` as before.
 The gradient takes the same layout: ``g_w1 = d_hidden.T @ x`` goes into
 an (H, F) scratch and its transpose is copied into the gradient's
 ``w1ᵀ`` block (``x.T @ d_hidden`` gives the same bits, more slowly).
+A model holds the block ``a`` its run ended with, which prediction
+reads as training did; its model file keeps ``w1`` (H, F) and ``b1``
+(format 2, unchanged).
 
 ``b1``'s gradient is the column sum of the (n, H) hidden error. numpy's
 ``sum(axis=0)`` adds the rows one after another, but with one H-element
@@ -88,8 +91,7 @@ class AnnConfig:
 @dataclass
 class AnnModel:
     kind = "ann"
-    w1: np.ndarray        # (hidden, features)
-    b1: np.ndarray        # (hidden,)
+    a: np.ndarray         # (features + 1, hidden): [w1ᵀ; b1], C-contiguous
     w2: np.ndarray        # (hidden,)
     b2: float
     normalization: NormalizationParams
@@ -98,16 +100,17 @@ class AnnModel:
 
     @property
     def input_width(self) -> int:
-        return self.w1.shape[1]
+        return len(self.a) - 1
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         x = self.normalization.apply(rows)
-        return _activations(self.w1, self.b1, self.w2, self.b2, x)[1]
+        return forward(self.a, self.w2, self.b2, _with_ones(x))[1]
 
     def to_dict(self) -> dict:
         return {"hyperparameters": asdict(self.config),
                 "normalization": self.normalization.to_dict(),
-                "weights": {"w1": self.w1.tolist(), "b1": self.b1.tolist(),
+                "weights": {"w1": self.a[:-1].T.tolist(),
+                            "b1": self.a[-1].tolist(),
                             "w2": self.w2.tolist(), "b2": float(self.b2)},
                 "final_error": self.final_error, "seed": self.config.seed}
 
@@ -126,8 +129,10 @@ class AnnModel:
                              f"shapes {b1.shape} and {w2.shape}")
         if norm.minimum.shape != (width,) or norm.maximum.shape != (width,):
             raise ValueError(f"normalization bounds must have length {width}")
-        return cls(w1=w1, b1=b1, w2=w2, b2=float(w["b2"]),
-                   normalization=norm,
+        # C-contiguous, as training makes it (np.vstack gives F order).
+        a = np.empty((width + 1, hidden))
+        a[:-1], a[-1] = w1.T, b1
+        return cls(a=a, w2=w2, b2=float(w["b2"]), normalization=norm,
                    config=AnnConfig(**doc["hyperparameters"]),
                    final_error=doc["final_error"])
 
@@ -158,15 +163,6 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     x1 = np.ones((len(x), x.shape[1] + 1))
     x1[:, :-1] = x
     return x1
-
-
-def _activations(w1, b1, w2, b2, x: np.ndarray):
-    """``forward`` at the weights ``w1`` (H, F), ``b1``, ``w2``, ``b2``
-    and the rows ``x``, through a C-contiguous ``[w1ᵀ; b1]`` as in
-    training (``np.vstack`` would give a Fortran-ordered one)."""
-    a = np.empty((w1.shape[1] + 1, len(b1)))
-    a[:-1], a[-1] = w1.T, b1
-    return forward(a, w2, b2, _with_ones(x))
 
 
 def _mse(out: np.ndarray, targets: np.ndarray, work=None) -> float:
@@ -226,7 +222,8 @@ def _backward(x, targets, hidden, out, w2, work, grads):
 
 
 def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
-    """One training run; returns (params, final_error) or None on divergence."""
+    """One training run: ``((a, w2, b2), final_error)``, with ``a`` the
+    (F+1, H) block ``[w1ᵀ; b1]``, or None on divergence."""
     rng = make_rng(run_seed)
     n_features = x.shape[1]
     x1 = _with_ones(x)
@@ -279,7 +276,7 @@ def _run_once(x, targets, cfg: AnnConfig, run_seed: int):
         acts, cand_acts = cand_acts, acts
         stale = True
     a, w2, b2 = weights
-    return (a[:-1].T.copy(), a[-1], w2, float(b2[0])), error
+    return (a, w2, float(b2[0])), error
 
 
 def plan_ann(rows: np.ndarray, labels: np.ndarray, cfg: AnnConfig):
@@ -304,8 +301,8 @@ def plan_ann(rows: np.ndarray, labels: np.ndarray, cfg: AnnConfig):
         best = min(filter(None, runs), key=itemgetter(1), default=None)
         if best is None:
             raise DataError("all training restarts diverged")
-        (w1, b1, w2, b2), error = best
-        return AnnModel(w1=w1, b1=b1, w2=w2, b2=b2, normalization=norm,
-                        config=cfg, final_error=error)
+        (a, w2, b2), error = best
+        return AnnModel(a=a, w2=w2, b2=b2, normalization=norm, config=cfg,
+                        final_error=error)
 
     return cfg.restarts, run, finish

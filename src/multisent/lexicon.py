@@ -107,7 +107,6 @@ def aggregate_prior(senses, formula: PriorFormula) -> float:
     minus sign when that column is the negative one; an exact tie returns
     the positive value unsigned.
     """
-    senses = _require_senses(senses)
     if formula in (PriorFormula.AVG_MAX, PriorFormula.AVG_SUB,
                    PriorFormula.AVG_AVG):
         pair = f_avg(senses)

@@ -27,7 +27,6 @@ bit live in ``tests/oracles.py``.
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -100,10 +99,6 @@ class Corpus:
     sentence_tokens: np.ndarray
     doc_sentences: np.ndarray
 
-    @cached_property
-    def longest_sentence(self) -> int:
-        return int(np.diff(self.sentence_tokens).max(initial=0))
-
     def blocks(self):
         """``(first, block)`` in corpus order: ``block`` is a ``Corpus`` of
         the whole documents ``first, first + 1, ...`` of at most
@@ -160,7 +155,8 @@ class Corpus:
         int_ahead = int_back.copy()
         negated = np.zeros_like(neg_back)
         intensified = np.zeros_like(int_back)
-        for _ in range(min(window, self.longest_sentence - 1)):
+        longest = int(np.diff(self.sentence_tokens).max(initial=0))
+        for _ in range(min(window, longest - 1)):
             for back in (neg_back, int_back):
                 back[1:] = back[:-1] & continues[1:]
                 back[0] = False

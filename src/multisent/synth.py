@@ -68,19 +68,21 @@ class SynthConfig:
     neg_lemmas: int = field(default=40, metadata={"min": 1})
     neutral_lemmas: int = field(default=120, metadata={"min": 1})
     # Empty documents and lemmas without senses are allowed; a negative
-    # count is no count, and an empty sentence would never end.
-    tokens_per_doc: tuple[int, int] = field(default=(60, 140),
-                                            metadata={"min": 0})
-    sentence_tokens: tuple[int, int] = field(default=(5, 12),
-                                             metadata={"min": 1})
+    # count is no count, and an empty sentence would never end. The upper
+    # bounds keep each draw in range: PhiloxBatch.integers takes fewer
+    # than 2**32 values, Generator.integers an int64 upper end.
+    tokens_per_doc: tuple[int, int] = field(
+        default=(60, 140), metadata={"min": 0, "max": 2 ** 32 - 2})
+    sentence_tokens: tuple[int, int] = field(
+        default=(5, 12), metadata={"min": 1, "max": 2 ** 32 - 2})
     # probability a slot holds a sentiment word
     sentiment_density: float = field(default=0.3,
                                      metadata={"min": 0, "max": 1})
     # probability it matches the document class: class-matching lemmas
     # must be strictly more likely than opposing ones
     purity: float = field(default=1.0, metadata={"above": 0.5, "max": 1})
-    senses_per_lemma: tuple[int, int] = field(default=(1, 5),
-                                              metadata={"min": 0})
+    senses_per_lemma: tuple[int, int] = field(
+        default=(1, 5), metadata={"min": 0, "max": 2 ** 63 - 2})
     # fraction of sentiment tokens given a rule word
     rule_fraction: float = field(default=0.0, metadata={"min": 0, "max": 1})
     noise_token_prob: float = field(default=0.02,
@@ -134,12 +136,13 @@ class PhiloxBatch:
     ``np.random.Generator(np.random.Philox(seeds[rows[k]]))`` gives for the
     same call, for ``hi - lo`` in [1, 2**32); see the module docstring.
     ``rows`` is an array of distinct row numbers, and ``lo`` and ``hi`` are
-    integers or arrays aligned with it."""
+    integers or arrays aligned with it. Raw outputs are fetched in one
+    place, ``_next64``: ``_RAW`` per stream at the first draw, then as
+    many again whenever a row runs out."""
 
     def __init__(self, seeds):
         self._bits = [np.random.Philox(seed) for seed in seeds]
-        self._raw = np.array([b.random_raw(_RAW) for b in self._bits],
-                             np.uint64).reshape(len(self._bits), _RAW)
+        self._raw = np.empty((len(self._bits), 0), np.uint64)
         self._pos = np.zeros(len(self._bits), np.intp)   # next unread output
         # High half of the raw output last split in two, and whether it is
         # still to be drawn.
@@ -192,8 +195,7 @@ class PhiloxBatch:
     def _next64(self, rows):
         pos = self._pos[rows]
         if pos.size and pos.max() >= self._raw.shape[1]:
-            # Double the block: every stream's next outputs after it.
-            width = self._raw.shape[1]
+            width = self._raw.shape[1] or _RAW
             more = np.array([b.random_raw(width) for b in self._bits],
                             np.uint64).reshape(len(self._bits), width)
             self._raw = np.hstack([self._raw, more])
@@ -226,7 +228,8 @@ def _writes(name: str, docs_per_class: int) -> bool:
 def _documents(cfg: SynthConfig, label: int, indices, table) -> list:
     """The documents of class ``label`` with these indices, walked in
     lockstep: each token slot is one set of array operations over every
-    document still short of its length (module docstring)."""
+    document still short of its length (module docstring). A batch whose
+    word codes do not fit in memory is a ConfigurationError."""
     words, (pos, neg, neutral, negations, intensifiers) = table
     (own_at, own_n), (other_at, other_n) = (pos, neg) if label == 1 \
         else (neg, pos)
@@ -235,10 +238,14 @@ def _documents(cfg: SynthConfig, label: int, indices, table) -> list:
                           for i in indices])
     target = stream.integers(np.arange(len(indices)), cfg.tokens_per_doc[0],
                              cfg.tokens_per_doc[1] + 1)
-    order = np.argsort(-target, kind="stable")   # longest documents first
-    alive = np.searchsorted(-target[order], -np.arange(target.max(initial=0)),
-                            side="left")   # documents longer than t
-    codes = np.empty((len(indices), 2 * target.max(initial=0)), np.int64)
+    longest = int(target.max(initial=0))
+    try:
+        codes = np.empty((len(indices), 2 * longest), np.int64)
+    except MemoryError:
+        raise ConfigurationError(
+            f"a batch of {len(indices)} document(s) of up to {longest:,} "
+            f"tokens needs {16 * len(indices) * longest:,} bytes, which do "
+            "not fit in memory") from None
     count = np.zeros(len(indices), np.intp)   # words written so far
     left = np.zeros(len(indices), np.int64)   # slots left in the sentence
     cuts = (cfg.noise_token_prob,
@@ -248,8 +255,8 @@ def _documents(cfg: SynthConfig, label: int, indices, table) -> list:
     starts = np.array([0, 0, neutral[0]])
     spans = np.array([_NUMBERS, 1, neutral[1]])
     lo, hi = cfg.sentence_tokens
-    for t, n in enumerate(alive.tolist()):
-        live = order[:n]
+    for t in range(longest):
+        live = np.flatnonzero(target > t)   # documents longer than t
         opening = live[left[live] == 0]
         if opening.size:
             left[opening] = np.minimum(stream.integers(opening, lo, hi + 1),
@@ -288,7 +295,9 @@ def _documents(cfg: SynthConfig, label: int, indices, table) -> list:
 
 
 def generate(cfg: SynthConfig, out_dir) -> SynthPaths:
-    """Write corpus, lexicon, lemma dictionary, and tool-word lists."""
+    """Write corpus, lexicon, lemma dictionary, and tool-word lists. A
+    batch of documents that does not fit in memory is a
+    ConfigurationError naming its documents and bytes."""
     out = Path(out_dir)
     corpus_dir = out / "corpus"
     pos_names = _lemma_names("pos", cfg.pos_lemmas)

@@ -119,9 +119,9 @@ def assert_same_run(got, want):
     if got is None or want is None:
         assert got is want
         return
-    (w1, b1, w2, b2), error = got
+    (a, w2, b2), error = got
     (o_w1, o_b1, o_w2, o_b2), o_error = want
-    assert np.array_equal(w1, o_w1) and np.array_equal(b1, o_b1)
+    assert np.array_equal(a[:-1].T, o_w1) and np.array_equal(a[-1], o_b1)
     assert np.array_equal(w2, o_w2)
     assert b2 == o_b2 and error == o_error
 
@@ -165,8 +165,7 @@ class TestAnn:
         cfg = AnnConfig(max_epochs=60, seed=42)
         m1 = train("ann", rows, labels, cfg)
         m2 = train("ann", rows, labels, cfg)
-        assert np.array_equal(m1.w1, m2.w1)
-        assert np.array_equal(m1.b1, m2.b1)
+        assert np.array_equal(m1.a, m2.a)
         assert np.array_equal(m1.w2, m2.w2)
         assert m1.b2 == m2.b2
         assert m1.final_error == m2.final_error
@@ -175,7 +174,7 @@ class TestAnn:
         rows, labels = separable_blobs(10)
         m1 = train("ann", rows, labels, AnnConfig(max_epochs=30, seed=1))
         m2 = train("ann", rows, labels, AnnConfig(max_epochs=30, seed=2))
-        assert not np.array_equal(m1.w1, m2.w1)
+        assert not np.array_equal(m1.a, m2.a)
 
     def test_single_class_rejected(self):
         rows = np.zeros((4, 2))
@@ -185,7 +184,7 @@ class TestAnn:
     def test_hidden_width_default_is_fifteen(self):
         rows, labels = separable_blobs(5)
         model = train("ann", rows, labels, AnnConfig(max_epochs=5, seed=0))
-        assert model.w1.shape[0] == 15
+        assert model.a.shape[1] == 15
 
     def test_backprop_matches_central_finite_differences(self):
         rng = make_rng(2718)
@@ -283,8 +282,7 @@ class TestAnn:
             got, _ = ann.forward(a, w2, 0.5, ann._with_ones(x))
             assert got.tobytes() == np.tanh(x @ w1.T + b1).tobytes()
             # Predictions go through the same forward pass.
-            model = ann.AnnModel(w1=w1, b1=b1, w2=w2, b2=0.5,
-                                 normalization=norm,
+            model = ann.AnnModel(a=a, w2=w2, b2=0.5, normalization=norm,
                                  config=AnnConfig(hidden=hidden),
                                  final_error=0.0)
             want = oracles.ann_forward(w1, b1, w2, 0.5, norm.apply(rows))
@@ -372,12 +370,12 @@ def restart_problem(cfg):
 
 
 def model_run(model):
-    return (model.w1, model.b1, model.w2, model.b2), model.final_error
+    return (model.a, model.w2, model.b2), model.final_error
 
 
 def model_bytes(model):
     return [np.float64(v).tobytes() for v in (
-        model.w1, model.b1, model.w2, model.b2, model.final_error)]
+        model.a, model.w2, model.b2, model.final_error)]
 
 
 class TestAnnRestartBlocks:
@@ -426,10 +424,10 @@ class TestAnnRestartBlocks:
     def test_first_of_equally_good_restarts_is_kept(self):
         rows, labels = separable_blobs(6)
         _, _, finish = ann.plan_ann(rows, labels, AnnConfig(restarts=3))
-        runs = [None] + [((np.full((15, 2), w), np.zeros(15), np.zeros(15),
-                           0.0), 0.5) for w in (1.0, 2.0)]
+        runs = [None] + [((np.full((3, 15), w), np.zeros(15), 0.0), 0.5)
+                         for w in (1.0, 2.0)]
         assert oracles.ann_best_run(runs) is runs[1]
-        assert finish(runs).w1[0, 0] == 1.0
+        assert finish(runs).a[0, 0] == 1.0
 
     def test_a_huge_restart_count_starts_at_once(self, monkeypatch, on_cpus):
         # Runs are looked up by index, so 10**12 restarts build no list.
@@ -1131,6 +1129,25 @@ class TestRbfKernel:
 
 
 class TestSharedSurface:
+    def test_each_job_trains_its_runs_once(self, monkeypatch, on_cpus):
+        # One SMO and one tree fit per job, and one run per ANN restart:
+        # a plan that ran a job twice would pass every bit-for-bit test.
+        calls = []
+        for module, name in ((svm, "_smo"), (tree, "_fit"),
+                             (ann, "_run_once")):
+            def counted(*args, run=getattr(module, name), name=name):
+                calls.append(name)
+                return run(*args)
+            monkeypatch.setattr(module, name, counted)
+        rows, labels = separable_blobs(8)
+        ann_cfg = AnnConfig(restarts=3, max_epochs=5)
+        with on_cpus(1):
+            for kind, cfg in (("svm", None), ("dtree", None),
+                              ("ann", ann_cfg)):
+                classifiers.train_many(kind, [(rows, labels, cfg)] * 3)
+        assert [calls.count(name) for name in ("_smo", "_fit", "_run_once")] \
+            == [3, 3, 3 * ann_cfg.restarts]
+
     def test_width_mismatch_rejected(self):
         rows, labels = separable_blobs(6)
         model = train("dtree", rows, labels)

@@ -670,8 +670,9 @@ class TestScore:
 
     def test_windows_past_the_longest_sentence_are_cheap(self, rule_data,
                                                          tmp_path):
-        longest = prepare_corpus(rule_data["corpus"],
-                                 rule_data["lemma_dict"]).longest_sentence
+        bounds = prepare_corpus(rule_data["corpus"],
+                                rule_data["lemma_dict"]).sentence_tokens
+        longest = int((bounds[1:] - bounds[:-1]).max())
         outputs = {}
         for window in (10 ** 9, longest):
             out = tmp_path / str(window)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +139,12 @@ class TestConfigRanges:
         with pytest.raises(ConfigurationError) as caught:
             SynthConfig(sentence_tokens=value)
         assert str(caught.value) == \
-            f"sentence_tokens must be >= 1, got {value}"
+            f"sentence_tokens must be in [1, 4294967294], got {value}"
 
     @pytest.mark.parametrize("value,message", [
         ((0, 0), "senses_per_lemma upper bound must be >= 1, got 0"),
-        ((-2, 0), "senses_per_lemma must be >= 0, got (-2, 0)"),
+        ((-2, 0), "senses_per_lemma must be in [0, 9223372036854775806], "
+                  "got (-2, 0)"),
     ], ids=["0-0", "-2-0"])
     def test_senses_upper_bound_below_one_is_rejected(self, value, message):
         # (0, 0) used to write a lexicon with no entries.
@@ -170,7 +172,53 @@ class TestConfigRanges:
         # (-3, -1) used to write documents that held only a newline.
         with pytest.raises(ConfigurationError) as caught:
             SynthConfig(**{field: value})
-        assert str(caught.value) == f"{field} must be >= 0, got {value}"
+        high = {"tokens_per_doc": 4294967294,
+                "senses_per_lemma": 9223372036854775806}[field]
+        assert str(caught.value) == \
+            f"{field} must be in [0, {high}], got {value}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("tokens_per_doc", (0, 2 ** 33),
+         "must be in [0, 4294967294], got (0, 8589934592)"),
+        ("sentence_tokens", (1, 2 ** 33),
+         "must be in [1, 4294967294], got (1, 8589934592)"),
+        ("tokens_per_doc", (0, 10 ** 30),
+         f"must be in [0, 4294967294], got (0, {10 ** 30})"),
+        ("senses_per_lemma", (1, 10 ** 30),
+         f"must be in [0, 9223372036854775806], got (1, {10 ** 30})"),
+    ], ids=["tokens-2**33", "sentence-2**33", "tokens-10**30",
+            "senses-10**30"])
+    def test_pairs_past_what_generate_draws_are_rejected(self, field, value,
+                                                         message):
+        # Each used to reach generate and end in a bare numpy error.
+        with pytest.raises(ConfigurationError) as caught:
+            SynthConfig(docs_per_class=1, seed=1, **{field: value})
+        assert str(caught.value) == f"{field} {message}"
+
+    def test_a_batch_beyond_memory_is_a_configuration_error(
+            self, monkeypatch, on_cpus, tmp_path):
+        # (5, 2**31) at seed 1 used to end in numpy's MemoryError for 9.27
+        # GiB. Where that allocation succeeds the walk runs for hours, so
+        # here every allocation over 1 GiB fails.
+        empty = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) * 8 > 2 ** 30:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        cfg = SynthConfig(docs_per_class=1, tokens_per_doc=(5, 2 ** 31),
+                          seed=1)
+        for cpus in (1, 2):
+            with pytest.raises(ConfigurationError) as caught, on_cpus(cpus):
+                generate(cfg, tmp_path / str(cpus))
+            tokens, size = re.fullmatch(
+                r"a batch of 1 document\(s\) of up to ([\d,]+) tokens needs "
+                r"([\d,]+) bytes, which do not fit in memory",
+                str(caught.value)).groups()
+            tokens, size = (int(v.replace(",", "")) for v in (tokens, size))
+            assert 5 <= tokens <= 2 ** 31 and size == 16 * tokens > 2 ** 30
 
     @pytest.mark.parametrize("field,value,kind", [
         ("docs_per_class", 2.5, "an integer"), ("seed", True, "an integer"),

@@ -234,11 +234,20 @@ BOUNDS = [
     (SynthConfig, "neg_lemmas", "min", 1, 0, "must be >= 1, got 0"),
     (SynthConfig, "neutral_lemmas", "min", 1, 0, "must be >= 1, got 0"),
     (SynthConfig, "tokens_per_doc", "min", (0, 0), (-1, 0),
-     "must be >= 0, got (-1, 0)"),
+     "must be in [0, 4294967294], got (-1, 0)"),
+    # The widest ranges the draws take (hi - lo + 1 below 2**32, hi + 1
+    # an int64).
+    (SynthConfig, "tokens_per_doc", "max", (0, 2 ** 32 - 2), (0, 2 ** 32 - 1),
+     "must be in [0, 4294967294], got (0, 4294967295)"),
     (SynthConfig, "sentence_tokens", "min", (1, 1), (0, 1),
-     "must be >= 1, got (0, 1)"),
+     "must be in [1, 4294967294], got (0, 1)"),
+    (SynthConfig, "sentence_tokens", "max", (1, 2 ** 32 - 2),
+     (1, 2 ** 32 - 1), "must be in [1, 4294967294], got (1, 4294967295)"),
     (SynthConfig, "senses_per_lemma", "min", (0, 1), (-1, 1),
-     "must be >= 0, got (-1, 1)"),
+     "must be in [0, 9223372036854775806], got (-1, 1)"),
+    (SynthConfig, "senses_per_lemma", "max", (0, 2 ** 63 - 2),
+     (0, 2 ** 63 - 1),
+     "must be in [0, 9223372036854775806], got (0, 9223372036854775807)"),
     (SynthConfig, "sentiment_density", "min", 0, -TINY,
      "must be in [0, 1], got -5e-324"),
     (SynthConfig, "sentiment_density", "max", 1, ABOVE_1,
