@@ -19,11 +19,10 @@ from .normalize import NormalizationParams
 from .svm import SvmConfig, SvmModel, plan_svm
 from .tree import TreeConfig, TreeModel, plan_dtree
 
-KINDS = ("ann", "dtree", "svm")
-
 _PLANS = {"ann": (plan_ann, AnnConfig),
           "dtree": (plan_dtree, TreeConfig),
           "svm": (plan_svm, SvmConfig)}
+KINDS = tuple(_PLANS)
 
 
 def _kind(kind: str) -> tuple:

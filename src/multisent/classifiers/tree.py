@@ -10,10 +10,10 @@ factor) does not exceed the subtree's; subtree raising is not performed.
 A model is its node list, in pre-order with left children first: each
 node is ``{"counts": [neg, pos]}`` of its training rows, and an internal
 node adds ``feature``, ``threshold`` and the list indices of its
-``left`` (``value <= threshold``) and ``right`` children. Growth appends
-to the list, pruning walks it backwards, prediction routes rows through
-it by index, and it is, as it stands, the model file's ``nodes`` and
-what a pickle holds. Nothing recurses, so no tree is too deep.
+``left`` (``value <= threshold``) and ``right`` children. Growth and
+pruning are one walk that appends to the list, prediction routes rows
+through it by index, and it is, as it stands, the model file's ``nodes``
+and what a pickle holds. Nothing recurses, so no tree is too deep.
 
 Split search: one stable argsort per node orders every feature, and
 array ops approximate the gain and gain ratio of every cut of every
@@ -136,8 +136,6 @@ class TreeModel:
 
 def _entropy(counts) -> float:
     total = sum(counts)
-    if total == 0:
-        return 0.0
     ent = 0.0
     for c in counts:
         if c:
@@ -206,20 +204,40 @@ def _best_split(rows: np.ndarray, labels: np.ndarray, min_leaf: int):
 
 def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> list:
     """The tree's nodes, each appended as it leaves the stack (left child
-    first) and linked into its parent; the root links into a spare dict."""
-    nodes, todo = [], [({}, "root", rows, labels)]
+    first) and linked into its parent; the root links into a spare dict.
+    Pruning, if on, judges a node (its index stacked under its children)
+    once both its subtrees are done, from the estimates kept beside the
+    nodes; a pruned node's descendants are the list's tail, cut off."""
+    nodes, estimates, todo = [], [], [({}, "root", rows, labels)]
     while todo:
-        parent, side, rows, labels = todo.pop()
+        item = todo.pop()
+        if isinstance(item, int):   # both subtrees of nodes[item] are done
+            node = nodes[item]
+            below = estimates[node["left"]] + estimates[node["right"]]
+            if estimates[item] > below + 1e-10:
+                estimates[item] = below
+            else:
+                for key in _SPLIT:
+                    del node[key]
+                del nodes[item + 1:], estimates[item + 1:]
+            continue
+        parent, side, rows, labels = item
         parent[side] = len(nodes)
         node = {"counts": _class_counts(labels)}
         nodes.append(node)
-        split = None if 0 in node["counts"] or len(labels) < 2 * cfg.min_leaf \
+        if cfg.prune:
+            errors = min(node["counts"])
+            estimates.append(errors + added_errors(len(labels), errors,
+                                                   cfg.confidence))
+        split = None if 0 in node["counts"] \
             else _best_split(rows, labels, cfg.min_leaf)
         if split is None:
             continue
         f, threshold = split
         node["feature"], node["threshold"] = f, float(threshold)
         mask = rows[:, f] <= threshold
+        if cfg.prune:
+            todo.append(len(nodes) - 1)
         todo += [(node, "right", rows[~mask], labels[~mask]),
                  (node, "left", rows[mask], labels[mask])]
     return nodes
@@ -251,43 +269,14 @@ def _quantile(confidence: float) -> float:
     return NormalDist().inv_cdf(1.0 - confidence)
 
 
-def _prune(nodes: list, confidence: float) -> list:
-    """Prune bottom-up; return the nodes left, renumbered in pre-order."""
-    estimates = [0.0] * len(nodes)   # estimated errors of pruned subtrees
-    for i in reversed(range(len(nodes))):   # children before parents
-        node = nodes[i]
-        errors = min(node["counts"])
-        as_leaf = errors + added_errors(sum(node["counts"]), errors,
-                                        confidence)
-        if "left" in node:
-            as_subtree = estimates[node["left"]] + estimates[node["right"]]
-            if as_leaf > as_subtree + 1e-10:
-                estimates[i] = as_subtree
-                continue
-            for key in _SPLIT:
-                del node[key]
-        estimates[i] = as_leaf
-    kept, todo = [], [({}, "root", nodes[0])]
-    while todo:
-        parent, side, node = todo.pop()
-        parent[side] = len(kept)
-        kept.append(node)
-        if "left" in node:
-            todo += [(node, "right", nodes[node["right"]]),
-                     (node, "left", nodes[node["left"]])]
-    return kept
-
-
 def plan_dtree(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig):
     """``(1, run, finish)`` for ``classifiers.train_many``: the row checks
-    happen here, ``run(0)`` grows (and optionally prunes) the tree and
+    happen here, ``run(0)`` grows the tree, pruned in the same walk, and
     ``finish`` takes it; single-class data gives one leaf."""
     rows, labels, _ = training_arrays(rows, labels)
     return 1, lambda _: _fit(rows, labels, cfg), itemgetter(0)
 
 
 def _fit(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> TreeModel:
-    nodes = _grow(rows, labels, cfg)
-    if cfg.prune:
-        nodes = _prune(nodes, cfg.confidence)
-    return TreeModel(nodes=nodes, config=cfg, n_features=rows.shape[1])
+    return TreeModel(nodes=_grow(rows, labels, cfg), config=cfg,
+                     n_features=rows.shape[1])

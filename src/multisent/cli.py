@@ -5,6 +5,7 @@ options), 2 data error (missing or malformed inputs).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def _names(formulas) -> str:
+    """A formula enum's names as argparse shows choices; ``from_name``
+    alone reads them, in any case."""
+    return "{" + ",".join(f.value for f in formulas) + "}"
+
+
 # The settings of a run, each declared once: flag -> (destination,
 # add_argument keywords). Each destination but --config's is the
 # PipelineConfig field the flag sets. No flag has a default, so a flag left
@@ -50,23 +57,21 @@ _RUN_FLAGS = {
                     {"help": "negation word list, one per line"}),
     "--intensifiers": ("intensifiers_path",
                        {"help": "intensifier word list, one per line"}),
-    "--window": ("window", {"help": "rule adjacency window in tokens "
-                            "(default 1)"}),
+    "--window": ("window", {"help": "rule adjacency window in tokens"}),
     "--level": ("level", {"choices": ("term", "document")}),
     "--variant": ("variant", {"help": "8|6 for term level, 7|5|4 for "
-                              "document level (default 8)"}),
-    "--formula": ("prior_formula",
-                  {"choices": [f.value for f in PriorFormula],
-                   "help": "prior formula (default max_sub)"}),
+                              "document level"}),
+    "--formula": ("prior_formula", {"metavar": _names(PriorFormula),
+                                    "help": "prior formula"}),
     "--sentence-formula": ("sentence_formula",
-                           {"choices": [f.value for f in SentenceFormula],
+                           {"metavar": _names(SentenceFormula),
                             "help": "document level's sentence formula; "
                             "score emits sentence scores with it"}),
     "--rules": ("rules", {"action": "store_const", "const": True,
                           "help": "apply negation/intensification rules"}),
     "--no-rules": ("rules", {"action": "store_const", "const": False}),
     "--classifier": ("classifier", {"choices": classifiers.KINDS}),
-    "--folds": ("k", {"help": "cross-validation folds (default 5)"}),
+    "--folds": ("k", {"help": "cross-validation folds"}),
     "--seed": ("seed", {}),
     "--out": ("out_dir", {}),
 }
@@ -77,22 +82,21 @@ _LOOP_FLAGS = ("--config", *_INPUT_FLAGS, "--folds", "--seed", "--out")
 
 # Each classifier kind's options in the same form, each setting a field.
 _CLASSIFIER_FLAGS = {"ann": {
-    "--hidden": ("hidden", {"help": "ANN hidden units (default 15)"}),
-    "--restarts": ("restarts", {"help": "ANN training restarts (default 4)"}),
-    "--max-epochs": ("max_epochs", {"help": "ANN epoch budget (default 500)"}),
+    "--hidden": ("hidden", {"help": "ANN hidden units"}),
+    "--restarts": ("restarts", {"help": "ANN training restarts"}),
+    "--max-epochs": ("max_epochs", {"help": "ANN epoch budget"}),
     "--lr": ("lr", {"help": "ANN initial learning rate"}),
     "--momentum": ("momentum", {"help": "ANN momentum"}),
 }, "dtree": {
-    "--confidence": ("confidence", {
-        "help": "tree pruning confidence factor (default 0.25)"}),
-    "--min-leaf": ("min_leaf",
-                   {"help": "tree minimum rows per leaf (default 2)"}),
+    "--confidence": ("confidence",
+                     {"help": "tree pruning confidence factor"}),
+    "--min-leaf": ("min_leaf", {"help": "tree minimum rows per leaf"}),
     "--no-prune": ("prune", {"action": "store_const", "const": False,
                              "help": "disable tree pruning"}),
 }, "svm": {
-    "--svm-c": ("c", {"help": "SVM penalty C (default 1)"}),
+    "--svm-c": ("c", {"help": "SVM penalty C"}),
     "--gamma": ("gamma", {"help": "SVM RBF gamma (default 1/num_features)"}),
-    "--tol": ("tol", {"help": "SVM KKT tolerance (default 1e-3)"}),
+    "--tol": ("tol", {"help": "SVM KKT tolerance"}),
     "--max-passes": ("max_passes", {"help": "SVM sweep budget"}),
 }}
 
@@ -111,12 +115,19 @@ _SYNTH_FLAGS = {
 
 def _add_flags(p, flags=None, table=_RUN_FLAGS, config=PipelineConfig):
     """Add ``flags`` (all, if None) of ``table``, each but a switch reading
-    the type of the field of ``config`` it sets (else a str)."""
+    the type of the field of ``config`` it sets (else a str), its help
+    ending with the field's default unless that is None or missing."""
     types = field_types(config)
+    defaults = {f.name: f"(default {f.default})"
+                for f in dataclasses.fields(config)
+                if f.default not in (None, dataclasses.MISSING)}
     for flag in flags or table:
         dest, keywords = table[flag]
         if "action" not in keywords:
             keywords = dict(keywords, type=types.get(dest, str))
+            if dest in defaults:
+                keywords["help"] = " ".join(
+                    filter(None, (keywords.get("help"), defaults[dest])))
         p.add_argument(flag, dest=dest, **keywords)
 
 
@@ -131,6 +142,19 @@ def _given(args, table) -> dict:
             if (value := getattr(args, dest, None)) is not None}
 
 
+def _classifier_options(args, *kinds) -> dict:
+    """The classifier options given, by kind, for each of ``kinds``: the
+    kinds a command trains. A flag of another kind is a
+    ConfigurationError naming the flag and its kind."""
+    for kind, table in _CLASSIFIER_FLAGS.items():
+        for flag, (dest, _) in table.items():
+            if kind not in kinds and getattr(args, dest, None) is not None:
+                raise ConfigurationError(f"{flag} applies to {kind} only, "
+                                         f"and this run trains no {kind}")
+    return {kind: _given(args, _CLASSIFIER_FLAGS.get(kind, {}))
+            for kind in kinds}
+
+
 def _run_config(args, **fixed) -> PipelineConfig:
     """A run's settings: the config file's, if one is given, overridden by
     the flags given, then by ``fixed``."""
@@ -141,10 +165,7 @@ def _run_config(args, **fixed) -> PipelineConfig:
                      "out_dir"):
         if not settings.get(required):
             raise ConfigurationError(f"missing required setting: {required}")
-    cfg = PipelineConfig(**settings)
-    cfg.classifier_options = _given(
-        args, _CLASSIFIER_FLAGS.get(cfg.classifier, {}))
-    return cfg
+    return PipelineConfig(**settings)
 
 
 def cmd_synth(args) -> int:
@@ -188,10 +209,10 @@ def cmd_score(args) -> int:
     # A sentence formula here selects sentence scores, not a level.
     cfg = _run_config(args, out_dir=".", sentence_formula=None)
     _, formula, _, _ = cfg.resolve()
-    corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
-    word_scores = corpus.word_scores(priors[formula], rule_cfg)
     sf = (SentenceFormula.from_name(args.sentence_formula)
           if args.sentence_formula else None)
+    corpus, priors, rule_cfg = load_inputs(cfg, [formula], cfg.rules)
+    word_scores = corpus.word_scores(priors[formula], rule_cfg)
 
     def chunks():
         # One chunk per block of documents: the table is never held whole.
@@ -233,26 +254,25 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    kind = args.classifier
     config = classifiers.with_seed(classifiers.make_config(
-        args.classifier, **_given(args, _CLASSIFIER_FLAGS[args.classifier])),
-        args.seed)
+        kind, **_classifier_options(args, kind)[kind]), args.seed)
     dataset = read_features_csv(args.features)
-    model = classifiers.train(args.classifier, dataset.rows, dataset.labels,
-                              config)
+    model = classifiers.train(kind, dataset.rows, dataset.labels, config)
     classifiers.save_model(model, args.out)
     train_acc = float((classifiers.predict_labels(model, dataset.rows)
                        == dataset.labels).mean())
-    print(json.dumps({"model": str(args.out), "kind": args.classifier,
+    print(json.dumps({"model": str(args.out), "kind": kind,
                       "rows": len(dataset), "training_accuracy": train_acc}))
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    kind = args.classifier
     config = classifiers.make_config(
-        args.classifier, **_given(args, _CLASSIFIER_FLAGS[args.classifier]))
+        kind, **_classifier_options(args, kind)[kind])
     dataset = read_features_csv(args.features)
-    report = run_cv(dataset, args.classifier, config, k=args.k,
-                    seed=args.seed,
+    report = run_cv(dataset, kind, config, k=args.k, seed=args.seed,
                     meta={"variant": dataset.variant.name})
     write_json(args.out, report.to_dict())
     avg = report.average()["test"]
@@ -264,6 +284,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _run_config(args)
+    cfg.classifier_options = _classifier_options(
+        args, cfg.classifier)[cfg.classifier]
     report = run_pipeline(cfg)
     avg = report.average()["test"]
     print(json.dumps({"report": str(Path(cfg.out_dir) / "report.json"),
@@ -276,6 +298,7 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     base = _run_config(args)
     kinds = _split(args.classifiers)
+    options_by_kind = _classifier_options(args, *kinds)
     try:
         variants = [int(v) for v in _split(args.variants)]
     except ValueError:
@@ -288,8 +311,7 @@ def cmd_sweep(args) -> int:
                                  for x in _split(args.rules_options)],
                   classifier_kinds=kinds,
                   sentence_formulas=_split(args.sentence_formulas) or None,
-                  options_by_kind={kind: _given(args, table) for kind, table
-                                   in _CLASSIFIER_FLAGS.items()})
+                  options_by_kind=options_by_kind)
     best = next(cell for cell in cells if cell.best)
     print(json.dumps({"table": str(Path(base.out_dir) / "sweep.csv"),
                       "cells": len(cells), "best": best.name(),
@@ -324,8 +346,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lexicon-aggregate",
                        help="collapse sense scores into priors")
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--formula", required=True,
-                   choices=[f.value for f in PriorFormula])
+    p.add_argument("--formula", required=True, metavar=_names(PriorFormula))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lexicon_aggregate)
 
@@ -341,7 +362,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train one model on a feature CSV")
     p.add_argument("--features", "--in", dest="features", required=True)
-    _add_flags(p, ("--classifier", "--seed"))
+    _add_flags(p, ("--classifier",))
+    # The classifier's own seed: 0 for an ANN or an SVM; a tree has none.
+    _add_flags(p, ("--seed",), config=classifiers.AnnConfig)
     _add_classifier_args(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_train, classifier=PipelineConfig.classifier)

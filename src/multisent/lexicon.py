@@ -8,29 +8,19 @@ step (pick the larger side, subtract, or average with the negative side
 sign-flipped).
 """
 
-import enum
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DataError
-from .util import read_text, sum_left
+from .errors import DataError
+from .util import Formula, read_text, sum_left
 
 
-class PriorFormula(enum.Enum):
+class PriorFormula(Formula):
     """How a lemma's sense scores collapse into one prior polarity."""
     AVG_MAX = "avg_max"   # average per column, keep the larger side
     MAX_MAX = "max_max"   # max per column, keep the larger side
     AVG_SUB = "avg_sub"   # average per column, positive minus negative
     MAX_SUB = "max_sub"   # max per column, positive minus negative
     AVG_AVG = "avg_avg"   # average per column, mean of (pos, -neg)
-
-    @classmethod
-    def from_name(cls, name: str) -> "PriorFormula":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in cls)
-            raise ConfigurationError(
-                f"unknown prior formula {name!r} (one of: {valid})")
 
 
 @dataclass(frozen=True)

@@ -25,33 +25,23 @@ corpus's would. The scalar definitions these arrays reproduce bit for
 bit live in ``tests/oracles.py``.
 """
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus_io import remove_diacritics
-from .errors import ConfigurationError, DataError
-from .util import check_fields, read_text
+from .errors import DataError
+from .util import Formula, check_fields, read_text
 
 # The tokens of whole documents a block of ``Corpus.blocks`` holds at most;
 # a longer document forms a block on its own.
 BLOCK_TOKENS = 2 ** 16
 
 
-class SentenceFormula(enum.Enum):
+class SentenceFormula(Formula):
     """How a sentence's (pos, neg) maxima collapse into one score."""
     MAX_SUB = "max_sub"   # positive max minus negative max
     MAX_MAX = "max_max"   # larger side wins, minus sign if it is the negative
-
-    @classmethod
-    def from_name(cls, name: str) -> "SentenceFormula":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in cls)
-            raise ConfigurationError(
-                f"unknown sentence formula {name!r} (one of: {valid})")
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .parallel import map_items
-from .util import (atomic_write_text, check_fields, derive_seed,
-                   make_dirs, make_rng)
+from .util import (atomic_write_chunks, atomic_write_text, check_fields,
+                   derive_seed, make_dirs, make_rng)
 
 ASCII_NEGATIONS = ("negtool0", "negtool1")
 ASCII_INTENSIFIERS = ("inttool0", "inttool1")
@@ -113,16 +113,21 @@ def _lemma_names(prefix: str, count: int) -> list:
     return [f"{prefix}{i:03d}" for i in range(count)]
 
 
-def _sense_lines(cfg: SynthConfig, lemmas, polarity: str, rng) -> list:
-    lines = []
+def _sense_lines(cfg: SynthConfig, pos_names, neg_names, rng):
+    """The lexicon's text, yielded as each sense is drawn: the lines joined
+    by newlines and ended by one, so a lexicon of no sense is ``"\\n"``."""
     lo, hi = cfg.senses_per_lemma
-    for lemma in lemmas:
-        for _ in range(int(rng.integers(lo, hi + 1))):
-            strong = round(float(rng.uniform(0.55, 0.95)), 3)
-            weak = round(float(rng.uniform(0.0, 0.25)), 3)
-            pos, neg = (strong, weak) if polarity == "pos" else (weak, strong)
-            lines.append(f"{lemma}\t{pos:.3f}\t{neg:.3f}")
-    return lines
+    sep = ""
+    for polarity, lemmas in (("pos", pos_names), ("neg", neg_names)):
+        for lemma in lemmas:
+            for _ in range(int(rng.integers(lo, hi + 1))):
+                strong = round(float(rng.uniform(0.55, 0.95)), 3)
+                weak = round(float(rng.uniform(0.0, 0.25)), 3)
+                pos, neg = (strong, weak) if polarity == "pos" \
+                    else (weak, strong)
+                yield f"{sep}{lemma}\t{pos:.3f}\t{neg:.3f}"
+                sep = "\n"
+    yield "\n"
 
 
 _RAW = 512   # raw outputs first fetched per stream: about 2.7 per token
@@ -309,10 +314,6 @@ def generate(cfg: SynthConfig, out_dir) -> SynthPaths:
     else:
         negations, intensifiers = ASCII_NEGATIONS, ASCII_INTENSIFIERS
 
-    rng_lex = make_rng(derive_seed(cfg.seed, "lexicon"))
-    lexicon_lines = _sense_lines(cfg, pos_names, "pos", rng_lex) \
-        + _sense_lines(cfg, neg_names, "neg", rng_lex)
-
     dict_lines = []
     for lemma in pos_names + neg_names + neutral_names:
         for ending in _ENDINGS:
@@ -356,7 +357,9 @@ def generate(cfg: SynthConfig, out_dir) -> SynthPaths:
                        lemma_dict=out / "lemma_dict.tsv",
                        negations=out / "negations.txt",
                        intensifiers=out / "intensifiers.txt")
-    atomic_write_text(paths.lexicon, "\n".join(lexicon_lines) + "\n")
+    atomic_write_chunks(paths.lexicon, _sense_lines(
+        cfg, pos_names, neg_names,
+        make_rng(derive_seed(cfg.seed, "lexicon"))))
     atomic_write_text(paths.lemma_dict, "\n".join(dict_lines) + "\n")
     atomic_write_text(paths.negations, "\n".join(negations) + "\n")
     atomic_write_text(paths.intensifiers, "\n".join(intensifiers) + "\n")

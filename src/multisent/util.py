@@ -1,8 +1,9 @@
-"""Small shared helpers: seeding, deterministic RNG, float sums, the type
-and range rule of config fields, output directories, the one reader of
-input files, and atomic file writes of one ``os.open`` and one rename,
-JSON artifacts among them."""
+"""Small shared helpers: seeding, deterministic RNG, float sums, formula
+names read in any case, the type and range rule of config fields, output
+directories, the one reader of input files, and atomic file writes of one
+``os.open`` and one rename, JSON artifacts among them."""
 
+import enum
 import hashlib
 import json
 import math
@@ -41,6 +42,21 @@ def sum_left(values) -> float:
     for v in values:
         total += v
     return total
+
+
+class Formula(enum.Enum):
+    """A formula enum of lower-case names, each of which ``from_name``
+    reads in any case; an unknown name is a ConfigurationError."""
+
+    @classmethod
+    def from_name(cls, name: str):
+        try:
+            return cls(name.lower())
+        except ValueError:
+            kind = cls.__name__.removesuffix("Formula").lower()
+            valid = ", ".join(f.value for f in cls)
+            raise ConfigurationError(
+                f"unknown {kind} formula {name!r} (one of: {valid})")
 
 
 # The types the rule checks, each with what a value of it must be.

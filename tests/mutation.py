@@ -97,6 +97,21 @@ EQUIVALENT = {
         "a cut whose screened ratio is exactly M - margin has an exact "
         "ratio below M - delta (margin > 2 delta), so it cannot win or tie "
         "whether the screen keeps it or not",
+    ("classifiers/tree.py", "_grow", "estimates[item] > below + 1e-10",
+     "> -> >="):
+        "they differ only when a leaf's estimate equals its subtrees' sum "
+        "plus 1e-10 exactly, which sums of binomial bounds all but never "
+        "do",
+    ("features.py", "doc_rows", "values > 0", "> -> >="):
+        "sentence scores are never -0.0 (see the values < 0 entry), and at "
+        "+0.0 both keep 0.0",
+    ("synth.py", "_documents", "2 * longest", "2 -> 3"):
+        "the code table's width only bounds what a row may hold; no row "
+        "writes past 2 * longest codes, so a wider table writes the same "
+        "words",
+    ("parallel.py", "_start_helper", "code = 1", "1 -> 2"):
+        "the parent reads a helper's outcome from its pipe, never from its "
+        "exit status",
     ("synth.py", "_documents", "initial=0", "0 -> 1"):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",

@@ -10,6 +10,8 @@ dictionaries and rule configurations by their attributes;
 ``read_corpus`` reads a corpus directory into ``RawDocument``s.
 ``make_document`` is the synthetic-corpus generator's former scalar
 ``Generator`` code, with the seed derivation and surface forms it used.
+``tree_grow_then_prune`` is the decision tree's former two-pass growth
+and pruning.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -588,6 +591,75 @@ def best_split(rows, labels, min_leaf):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def tree_added_errors(n, e, confidence):
+    """Extra errors implied by the upper confidence bound of e errors in n:
+    exact binomial for e = 0, the normal approximation otherwise."""
+    if n == 0:
+        return 0.0
+    if e == 0:
+        return n * (1.0 - confidence ** (1.0 / n))
+    if e + 0.5 >= n:
+        return max(n - e, 0.0)
+    z = NormalDist().inv_cdf(1.0 - confidence)
+    f = (e + 0.5) / n
+    upper = (f + z * z / (2 * n)
+             + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) \
+        / (1 + z * z / n)
+    return upper * n - e
+
+
+def tree_grow_then_prune(rows, labels, min_leaf, confidence, prune,
+                         split=best_split):
+    """A decision tree's pre-order node list, left children first, in two
+    passes: grow the whole tree, appending each node as it leaves the
+    stack, then (if ``prune``) walk the list backwards, replacing each
+    subtree whose leaf estimate errs no more than its children's with that
+    leaf, and copy the nodes left into a renumbered list. ``split`` is
+    the split search, ``best_split`` or one that returns its splits."""
+    nodes, todo = [], [({}, "root", rows, labels)]
+    while todo:
+        parent, side, rows, labels = todo.pop()
+        parent[side] = len(nodes)
+        node = {"counts": [int(np.sum(labels == 0)),
+                           int(np.sum(labels == 1))]}
+        nodes.append(node)
+        if 0 in node["counts"] or len(labels) < 2 * min_leaf:
+            continue
+        found = split(rows, labels, min_leaf)
+        if found is None:
+            continue
+        f, threshold = found
+        node["feature"], node["threshold"] = f, float(threshold)
+        mask = rows[:, f] <= threshold
+        todo += [(node, "right", rows[~mask], labels[~mask]),
+                 (node, "left", rows[mask], labels[mask])]
+    if not prune:
+        return nodes
+    estimates = [0.0] * len(nodes)   # estimated errors of pruned subtrees
+    for i in reversed(range(len(nodes))):   # children before parents
+        node = nodes[i]
+        errors = min(node["counts"])
+        as_leaf = errors + tree_added_errors(sum(node["counts"]), errors,
+                                             confidence)
+        if "left" in node:
+            as_subtree = estimates[node["left"]] + estimates[node["right"]]
+            if as_leaf > as_subtree + 1e-10:
+                estimates[i] = as_subtree
+                continue
+            for key in ("feature", "threshold", "left", "right"):
+                del node[key]
+        estimates[i] = as_leaf
+    kept, todo = [], [({}, "root", nodes[0])]
+    while todo:
+        parent, side, node = todo.pop()
+        parent[side] = len(kept)
+        kept.append(node)
+        if "left" in node:
+            todo += [(node, "right", nodes[node["right"]]),
+                     (node, "left", nodes[node["left"]])]
+    return kept
 
 
 ANN_ERROR_RATIO_TOLERANCE = 1.04

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from multisent import classifiers, scoring, util
 from multisent.classifiers import load_model
-from multisent.cli import main
+from multisent.cli import build_parser, main
 from multisent.corpus_io import load_lemma_dictionary
 from multisent.errors import DataError
 from multisent.evaluation import run_cv
@@ -70,6 +71,17 @@ def _reading_argv(command, corpus, out, data):
     return ["pipeline", "--corpus", str(corpus), "--lexicon", data["lexicon"],
             "--lemma-dict", data["lemma_dict"], "--out", str(out),
             "--classifier", "dtree", "--folds", "2"]
+
+
+def _missing_inputs(command, path) -> list:
+    """Input flags of ``command`` that all name the missing ``path``: a
+    refusal with them shows that no input was read."""
+    path = str(path)
+    if command in ("train", "evaluate"):
+        return ["--features", path]
+    if command == "lexicon-aggregate":
+        return ["--lexicon", path]
+    return ["--corpus", path, "--lexicon", path, "--lemma-dict", path]
 
 
 def _rules_flags(data, window):
@@ -393,6 +405,25 @@ class TestExitCodes:
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("argv,flag,kind", [
+        (["pipeline", "--classifier", "dtree", "--hidden", "0",
+          "--svm-c", "-1"], "--hidden", "ann"),
+        (["train", "--classifier", "dtree", "--max-epochs", "0"],
+         "--max-epochs", "ann"),
+        (["evaluate", "--classifier", "svm", "--restarts", "0"],
+         "--restarts", "ann"),
+        (["sweep", "--classifiers", "dtree", "--tol", "-1"], "--tol", "svm"),
+    ], ids=["pipeline", "train", "evaluate", "sweep"])
+    def test_a_flag_of_a_kind_the_command_does_not_train_is_refused(
+            self, tmp_path, capsys, argv, flag, kind):
+        inputs = _missing_inputs(argv[0], tmp_path / "missing")
+        out = tmp_path / "out"
+        assert main([*argv, *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag} applies to {kind} only, and this "
+            f"run trains no {kind}\n")
+        assert not out.exists()
+
     def test_network_beyond_the_address_space_is_configuration_error(
             self, tmp_path, data, capfd):
         # 10**15 hidden units need 71 PiB of weights, which no allocation
@@ -444,6 +475,55 @@ class TestExitCodes:
             "2,048,000,000 bytes, which do not fit in memory"]
         assert not (tmp_path / "model.json").exists()
         assert not (tmp_path / "report.json").exists()
+
+
+class TestFormulaNames:
+    """``from_name`` alone reads a formula name, in any case, on every
+    command, and before any input is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--classifier", "dtree", "--folds", "2",
+         "--formula", "max_sub"],
+        ["featurize", "--variant", "7", "--formula", "avg_avg",
+         "--sentence-formula", "max_max"],
+        ["score", "--formula", "max_sub"],
+        ["score", "--formula", "avg_max", "--sentence-formula", "max_sub"],
+        ["lexicon-aggregate", "--formula", "max_sub"],
+    ], ids=["pipeline", "featurize", "score", "score-sentences",
+            "lexicon-aggregate"])
+    def test_a_name_in_upper_case_writes_the_same_bytes(self, data, tmp_path,
+                                                        argv):
+        inputs = (["--lexicon", data["lexicon"]]
+                  if argv[0] == "lexicon-aggregate" else _corpus_flags(data))
+        written = []
+        for case in (str.lower, str.upper):
+            root = tmp_path / case.__name__
+            cased = [case(a) if flag.endswith("formula") else a
+                     for flag, a in zip(["", *argv], argv)]
+            assert main([*cased, *inputs, "--out", str(root / "out")]) == 0
+            written.append({p.relative_to(root): p.read_bytes()
+                            for p in sorted(root.rglob("*")) if p.is_file()})
+        assert written[0] and written[0] == written[1]
+
+    @pytest.mark.parametrize("argv,what", [
+        (["pipeline", "--formula", "max_min"], "prior"),
+        (["featurize", "--formula", "max_min"], "prior"),
+        (["featurize", "--variant", "7", "--sentence-formula", "avg_avg"],
+         "sentence"),
+        (["score", "--formula", "max_min"], "prior"),
+        (["score", "--sentence-formula", "avg_avg"], "sentence"),
+        (["lexicon-aggregate", "--formula", "max_min"], "prior"),
+    ])
+    def test_an_unknown_name_is_refused_before_any_input_is_read(
+            self, tmp_path, capsys, argv, what):
+        inputs = _missing_inputs(argv[0], tmp_path / "missing")
+        assert main([*argv, *inputs, "--out", str(tmp_path / "out")]) == 1
+        valid = ", ".join(f.value for f in {"prior": PriorFormula,
+                                            "sentence": SentenceFormula}[what])
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown {what} formula {argv[-1]!r} "
+            f"(one of: {valid})\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestArtifactModes:
@@ -846,6 +926,35 @@ class TestDefaults:
             kind, dataset.rows, dataset.labels), tmp_path / "library.json")
         assert model.read_bytes() == \
             (tmp_path / "library.json").read_bytes()
+
+
+    def test_help_states_the_default_of_each_flag_taking_a_value(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        kinds = [classifiers.make_config(kind) for kind in classifiers.KINDS]
+        stated = set()
+        for name, parser in commands.items():
+            # The first config holding a flag's field gives its default:
+            # train's --seed is the classifier's.
+            configs = {"synth": [SynthConfig],
+                       "train": [*kinds, PipelineConfig]}.get(
+                           name, [PipelineConfig, *kinds])
+            for action in parser._actions:
+                if not action.option_strings or action.nargs == 0:
+                    continue   # --help and the switches
+                default = next((f.default for config in configs
+                                for f in dataclasses.fields(config)
+                                if f.name == action.dest), None)
+                flag, text = action.option_strings[0], action.help or ""
+                if flag == "--gamma":
+                    assert text.endswith("(default 1/num_features)")
+                elif default in (None, dataclasses.MISSING):
+                    assert "(default" not in text, (name, flag)
+                else:
+                    assert text.endswith(f"(default {default})"), (name, flag)
+                    assert text.count("(default") == 1, (name, flag)
+                    stated.add(flag)
+        assert {"--lr", "--momentum", "--max-passes", "--docs", "--hidden",
+                "--tol", "--svm-c", "--window", "--formula"} <= stated
 
 
 class TestPipeline:

@@ -100,10 +100,15 @@ def _check_artifacts(command: str, out) -> None:
     elif command == "evaluate":
         json.loads(out.read_text(encoding="utf-8"))
     elif command == "score":
+        # Token scores, or one score per sentence with a sentence formula.
         rows = out.read_text(encoding="utf-8").splitlines()
-        assert rows[0].split("\t")[-2:] == ["prior", "adjusted"]
+        header = rows[0].split("\t")
+        assert header[1:] in (["index", "surface", "lemma", "prior",
+                               "adjusted"], ["sentence", "score"])
+        scores = 2 if header[-1] == "adjusted" else 1
         for row in rows[1:]:
-            assert all(map(math.isfinite, map(float, row.split("\t")[-2:])))
+            assert all(map(math.isfinite,
+                           map(float, row.split("\t")[-scores:])))
     else:
         rows = out.read_text(encoding="utf-8").splitlines()
         assert len(rows) > 1 and all("," in row for row in rows)

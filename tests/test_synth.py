@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import capped_address_space
+from conftest import capped_address_space, traced_peak
 
 from multisent import synth
 from multisent.classifiers import SvmConfig, train
@@ -112,6 +112,25 @@ class TestGenerate:
         paths = generate(cfg, tmp_path)
         words = load_word_list(paths.negations)
         assert "لم" in words
+
+    def test_the_lexicon_is_written_as_it_is_drawn(self, tmp_path):
+        # 19,000 more senses are 0.7 MB of lines; streamed, the memory
+        # generate holds does not grow with them.
+        def peak(k):
+            cfg = SynthConfig(docs_per_class=1, pos_lemmas=1, neg_lemmas=1,
+                              senses_per_lemma=(k, k))
+            paths, held = traced_peak(lambda: generate(cfg, tmp_path / str(k)))
+            assert len(load_lexicon(paths.lexicon)["pos000"]) == k
+            return held
+
+        assert peak(20_000) - peak(1_000) < 0.5 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", [4, 10])
+    def test_a_lexicon_of_no_sense_is_one_newline(self, tmp_path, seed):
+        paths = generate(SynthConfig(docs_per_class=1, pos_lemmas=1,
+                                     neg_lemmas=1, senses_per_lemma=(0, 1),
+                                     seed=seed), tmp_path)
+        assert paths.lexicon.read_bytes() == b"\n"
 
     def test_purity_must_exceed_half(self):
         with pytest.raises(ConfigurationError, match="purity"):
