@@ -5,7 +5,6 @@ internally and classify by the sign of their decision value. Tree leaves
 score as (positive proportion - 0.5).
 """
 
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -80,21 +79,14 @@ def train(kind: str, rows, labels, config=None):
 def make_config(kind: str, **overrides):
     """The config of ``kind`` with ``overrides`` replacing its defaults.
 
-    Raises ConfigurationError for an unknown kind, an unknown option name
-    or an option value out of range.
+    Raises ConfigurationError for an unknown kind, an option the kind
+    does not have (a tree's ``seed``) or an option value out of range.
     """
     config_type = _kind(kind)[1]
     try:
         return config_type(**overrides)
     except (TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"bad {kind} options: {exc}")
-
-
-def with_seed(config, seed: int):
-    """``config`` with its seed set, unless ``seed`` is None or it has none."""
-    if seed is None or not hasattr(config, "seed"):
-        return config
-    return replace(config, seed=seed)
 
 
 def decision_values(model, rows) -> np.ndarray:
@@ -117,7 +109,7 @@ def predict_labels(model, rows) -> np.ndarray:
 __all__ = [
     "AnnConfig", "AnnModel", "TreeConfig", "TreeModel", "SvmConfig",
     "SvmModel", "NormalizationParams", "KINDS",
-    "train", "train_many", "make_config", "with_seed",
+    "train", "train_many", "make_config",
     "predict_labels", "decision_values",
     "save_model", "load_model", "model_to_dict", "model_from_dict",
 ]

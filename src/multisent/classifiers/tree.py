@@ -244,12 +244,11 @@ def _grow(rows: np.ndarray, labels: np.ndarray, cfg: TreeConfig) -> list:
 
 
 def added_errors(n: int, e: int, confidence: float) -> float:
-    """Extra errors implied by the upper confidence bound of e errors in n.
+    """Extra errors implied by the upper confidence bound of e errors in
+    n >= 1 rows (every node holds at least one).
 
     Exact binomial for e = 0; normal approximation otherwise.
     """
-    if n == 0:
-        return 0.0
     if e == 0:
         return n * (1.0 - confidence ** (1.0 / n))
     if e + 0.5 >= n:

@@ -21,8 +21,8 @@ from .pipeline import (PipelineConfig, build_dataset, load_inputs,
                        parse_bool, read_config_file, run_pipeline, sweep)
 from .scoring import SentenceFormula, sentence_scores
 from .synth import SynthConfig, generate
-from .util import (atomic_write_chunks, atomic_write_text, field_types,
-                   write_json)
+from .util import (atomic_write_chunks, atomic_write_text, check_range,
+                   field_types, write_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,10 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _names(formulas) -> str:
-    """A formula enum's names as argparse shows choices; ``from_name``
-    alone reads them, in any case."""
-    return "{" + ",".join(f.value for f in formulas) + "}"
+def _names(names) -> str:
+    """Classifier kinds, or a formula enum's names, as argparse shows
+    choices; ``make_config`` or ``from_name`` alone reads them."""
+    return "{" + ",".join(getattr(n, "value", n) for n in names) + "}"
 
 
 # The settings of a run, each declared once: flag -> (destination,
@@ -70,7 +70,7 @@ _RUN_FLAGS = {
     "--rules": ("rules", {"action": "store_const", "const": True,
                           "help": "apply negation/intensification rules"}),
     "--no-rules": ("rules", {"action": "store_const", "const": False}),
-    "--classifier": ("classifier", {"choices": classifiers.KINDS}),
+    "--classifier": ("classifier", {"metavar": _names(classifiers.KINDS)}),
     "--folds": ("k", {"help": "cross-validation folds"}),
     "--seed": ("seed", {}),
     "--out": ("out_dir", {}),
@@ -144,15 +144,16 @@ def _given(args, table) -> dict:
 
 def _classifier_options(args, *kinds) -> dict:
     """The classifier options given, by kind, for each of ``kinds``: the
-    kinds a command trains. A flag of another kind is a
-    ConfigurationError naming the flag and its kind."""
+    kinds a command trains. An unknown kind is refused first, then a flag
+    of another kind, naming the flag and its kind (ConfigurationError)."""
+    for kind in kinds:
+        classifiers.make_config(kind)
     for kind, table in _CLASSIFIER_FLAGS.items():
         for flag, (dest, _) in table.items():
             if kind not in kinds and getattr(args, dest, None) is not None:
                 raise ConfigurationError(f"{flag} applies to {kind} only, "
                                          f"and this run trains no {kind}")
-    return {kind: _given(args, _CLASSIFIER_FLAGS.get(kind, {}))
-            for kind in kinds}
+    return {kind: _given(args, _CLASSIFIER_FLAGS[kind]) for kind in kinds}
 
 
 def _run_config(args, **fixed) -> PipelineConfig:
@@ -255,8 +256,9 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     kind = args.classifier
-    config = classifiers.with_seed(classifiers.make_config(
-        kind, **_classifier_options(args, kind)[kind]), args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    config = classifiers.make_config(
+        kind, **_classifier_options(args, kind)[kind], **seed)
     dataset = read_features_csv(args.features)
     model = classifiers.train(kind, dataset.rows, dataset.labels, config)
     classifiers.save_model(model, args.out)
@@ -271,6 +273,9 @@ def cmd_evaluate(args) -> int:
     kind = args.classifier
     config = classifiers.make_config(
         kind, **_classifier_options(args, kind)[kind])
+    # --folds meets PipelineConfig.k's range before the file is read.
+    check_range("k", args.k,
+                PipelineConfig.__dataclass_fields__["k"].metadata)
     dataset = read_features_csv(args.features)
     report = run_cv(dataset, kind, config, k=args.k, seed=args.seed,
                     meta={"variant": dataset.variant.name})
@@ -363,8 +368,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one model on a feature CSV")
     p.add_argument("--features", "--in", dest="features", required=True)
     _add_flags(p, ("--classifier",))
-    # The classifier's own seed: 0 for an ANN or an SVM; a tree has none.
-    _add_flags(p, ("--seed",), config=classifiers.AnnConfig)
+    _add_flags(p, table={"--seed": ("seed", {
+        "help": "the ANN's or the SVM's seed; a tree takes none"})},
+        config=classifiers.AnnConfig)
     _add_classifier_args(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_train, classifier=PipelineConfig.classifier)

@@ -44,10 +44,11 @@ def remove_diacritics(text: str) -> str:
 class LemmaDictionary:
     """Surface-to-lemma mapping with a light affix-stripping fallback.
 
-    Lookup order: exact dictionary hit on the diacritic-free surface; on a
-    miss, strip one longest matching prefix and then one longest matching
-    suffix and retry; if the stripped form is not in the dictionary either,
-    the stripped form itself is the lemma. Lookup never fails.
+    Lookup order, on the diacritic-free surface: a dictionary hit on the
+    form itself; on a miss, on the form less one longest matching prefix
+    (so a listed surface keeps its lemma under a clitic); then on that
+    form less one longest matching suffix; else that stripped form itself
+    is the lemma. Lookup never fails.
     """
 
     def __init__(self, mapping=None):
@@ -55,23 +56,20 @@ class LemmaDictionary:
 
     def lemma(self, surface: str) -> str:
         form = remove_diacritics(surface)
-        hit = self.mapping.get(form)
-        if hit is not None:
+        if (hit := self.mapping.get(form)) is not None:
             return hit
-        stripped = self._strip_affixes(form)
-        return self.mapping.get(stripped, stripped)
-
-    def _strip_affixes(self, form: str) -> str:
         # A strip must leave at least two characters behind.
         for pre in _PREFIXES:
             if form.startswith(pre) and len(form) - len(pre) >= 2:
                 form = form[len(pre):]
+                if (hit := self.mapping.get(form)) is not None:
+                    return hit
                 break
         for suf in _SUFFIXES:
             if form.endswith(suf) and len(form) - len(suf) >= 2:
                 form = form[:-len(suf)]
                 break
-        return form
+        return self.mapping.get(form, form)
 
 
 def load_lemma_dictionary(path) -> LemmaDictionary:

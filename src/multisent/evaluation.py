@@ -6,7 +6,7 @@ a 50/50 corpus yields exactly balanced folds. Metrics with a zero
 denominator are reported as 0 and flagged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,7 +112,8 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     Each fold trains on the complement (normalization is fitted inside
     the trainer on training rows only) and reports metrics on both the
     training and the held-out partition. Per-fold trainer seeds derive
-    from ``seed``, so the whole report is a pure function of its inputs.
+    from ``seed``: each fold's seed replaces the config's, if it has one
+    (a tree draws nothing), so the report is a pure function of its inputs.
     All folds train through one ``classifiers.train_many`` call, so their
     runs (an ANN's restarts, an SVM's or tree's one run per fold) spread
     over the usable CPUs (``parallel``), unless the call is itself one
@@ -125,7 +126,8 @@ def run_cv(dataset: Dataset, classifier: str, config=None, k: int = 5,
     def job(f):
         train = folds != f
         return (dataset.rows[train], dataset.labels[train],
-                classifiers.with_seed(config, derive_seed(seed, "fold", f)))
+                replace(config, seed=derive_seed(seed, "fold", f))
+                if hasattr(config, "seed") else config)
 
     # Lazy jobs: a fold's training rows are kept only as far as its plan
     # needs them. Each model then labels every row once, and the fold's

@@ -101,7 +101,7 @@ def check_fields(config) -> None:
             raise ConfigurationError(
                 f"{f.name} must be {_KINDS[type_]}, got {shown}") from None
     for f in fields(config):
-        _check_range(f.name, getattr(config, f.name), f.metadata)
+        check_range(f.name, getattr(config, f.name), f.metadata)
 
 
 # Each bound a field's metadata may give: the test a value must pass, and
@@ -110,7 +110,7 @@ _BOUNDS = {"min": (operator.ge, ">=", "["), "above": (operator.gt, ">", "("),
            "max": (operator.le, "<=", "]"), "below": (operator.lt, "<", ")")}
 
 
-def _check_range(name: str, value, metadata) -> None:
+def check_range(name: str, value, metadata) -> None:
     """ConfigurationError unless a pair ``value`` is in order and every
     entry of ``value`` passes each bound in ``metadata``; None passes."""
     if isinstance(value, tuple) and value[0] > value[1]:

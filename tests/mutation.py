@@ -27,6 +27,7 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,60 +60,71 @@ TESTS = {
     "classifiers/tree.py": ["tests/test_classifiers.py", "tests/test_util.py"],
 }
 
-# (module, scope, source, change) of each mutant that computes what the
-# source computes, with the reason.
+# (module, scope, source, change, ordinal) of each mutant that computes
+# what the source computes, with the reason.
 EQUIVALENT = {
-    ("scoring.py", "sentence_scores", "scores < 0", "< -> <="):
+    ("scoring.py", "sentence_scores", "scores < 0", "< -> <=", 0):
         "``scores`` holds the nonzero token scores only",
-    ("synth.py", "PhiloxBatch._bounded", "2 ** 32 - span", "- -> +"):
+    ("synth.py", "PhiloxBatch._bounded", "2 ** 32 - span", "- -> +", 0):
         "2**32 - span and 2**32 + span leave the same residue mod span",
-    ("classifiers/tree.py", "_best_split", "gain <= _GAIN_EPS", "<= -> <"):
+    ("classifiers/tree.py", "_best_split", "gain <= _GAIN_EPS", "<= -> <",
+     0):
         "they differ only at a gain of exactly _GAIN_EPS, which an "
         "entropy difference all but never equals",
-    ("synth.py", "_documents", "stream.random(rows) < cfg.purity", "< -> <="):
+    ("synth.py", "_documents", "stream.random(rows) < cfg.purity", "< -> <=",
+     0):
         "they differ only on a draw exactly equal to purity, one chance in "
         "2**53 per draw",
     ("synth.py", "_documents", "stream.random(rows) < cfg.rule_fraction",
-     "< -> <="):
+     "< -> <=", 0):
         "they differ only on a draw exactly equal to rule_fraction, one "
         "chance in 2**53 per draw",
-    ("synth.py", "_documents", "stream.random(rows) < 0.5", "< -> <="):
+    ("synth.py", "_documents", "stream.random(rows) < 0.5", "< -> <=", 0):
         "they differ only on a draw of exactly 0.5, one chance in 2**53 "
         "per draw",
-    ("features.py", "doc_rows", "values < 0", "< -> <="):
+    # The minimum clip; the negative count before it (ordinal 0) counts
+    # a zero score once its < is a <=.
+    ("features.py", "doc_rows", "values < 0", "< -> <=", 1):
         "sentence scores are never -0.0 (MAX_SUB's pos - neg of equal "
         "sides is +0.0, MAX_MAX's negative side is nonzero), and at +0.0 "
         "both keep 0.0",
-    ("classifiers/ann.py", "_run_once", "work[0]", "0 -> 1"):
+    ("classifiers/ann.py", "_run_once", "work[0]", "0 -> 1", 0):
         "work[0] and work[1] are both (n,) scratch, which _mse and "
         "_backward write before they read",
-    ("classifiers/svm.py", "_pair_step", "a_i * y_i", "* -> /"):
+    ("classifiers/ann.py", "_run_once", "work[0]", "0 -> 1", 1):
+        "the candidate's _mse squares into work[1] instead: both are (n,) "
+        "scratch, which _mse and _backward write before they read",
+    ("classifiers/svm.py", "_pair_step", "a_i * y_i", "* -> /", 0):
         "y_i is +1.0 or -1.0, and a float times or over +-1 is the same "
         "float",
-    ("classifiers/svm.py", "_pair_step", "a_j * y_j", "* -> /"):
+    ("classifiers/svm.py", "_pair_step", "a_j * y_j", "* -> /", 0):
         "y_j is +1.0 or -1.0, and a float times or over +-1 is the same "
         "float",
+    ("classifiers/svm.py", "_smo", "violations += 1", "1 -> 2", 0):
+        "violations is only compared with 0, and a count of 2 per "
+        "violation is 0 exactly when a count of 1 is",
     ("classifiers/tree.py", "_best_split",
-     "ratios >= ratios[sure].max() - margin", ">= -> >"):
+     "ratios >= ratios[sure].max() - margin", ">= -> >", 0):
         "a cut whose screened ratio is exactly M - margin has an exact "
         "ratio below M - delta (margin > 2 delta), so it cannot win or tie "
         "whether the screen keeps it or not",
     ("classifiers/tree.py", "_grow", "estimates[item] > below + 1e-10",
-     "> -> >="):
+     "> -> >=", 0):
         "they differ only when a leaf's estimate equals its subtrees' sum "
         "plus 1e-10 exactly, which sums of binomial bounds all but never "
         "do",
-    ("features.py", "doc_rows", "values > 0", "> -> >="):
+    # The maximum clip; the positive count (ordinal 0) is not equivalent.
+    ("features.py", "doc_rows", "values > 0", "> -> >=", 1):
         "sentence scores are never -0.0 (see the values < 0 entry), and at "
         "+0.0 both keep 0.0",
-    ("synth.py", "_documents", "2 * longest", "2 -> 3"):
+    ("synth.py", "_documents", "2 * longest", "2 -> 3", 0):
         "the code table's width only bounds what a row may hold; no row "
         "writes past 2 * longest codes, so a wider table writes the same "
         "words",
-    ("parallel.py", "_start_helper", "code = 1", "1 -> 2"):
+    ("parallel.py", "_start_helper", "code = 1", "1 -> 2", 0):
         "the parent reads a helper's outcome from its pipe, never from its "
         "exit status",
-    ("synth.py", "_documents", "initial=0", "0 -> 1"):
+    ("synth.py", "_documents", "initial=0", "0 -> 1", 0):
         "the initial maximum decides only when no document is longer than "
         "0 tokens, and then the lockstep walk writes nothing either way",
 }
@@ -131,18 +143,21 @@ class Site:
     """One mutant: the ``index``-th site of ``module``, at ``line`` in the
     function or class ``scope``, where ``change`` edits the operator or
     constant of ``source``: the node's ``ast.unparse``, or its parent's
-    for a constant. ``key`` names it in ``EQUIVALENT``, so one key may
-    name sites alike in all four."""
+    for a constant. ``ordinal`` counts the sites before it alike in
+    module, scope, source and change, so ``key``, which names it in
+    ``EQUIVALENT``, names one site only."""
     module: str
     index: int
     line: int
     scope: str
     source: str
     change: str
+    ordinal: int
 
     @property
     def key(self) -> tuple:
-        return (self.module, self.scope, self.source, self.change)
+        return (self.module, self.scope, self.source, self.change,
+                self.ordinal)
 
 
 class _Sites(ast.NodeVisitor):
@@ -197,14 +212,16 @@ def _walk(text: str):
 
 def sites(package: Path) -> list:
     """Every site of every module under ``package``, module by module."""
-    found = []
+    found, alike = [], Counter()
     for path in sorted(package.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         module = path.relative_to(package).as_posix()
         for index, (node, _, scope, change) in enumerate(_walk(text)[1]):
             shown = node.parent if isinstance(node, ast.Constant) else node
-            found.append(Site(module, index, node.lineno, scope,
-                              ast.unparse(shown), change))
+            key = (module, scope, ast.unparse(shown), change)
+            found.append(Site(module, index, node.lineno, scope, *key[2:],
+                              alike[key]))
+            alike[key] += 1
     return found
 
 
@@ -276,7 +293,7 @@ def main(argv=None, root=ROOT, package=PACKAGE, tests=None,
             root, package, site, tests[site.module], Path(args.work)))
         outcomes.append(outcome)
         print(f"{outcome:20} {site.module}:{site.line} {site.scope or '-'} "
-              f"{site.source!r} {site.change}", flush=True)
+              f"{site.source!r} {site.change} #{site.ordinal}", flush=True)
     run = [o for o in outcomes if o != "equivalent"]
     killed = sum(o != "survived" for o in run)
     print(f"killed {killed} of {len(run)} mutants run "

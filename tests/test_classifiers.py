@@ -1556,12 +1556,6 @@ class TestSharedSurface:
         assert str(caught.value) == ("bad ann options: seed must be an "
                                      "integer, got an int of 16610 bits")
 
-    def test_with_seed_keeps_the_config_seed_for_none(self):
-        config = AnnConfig(seed=3)
-        assert classifiers.with_seed(config, None) is config
-        assert classifiers.with_seed(config, 4) == AnnConfig(seed=4)
-        assert classifiers.with_seed(TreeConfig(), 4) == TreeConfig()
-
     @pytest.mark.parametrize("option,message", [
         ({"max_passes": 2.5}, "max_passes must be an integer, got 2.5"),
         ({"c": 10 ** 400}, f"c must be a finite real number, got {10**400}"),

@@ -424,6 +424,52 @@ class TestExitCodes:
             f"run trains no {kind}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["5", "0"])
+    def test_a_tree_refuses_a_seed_before_any_input_is_read(
+            self, tmp_path, capsys, seed):
+        out = tmp_path / "model.json"
+        assert main(["train", *_missing_inputs("train", tmp_path / "missing"),
+                     "--classifier", "dtree", "--seed", seed,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad dtree options: ")
+        assert "'seed'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--classifier", "nb"], ["evaluate", "--classifier", "nb"],
+        ["pipeline", "--classifier", "nb"], ["sweep", "--classifiers", "nb"],
+    ], ids=["train", "evaluate", "pipeline", "sweep"])
+    @pytest.mark.parametrize("flags", [[], ["--hidden", "3"]],
+                             ids=["alone", "with-hidden"])
+    def test_an_unknown_kind_has_one_message_on_every_path(
+            self, tmp_path, capsys, argv, flags):
+        inputs = _missing_inputs(argv[0], tmp_path / "missing")
+        out = tmp_path / "out"
+        assert main([*argv, *flags, *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: unknown classifier 'nb' "
+            "(one of: ann, dtree, svm)\n")
+        assert not out.exists()
+
+    def test_help_names_the_kinds_that_make_config_reads(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        for name in ("train", "evaluate", "pipeline"):
+            action, = (a for a in commands[name]._actions
+                       if a.dest == "classifier")
+            assert (action.metavar, action.choices) == ("{ann,dtree,svm}",
+                                                        None)
+
+    def test_evaluate_checks_its_folds_before_reading(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "report.json"
+        assert main(["evaluate",
+                     *_missing_inputs("evaluate", tmp_path / "missing"),
+                     "--folds", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: k must be >= 2, got 1\n")
+        assert not out.exists()
+
     def test_network_beyond_the_address_space_is_configuration_error(
             self, tmp_path, data, capfd):
         # 10**15 hidden units need 71 PiB of weights, which no allocation
@@ -927,6 +973,25 @@ class TestDefaults:
         assert model.read_bytes() == \
             (tmp_path / "library.json").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["ann", "svm"])
+    def test_train_seed_is_the_classifiers_seed(self, data, tmp_path, capsys,
+                                                kind):
+        features, model = tmp_path / "features.csv", tmp_path / "cli.json"
+        assert main(["featurize", *_corpus_flags(data),
+                     "--out", str(features)]) == 0
+        assert main(["train", "--features", str(features), "--classifier",
+                     kind, "--seed", "5", "--out", str(model)]) == 0
+        dataset = read_features_csv(features)
+        library = classifiers.train(kind, dataset.rows, dataset.labels,
+                                    classifiers.make_config(kind, seed=5))
+        classifiers.save_model(library, tmp_path / "library.json")
+        assert model.read_bytes() == \
+            (tmp_path / "library.json").read_bytes()
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        right = classifiers.predict_labels(library, dataset.rows) \
+            == dataset.labels
+        assert summary["training_accuracy"] == float(right.mean())
+
 
     def test_help_states_the_default_of_each_flag_taking_a_value(self):
         commands = build_parser()._subparsers._group_actions[0].choices
@@ -1114,6 +1179,15 @@ class TestPipeline:
         assert capsys.readouterr().err == (
             "configuration error: unknown classifier 'nb' "
             "(one of: ann, dtree, svm)\n")
+
+    def test_a_config_key_of_40_characters_is_shown_whole(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "forty.conf"
+        cfg.write_text(f"{'k' * 40} = 1\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:1: unknown config key "
+            f"{'k' * 40!r}\n")
 
     def test_a_long_unknown_config_key_is_cut_short(self, tmp_path, capsys):
         cfg = tmp_path / "long.conf"

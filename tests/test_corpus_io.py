@@ -304,6 +304,13 @@ class TestLemmatize:
         d = LemmaDictionary({"فيلم": "film_lemma"})
         assert d.lemma("والفيلم") == "film_lemma"
 
+    @pytest.mark.parametrize("surface", ["الكتابات", "والكتابات",
+                                         "للكتابات"])
+    def test_a_listed_surface_keeps_its_lemma_under_a_clitic(self, surface):
+        # The prefix-stripped form is looked up before the suffix goes.
+        d = LemmaDictionary({"كتابات": "كتابة"})
+        assert d.lemma(surface) == "كتابة"
+
     def test_never_strips_to_below_two_chars(self):
         d = LemmaDictionary({})
         assert d.lemma("وه") == "وه"

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from multisent.errors import ConfigurationError, DataError
 from multisent.evaluation import (ConfusionCounts, class_metrics,
                                   confusion, run_cv, stratified_kfold)
 from multisent.features import Dataset, Variant
-from multisent.util import make_rng
+from multisent.util import derive_seed, make_rng
 
 import oracles
 
@@ -193,6 +194,26 @@ class TestRunCv:
         assert len(report.folds) == 5
         assert len(report.models) == 5
 
+    def test_defaults_are_five_folds_at_seed_zero(self):
+        ds = _separable_dataset(n=30)
+        assert run_cv(ds, "dtree").to_dict() == run_cv(
+            ds, "dtree", TreeConfig(), k=5, seed=0).to_dict()
+
+    def test_each_fold_scores_its_own_rows_as_test(self):
+        # Random labels and a tree that memorizes: train and test differ.
+        rng = make_rng(2)
+        ds = Dataset(rows=rng.normal(size=(40, 8)),
+                     labels=np.tile([0, 1], 20), variant=Variant.TERM8)
+        report = run_cv(ds, "dtree", TreeConfig(min_leaf=1, prune=False),
+                        k=4, seed=1)
+        folds = stratified_kfold(ds.labels, 4, 1)
+        for f, (fold, model) in enumerate(zip(report.folds, report.models)):
+            for part, rows in (("train", folds != f), ("test", folds == f)):
+                predicted = classifiers.predict_labels(model, ds.rows[rows])
+                assert fold[part] == class_metrics(
+                    confusion(predicted, ds.labels[rows]))
+            assert fold["train"] != fold["test"]
+
     def test_deterministic_reports(self):
         ds = _separable_dataset()
         r1 = run_cv(ds, "dtree", TreeConfig(), k=4, seed=9)
@@ -241,3 +262,23 @@ class TestRunCv:
         for f, (rows, labels, _) in enumerate(jobs):
             assert np.array_equal(rows, ds.rows[folds != f])
             assert np.array_equal(labels, ds.labels[folds != f])
+
+    @pytest.mark.parametrize("kind,config", [
+        ("ann", classifiers.AnnConfig(seed=3)),
+        ("svm", classifiers.SvmConfig(seed=3)),
+        ("dtree", TreeConfig())], ids=["ann", "svm", "dtree"])
+    def test_each_fold_takes_its_own_seed_and_a_tree_none(self, monkeypatch,
+                                                          kind, config):
+        configs = []
+
+        def recorded(kind, fold_jobs):
+            configs.extend(job[2] for job in fold_jobs)
+            return []
+
+        monkeypatch.setattr(classifiers, "train_many", recorded)
+        run_cv(_separable_dataset(n=30), kind, config, k=3, seed=4)
+        if kind == "dtree":   # a tree draws nothing: its config as given
+            assert len(configs) == 3 and all(c is config for c in configs)
+        else:
+            assert configs == [replace(config, seed=derive_seed(4, "fold", f))
+                               for f in range(3)]

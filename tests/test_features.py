@@ -246,6 +246,14 @@ class TestDataset:
             read_features_csv(path)
         assert str(caught.value) == f"{path}:3: label must be 0 or 1, got 2"
 
+    def test_read_names_the_fields_a_row_must_have(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("label," + ",".join(Variant.TERM6.names) + "\n"
+                        "1,1,0,0.5,0,0.5\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_features_csv(path)
+        assert str(caught.value) == f"{path}:2: expected 7 fields, got 6"
+
     def test_read_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,what,ever\n1,2,3\n", encoding="utf-8")
